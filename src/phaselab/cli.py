@@ -27,9 +27,27 @@ DEFAULT_BETA_GRID = "6:128"
 DEFAULT_SEED = 42
 
 
-def _parse_grid(spec: str) -> tuple[float, int]:
-    extent, steps = spec.split(":")
-    return float(extent), int(steps)
+def _grid_arg(spec: str) -> tuple[float, int]:
+    """argparse type for ``extent:steps`` with extent > 0 and steps >= 2."""
+    try:
+        extent, steps = spec.split(":")
+        extent, steps = float(extent), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not extent:steps") from None
+    if not 0 < extent < float("inf") or steps < 2:
+        raise argparse.ArgumentTypeError(f"{spec!r} needs extent > 0 and steps >= 2")
+    return extent, steps
+
+
+def _complex_arg(text: str) -> complex:
+    """argparse type for a finite complex number such as 1+0.5j."""
+    try:
+        value = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a complex number") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
 
 
 def _write(args, text: str):
@@ -72,7 +90,7 @@ def cmd_state(args) -> int:
     if args.fock is not None:
         rho = fc.make_fock(args.fock, args.cutoff)
     elif args.coherent is not None:
-        rho = fc.make_coherent(complex(args.coherent), args.cutoff)
+        rho = fc.make_coherent(args.coherent, args.cutoff)
     elif args.thermal is not None:
         rho = fc.make_thermal(args.thermal, args.cutoff)
     else:
@@ -84,7 +102,7 @@ def cmd_state(args) -> int:
 def cmd_charfunc(args) -> int:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
-    extent, points = _parse_grid(args.beta_grid)
+    extent, points = args.beta_grid
     grid = qe.charfunc_grid(rho, f, extent, points)
     _, betas = qe.lattice(extent, points)
     rows = zip(
@@ -100,8 +118,8 @@ def cmd_charfunc(args) -> int:
 def cmd_quasiprob(args) -> int:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
-    b_extent, b_points = _parse_grid(args.beta_grid)
-    a_extent, a_points = _parse_grid(args.grid)
+    b_extent, b_points = args.beta_grid
+    a_extent, a_points = args.grid
     grid = qe.quasiprob_transform(
         qe.charfunc_grid(rho, f, b_extent, b_points), a_extent, a_points
     )
@@ -114,7 +132,7 @@ def cmd_quasiprob(args) -> int:
 def cmd_beamsplit(args) -> int:
     rho1 = _load_state(args.state1)
     rho2 = _load_state(args.state2)
-    bs = cf.BeamSplitterParams(complex(args.t), complex(args.r))
+    bs = cf.BeamSplitterParams(args.t, args.r)
     out = lo.apply_beamsplitter(fc.tensor(rho1, rho2), bs)
     _write(args, json.dumps(fc.save_state(out)) + "\n")
     return 0
@@ -198,11 +216,11 @@ def cmd_verify(args) -> int:
 def cmd_classical(args) -> int:
     ens = _load_ensemble(args.ensemble)
     if args.op == "beamsplit":
-        bs = cf.BeamSplitterParams(complex(args.t), complex(args.r))
+        bs = cf.BeamSplitterParams(args.t, args.r)
         out = cf.ensemble_beamsplit(ens, bs)
         _write(args, json.dumps(cf.save_ensemble(out)) + "\n")
     elif args.op == "attenuate":
-        out = cf.classical_attenuate(ens, complex(args.t))
+        out = cf.classical_attenuate(ens, args.t)
         _write(args, json.dumps(cf.save_ensemble(out)) + "\n")
     else:  # moments
         val = cf.classical_moments(ens, args.m, args.n)
@@ -218,59 +236,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
     p = sub.add_parser("state", help="build a state and write it as JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fock", type=int)
-    group.add_argument("--coherent", help="complex amplitude, e.g. 1+0.5j")
+    group.add_argument("--coherent", type=_complex_arg, help="complex amplitude, e.g. 1+0.5j")
     group.add_argument("--thermal", type=float, help="mean occupation")
-    common(p)
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("charfunc", help="characteristic-function lattice as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--filter", help="filter JSON file (overrides --s)")
-    p.add_argument("--beta-grid", default=DEFAULT_BETA_GRID, help="extent:steps")
-    common(p)
+    p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
     p.set_defaults(func=cmd_charfunc)
 
     p = sub.add_parser("quasiprob", help="quasiprobability grid as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--filter", help="filter JSON file (overrides --s)")
-    p.add_argument("--grid", default=DEFAULT_GRID, help="alpha extent:steps")
-    p.add_argument("--beta-grid", default=DEFAULT_BETA_GRID, help="extent:steps")
-    common(p)
+    p.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID, help="alpha extent:steps")
+    p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
     p.set_defaults(func=cmd_quasiprob)
 
     p = sub.add_parser("beamsplit", help="apply a beam splitter to two states")
     p.add_argument("--state1", required=True)
     p.add_argument("--state2", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--r", required=True)
-    common(p)
+    p.add_argument("--t", type=_complex_arg, required=True)
+    p.add_argument("--r", type=_complex_arg, required=True)
     p.set_defaults(func=cmd_beamsplit)
 
     p = sub.add_parser("attenuate", help="apply the loss channel")
     p.add_argument("--state", required=True)
     p.add_argument("--eta", type=float, required=True)
-    common(p)
     p.set_defaults(func=cmd_attenuate)
 
     p = sub.add_parser("report", help="correlation report as JSON")
     p.add_argument("--state", required=True)
     p.add_argument("--max-order", type=int, default=2)
-    common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("figure3", help="attenuated-photon curve data as CSV")
     p.add_argument("--eta-steps", type=int, required=True)
-    common(p)
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p.set_defaults(func=cmd_figure3)
 
     p = sub.add_parser("verify", help="run a covariance verification suite")
@@ -278,19 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--filter", help="filter JSON file (overrides --s)")
     p.add_argument("--trials", type=int, default=100)
-    common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classical", help="classical ensemble operations")
     p.add_argument("--op", choices=("beamsplit", "attenuate", "moments"), required=True)
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--t", default="1")
-    p.add_argument("--r", default="0")
+    p.add_argument("--t", type=_complex_arg, default="1")
+    p.add_argument("--r", type=_complex_arg, default="0")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    common(p)
     p.set_defaults(func=cmd_classical)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
 
 
@@ -307,3 +316,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -95,7 +95,7 @@ def validate(rho: DensityMatrix) -> ValidationReport:
 def _checked(rho: DensityMatrix) -> DensityMatrix:
     report = validate(rho)
     if not report.ok:
-        raise DimensionMismatch(f"constructed state fails validation: {report.flags}")
+        raise DimensionMismatch(f"state fails validation: {report.flags}")
     return rho
 
 
@@ -269,9 +269,12 @@ def save_state(rho: DensityMatrix) -> dict:
 
 
 def load_state(obj: dict | str) -> DensityMatrix:
+    """Inverse of save_state; the state must pass validate()."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return DensityMatrix(
-        int(obj["dim"]), entries, int(obj.get("n_modes", 1)), float(obj.get("leakage", 0.0))
+    return _checked(
+        DensityMatrix(
+            int(obj["dim"]), entries, int(obj.get("n_modes", 1)), float(obj.get("leakage", 0.0))
+        )
     )

@@ -74,10 +74,8 @@ def attenuate(rho: DensityMatrix, eta: float, route: str = "kraus") -> DensityMa
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("attenuate expects a single-mode state")
-    if eta > 1:
-        raise GainNotAllowed(f"eta = {eta} > 1")
-    if eta < 0:
-        raise GainNotAllowed("eta must lie in [0, 1]")
+    if not 0 <= eta <= 1:
+        raise GainNotAllowed(f"eta = {eta} must lie in [0, 1]")
     if route == "beamsplitter":
         joint = tensor(rho, make_fock(0, rho.cutoff))
         bs = BeamSplitterParams(sqrt(eta), sqrt(1 - eta))
@@ -132,8 +130,8 @@ def attenuate_charfunc(
     state; r is fixed real nonnegative from |t|^2 + |r|^2 = 1.
     """
     t = complex(t)
-    if abs(t) > 1 + 1e-12:
-        raise GainNotAllowed(f"|t| = {abs(t)} > 1")
+    if not abs(t) <= 1 + 1e-12:
+        raise GainNotAllowed(f"|t| = {abs(t)} must lie in [0, 1]")
     r = sqrt(max(0.0, 1.0 - abs(t) ** 2))
     beta3 = np.asarray(beta3, dtype=complex)
     try:

@@ -109,9 +109,18 @@ def wigner_origin_numeric(
     """Wigner value at the origin of an attenuated single photon, through
     the full channel-and-transform pipeline."""
     rho = attenuate(make_fock(1, cutoff), eta)
+    return _wigner_origin(rho, beta_extent, beta_points, alpha_extent, alpha_points)
+
+
+def _wigner_origin(
+    rho: DensityMatrix,
+    beta_extent: float = 6.0,
+    beta_points: int = 128,
+    alpha_extent: float = 4.0,
+    alpha_points: int = 129,
+) -> float:
     cf = charfunc_grid(rho, FilterSpec.s_param(0.0), beta_extent, beta_points)
-    grid = quasiprob_transform(cf, alpha_extent, alpha_points)
-    return grid.at_origin()
+    return quasiprob_transform(cf, alpha_extent, alpha_points).at_origin()
 
 
 def wigner_origin_analytic(eta: float) -> float:
@@ -129,9 +138,7 @@ def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, f
         rho = attenuate(make_fock(1, cutoff), eta)
         g1 = float(normal_moment(rho, 1, 1).real)
         g2 = float(normal_moment(rho, 2, 2).real)
-        rows.append(
-            (eta, wigner_origin_numeric(eta, cutoff), wigner_origin_analytic(eta), g2 - g1**2)
-        )
+        rows.append((eta, _wigner_origin(rho), wigner_origin_analytic(eta), g2 - g1**2))
     return rows
 
 

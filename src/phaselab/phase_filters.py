@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lgamma, log
+from itertools import islice
+from math import lgamma, log, sqrt
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .errors import CutoffTooSmall, DimensionMismatch
 from .fock_core import DensityMatrix, effective_dim, mode_occupations
 
 TAIL_TOL = 1e-12
+# a top level holding less than this counts as empty: the state fits the cutoff
+TOP_LEVEL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def _check_trust(dim: int, top_occupation: float, beta: np.ndarray):
     neglected displacement element e^{-|b|^2/2} |b|^dim / sqrt(dim!) must
     stay below TAIL_TOL.
     """
-    if top_occupation <= 1e-10:
+    if top_occupation <= TOP_LEVEL_FLOOR:
         return
     mag = np.abs(np.asarray(beta, dtype=complex))
     big = mag[mag > 0]
@@ -128,34 +130,91 @@ def _check_trust(dim: int, top_occupation: float, beta: np.ndarray):
         )
 
 
+def _displacement_bands(dim: int, beta: np.ndarray):
+    """The elements <m|D(b)|n>, m, n < dim, one band k = m - n at a time.
+
+    Yields (k, lower, upper, lag) with <n+k|D|n> = lower * lag[n] and
+    <n|D|n+k> = upper * lag[n] for n = 0 .. dim-1-k, where
+    lower = e^{-|b|^2/2} b^k, upper = e^{-|b|^2/2} (-b*)^k and ``lag``
+    iterates sqrt(n! / (n+k)!) L_n^{(k)}(|b|^2).
+    """
+    x = np.abs(beta) ** 2
+    lower = np.exp(-x / 2).astype(complex)
+    upper = lower
+    first = 1.0  # 1 / sqrt(k!)
+    for k in range(dim):
+        if k:
+            lower = lower * beta
+            upper = upper * -beta.conjugate()
+            first /= sqrt(k)
+        yield k, lower, upper, _laguerre_band(k, dim - k, x, first)
+
+
+def _laguerre_band(k: int, count: int, x: np.ndarray, first: float):
+    """sqrt(n! / (n+k)!) L_n^{(k)}(x) for n = 0 .. count-1, one array at a time.
+
+    The three-term recurrence in degree,
+    (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}, with the factorial
+    weights folded into its coefficients; ``first`` is the n = 0 value
+    1 / sqrt(k!).
+    """
+    prev, cur = 0.0, np.full_like(x, first)
+    for n in range(count):
+        yield cur
+        if n + 1 < count:
+            nxt = (2 * n + 1 + k - x) * cur
+            nxt *= 1 / sqrt((n + 1) * (n + k + 1))
+            nxt -= sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * prev
+            prev, cur = cur, nxt
+
+
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
-    x = np.abs(beta) ** 2
-    damp = np.exp(-x / 2)
     out = np.empty((dim, dim, beta.size), dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            pref = np.exp(0.5 * (lgamma(n + 1) - lgamma(m + 1)))
-            lag = eval_genlaguerre(n, m - n, x)
-            out[m, n] = pref * beta ** (m - n) * damp * lag
-            if m != n:
-                out[n, m] = pref * (-beta.conjugate()) ** (m - n) * damp * lag
+    for k, lower, upper, band in _displacement_bands(dim, beta):
+        for n, lag in enumerate(band):
+            out[n + k, n] = lower * lag
+            out[n, n + k] = upper * lag
     return out
 
 
+def top_occupation(rho: DensityMatrix) -> float:
+    """Largest |entry| in the row and column of a single-mode state's top level."""
+    e = rho.entries
+    return float(max(np.abs(e[-1]).max(), np.abs(e[:, -1]).max()))
+
+
 def symmetric_charfunc(rho: DensityMatrix, beta):
-    """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function."""
+    """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function.
+
+    Summed band by band over the occupied levels: memory stays O(N) in the
+    number of betas, and a band of rho that is all zero is skipped, so a
+    diagonal state costs one band.
+    """
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     beta_arr = np.asarray(beta, dtype=complex)
     d = effective_dim(rho)
-    occ = np.maximum(
-        np.max(np.abs(rho.entries), axis=0), np.max(np.abs(rho.entries), axis=1)
-    )
-    _check_trust(rho.dim, float(occ[-1]), beta_arr)
-    stack = displacement_stack(d, beta_arr.ravel())
-    vals = np.einsum("nm,mnk->k", rho.entries[:d, :d], stack)
+    _check_trust(rho.dim, top_occupation(rho), beta_arr)
+    e = rho.entries[:d, :d]
+    # band k holds rho[n, n+k] and rho[n+k, n]; bands past the last one held are never built
+    held = {k for k in range(d) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
+    flat = beta_arr.ravel()
+    vals = np.zeros(flat.shape, dtype=complex)
+    for k, lower, upper, band in islice(_displacement_bands(d, flat), max(held, default=-1) + 1):
+        if k not in held:
+            continue
+        # Tr(rho D) = sum_{m,n} rho[n, m] <m|D|n>: the band of <n+k|D|n>
+        # pairs with rho[n, n+k], that of <n|D|n+k> with rho[n+k, n]
+        rows = [np.diagonal(e, k)] if k == 0 else [np.diagonal(e, k), np.diagonal(e, -k)]
+        w = np.array([part for r in rows for part in (r.real, r.imag)])
+        acc = np.zeros((len(w), flat.size))
+        for n, lag in enumerate(band):
+            acc += w[:, n, None] * lag
+        vals += lower * (acc[0] + 1j * acc[1])
+        if k:
+            vals += upper * (acc[2] + 1j * acc[3])
     vals = vals.reshape(beta_arr.shape)
     return complex(vals) if vals.ndim == 0 else vals
 

@@ -9,15 +9,22 @@ bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, SingularPFunction
-from .fock_core import DensityMatrix, coherent_vector
-from .phase_filters import FilterSpec, filtered_charfunc, two_mode_charfunc
+from .fock_core import DensityMatrix, effective_dim
+from .phase_filters import (
+    TOP_LEVEL_FLOOR,
+    FilterSpec,
+    filtered_charfunc,
+    top_occupation,
+    two_mode_charfunc,
+)
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -97,6 +104,22 @@ def two_mode_charfunc_grid(
     return CharFuncGrid(axis, values, f, 2, rho12, extent, step)
 
 
+@lru_cache(maxsize=16)
+def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int):
+    """The alpha axis and the two factors of the transform kernel for one beta
+    axis (its float64 bytes). They do not depend on Phi, so they are built
+    once per lattice pair and shared as read-only arrays."""
+    b = np.frombuffer(beta_axis)
+    alpha_axis = np.linspace(-alpha_extent, alpha_extent, alpha_points)
+    # kernel e^{b*a - b a*} = exp(2i (Re b . Im a - Im b . Re a)); rows of the
+    # value array run over Im b, columns over Re b
+    m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
+    m2 = np.exp(-2j * np.outer(b, alpha_axis))  # (Im b) x (alpha cols: Re a)
+    for arr in (alpha_axis, m1, m2):
+        arr.setflags(write=False)
+    return alpha_axis, m1, m2
+
+
 def quasiprob_transform(
     cf: CharFuncGrid,
     alpha_extent: float = 4.0,
@@ -120,12 +143,9 @@ def quasiprob_transform(
                 "characteristic function does not decay at the lattice boundary; "
                 "the quasiprobability is singular or the lattice too small"
             )
-    b = cf.axis
-    alpha_axis = np.linspace(-alpha_extent, alpha_extent, alpha_points)
-    # kernel e^{b*a - b a*} = exp(2i (Re b . Im a - Im b . Re a)); rows of the
-    # value array run over Im b, columns over Re b
-    m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
-    m2 = np.exp(-2j * np.outer(b, alpha_axis))  # (Im b) x (alpha cols: Re a)
+    alpha_axis, m1, m2 = _transform_kernels(
+        np.asarray(cf.axis, dtype=float).tobytes(), float(alpha_extent), int(alpha_points)
+    )
     step = cf.step
     p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
     residue = float(np.max(np.abs(p.imag)))
@@ -147,15 +167,23 @@ def q_function(rho: DensityMatrix, alpha):
         raise DimensionMismatch("q_function expects a single-mode state")
     alpha_arr = np.asarray(alpha, dtype=complex)
     lam = np.abs(alpha_arr) ** 2
-    worst = float(np.max(gammainc(rho.cutoff + 1, lam))) if lam.size else 0.0
-    if worst > Q_LEAKAGE_TOL:
-        raise CutoffTooSmall(
-            f"coherent leakage {worst:.3e} at |alpha| = {sqrt(float(lam.max())):.2f} "
-            f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
-        )
-    flat = alpha_arr.ravel()
-    c = np.stack([coherent_vector(a, rho.cutoff) for a in flat])
-    vals = np.einsum("in,nm,im->i", c.conj(), rho.entries, c).real / pi
+    # as for the characteristic function, the sum over occupied levels is
+    # exact; the Poisson tail beyond the cutoff matters only when the stored
+    # matrix visibly truncates a larger state
+    if top_occupation(rho) > TOP_LEVEL_FLOOR and lam.size:
+        worst = float(np.max(gammainc(rho.cutoff + 1, lam)))
+        if worst > Q_LEAKAGE_TOL:
+            raise CutoffTooSmall(
+                f"coherent leakage {worst:.3e} at |alpha| = {sqrt(float(lam.max())):.2f} "
+                f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
+            )
+    d = effective_dim(rho)
+    flat = alpha_arr.ravel()[:, None]
+    n = np.arange(d)
+    # coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!) over points x levels
+    log_mag = -lam.ravel()[:, None] / 2 + xlogy(n, np.abs(flat)) - 0.5 * gammaln(n + 1)
+    c = np.exp(log_mag + 1j * n * np.angle(flat))
+    vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaselab
 from phaselab import cli
 from phaselab import fock_core as fc
 
@@ -45,6 +50,52 @@ class TestStateCommand:
         path = write_state(tmp_path, "vac.json", "state", "--fock", "0")
         with open(path) as fh:
             assert fc.load_state(json.load(fh)).dim == 21
+
+
+class TestInputBoundary:
+    def test_attenuate_rejects_nan_eta(self, tmp_path, capsys):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        code, out, err = run(capsys, "attenuate", "--state", state, "--eta", "nan")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "GainNotAllowed"
+
+    def test_state_file_must_validate(self, tmp_path, capsys):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        obj = json.loads(Path(state).read_text())
+        obj["re"][1][1] = 2.0
+        Path(state).write_text(json.dumps(obj))
+        code, out, err = run(capsys, "report", "--state", state)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quasiprob", "--grid", "4:1"],
+            ["quasiprob", "--beta-grid", "0:128"],
+            ["state", "--coherent", "1+0.5i"],
+            ["attenuate", "--eta", "0.5", "--cutoff", "3"],
+            ["quasiprob", "--seed", "9"],
+        ],
+    )
+    def test_usage_errors_exit_2(self, tmp_path, capsys, argv):
+        if argv[0] != "state":
+            argv = argv + ["--state", write_state(tmp_path, "one.json", "state", "--fock", "1")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_module_hook(self):
+        src = str(Path(phaselab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phaselab.cli", "state", "--fock", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert fc.load_state(json.loads(proc.stdout)).entries[1, 1] == 1.0
 
 
 class TestPipelines:

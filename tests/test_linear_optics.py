@@ -110,6 +110,8 @@ class TestAttenuate:
             lo.attenuate(fc.make_fock(0, 4), 1.2)
         with pytest.raises(GainNotAllowed):
             lo.attenuate(fc.make_fock(0, 4), -0.1)
+        with pytest.raises(GainNotAllowed):
+            lo.attenuate(fc.make_fock(0, 4), float("nan"))
 
     def test_moment_scaling(self):
         rng = np.random.default_rng(29)
@@ -193,3 +195,5 @@ class TestAttenuateCharfunc:
     def test_gain_rejected(self):
         with pytest.raises(GainNotAllowed):
             lo.attenuate_charfunc(lambda b: 1.0, S0, 1.5, 0.3)
+        with pytest.raises(GainNotAllowed):
+            lo.attenuate_charfunc(lambda b: 1.0, S0, complex("nan"), 0.3)

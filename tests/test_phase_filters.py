@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
+from phaselab import quasiprob_engine as qe
 from phaselab.errors import CutoffTooSmall
 
 from _support import random_density
@@ -83,6 +88,36 @@ class TestSymmetricCharfunc:
         rho = fc.make_fock(3, 3)
         with pytest.raises(CutoffTooSmall):
             pf.symmetric_charfunc(rho, 2.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 31),
+        radius=st.floats(0.0, 8.5),
+        angle=st.floats(0.0, 2 * np.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_band_sum_matches_laguerre_elements(self, seed, d, radius, angle):
+        # one empty level above a dense block: no trust check applies
+        rho = random_density(d + 1, occupied=d, rng=np.random.default_rng(seed))
+        beta = radius * np.exp(1j * angle)
+        elements = np.array(
+            [[fc.displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
+        )
+        # Tr(rho D) = sum_{n,m} rho[n, m] <m|D|n>
+        expected = np.sum(rho.entries[:d, :d].T * elements)
+        assert abs(pf.symmetric_charfunc(rho, beta) - expected) < 1e-12
+        assert np.max(np.abs(pf.displacement_stack(d, beta)[:, :, 0] - elements)) < 1e-12
+
+    def test_lattice_memory_linear_in_points(self):
+        # a (d, d, N) displacement stack would take 252 MB here
+        rho = random_density(32, occupied=31, rng=np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            qe.charfunc_grid(rho, pf.FilterSpec.s_param(0.0), 6.0, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestFilteredCharfunc:

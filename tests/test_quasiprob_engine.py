@@ -57,6 +57,21 @@ class TestTransform:
         direct = qe.q_function(fc.embed(rho, 26), alphas[mask])
         assert np.max(np.abs(grid.values[mask] - direct)) < 1e-6
 
+    def test_cached_kernels_reproduce_uncached_transform(self):
+        cf = qe.charfunc_grid(fc.make_thermal(0.6, 40), S0)
+        qe._transform_kernels.cache_clear()
+        fresh = qe.quasiprob_transform(cf)
+        hits = qe._transform_kernels.cache_info().hits
+        cached = qe.quasiprob_transform(cf)
+        assert qe._transform_kernels.cache_info().hits == hits + 1
+        assert np.array_equal(cached.values, fresh.values)
+        assert cached.volume_integral == fresh.volume_integral
+        key = (cf.axis.tobytes(), 4.0, 129)
+        for arr in qe._transform_kernels(*key):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            cached.axis[0] = 0.0
+
     def test_q_grid_nonnegative(self):
         rho = fc.make_fock(2, 20)
         grid = qe.quasiprob_transform(qe.charfunc_grid(rho, SQ))
@@ -77,8 +92,26 @@ class TestQFunction:
         )
 
     def test_leakage_guard(self):
+        # the state occupies its top level, so it may stand for a larger one
         with pytest.raises(CutoffTooSmall):
-            qe.q_function(fc.make_fock(0, 5), 4.0)
+            qe.q_function(fc.make_fock(5, 5), 4.0)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0j])
+    def test_exact_below_an_empty_top_level(self, alpha):
+        # Q of |1> is x e^{-x} / pi, x = |alpha|^2, at any cutoff that holds it
+        x = abs(alpha) ** 2
+        assert qe.q_function(fc.make_fock(1, 20), alpha) == pytest.approx(
+            x * np.exp(-x) / np.pi, rel=1e-12
+        )
+
+    def test_matches_coherent_vector_overlaps(self):
+        rho = random_density(14, occupied=12, rng=np.random.default_rng(41))
+        ax = np.linspace(-2.0, 2.0, 9)
+        alphas = ax[None, :] + 1j * ax[:, None]
+        got = qe.q_function(rho, alphas)
+        for a, q in zip(alphas.ravel(), got.ravel()):
+            c = fc.coherent_vector(a, rho.cutoff)
+            assert abs(q - np.vdot(c, rho.entries @ c).real / np.pi) < 1e-13
 
 
 class TestAttenuatedPhotonWigner:
