@@ -15,6 +15,10 @@ class CutoffTooSmall(DomainError):
     """Fock truncation cannot represent the requested object accurately."""
 
 
+class NonFiniteArgument(DomainError):
+    """An amplitude or displacement argument is NaN or infinite."""
+
+
 class DimensionMismatch(DomainError):
     """Operands live on incompatible Fock spaces."""
 

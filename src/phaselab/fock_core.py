@@ -14,7 +14,7 @@ from math import lgamma, log
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc
 
-from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights
+from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, NonFiniteArgument
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
@@ -66,6 +66,14 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.flags
+
+
+def require_finite(value, name: str) -> np.ndarray:
+    """``value`` as a complex array (no copy if it is one); NaN or inf raises."""
+    arr = np.asarray(value, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise NonFiniteArgument(f"{name} must be finite")
+    return arr
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -133,6 +141,7 @@ def coherent_leakage(alpha: complex, cutoff: int) -> float:
 
 def make_coherent(alpha: complex, cutoff: int) -> DensityMatrix:
     """Coherent-state projector, renormalized after truncation."""
+    require_finite(alpha, "alpha")
     leak = coherent_leakage(alpha, cutoff)
     if leak > LEAKAGE_TOL:
         raise CutoffTooSmall(

@@ -14,7 +14,7 @@ from math import lgamma, log, sqrt
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch
-from .fock_core import DensityMatrix, effective_dim, mode_occupations
+from .fock_core import DensityMatrix, effective_dim, mode_occupations, require_finite
 
 TAIL_TOL = 1e-12
 # a top level holding less than this counts as empty: the state fits the cutoff
@@ -194,7 +194,7 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
-    beta_arr = np.asarray(beta, dtype=complex)
+    beta_arr = require_finite(beta, "beta")
     d = effective_dim(rho)
     _check_trust(rho.dim, top_occupation(rho), beta_arr)
     e = rho.entries[:d, :d]
@@ -228,9 +228,7 @@ def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
     """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state."""
     if rho12.n_modes != 2:
         raise DimensionMismatch("two_mode_charfunc expects a two-mode state")
-    b3, b4 = np.broadcast_arrays(
-        np.asarray(beta3, dtype=complex), np.asarray(beta4, dtype=complex)
-    )
+    b3, b4 = np.broadcast_arrays(require_finite(beta3, "beta3"), require_finite(beta4, "beta4"))
     d = rho12.dim
     d1, d2 = mode_occupations(rho12)
     e_full = np.abs(rho12.entries.reshape(d, d, d, d))

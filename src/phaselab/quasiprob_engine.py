@@ -17,7 +17,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, SingularPFunction
-from .fock_core import DensityMatrix, effective_dim
+from .fock_core import DensityMatrix, effective_dim, require_finite
 from .phase_filters import (
     TOP_LEVEL_FLOOR,
     FilterSpec,
@@ -128,6 +128,10 @@ def quasiprob_transform(
     """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}."""
     if cf.n_modes != 1:
         raise DimensionMismatch("transform supports single-mode grids")
+    if alpha_points < 2 or not 0 < alpha_extent < np.inf:
+        raise GridTooCoarse(
+            f"alpha grid {alpha_extent}:{alpha_points} needs extent > 0 and at least 2 steps"
+        )
     if cf.step > pi / (2 * alpha_extent):
         raise GridTooCoarse(
             f"beta step {cf.step:.4f} exceeds the Nyquist bound "
@@ -165,7 +169,7 @@ def q_function(rho: DensityMatrix, alpha):
     """Husimi Q(alpha) = <alpha|rho|alpha> / pi, directly in the Fock basis."""
     if rho.n_modes != 1:
         raise DimensionMismatch("q_function expects a single-mode state")
-    alpha_arr = np.asarray(alpha, dtype=complex)
+    alpha_arr = require_finite(alpha, "alpha")
     lam = np.abs(alpha_arr) ** 2
     # as for the characteristic function, the sum over occupied levels is
     # exact; the Poisson tail beyond the cutoff matters only when the stored

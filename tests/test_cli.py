@@ -125,6 +125,19 @@ class TestPipelines:
         assert rho.n_modes == 2
         assert rho.entries.trace().real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n, cutoff", [(1, 1), (2, 3), (3, 5)])
+    def test_beamsplit_past_cutoff_is_an_error(self, tmp_path, capsys, n, cutoff):
+        # Hong-Ou-Mandel: a 50:50 splitter sends |n, n> to |2n, 0> and |0, 2n>
+        state = write_state(
+            tmp_path, "n.json", "state", "--fock", str(n), "--cutoff", str(cutoff)
+        )
+        sq2 = f"{1 / np.sqrt(2):.17g}"
+        code, out, err = run(
+            capsys, "beamsplit", "--state1", state, "--state2", state, "--t", sq2, "--r", sq2
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CutoffTooSmall"
+
     def test_quasiprob_csv_origin(self, tmp_path, capsys):
         state = write_state(tmp_path, "vac.json", "state", "--fock", "0")
         code, out, _ = run(

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from phaselab import fock_core as fc
-from phaselab.errors import CutoffTooSmall, DimensionMismatch, InvalidWeights
+from phaselab.errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, NonFiniteArgument
 
 from _support import random_density
 
@@ -42,6 +42,11 @@ class TestBuilders:
         # oracle: Poisson tail mass beyond cutoff 5 at |alpha|=4 is huge
         with pytest.raises(CutoffTooSmall):
             fc.make_coherent(4.0, 5)
+
+    @pytest.mark.parametrize("alpha", [complex("nan"), complex(0.5, float("inf"))])
+    def test_coherent_non_finite_rejected(self, alpha):
+        with pytest.raises(NonFiniteArgument):
+            fc.make_coherent(alpha, 20)
 
     def test_thermal_zero_temperature(self):
         assert np.allclose(fc.make_thermal(0.0, 3).entries, fc.make_fock(0, 3).entries)

@@ -1,11 +1,21 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, logm
 
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
 from phaselab import quasiprob_engine as qe
 from phaselab.classical_fields import BeamSplitterParams
-from phaselab.errors import DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
+from phaselab.errors import (
+    CutoffTooSmall,
+    DimensionMismatch,
+    GainNotAllowed,
+    TrustRadiusExceeded,
+)
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
 
 from _support import random_density
@@ -20,8 +30,38 @@ class TestBeamsplitterUnitary:
         assert np.allclose(u, np.eye(16), atol=1e-12)
 
     def test_unitary(self):
-        u = lo.beamsplitter_unitary(6, BeamSplitterParams(0.6, 0.8j))
-        assert np.allclose(u @ u.conj().T, np.eye(36), atol=1e-12)
+        # unitary on the complete blocks N <= dim-1; the blocks above them
+        # lose the amplitude sent past the cutoff
+        dim = 6
+        u = lo.beamsplitter_unitary(dim, BeamSplitterParams(0.6, 0.8j))
+        complete = np.add.outer(np.arange(dim), np.arange(dim)).ravel() <= dim - 1
+        cols = u[:, complete]
+        assert np.allclose(cols.conj().T @ cols, np.eye(complete.sum()), atol=1e-12)
+        sub = cols[complete]
+        assert np.allclose(sub @ sub.conj().T, np.eye(complete.sum()), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_blocks_match_generator_exponential(self, dim):
+        # oracle: expm of each block's (N+1)-square generator sum g_jk a_j^dag a_k,
+        # g = logm(M), restricted to the states inside the cutoff
+        rng = np.random.default_rng(dim)
+        theta, pt, pr, phi = rng.uniform(0, 2 * np.pi, size=4)
+        bs = BeamSplitterParams(
+            np.cos(theta) * np.exp(1j * pt), np.sin(theta) * np.exp(1j * pr), phi
+        )
+        g = logm(bs.matrix())
+        expected = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for n in range(2 * dim - 1):
+            k = np.arange(n + 1)
+            # basis |k, N-k>: a1^dag a2 raises k, a2^dag a1 lowers it
+            gen = np.diag(g[0, 0] * k + g[1, 1] * (n - k))
+            gen += np.diag(g[0, 1] * np.sqrt((k[:-1] + 1) * (n - k[:-1])), -1)
+            gen += np.diag(g[1, 0] * np.sqrt(k[1:] * (n - k[1:] + 1)), 1)
+            inside = k[(k < dim) & (n - k < dim)]
+            idx = inside * dim + n - inside
+            expected[np.ix_(idx, idx)] = expm(gen)[np.ix_(inside, inside)]
+        u = lo.beamsplitter_unitary(dim, bs)
+        assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_coherent_closure(self):
         # oracle: coherent in, coherent out with classically transformed amplitudes
@@ -50,6 +90,33 @@ class TestBeamsplitterUnitary:
         before = np.trace(rho.entries @ n_op).real
         after = np.trace(out.entries @ n_op).real
         assert after == pytest.approx(before, abs=1e-12)
+
+
+class TestHongOuMandel:
+    # 50:50 splitter on |n, n>: P(2m, 2n-2m) = C(2m, m) C(2n-2m, n-m) / 4^n,
+    # odd splittings vanish
+    @staticmethod
+    def split(n, cutoff):
+        one = fc.make_fock(n, cutoff)
+        out = lo.apply_beamsplitter(fc.tensor(one, one), BeamSplitterParams(SQ2, SQ2))
+        return out.entries.diagonal().real.reshape(cutoff + 1, cutoff + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("headroom", [0, 1, 4])
+    def test_exact_above_the_block(self, n, headroom):
+        p = self.split(n, 2 * n + headroom)
+        for k in range(2 * n + 1):
+            want = comb(k, k // 2) * comb(2 * n - k, n - k // 2) / 4**n if k % 2 == 0 else 0.0
+            if want:
+                assert p[k, 2 * n - k] == pytest.approx(want, abs=1e-14)
+            else:
+                assert p[k, 2 * n - k] <= 1e-15
+        assert p.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 1), (2, 2), (2, 3), (3, 3), (3, 5)])
+    def test_incomplete_block_rejected(self, n, cutoff):
+        with pytest.raises(CutoffTooSmall):
+            self.split(n, cutoff)
 
 
 class TestPartialTrace:
@@ -97,13 +164,23 @@ class TestAttenuate:
         target = fc.make_coherent(np.sqrt(eta), 20)
         assert np.max(np.abs(rho.entries - target.entries)) < 1e-12
 
-    def test_routes_agree(self):
-        rng = np.random.default_rng(13)
-        rho = random_density(10, occupied=6, rng=rng)
-        for eta in (0.2, 0.5, 0.9):
-            k = lo.attenuate(rho, eta, route="kraus")
-            b = lo.attenuate(rho, eta, route="beamsplitter")
-            assert np.max(np.abs(k.entries - b.entries)) < 1e-10
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        occupied=st.integers(1, 21),
+        headroom=st.integers(0, 20),
+        eta=st.floats(0.0, 1.0),
+        leakage=st.floats(0.0, 1e-10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, seed, occupied, headroom, eta, leakage):
+        dim = min(occupied + headroom, 21)
+        base = random_density(dim, occupied=occupied, rng=np.random.default_rng(seed))
+        rho = fc.DensityMatrix(dim, base.entries, leakage=leakage)
+        k = lo.attenuate(rho, eta, route="kraus")
+        b = lo.attenuate(rho, eta, route="beamsplitter")
+        assert np.max(np.abs(k.entries - b.entries)) <= 1e-12
+        # the vacuum ancilla fills only the complete blocks: nothing is lost
+        assert b.leakage == rho.leakage
 
     def test_gain_rejected(self):
         with pytest.raises(GainNotAllowed):

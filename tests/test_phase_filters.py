@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
-from phaselab.errors import CutoffTooSmall
+from phaselab.errors import CutoffTooSmall, NonFiniteArgument
 
 from _support import random_density
 
@@ -88,6 +88,15 @@ class TestSymmetricCharfunc:
         rho = fc.make_fock(3, 3)
         with pytest.raises(CutoffTooSmall):
             pf.symmetric_charfunc(rho, 2.0)
+
+    def test_non_finite_beta_rejected(self):
+        rho = fc.make_fock(0, 5)
+        with pytest.raises(NonFiniteArgument):
+            pf.symmetric_charfunc(rho, float("nan"))
+        _, betas = qe.lattice(6.0, 128)
+        betas[7, 9] = complex(float("inf"), 0.0)
+        with pytest.raises(NonFiniteArgument):
+            pf.symmetric_charfunc(rho, betas)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

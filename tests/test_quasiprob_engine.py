@@ -3,7 +3,12 @@ import pytest
 
 from phaselab import fock_core as fc
 from phaselab import quasiprob_engine as qe
-from phaselab.errors import CutoffTooSmall, GridTooCoarse, SingularPFunction
+from phaselab.errors import (
+    CutoffTooSmall,
+    GridTooCoarse,
+    NonFiniteArgument,
+    SingularPFunction,
+)
 from phaselab.phase_filters import FilterSpec
 
 from _support import random_density
@@ -41,6 +46,13 @@ class TestTransform:
         cf = qe.charfunc_grid(fc.make_fock(0, 20), S0, extent=6.0, points=16)
         with pytest.raises(GridTooCoarse):
             qe.quasiprob_transform(cf, alpha_extent=4.0)
+
+    @pytest.mark.parametrize("extent, points", [(4.0, 1), (4.0, 0), (0.0, 129)])
+    def test_degenerate_alpha_grid(self, extent, points):
+        # the CLI's grid rule: extent > 0 and at least two steps
+        cf = qe.charfunc_grid(fc.make_fock(0, 20), S0)
+        with pytest.raises(GridTooCoarse):
+            qe.quasiprob_transform(cf, extent, points)
 
     def test_volume_integral(self):
         for rho in [fc.make_fock(0, 20), fc.make_fock(1, 20), fc.make_thermal(0.8, 40)]:
@@ -95,6 +107,10 @@ class TestQFunction:
         # the state occupies its top level, so it may stand for a larger one
         with pytest.raises(CutoffTooSmall):
             qe.q_function(fc.make_fock(5, 5), 4.0)
+
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(NonFiniteArgument):
+            qe.q_function(fc.make_fock(0, 5), float("nan"))
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0j])
     def test_exact_below_an_empty_top_level(self, alpha):
