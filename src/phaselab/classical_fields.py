@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     InvalidWeights,
     NonUnitaryBeamSplitter,
 )
+from .fock_core import require_finite
 
 UNITARITY_TOL = 1e-12
 
@@ -39,10 +40,11 @@ class BeamSplitterParams:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "r", complex(self.r))
-        if abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0) > UNITARITY_TOL:
-            raise NonUnitaryBeamSplitter(
-                f"|t|^2 + |r|^2 = {abs(self.t)**2 + abs(self.r)**2} != 1"
-            )
+        object.__setattr__(self, "phi_U", float(self.phi_U))
+        norm = abs(self.t) ** 2 + abs(self.r) ** 2
+        # "not <=" so that NaN fails the check
+        if not abs(norm - 1.0) <= UNITARITY_TOL or not np.isfinite(self.phi_U):
+            raise NonUnitaryBeamSplitter(f"|t|^2 + |r|^2 = {norm}, phi_U = {self.phi_U}")
 
     def matrix(self) -> np.ndarray:
         u = np.array(
@@ -54,44 +56,46 @@ class BeamSplitterParams:
 
 @dataclass(frozen=True)
 class ClassicalEnsemble:
-    """Weighted list of field amplitudes; samples are (amplitudes, weight).
+    """Weighted point set of field amplitudes.
 
-    For a single mode each amplitude tuple has one entry, for joint two-mode
-    ensembles two.
+    ``amplitudes`` is a read-only complex array with one row per sample and
+    one column per mode (1, or 2 for a joint two-mode ensemble); ``weights``
+    is the matching read-only array of nonnegative weights summing to one.
+    ``single`` and ``two_mode`` build one from (a, w) pairs or (a1, a2, w) triples.
     """
 
-    samples: tuple[tuple[tuple[complex, ...], float], ...]
-    n_modes: int = 1
+    amplitudes: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
+        w = np.array(self.weights, dtype=float)
+        if not w.size:
             raise InvalidWeights("ensemble needs at least one sample")
-        clean = []
-        total = 0.0
-        for amps, w in self.samples:
-            amps = tuple(complex(a) for a in amps)
-            if len(amps) != self.n_modes:
-                raise DimensionMismatch(
-                    f"sample has {len(amps)} amplitudes, expected {self.n_modes}"
-                )
-            if w < 0:
-                raise InvalidWeights("weights must be nonnegative")
-            total += w
-            clean.append((amps, float(w)))
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidWeights(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "samples", tuple(clean))
+        amps = require_finite(np.array(self.amplitudes, dtype=complex), "amplitudes")
+        if amps.ndim != 2 or amps.shape[1] not in (1, 2) or w.shape != amps.shape[:1]:
+            raise DimensionMismatch(
+                f"{amps.shape} amplitudes for {w.shape} weights: "
+                "need one row per weight and 1 or 2 columns"
+            )
+        if not ((w >= 0).all() and abs(w.sum() - 1.0) <= 1e-12):
+            raise InvalidWeights(f"weights must be nonnegative and sum to 1, got {w}")
+        for name, arr in (("amplitudes", amps), ("weights", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_modes(self) -> int:
+        return self.amplitudes.shape[1]
 
     @classmethod
     def single(cls, pairs) -> "ClassicalEnsemble":
-        return cls(tuple(((complex(a),), float(w)) for a, w in pairs), n_modes=1)
+        pairs = list(pairs)
+        return cls([[a] for a, _ in pairs], [w for _, w in pairs])
 
     @classmethod
     def two_mode(cls, triples) -> "ClassicalEnsemble":
-        return cls(
-            tuple(((complex(a1), complex(a2)), float(w)) for a1, a2, w in triples),
-            n_modes=2,
-        )
+        triples = list(triples)
+        return cls([[a1, a2] for a1, a2, _ in triples], [w for _, _, w in triples])
 
 
 def field_at_time(alpha: complex, omega: float, tau: float) -> float:
@@ -133,11 +137,7 @@ def ensemble_beamsplit(
     """Sample-wise image of the joint density under the splitter."""
     if ens12.n_modes != 2:
         raise DimensionMismatch("ensemble_beamsplit expects a two-mode ensemble")
-    out = []
-    for (a1, a2), w in ens12.samples:
-        a3, a4 = classical_beamsplit(a1, a2, bs)
-        out.append((a3, a4, w))
-    return ClassicalEnsemble.two_mode(out)
+    return ClassicalEnsemble(ens12.amplitudes @ bs.matrix().T, ens12.weights)
 
 
 def classical_attenuate(ens: ClassicalEnsemble, t: complex) -> ClassicalEnsemble:
@@ -147,56 +147,37 @@ def classical_attenuate(ens: ClassicalEnsemble, t: complex) -> ClassicalEnsemble
     t = complex(t)
     if t == 0:
         raise DegenerateSplitter("attenuation by t = 0 is degenerate")
-    if abs(t) > 1 + 1e-15:
-        raise GainNotAllowed(f"|t| = {abs(t)} > 1")
-    return ClassicalEnsemble.single(((t * a[0], w) for a, w in ens.samples))
+    if not abs(t) <= 1 + 1e-15:
+        raise GainNotAllowed(f"|t| = {abs(t)} must lie in (0, 1]")
+    return ClassicalEnsemble(t * ens.amplitudes, ens.weights)
 
 
 def classical_moments(ens: ClassicalEnsemble, m: int, n: int) -> complex:
     """Weighted moment sum_i w_i (a_i^*)^m a_i^n."""
     if ens.n_modes != 1:
         raise DimensionMismatch("classical_moments expects a single-mode ensemble")
-    acc = 0j
-    for (a,), w in ens.samples:
-        acc += w * (a.conjugate() ** m) * (a**n)
-    return acc
+    a = ens.amplitudes[:, 0]
+    return complex(ens.weights @ (a.conj() ** m * a**n))
 
 
 def save_ensemble(ens: ClassicalEnsemble) -> dict:
-    if ens.n_modes == 1:
-        return {
-            "samples": [
-                {"re": a[0].real, "im": a[0].imag, "w": w} for a, w in ens.samples
-            ]
-        }
-    return {
-        "samples": [
-            {
-                "re1": a[0].real,
-                "im1": a[0].imag,
-                "re2": a[1].real,
-                "im2": a[1].imag,
-                "w": w,
-            }
-            for a, w in ens.samples
-        ],
-        "n_modes": 2,
-    }
+    """JSON-ready dict: per sample "re"/"im" (one mode) or "re1"/"im1"/"re2"/"im2"
+    (two modes, with "n_modes": 2 at the top level), then the weight "w"."""
+    suffixes = ("",) if ens.n_modes == 1 else ("1", "2")
+    columns = {}
+    for suffix, a in zip(suffixes, ens.amplitudes.T):
+        columns["re" + suffix], columns["im" + suffix] = a.real.tolist(), a.imag.tolist()
+    columns["w"] = ens.weights.tolist()
+    samples = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return {"samples": samples} if ens.n_modes == 1 else {"samples": samples, "n_modes": 2}
 
 
 def load_ensemble(obj: dict | str) -> ClassicalEnsemble:
+    """Inverse of save_ensemble; without "n_modes", samples that carry "re1" are two-mode."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     samples = obj["samples"]
-    if obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0]):
-        return ClassicalEnsemble.two_mode(
-            (
-                complex(s["re1"], s["im1"]),
-                complex(s["re2"], s["im2"]),
-                s["w"],
-            )
-            for s in samples
-        )
-    return ClassicalEnsemble.single(
-        (complex(s["re"], s["im"]), s["w"]) for s in samples
-    )
+    two_mode = obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0])
+    suffixes = ("1", "2") if two_mode else ("",)
+    amps = [[complex(s["re" + c], s["im" + c]) for c in suffixes] for s in samples]
+    return ClassicalEnsemble(amps, [s["w"] for s in samples])

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lgamma, log
+from math import lgamma
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammainc
+from scipy.special import eval_genlaguerre, gammainc, gammaln, xlogy
 
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, NonFiniteArgument
 
@@ -84,8 +84,12 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
-    """Report trace, Hermiticity and positivity deviations; never raises."""
+    """Report trace, Hermiticity and positivity deviations; never raises.
+    A NaN or infinite entry gives the one flag "finite", as nothing else can be measured."""
     m = rho.entries
+    if not np.isfinite(m).all():
+        nan = float("nan")
+        return ValidationReport(nan, nan, nan, ("finite",))
     trace_dev = abs(m.trace() - 1.0)
     herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     herm = 0.5 * (m + m.conj().T)
@@ -118,25 +122,20 @@ def make_fock(n: int, cutoff: int) -> DensityMatrix:
     return _checked(DensityMatrix(cutoff + 1, m))
 
 
-def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Unnormalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
+def coherent_vector(alpha, cutoff: int) -> np.ndarray:
+    """Unnormalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!) per alpha, levels
+    on a new last axis; in log-magnitude form nothing overflows, and xlogy(0, 0) = 0."""
+    a = np.asarray(alpha, dtype=complex)[..., None]
+    mag = np.abs(a)
     n = np.arange(cutoff + 1)
-    if alpha == 0:
-        c = np.zeros(cutoff + 1, dtype=complex)
-        c[0] = 1.0
-        return c
-    log_fact = np.array([lgamma(k + 1) for k in n])
-    mag = np.exp(-abs(alpha) ** 2 / 2 + n * log(abs(alpha)) - 0.5 * log_fact)
-    phase = np.exp(1j * np.angle(alpha) * n)
-    return mag * phase
+    log_mag = -mag**2 / 2 + xlogy(n, mag) - 0.5 * gammaln(n + 1)
+    return np.exp(log_mag + 1j * n * np.angle(a))
 
 
-def coherent_leakage(alpha: complex, cutoff: int) -> float:
-    """Poisson tail mass beyond the cutoff for a coherent state."""
-    lam = abs(alpha) ** 2
-    if lam == 0:
-        return 0.0
-    return float(gammainc(cutoff + 1, lam))
+def coherent_leakage(alpha, cutoff: int):
+    """Poisson tail mass beyond the cutoff for a coherent state; elementwise over alpha."""
+    out = gammainc(cutoff + 1, np.abs(np.asarray(alpha, dtype=complex)) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def make_coherent(alpha: complex, cutoff: int) -> DensityMatrix:
@@ -210,29 +209,22 @@ def embed(rho: DensityMatrix, dim: int) -> DensityMatrix:
     return DensityMatrix(dim, m, leakage=rho.leakage)
 
 
-def effective_dim(rho: DensityMatrix) -> int:
-    """Highest numerically occupied level plus one (single mode)."""
-    if rho.n_modes != 1:
-        raise DimensionMismatch("effective_dim supports single-mode states only")
-    occ = np.maximum(
-        np.max(np.abs(rho.entries), axis=0), np.max(np.abs(rho.entries), axis=1)
-    )
+def level_occupations(rho: DensityMatrix) -> np.ndarray:
+    """Per mode, the largest |entry| in any row or column that holds each level, shape
+    (n_modes, dim): the one rule every effective dimension and top-level guard reads."""
+    a = np.abs(rho.entries).reshape((rho.dim,) * (2 * rho.n_modes))
+    axes = set(range(a.ndim))
+    # mode i is axis i of the row index and axis n_modes + i of the column index
+    return np.array([
+        np.maximum(a.max(axis=tuple(axes - {i})), a.max(axis=tuple(axes - {rho.n_modes + i})))
+        for i in range(rho.n_modes)
+    ])
+
+
+def effective_dim(occ: np.ndarray) -> int:
+    """Highest level above OCCUPATION_FLOOR plus one, from one row of ``level_occupations``."""
     nz = np.nonzero(occ > OCCUPATION_FLOOR)[0]
     return int(nz[-1]) + 1 if nz.size else 1
-
-
-def mode_occupations(rho12: DensityMatrix) -> tuple[int, int]:
-    """Per-mode effective dimensions of a two-mode state."""
-    if rho12.n_modes != 2:
-        raise DimensionMismatch("expected a two-mode state")
-    d = rho12.dim
-    e = rho12.entries.reshape(d, d, d, d)
-    diag = np.abs(np.einsum("mpmp->mp", e))
-    occ1 = diag.sum(axis=1)
-    occ2 = diag.sum(axis=0)
-    d1 = int(np.nonzero(occ1 > OCCUPATION_FLOOR)[0][-1]) + 1 if occ1.max() > 0 else 1
-    d2 = int(np.nonzero(occ2 > OCCUPATION_FLOOR)[0][-1]) + 1 if occ2.max() > 0 else 1
-    return d1, d2
 
 
 def normal_moment(rho: DensityMatrix, m: int, n: int) -> complex:

@@ -7,7 +7,7 @@ from math import sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import binom
 
 from .classical_fields import BeamSplitterParams
 from .errors import (
@@ -118,9 +118,11 @@ def partial_trace(rho12: DensityMatrix, keep: int) -> DensityMatrix:
 def attenuate(rho: DensityMatrix, eta: float, route: str = "kraus") -> DensityMatrix:
     """Vacuum loss channel with efficiency eta = |t|^2.
 
-    route="kraus" composes the standard loss Kraus operators; route
-    "beamsplitter" tensors a vacuum ancilla, applies the t = sqrt(eta)
-    splitter and traces out the ancilla. Both routes agree entrywise.
+    route="kraus" applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 =
+    C(n+k, k) eta^n (1-eta)^k, band by band: A_k rho A_k^T is outer(w[k], w[k]) times
+    rho[k:, k:] in the top-left corner, O(dim^3) in all. route="beamsplitter" tensors
+    a vacuum ancilla, applies the t = sqrt(eta) splitter and traces out the ancilla.
+    Both routes agree entrywise.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("attenuate expects a single-mode state")
@@ -133,18 +135,17 @@ def attenuate(rho: DensityMatrix, eta: float, route: str = "kraus") -> DensityMa
     if route != "kraus":
         raise ValueError(f"unknown route {route!r}")
     d = rho.dim
-    n = np.arange(d)
+    k, n = np.arange(d)[:, None], np.arange(d)
+    w = np.sqrt(binom(n + k, k) * eta**n * (1 - eta) ** k)
     out = np.zeros_like(rho.entries)
-    for k in range(d):
-        amp = np.sqrt(comb(n[k:], k) * eta ** (n[k:] - k) * (1 - eta) ** k)
-        kraus = np.zeros((d, d))
-        kraus[n[: d - k], n[k:]] = amp
-        out += kraus @ rho.entries @ kraus.T
+    for j in range(d):
+        out[: d - j, : d - j] += np.outer(w[j, : d - j], w[j, : d - j]) * rho.entries[j:, j:]
     return DensityMatrix(d, out, leakage=rho.leakage)
 
 
 def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGrid:
-    """Phi_34(b3, b4) = Phi_12(t* b3 - r b4, r* b3 + t b4) on the same lattice.
+    """Phi_34(b) = Phi_12(M^dag b) on the same lattice, M = bs.matrix(); for
+    phi_U = 0 that is Phi_12(t* b3 - r b4, r* b3 + t b4).
 
     The underlying state is re-evaluated at the transformed arguments;
     interpolating the sampled grid would mask the equalities this map is
@@ -157,8 +158,9 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     _, betas = lattice(cf12.extent, len(cf12.axis))
     b3 = betas[:, :, None, None]
     b4 = betas[None, None, :, :]
-    arg1 = bs.t.conjugate() * b3 - bs.r * b4
-    arg2 = bs.r.conjugate() * b3 + bs.t * b4
+    m = bs.matrix().conj()
+    arg1 = m[0, 0] * b3 + m[1, 0] * b4
+    arg2 = m[0, 1] * b3 + m[1, 1] * b4
     try:
         values = two_mode_charfunc(cf12.source, cf12.filter, arg1, arg2)
     except CutoffTooSmall as exc:

@@ -4,7 +4,6 @@ scaling, and the attenuated-photon curve data (Wigner origin vs. loss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
 
 import numpy as np
 
@@ -13,7 +12,7 @@ from .errors import CutoffTooSmall, InvalidWeights
 from .fock_core import DensityMatrix, make_coherent, make_fock, mix, normal_moment
 from .linear_optics import attenuate
 from .phase_filters import FilterSpec
-from .quasiprob_engine import charfunc_grid, quasiprob_transform
+from .quasiprob_engine import attenuated_photon_wigner, charfunc_grid, quasiprob_transform
 
 # equality cases (coherent states) must not flip to VIOLATED by rounding
 VERDICT_TOL = 1e-12
@@ -124,7 +123,7 @@ def _wigner_origin(
 
 
 def wigner_origin_analytic(eta: float) -> float:
-    return (2 / pi) * (1 - 2 * eta)
+    return attenuated_photon_wigner(eta, 0.0)
 
 
 def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, float, float]]:
@@ -161,6 +160,5 @@ def locate_wigner_zero(cutoff: int = 20, tol: float = 1e-4) -> float:
 def coherent_mixture(ens: ClassicalEnsemble, cutoff: int) -> DensityMatrix:
     """Quantum mixture of coherent states with the ensemble's amplitudes and
     weights; the bridge between classical and quantum moments."""
-    states = [make_coherent(a[0], cutoff) for a, _ in ens.samples]
-    weights = [w for _, w in ens.samples]
-    return mix(states, weights)
+    states = [make_coherent(a, cutoff) for a in ens.amplitudes[:, 0]]
+    return mix(states, ens.weights)

@@ -14,7 +14,7 @@ from math import lgamma, log, sqrt
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch
-from .fock_core import DensityMatrix, effective_dim, mode_occupations, require_finite
+from .fock_core import DensityMatrix, effective_dim, level_occupations, require_finite
 
 TAIL_TOL = 1e-12
 # a top level holding less than this counts as empty: the state fits the cutoff
@@ -106,7 +106,7 @@ def eval_filter(f: FilterSpec, beta):
     return complex(out) if out.ndim == 0 else out
 
 
-def _check_trust(dim: int, top_occupation: float, beta: np.ndarray):
+def _check_trust(dim: int, top_level: float, beta: np.ndarray):
     """Reject betas where truncation can corrupt Tr(rho D(beta)).
 
     The closed-form Laguerre elements make the sum over occupied levels
@@ -115,7 +115,7 @@ def _check_trust(dim: int, top_occupation: float, beta: np.ndarray):
     neglected displacement element e^{-|b|^2/2} |b|^dim / sqrt(dim!) must
     stay below TAIL_TOL.
     """
-    if top_occupation <= TOP_LEVEL_FLOOR:
+    if top_level <= TOP_LEVEL_FLOOR:
         return
     mag = np.abs(np.asarray(beta, dtype=complex))
     big = mag[mag > 0]
@@ -179,12 +179,6 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_occupation(rho: DensityMatrix) -> float:
-    """Largest |entry| in the row and column of a single-mode state's top level."""
-    e = rho.entries
-    return float(max(np.abs(e[-1]).max(), np.abs(e[:, -1]).max()))
-
-
 def symmetric_charfunc(rho: DensityMatrix, beta):
     """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function.
 
@@ -195,8 +189,9 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     beta_arr = require_finite(beta, "beta")
-    d = effective_dim(rho)
-    _check_trust(rho.dim, top_occupation(rho), beta_arr)
+    occ = level_occupations(rho)[0]
+    d = effective_dim(occ)
+    _check_trust(rho.dim, occ[-1], beta_arr)
     e = rho.entries[:d, :d]
     # band k holds rho[n, n+k] and rho[n+k, n]; bands past the last one held are never built
     held = {k for k in range(d) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
@@ -230,15 +225,15 @@ def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
         raise DimensionMismatch("two_mode_charfunc expects a two-mode state")
     b3, b4 = np.broadcast_arrays(require_finite(beta3, "beta3"), require_finite(beta4, "beta4"))
     d = rho12.dim
-    d1, d2 = mode_occupations(rho12)
-    e_full = np.abs(rho12.entries.reshape(d, d, d, d))
-    diag = np.einsum("mpmp->mp", e_full)
-    _check_trust(d, float(diag[-1, :].sum()), b3)
-    _check_trust(d, float(diag[:, -1].sum()), b4)
+    occ = level_occupations(rho12)
+    d1, d2 = (effective_dim(row) for row in occ)
+    _check_trust(d, occ[0, -1], b3)
+    _check_trust(d, occ[1, -1], b4)
     s3 = displacement_stack(d1, b3.ravel())
     s4 = displacement_stack(d2, b4.ravel())
     e = rho12.entries.reshape(d, d, d, d)[:d1, :d2, :d1, :d2]
-    vals = np.einsum("nqmp,mnk,pqk->k", e, s3, s4)
+    # optimize: contract rho with one stack as a matrix product, not a 7-index loop
+    vals = np.einsum("nqmp,mnk,pqk->k", e, s3, s4, optimize=True)
     vals = vals.reshape(b3.shape) * np.exp(f.exponent(b3) + f.exponent(b4))
     return complex(vals) if vals.ndim == 0 else vals
 

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, SingularPFunction
-from .fock_core import DensityMatrix, effective_dim, require_finite
-from .phase_filters import (
-    TOP_LEVEL_FLOOR,
-    FilterSpec,
-    filtered_charfunc,
-    top_occupation,
-    two_mode_charfunc,
+from .fock_core import (
+    DensityMatrix,
+    coherent_leakage,
+    coherent_vector,
+    effective_dim,
+    level_occupations,
+    require_finite,
 )
+from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -170,23 +170,19 @@ def q_function(rho: DensityMatrix, alpha):
     if rho.n_modes != 1:
         raise DimensionMismatch("q_function expects a single-mode state")
     alpha_arr = require_finite(alpha, "alpha")
-    lam = np.abs(alpha_arr) ** 2
+    occ = level_occupations(rho)[0]
     # as for the characteristic function, the sum over occupied levels is
     # exact; the Poisson tail beyond the cutoff matters only when the stored
     # matrix visibly truncates a larger state
-    if top_occupation(rho) > TOP_LEVEL_FLOOR and lam.size:
-        worst = float(np.max(gammainc(rho.cutoff + 1, lam)))
+    if occ[-1] > TOP_LEVEL_FLOOR and alpha_arr.size:
+        worst = float(np.max(coherent_leakage(alpha_arr, rho.cutoff)))
         if worst > Q_LEAKAGE_TOL:
             raise CutoffTooSmall(
-                f"coherent leakage {worst:.3e} at |alpha| = {sqrt(float(lam.max())):.2f} "
+                f"coherent leakage {worst:.3e} at |alpha| = {np.abs(alpha_arr).max():.2f} "
                 f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
             )
-    d = effective_dim(rho)
-    flat = alpha_arr.ravel()[:, None]
-    n = np.arange(d)
-    # coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!) over points x levels
-    log_mag = -lam.ravel()[:, None] / 2 + xlogy(n, np.abs(flat)) - 0.5 * gammaln(n + 1)
-    c = np.exp(log_mag + 1j * n * np.angle(flat))
+    d = effective_dim(occ)
+    c = coherent_vector(alpha_arr.ravel(), d - 1)  # points x levels
     vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals

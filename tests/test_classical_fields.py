@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from phaselab import classical_fields as cl
 from phaselab.errors import (
     DegenerateSplitter,
+    DimensionMismatch,
     GainNotAllowed,
     InvalidWeights,
+    NonFiniteArgument,
     NonUnitaryBeamSplitter,
 )
 
@@ -18,6 +20,11 @@ amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infini
 
 def symmetric_bs():
     return cl.BeamSplitterParams(SQ2, SQ2)
+
+
+def assert_same_ensemble(a, b):
+    assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(a.weights, b.weights)
 
 
 class TestFieldAtTime:
@@ -35,6 +42,20 @@ class TestBeamSplitterParams:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryBeamSplitter):
             cl.BeamSplitterParams(0.9, 0.9)
+
+    @pytest.mark.parametrize(
+        "t, r, phi_U",
+        [
+            (float("nan"), 0.0, 0.0),
+            (1.0, complex("nan"), 0.0),
+            (float("inf"), 0.0, 0.0),
+            (1.0, 0.0, float("nan")),
+            (SQ2, SQ2, float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, t, r, phi_U):
+        with pytest.raises(NonUnitaryBeamSplitter):
+            cl.BeamSplitterParams(t, r, phi_U)
 
     def test_matrix_is_unitary(self):
         u = cl.BeamSplitterParams(0.6, 0.8j).matrix()
@@ -101,35 +122,67 @@ class TestEnsembles:
     def test_single_point_image(self):
         ens = cl.ClassicalEnsemble.two_mode([(1.0, 0.0, 1.0)])
         out = cl.ensemble_beamsplit(ens, symmetric_bs())
-        (amps, w), = out.samples
+        (amps,) = out.amplitudes
         assert amps[0] == pytest.approx(SQ2)
         assert amps[1] == pytest.approx(-SQ2)
-        assert w == 1.0
+        assert out.weights.tolist() == [1.0]
+
+    def test_matches_sample_wise_splitter(self):
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        ens = cl.ClassicalEnsemble(amps, np.full(6, 1 / 6))
+        bs = cl.BeamSplitterParams(0.6, 0.8 * np.exp(0.9j), 0.4)
+        out = cl.ensemble_beamsplit(ens, bs)
+        want = [cl.classical_beamsplit(a1, a2, bs) for a1, a2 in amps]
+        assert np.allclose(out.amplitudes, want, rtol=1e-15, atol=1e-15)
 
     def test_weights_preserved(self):
         ens = cl.ClassicalEnsemble.two_mode([(1.0, 0.5j, 0.25), (0.1, 0.0, 0.75)])
         out = cl.ensemble_beamsplit(ens, symmetric_bs())
-        assert [w for _, w in out.samples] == [0.25, 0.75]
+        assert out.weights.tolist() == [0.25, 0.75]
 
     def test_identity_splitter_is_identity(self):
         ens = cl.ClassicalEnsemble.two_mode([(0.3, 0.8j, 0.5), (1.0, -1.0, 0.5)])
         out = cl.ensemble_beamsplit(ens, cl.BeamSplitterParams(1.0, 0.0))
-        assert out.samples == ens.samples
+        assert_same_ensemble(out, ens)
 
     def test_bad_weights(self):
         with pytest.raises(InvalidWeights):
             cl.ClassicalEnsemble.single([(1.0, 0.5), (2.0, 0.6)])
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_weight(self, w):
+        with pytest.raises(InvalidWeights):
+            cl.ClassicalEnsemble.single([(1.0, w), (2.0, 1.0 - w)])
+
+    @pytest.mark.parametrize("a", [complex("nan"), complex(0.0, float("inf"))])
+    def test_non_finite_amplitude(self, a):
+        with pytest.raises(NonFiniteArgument):
+            cl.ClassicalEnsemble.two_mode([(1.0, a, 1.0)])
+
+    def test_arrays(self):
+        ens = cl.ClassicalEnsemble.two_mode([(1.0, 0.5j, 0.25), (0.1, 0.0, 0.75)])
+        assert ens.n_modes == 2
+        assert ens.amplitudes.dtype == complex and ens.amplitudes.shape == (2, 2)
+        assert not ens.amplitudes.flags.writeable and not ens.weights.flags.writeable
+        assert cl.ClassicalEnsemble([[1.0], [2.0]], [0.5, 0.5]).n_modes == 1
+        with pytest.raises(InvalidWeights):
+            cl.ClassicalEnsemble.single([])
+        with pytest.raises(DimensionMismatch):
+            cl.ClassicalEnsemble([[1.0, 2.0, 3.0]], [1.0])
+        with pytest.raises(DimensionMismatch):
+            cl.ClassicalEnsemble([[1.0], [2.0]], [1.0])
 
 
 class TestClassicalAttenuate:
     def test_point_mass_scaling(self):
         ens = cl.ClassicalEnsemble.single([(2.0, 1.0)])
         out = cl.classical_attenuate(ens, SQ2)
-        assert out.samples[0][0][0] == pytest.approx(np.sqrt(2))
+        assert out.amplitudes[0, 0] == pytest.approx(np.sqrt(2))
 
     def test_identity(self):
         ens = cl.ClassicalEnsemble.single([(0.5 + 0.1j, 1.0)])
-        assert cl.classical_attenuate(ens, 1.0).samples == ens.samples
+        assert_same_ensemble(cl.classical_attenuate(ens, 1.0), ens)
 
     def test_intensity_halves(self):
         ens = cl.ClassicalEnsemble.single([(1.0, 0.5), (2.0j, 0.5)])
@@ -143,6 +196,8 @@ class TestClassicalAttenuate:
             cl.classical_attenuate(ens, 1.2)
         with pytest.raises(DegenerateSplitter):
             cl.classical_attenuate(ens, 0.0)
+        with pytest.raises(GainNotAllowed):
+            cl.classical_attenuate(ens, complex("nan"))
 
 
 class TestClassicalMoments:
@@ -183,8 +238,17 @@ class TestClassicalMoments:
 class TestEnsembleIO:
     def test_roundtrip_single(self):
         ens = cl.ClassicalEnsemble.single([(0.3 + 0.1j, 0.4), (-1.0, 0.6)])
-        assert cl.load_ensemble(cl.save_ensemble(ens)).samples == ens.samples
+        assert_same_ensemble(cl.load_ensemble(cl.save_ensemble(ens)), ens)
+
+    def test_file_format(self):
+        ens = cl.ClassicalEnsemble.two_mode([(0.3, 1j, 1.0)])
+        assert cl.save_ensemble(ens) == {
+            "samples": [{"re1": 0.3, "im1": 0.0, "re2": 0.0, "im2": 1.0, "w": 1.0}],
+            "n_modes": 2,
+        }
+        one = cl.ClassicalEnsemble.single([(0.3 - 2j, 1.0)])
+        assert cl.save_ensemble(one) == {"samples": [{"re": 0.3, "im": -2.0, "w": 1.0}]}
 
     def test_roundtrip_two_mode(self):
         ens = cl.ClassicalEnsemble.two_mode([(0.3, 1j, 0.5), (0.0, 0.2, 0.5)])
-        assert cl.load_ensemble(cl.save_ensemble(ens)).samples == ens.samples
+        assert_same_ensemble(cl.load_ensemble(cl.save_ensemble(ens)), ens)

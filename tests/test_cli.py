@@ -68,6 +68,26 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DimensionMismatch"
 
+    def test_non_finite_state_file(self, tmp_path, capsys):
+        state = write_state(tmp_path, "vac.json", "state", "--fock", "0", "--cutoff", "6")
+        obj = json.loads(Path(state).read_text())
+        obj["re"][3][3] = float("nan")
+        Path(state).write_text(json.dumps(obj))
+        code, out, err = run(capsys, "report", "--state", state)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize(
+        "field, error", [("re", "NonFiniteArgument"), ("w", "InvalidWeights")]
+    )
+    def test_non_finite_ensemble_file(self, tmp_path, capsys, field, error):
+        sample = {"re": 1.0, "im": 0.0, "w": 1.0, field: float("nan")}
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"samples": [sample]}))
+        code, out, err = run(capsys, "classical", "--op", "moments", "--ensemble", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -164,9 +164,67 @@ class TestDisplacementElement:
                 assert abs(acc - (1.0 if m == n else 0.0)) < 1e-8
 
 
+class TestLevelOccupations:
+    def test_single_mode_row_and_column_maxima(self):
+        rho = random_density(9, occupied=5, rng=np.random.default_rng(2))
+        a = np.abs(rho.entries)
+        occ = fc.level_occupations(rho)
+        assert occ.shape == (1, 9)
+        assert np.array_equal(occ[0], np.maximum(a.max(axis=0), a.max(axis=1)))
+        assert fc.effective_dim(occ[0]) == 5
+
+    def test_two_mode_product(self):
+        rng = np.random.default_rng(3)
+        r1 = random_density(6, occupied=2, rng=rng)
+        r2 = random_density(6, occupied=4, rng=rng)
+        occ = fc.level_occupations(fc.tensor(r1, r2))
+        assert occ.shape == (2, 6)
+        assert [fc.effective_dim(row) for row in occ] == [2, 4]
+        # mode 1 level m: the largest |r1[m, n] r2[p, q]| over rows and columns holding m
+        top2 = np.abs(r2.entries).max()
+        assert np.allclose(occ[0], fc.level_occupations(r1)[0] * top2, rtol=1e-15, atol=0)
+
+    def test_empty_state_has_one_level(self):
+        assert fc.effective_dim(np.zeros(4)) == 1
+
+
+class TestCoherentVector:
+    def test_vectorized_over_alpha(self):
+        alphas = np.array([[0.0, 0.3 - 1.2j], [2.0j, -1.5]])
+        c = fc.coherent_vector(alphas, 12)
+        assert c.shape == (2, 2, 13)
+        assert np.array_equal(c[0, 0], np.eye(13)[0])
+        for idx in np.ndindex(alphas.shape):
+            assert np.array_equal(c[idx], fc.coherent_vector(alphas[idx], 12))
+        n = np.arange(13)
+        fact = np.array([float(np.prod(np.arange(1, k + 1))) for k in n])
+        want = np.exp(-abs(alphas[0, 1]) ** 2 / 2) * alphas[0, 1] ** n / np.sqrt(fact)
+        assert np.allclose(c[0, 1], want, rtol=1e-13, atol=0)
+
+    def test_leakage_elementwise(self):
+        alphas = np.array([0.0, 1.0, 3.0])
+        leak = fc.coherent_leakage(alphas, 5)
+        assert leak.shape == (3,) and leak[0] == 0.0
+        assert leak[2] == fc.coherent_leakage(3.0, 5) > leak[1] > 0
+
+
 class TestValidate:
     def test_all_clear(self):
         assert fc.validate(fc.make_coherent(1.0, 20)).flags == ()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_flagged(self, bad):
+        m = np.diag([1.0, 0, 0]).astype(complex)
+        m[1, 1] = bad
+        report = fc.validate(fc.DensityMatrix(3, m))
+        assert report.flags == ("finite",)
+        assert np.isnan(report.min_eigenvalue)
+
+    def test_non_finite_state_file_rejected(self):
+        obj = fc.save_state(fc.make_fock(0, 6))
+        obj["re"][3][3] = float("nan")
+        with pytest.raises(DimensionMismatch):
+            fc.load_state(obj)
 
     def test_trace_flag(self):
         rho = fc.DensityMatrix(2, np.diag([0.5, 0.4]))

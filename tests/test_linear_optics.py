@@ -205,7 +205,9 @@ class TestAttenuate:
 
 class TestPullbackCharfunc:
     def test_identity_splitter(self):
-        rho = fc.tensor(fc.make_coherent(0.4, 8), fc.make_fock(0, 8))
+        # cutoff 14 leaves the top level empty; at cutoff 8 |0.4> holds 2.8e-6
+        # there and its sums are not exact out to |beta| = 2.12
+        rho = fc.tensor(fc.make_coherent(0.4, 14), fc.make_fock(0, 14))
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1.5, points=5)
         back = lo.pullback_charfunc(cf, BeamSplitterParams(1.0, 0.0))
         assert np.max(np.abs(back.values - cf.values)) < 1e-12
@@ -223,6 +225,35 @@ class TestPullbackCharfunc:
             lo.apply_beamsplitter(rho, bs), S0, extent=1.5, points=5
         )
         assert np.max(np.abs(pulled.values - direct.values)) < 1e-8
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 10),
+        occupied=st.integers(1, 5),
+        theta=st.floats(0.0, np.pi / 2),
+        phases=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fock_route_property(self, seed, dim, occupied, theta, phases):
+        # a two-mode state on levels < occupied per mode, with at most
+        # 2 (occupied - 1) <= dim - 2 photons: the splitter loses nothing
+        # and both states leave their top level empty
+        occupied = min(occupied, dim // 2)
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(occupied**2,) * 2) + 1j * rng.normal(size=(occupied**2,) * 2)
+        idx = (np.arange(occupied)[:, None] * dim + np.arange(occupied)).ravel()
+        entries = np.zeros((dim * dim, dim * dim), dtype=complex)
+        entries[np.ix_(idx, idx)] = g @ g.conj().T / np.trace(g @ g.conj().T)
+        rho = fc.DensityMatrix(dim, entries, n_modes=2)
+        t, r = np.cos(theta) * np.exp(1j * phases[0]), np.sin(theta) * np.exp(1j * phases[1])
+        bs = BeamSplitterParams(t, r, phases[2])
+        pulled = lo.pullback_charfunc(
+            qe.two_mode_charfunc_grid(rho, S0, extent=1.5, points=5), bs
+        )
+        direct = qe.two_mode_charfunc_grid(
+            lo.apply_beamsplitter(rho, bs), S0, extent=1.5, points=5
+        )
+        assert np.max(np.abs(pulled.values - direct.values)) < 1e-12
 
     def test_trust_radius_translated(self):
         rho = fc.tensor(fc.make_fock(2, 2), fc.make_fock(0, 2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import fock_core as fc
 from phaselab import nonclassicality as nc
@@ -135,3 +137,30 @@ class TestCoherentMixture:
             assert fc.normal_moment(rho, m, n) == pytest.approx(
                 classical_moments(ens, m, n), abs=1e-10
             )
+
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+                st.floats(0.0, 2 * np.pi),
+                st.floats(0.05, 1.0),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        m=st.integers(0, 3),
+        n=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moments_match_classical_property(self, samples, m, n):
+        from phaselab.classical_fields import ClassicalEnsemble, classical_moments
+
+        total = sum(w for _, _, w in samples)
+        ens = ClassicalEnsemble.single(
+            [(r * np.exp(1j * phi), w / total) for r, phi, w in samples]
+        )
+        classical = classical_moments(ens, m, n)
+        quantum = fc.normal_moment(nc.coherent_mixture(ens, 25), m, n)
+        # relative to sum_i w_i |a_i|^(m+n), which bounds both moments
+        scale = float(ens.weights @ np.abs(ens.amplitudes[:, 0]) ** (m + n))
+        assert abs(quantum - classical) <= 1e-12 * scale

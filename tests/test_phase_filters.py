@@ -199,6 +199,28 @@ class TestTwoModeCharfunc:
             abs=1e-12,
         )
 
+    def test_coherent_pair_matches_closed_form(self):
+        # each mode keeps every level whose row or column holds an entry above
+        # the floor; population sums dropped levels and gave errors up to 4.7e-8
+        a1, a2 = 0.8, 0.6
+        rho = fc.tensor(fc.make_coherent(a1, 20), fc.make_coherent(a2, 20))
+        _, betas = qe.lattice(2.5, 9)
+        b3, b4 = betas[:, :, None, None], betas[None, None, :, :]
+        got = pf.two_mode_charfunc(rho, pf.FilterSpec.s_param(0.0), b3, b4)
+
+        def chi(beta, alpha):
+            return np.exp(-abs(beta) ** 2 / 2 + beta * np.conj(alpha) - np.conj(beta) * alpha)
+
+        assert np.max(np.abs(got - chi(b3, a1) * chi(b4, a2))) < 1e-12
+
+    def test_top_level_guard_per_mode(self):
+        # mode 2 occupies its top level: its betas are checked, mode 1's are not
+        rho = fc.tensor(fc.make_fock(0, 4), fc.make_fock(4, 4))
+        f = pf.FilterSpec.s_param(0.0)
+        assert pf.two_mode_charfunc(rho, f, 3.0, 0.0) == pytest.approx(np.exp(-4.5), abs=1e-15)
+        with pytest.raises(CutoffTooSmall):
+            pf.two_mode_charfunc(rho, f, 0.0, 3.0)
+
 
 class TestVacuumCharfunc:
     def test_p_filter_identically_one(self):
