@@ -173,7 +173,8 @@ def mix(states: list[DensityMatrix], weights: list[float]) -> DensityMatrix:
     if len(states) != len(weights) or not states:
         raise InvalidWeights("need one weight per state")
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+    # "not" so that a NaN weight fails the check
+    if not (w >= 0).all() or not abs(w.sum() - 1.0) <= 1e-12:
         raise InvalidWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     first = states[0]
     for s in states[1:]:
@@ -221,9 +222,9 @@ def level_occupations(rho: DensityMatrix) -> np.ndarray:
     ])
 
 
-def effective_dim(occ: np.ndarray) -> int:
-    """Highest level above OCCUPATION_FLOOR plus one, from one row of ``level_occupations``."""
-    nz = np.nonzero(occ > OCCUPATION_FLOOR)[0]
+def effective_dim(occ: np.ndarray, floor: float = OCCUPATION_FLOOR) -> int:
+    """Highest level above ``floor`` plus one, from one row of ``level_occupations``."""
+    nz = np.nonzero(occ > floor)[0]
     return int(nz[-1]) + 1 if nz.size else 1
 
 

@@ -14,6 +14,7 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     GainNotAllowed,
+    NonFiniteArgument,
     TrustRadiusExceeded,
 )
 from .fock_core import LEAKAGE_TOL, DensityMatrix, make_fock, tensor
@@ -84,6 +85,9 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
         raise DimensionMismatch("apply_beamsplitter expects a two-mode state")
     d = rho12.dim
     rho = rho12.entries
+    # DensityMatrix does not validate; one sum sees a NaN or inf anywhere in rho
+    if not np.isfinite(rho.sum()):
+        raise NonFiniteArgument("the two-mode state holds a NaN or infinite entry")
     blocks = _blocks(d, bs)
     half = np.empty_like(rho)
     for idx, block in blocks:

@@ -11,8 +11,7 @@ from .classical_fields import ClassicalEnsemble
 from .errors import CutoffTooSmall, InvalidWeights
 from .fock_core import DensityMatrix, make_coherent, make_fock, mix, normal_moment
 from .linear_optics import attenuate
-from .phase_filters import FilterSpec
-from .quasiprob_engine import attenuated_photon_wigner, charfunc_grid, quasiprob_transform
+from .quasiprob_engine import attenuated_photon_wigner, quasiprob_pointwise
 
 # equality cases (coherent states) must not flip to VIOLATED by rounding
 VERDICT_TOL = 1e-12
@@ -97,29 +96,10 @@ def scaling_invariance_check(
     return ScalingReport(tuple(verdicts), invariant)
 
 
-def wigner_origin_numeric(
-    eta: float,
-    cutoff: int = 20,
-    beta_extent: float = 6.0,
-    beta_points: int = 128,
-    alpha_extent: float = 4.0,
-    alpha_points: int = 129,
-) -> float:
-    """Wigner value at the origin of an attenuated single photon, through
-    the full channel-and-transform pipeline."""
-    rho = attenuate(make_fock(1, cutoff), eta)
-    return _wigner_origin(rho, beta_extent, beta_points, alpha_extent, alpha_points)
-
-
-def _wigner_origin(
-    rho: DensityMatrix,
-    beta_extent: float = 6.0,
-    beta_points: int = 128,
-    alpha_extent: float = 4.0,
-    alpha_points: int = 129,
-) -> float:
-    cf = charfunc_grid(rho, FilterSpec.s_param(0.0), beta_extent, beta_points)
-    return quasiprob_transform(cf, alpha_extent, alpha_points).at_origin()
+def wigner_origin_numeric(eta: float, cutoff: int = 20) -> float:
+    """Wigner value at the origin of an attenuated single photon: the loss
+    channel, then the pointwise Wigner function, (2/pi) sum_n (-1)^n rho_nn."""
+    return quasiprob_pointwise(attenuate(make_fock(1, cutoff), eta), 0.0, 0.0)
 
 
 def wigner_origin_analytic(eta: float) -> float:
@@ -131,13 +111,15 @@ def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, f
     for eta on a uniform grid of [0, 1]."""
     if eta_steps < 2:
         raise InvalidWeights("need at least two efficiency steps")
+    photon = make_fock(1, cutoff)
     rows = []
     for eta in np.linspace(0.0, 1.0, eta_steps):
         eta = float(eta)
-        rho = attenuate(make_fock(1, cutoff), eta)
+        rho = attenuate(photon, eta)
         g1 = float(normal_moment(rho, 1, 1).real)
         g2 = float(normal_moment(rho, 2, 2).real)
-        rows.append((eta, _wigner_origin(rho), wigner_origin_analytic(eta), g2 - g1**2))
+        origin = quasiprob_pointwise(rho, 0.0, 0.0)
+        rows.append((eta, origin, wigner_origin_analytic(eta), g2 - g1**2))
     return rows
 
 

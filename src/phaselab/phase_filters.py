@@ -130,41 +130,46 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
         )
 
 
-def _displacement_bands(dim: int, beta: np.ndarray):
-    """The elements <m|D(b)|n>, m, n < dim, one band k = m - n at a time.
+def _bands(dim: int, pref, lo, up, y, q=1.0):
+    """The elements of a banded operator X on dim levels, one band k = m - n at a time.
 
-    Yields (k, lower, upper, lag) with <n+k|D|n> = lower * lag[n] and
-    <n|D|n+k> = upper * lag[n] for n = 0 .. dim-1-k, where
-    lower = e^{-|b|^2/2} b^k, upper = e^{-|b|^2/2} (-b*)^k and ``lag``
-    iterates sqrt(n! / (n+k)!) L_n^{(k)}(|b|^2).
+    Yields (k, lower, upper, lag) with <n+k|X|n> = lower * lag[n] and
+    <n|X|n+k> = upper * lag[n] for n = 0 .. dim-1-k, where lower = pref lo^k,
+    upper = pref up^k and ``lag`` iterates q^n sqrt(n! / (n+k)!) L_n^{(k)}(x)
+    for y = q x.
     """
-    x = np.abs(beta) ** 2
-    lower = np.exp(-x / 2).astype(complex)
-    upper = lower
+    lower = upper = pref
     first = 1.0  # 1 / sqrt(k!)
     for k in range(dim):
         if k:
-            lower = lower * beta
-            upper = upper * -beta.conjugate()
+            lower = lower * lo
+            upper = upper * up
             first /= sqrt(k)
-        yield k, lower, upper, _laguerre_band(k, dim - k, x, first)
+        yield k, lower, upper, _laguerre_band(k, dim - k, y, first, q)
 
 
-def _laguerre_band(k: int, count: int, x: np.ndarray, first: float):
-    """sqrt(n! / (n+k)!) L_n^{(k)}(x) for n = 0 .. count-1, one array at a time.
+def _displacement_bands(dim: int, beta: np.ndarray):
+    """The bands of <m|D(b)|n>: pref = e^{-|b|^2/2}, lo = b, up = -b*, q = 1, x = |b|^2."""
+    x = np.abs(beta) ** 2
+    return _bands(dim, np.exp(-x / 2).astype(complex), beta, -beta.conjugate(), x)
+
+
+def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0):
+    """q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x, for n = 0 .. count-1, one array at a time.
 
     The three-term recurrence in degree,
     (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}, with the factorial
-    weights folded into its coefficients; ``first`` is the n = 0 value
-    1 / sqrt(k!).
+    weights and the powers of q folded into its coefficients; only the
+    product y = q x enters, so q = 0 with x infinite stays finite.
+    ``first`` is the n = 0 value 1 / sqrt(k!).
     """
-    prev, cur = 0.0, np.full_like(x, first)
+    prev, cur = 0.0, np.full_like(y, first)
     for n in range(count):
         yield cur
         if n + 1 < count:
-            nxt = (2 * n + 1 + k - x) * cur
+            nxt = ((2 * n + 1 + k) * q - y) * cur
             nxt *= 1 / sqrt((n + 1) * (n + k + 1))
-            nxt -= sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * prev
+            nxt -= q * q * sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * prev
             prev, cur = cur, nxt
 
 
@@ -179,37 +184,42 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_charfunc(rho: DensityMatrix, beta):
-    """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function.
+def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
+    """Tr(e X) at ``size`` points for a square matrix e and the bands of X from ``_bands``.
 
-    Summed band by band over the occupied levels: memory stays O(N) in the
-    number of betas, and a band of rho that is all zero is skipped, so a
-    diagonal state costs one band.
+    Memory stays O(size); a band of e that is all zero is skipped, and bands
+    past the last one e holds are never built, so a diagonal e costs one band.
     """
+    # band k holds e[n, n+k] and e[n+k, n]
+    held = {k for k in range(len(e)) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
+    vals = np.zeros(size, dtype=complex)
+    for k, lower, upper, band in islice(bands, max(held, default=-1) + 1):
+        if k not in held:
+            continue
+        # Tr(e X) = sum_{m,n} e[n, m] <m|X|n>: the band of <n+k|X|n>
+        # pairs with e[n, n+k], that of <n|X|n+k> with e[n+k, n]
+        rows = [np.diagonal(e, k)] if k == 0 else [np.diagonal(e, k), np.diagonal(e, -k)]
+        w = np.array([part for r in rows for part in (r.real, r.imag)])
+        acc = np.zeros((len(w), size))
+        for n, lag in enumerate(band):
+            acc += w[:, n, None] * lag
+        vals += lower * (acc[0] + 1j * acc[1])
+        if k:
+            vals += upper * (acc[2] + 1j * acc[3])
+    return vals
+
+
+def symmetric_charfunc(rho: DensityMatrix, beta):
+    """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function,
+    summed band by band over the occupied levels."""
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     beta_arr = require_finite(beta, "beta")
     occ = level_occupations(rho)[0]
     d = effective_dim(occ)
     _check_trust(rho.dim, occ[-1], beta_arr)
-    e = rho.entries[:d, :d]
-    # band k holds rho[n, n+k] and rho[n+k, n]; bands past the last one held are never built
-    held = {k for k in range(d) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
     flat = beta_arr.ravel()
-    vals = np.zeros(flat.shape, dtype=complex)
-    for k, lower, upper, band in islice(_displacement_bands(d, flat), max(held, default=-1) + 1):
-        if k not in held:
-            continue
-        # Tr(rho D) = sum_{m,n} rho[n, m] <m|D|n>: the band of <n+k|D|n>
-        # pairs with rho[n, n+k], that of <n|D|n+k> with rho[n+k, n]
-        rows = [np.diagonal(e, k)] if k == 0 else [np.diagonal(e, k), np.diagonal(e, -k)]
-        w = np.array([part for r in rows for part in (r.real, r.imag)])
-        acc = np.zeros((len(w), flat.size))
-        for n, lag in enumerate(band):
-            acc += w[:, n, None] * lag
-        vals += lower * (acc[0] + 1j * acc[1])
-        if k:
-            vals += upper * (acc[2] + 1j * acc[3])
+    vals = _band_trace(rho.entries[:d, :d], _displacement_bands(d, flat), flat.size)
     vals = vals.reshape(beta_arr.shape)
     return complex(vals) if vals.ndim == 0 else vals
 

@@ -25,6 +25,7 @@ from .fock_core import (
     require_finite,
 )
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
+from .phase_filters import _band_trace, _bands
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -185,6 +186,32 @@ def q_function(rho: DensityMatrix, alpha):
     c = coherent_vector(alpha_arr.ravel(), d - 1)  # points x levels
     vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
+    """P_s(alpha) = (1/pi) Tr(rho T(alpha, s)) for s <= 0, exact for the stored matrix.
+
+    T(a, s) = (2/(1-s)) D(a) q^{a^dag a} D(a)^dag with q = (s+1)/(s-1)
+    (Cahill & Glauber 1969) is banded like D:
+    <n+k|T|n> = (2/(1-s)) e^{-2|a|^2/(1-s)} (2a/(1-s))^k q^n sqrt(n!/(n+k)!)
+    L_n^{(k)}(4|a|^2/(1-s^2)), and <n|T|n+k> is its conjugate. The band
+    kernel takes q x = -4|a|^2/(1-s)^2, which stays finite at s = -1 (Q).
+    For s > 0, |q| > 1 and the weights grow with n: ``SingularPFunction``.
+    """
+    if rho.n_modes != 1:
+        raise DimensionMismatch("quasiprob_pointwise expects a single-mode state")
+    require_finite(s, "s")
+    if s > 0:
+        raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
+    alpha_arr = require_finite(alpha, "alpha")
+    d = effective_dim(level_occupations(rho)[0], floor=0.0)  # every stored entry counts
+    a = alpha_arr.ravel()
+    x = np.abs(a) ** 2
+    w = 2 * a / (1 - s)
+    pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
+    bands = _bands(d, pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
+    vals = (_band_trace(rho.entries[:d, :d], bands, a.size).real / pi).reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -57,25 +57,31 @@ class AttenuatorVerdict:
 def filter_bs_residual(
     f: FilterSpec, bs: BeamSplitterParams, beta3: complex, beta4: complex
 ) -> float:
-    """|Omega(b3) Omega(b4) - Omega(t* b3 - r b4) Omega(r* b3 + t b4)|."""
+    """|Omega(b3) Omega(b4) - Omega(a1) Omega(a2)| with (a1, a2) = M^dag (b3, b4),
+    M = bs.matrix(); for phi_U = 0 that is (t* b3 - r b4, r* b3 + t b4)."""
     b3, b4 = complex(beta3), complex(beta4)
     lhs = np.exp(f.exponent(b3) + f.exponent(b4))
-    a1 = bs.t.conjugate() * b3 - bs.r * b4
-    a2 = bs.r.conjugate() * b3 + bs.t * b4
+    m = bs.matrix().conj()
+    a1 = m[0, 0] * b3 + m[1, 0] * b4
+    a2 = m[0, 1] * b3 + m[1, 1] * b4
     rhs = np.exp(f.exponent(a1) + f.exponent(a2))
     return float(abs(lhs - rhs))
 
 
 def bracket_coefficient(k: int, l: int, bs: BeamSplitterParams) -> complex:
-    """Series coefficient bracket (t*)^k t^l + (r*)^k r^l."""
-    return (bs.t.conjugate() ** k) * bs.t**l + (bs.r.conjugate() ** k) * bs.r**l
+    """Series coefficient bracket (M00*)^k M00^l + (M01*)^k M01^l, M = bs.matrix();
+    for phi_U = 0 that is (t*)^k t^l + (r*)^k r^l."""
+    m = bs.matrix()
+    return (m[0, 0].conjugate() ** k) * m[0, 0] ** l + (m[0, 1].conjugate() ** k) * m[0, 1] ** l
 
 
 def random_splitter(rng: np.random.Generator) -> BeamSplitterParams:
-    """Uniform sample on the unitarity manifold: t = cos th, r = e^{i ph} sin th."""
+    """Uniform sample on the unitarity manifold: t = cos th, r = e^{i ph} sin th,
+    and a uniform global phase phi_U."""
     theta = rng.uniform(0.0, np.pi / 2)
     phi = rng.uniform(0.0, 2 * np.pi)
-    return BeamSplitterParams(np.cos(theta), np.exp(1j * phi) * np.sin(theta))
+    phi_u = rng.uniform(0.0, 2 * np.pi)
+    return BeamSplitterParams(np.cos(theta), np.exp(1j * phi) * np.sin(theta), phi_u)
 
 
 def _random_beta(rng: np.random.Generator, radius: float = 2.0) -> complex:

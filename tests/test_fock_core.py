@@ -90,6 +90,12 @@ class TestMix:
         with pytest.raises(DimensionMismatch):
             fc.mix([fc.make_fock(0, 4), fc.make_fock(0, 5)], [0.5, 0.5])
 
+    @pytest.mark.parametrize("weights", [[float("nan"), 0.5], [0.5, float("nan")],
+                                         [float("inf"), 0.5]])
+    def test_non_finite_weight(self, weights):
+        with pytest.raises(InvalidWeights):
+            fc.mix([fc.make_fock(0, 4), fc.make_fock(1, 4)], weights)
+
 
 class TestNormalMoments:
     def test_single_photon(self):

@@ -14,6 +14,7 @@ from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
     GainNotAllowed,
+    NonFiniteArgument,
     TrustRadiusExceeded,
 )
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
@@ -117,6 +118,18 @@ class TestHongOuMandel:
     def test_incomplete_block_rejected(self, n, cutoff):
         with pytest.raises(CutoffTooSmall):
             self.split(n, cutoff)
+
+
+class TestNonFiniteState:
+    # DensityMatrix does not validate, so a NaN can reach the splitter; one in a
+    # complete block never enters the lost probability, which used to read 0
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (7, 7), (15, 14)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejected(self, entry, bad):
+        e = fc.tensor(fc.make_fock(0, 3), fc.make_fock(1, 3)).entries.copy()
+        e[entry] = bad
+        with pytest.raises(NonFiniteArgument):
+            lo.apply_beamsplitter(fc.DensityMatrix(4, e, n_modes=2), BeamSplitterParams(0.6, 0.8))
 
 
 class TestPartialTrace:

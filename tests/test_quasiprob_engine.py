@@ -1,8 +1,13 @@
+from math import comb, factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import fock_core as fc
 from phaselab import quasiprob_engine as qe
+from phaselab.linear_optics import attenuate
 from phaselab.errors import (
     CutoffTooSmall,
     GridTooCoarse,
@@ -128,6 +133,126 @@ class TestQFunction:
         for a, q in zip(alphas.ravel(), got.ravel()):
             c = fc.coherent_vector(a, rho.cutoff)
             assert abs(q - np.vdot(c, rho.entries @ c).real / np.pi) < 1e-13
+
+
+def coherent_ps(beta, alpha, s):
+    return 2 / (np.pi * (1 - s)) * np.exp(-2 * np.abs(alpha - beta) ** 2 / (1 - s))
+
+
+def thermal_ps(nbar, alpha, s):
+    width = 1 - s + 2 * nbar
+    return 2 / (np.pi * width) * np.exp(-2 * np.abs(alpha) ** 2 / width)
+
+
+def fock_ps(n, alpha, s):
+    # (2/(pi(1-s))) e^{-2|a|^2/(1-s)} q^n L_n(4|a|^2/(1-s^2)), q = (s+1)/(s-1), with the
+    # Laguerre sum written in u = 4|a|^2/(1-s)^2 so that s = -1 (q = 0) needs no limit
+    q = (s + 1) / (s - 1)
+    u = 4 * np.abs(alpha) ** 2 / (1 - s) ** 2
+    poly = sum(comb(n, j) * q ** (n - j) * u**j / factorial(j) for j in range(n + 1))
+    return 2 / (np.pi * (1 - s)) * np.exp(-2 * np.abs(alpha) ** 2 / (1 - s)) * poly
+
+
+def disk(radius):
+    return st.tuples(st.floats(0.0, radius), st.floats(0.0, 2 * np.pi)).map(
+        lambda p: p[0] * np.exp(1j * p[1])
+    )
+
+
+S_LEQ_0 = st.floats(-1.0, 0.0)
+ALPHAS = st.lists(disk(3.0), min_size=1, max_size=6).map(np.array)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestPointwise:
+    @given(beta=disk(1.5), alpha=ALPHAS, s=S_LEQ_0)
+    @settings(max_examples=40, deadline=None)
+    def test_coherent_closed_form(self, beta, alpha, s):
+        # at cutoff 40 the stored |beta| <= 1.5 state is exact to 1e-18
+        got = qe.quasiprob_pointwise(fc.make_coherent(beta, 40), alpha, s)
+        assert np.max(np.abs(got - coherent_ps(beta, alpha, s))) <= 1e-12
+
+    @given(nbar=st.floats(0.0, 1.0), alpha=ALPHAS, s=S_LEQ_0)
+    @settings(max_examples=40, deadline=None)
+    def test_thermal_closed_form(self, nbar, alpha, s):
+        got = qe.quasiprob_pointwise(fc.make_thermal(nbar, 60), alpha, s)
+        assert np.max(np.abs(got - thermal_ps(nbar, alpha, s))) <= 1e-12
+
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(
+            lambda w: sum(w) > 0.1
+        ),
+        alpha=ALPHAS,
+        s=S_LEQ_0,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fock_mixture_closed_form(self, weights, alpha, s):
+        p = np.array(weights) / sum(weights)
+        rho = fc.DensityMatrix(9, np.diag(np.pad(p, (0, 9 - len(p)))))
+        want = sum(pn * fock_ps(n, alpha, s) for n, pn in enumerate(p))
+        assert np.max(np.abs(qe.quasiprob_pointwise(rho, alpha, s) - want)) <= 1e-12
+
+    @given(seed=SEEDS, occupied=st.integers(1, 14), alpha=ALPHAS)
+    @settings(max_examples=40, deadline=None)
+    def test_q_function_at_s_minus_one(self, seed, occupied, alpha):
+        rho = random_density(15, occupied=occupied, rng=np.random.default_rng(seed))
+        got = qe.quasiprob_pointwise(rho, alpha, -1.0)
+        assert np.max(np.abs(got - qe.q_function(rho, alpha))) <= 1e-13
+
+    @given(seed=SEEDS, occupied=st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_lattice_transform_at_s_minus_half(self, seed, occupied):
+        # the default lattices cut the characteristic function at |beta| = 6, where
+        # a state on more levels keeps more weight: on 4 levels they are ~3e-10 off
+        rho = random_density(8, occupied=occupied, rng=np.random.default_rng(seed))
+        grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(-0.5)))
+        _, alphas = qe.lattice(grid.extent, len(grid.axis))
+        got = qe.quasiprob_pointwise(rho, alphas, -0.5)
+        assert np.max(np.abs(got - grid.values)) <= 1e-10
+
+    @given(eta=st.floats(0.0, 1.0), cutoff=st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_attenuated_photon_origin(self, eta, cutoff):
+        rho = attenuate(fc.make_fock(1, cutoff), eta)
+        got = qe.quasiprob_pointwise(rho, 0.0, 0.0)
+        assert abs(got - 2 / np.pi * (1 - 2 * eta)) <= 4 * np.spacing(2 / np.pi)
+
+    @given(seed=SEEDS, occupied=st.integers(1, 8), eta=st.floats(0.05, 1.0), s=S_LEQ_0,
+           alpha=ALPHAS)
+    @settings(max_examples=40, deadline=None)
+    def test_attenuation_law(self, seed, occupied, eta, s, alpha):
+        # P_s of the attenuated state is the rescaled P_s' of the input, s' = 1 - (1-s)/eta <= s
+        rho = random_density(12, occupied=occupied, rng=np.random.default_rng(seed))
+        lhs = qe.quasiprob_pointwise(attenuate(rho, eta), alpha, s)
+        rhs = qe.quasiprob_pointwise(rho, alpha / np.sqrt(eta), 1 - (1 - s) / eta) / eta
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+    @given(seed=SEEDS, occupied=st.integers(1, 8), eta=st.floats(0.05, 0.95), s=S_LEQ_0)
+    @settings(max_examples=40, deadline=None)
+    def test_naive_rescaling_fails_below_s_one(self, seed, occupied, eta, s):
+        # the paper's attenuator theorem on states: for s <= 0, P_s does not attenuate
+        # by the classical law eta^-1 P_s(alpha / sqrt(eta))
+        rho = random_density(12, occupied=occupied, rng=np.random.default_rng(seed))
+        _, alphas = qe.lattice(1.5, 5)
+        lhs = qe.quasiprob_pointwise(attenuate(rho, eta), alphas, s)
+        naive = qe.quasiprob_pointwise(rho, alphas / np.sqrt(eta), s) / eta
+        assert np.max(np.abs(lhs - naive)) > 1e-6
+
+    @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0, 3.0])
+    def test_positive_s_rejected(self, s):
+        with pytest.raises(SingularPFunction):
+            qe.quasiprob_pointwise(fc.make_fock(1, 5), 0.3, s)
+
+    @pytest.mark.parametrize("alpha, s", [(float("nan"), 0.0), (0.3, float("nan")),
+                                          (complex(0, float("inf")), -0.5), (0.3, -float("inf"))])
+    def test_non_finite_rejected(self, alpha, s):
+        with pytest.raises(NonFiniteArgument):
+            qe.quasiprob_pointwise(fc.make_fock(1, 5), alpha, s)
+
+    def test_shape_and_scalar(self):
+        rho = fc.make_fock(1, 5)
+        assert isinstance(qe.quasiprob_pointwise(rho, 0.5j, -0.5), float)
+        assert qe.quasiprob_pointwise(rho, np.zeros((3, 2)), 0.0).shape == (3, 2)
 
 
 class TestAttenuatedPhotonWigner:

@@ -36,6 +36,22 @@ class TestResidual:
         res = tl.filter_bs_residual(f, tl.SPECIAL_BS_CASES[0], 1.0, 0.0)
         assert res > 1e-3
 
+    def test_global_phase_enters(self):
+        # a real orthogonal splitter keeps b3^2 + b4^2; its phase phi_U = 0.9 does not
+        f = FilterSpec.general({(2, 0): 0.3})
+        bs = BeamSplitterParams(0.6, 0.8, phi_U=0.9)
+        b3, b4 = 0.7 + 0.2j, -0.3 + 0.5j
+        a1, a2 = bs.matrix().conj().T @ np.array([b3, b4])
+        want = abs(np.exp(0.3 * (b3**2 + b4**2)) - np.exp(0.3 * (a1**2 + a2**2)))
+        assert want == pytest.approx(0.141, abs=1e-3)
+        assert tl.filter_bs_residual(f, bs, b3, b4) == pytest.approx(want, rel=1e-13)
+        assert tl.filter_bs_residual(f, BeamSplitterParams(0.6, 0.8), b3, b4) == 0.0
+
+    def test_random_splitters_carry_a_global_phase(self):
+        rng = np.random.default_rng(3)
+        phases = [tl.random_splitter(rng).phi_U for _ in range(20)]
+        assert len(set(phases)) == 20 and all(0 <= p < 2 * np.pi for p in phases)
+
 
 class TestBracketCoefficient:
     def test_balanced_real(self):
@@ -52,6 +68,13 @@ class TestBracketCoefficient:
     def test_unit_diagonal(self):
         for bs in tl.SPECIAL_BS_CASES:
             assert tl.bracket_coefficient(1, 1, bs) == pytest.approx(1.0)
+
+    def test_global_phase(self):
+        # each factor of beta picks up e^{-i phi_U}, each of beta* e^{i phi_U}
+        bs = BeamSplitterParams(0.6, 0.8j, phi_U=0.9)
+        base = tl.bracket_coefficient(2, 0, BeamSplitterParams(0.6, 0.8j))
+        assert tl.bracket_coefficient(2, 0, bs) == pytest.approx(base * np.exp(-1.8j), abs=1e-15)
+        assert tl.bracket_coefficient(1, 1, bs) == pytest.approx(1.0)
 
 
 class TestClassifyBS:
