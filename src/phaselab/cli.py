@@ -50,28 +50,18 @@ def _complex_arg(text: str) -> complex:
     return value
 
 
-def _write(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _load_state(path: str) -> fc.DensityMatrix:
-    with open(path) as fh:
-        return fc.load_state(json.load(fh))
-
-
-def _load_ensemble(path: str) -> cf.ClassicalEnsemble:
-    with open(path) as fh:
-        return cf.load_ensemble(json.load(fh))
+    return fc.load_state(_read_json(path))
 
 
 def _filter_from_args(args) -> FilterSpec:
-    if getattr(args, "filter", None):
-        with open(args.filter) as fh:
-            return filter_from_json(json.load(fh))
+    if args.filter:
+        return filter_from_json(_read_json(args.filter))
     return FilterSpec.s_param(args.s)
 
 
@@ -86,20 +76,21 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_state(args) -> int:
+def _state_json(rho: fc.DensityMatrix) -> str:
+    return json.dumps(fc.save_state(rho)) + "\n"
+
+
+def cmd_state(args) -> str:
     if args.fock is not None:
         rho = fc.make_fock(args.fock, args.cutoff)
     elif args.coherent is not None:
         rho = fc.make_coherent(args.coherent, args.cutoff)
-    elif args.thermal is not None:
+    else:  # the argument group is required: --thermal
         rho = fc.make_thermal(args.thermal, args.cutoff)
-    else:
-        raise SystemExit(2)
-    _write(args, json.dumps(fc.save_state(rho)) + "\n")
-    return 0
+    return _state_json(rho)
 
 
-def cmd_charfunc(args) -> int:
+def cmd_charfunc(args) -> str:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
     extent, points = args.beta_grid
@@ -111,11 +102,10 @@ def cmd_charfunc(args) -> int:
         grid.values.real.ravel(),
         grid.values.imag.ravel(),
     )
-    _write(args, _csv(["re_beta", "im_beta", "re_value", "im_value"], rows))
-    return 0
+    return _csv(["re_beta", "im_beta", "re_value", "im_value"], rows)
 
 
-def cmd_quasiprob(args) -> int:
+def cmd_quasiprob(args) -> str:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
     b_extent, b_points = args.beta_grid
@@ -125,27 +115,21 @@ def cmd_quasiprob(args) -> int:
     )
     _, alphas = qe.lattice(a_extent, a_points)
     rows = zip(alphas.real.ravel(), alphas.imag.ravel(), grid.values.ravel())
-    _write(args, _csv(["re_alpha", "im_alpha", "value"], rows))
-    return 0
+    return _csv(["re_alpha", "im_alpha", "value"], rows)
 
 
-def cmd_beamsplit(args) -> int:
+def cmd_beamsplit(args) -> str:
     rho1 = _load_state(args.state1)
     rho2 = _load_state(args.state2)
     bs = cf.BeamSplitterParams(args.t, args.r)
-    out = lo.apply_beamsplitter(fc.tensor(rho1, rho2), bs)
-    _write(args, json.dumps(fc.save_state(out)) + "\n")
-    return 0
+    return _state_json(lo.apply_beamsplitter(fc.tensor(rho1, rho2), bs))
 
 
-def cmd_attenuate(args) -> int:
-    rho = _load_state(args.state)
-    out = lo.attenuate(rho, args.eta)
-    _write(args, json.dumps(fc.save_state(out)) + "\n")
-    return 0
+def cmd_attenuate(args) -> str:
+    return _state_json(lo.attenuate(_load_state(args.state), args.eta))
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     rho = _load_state(args.state)
     rep = nc.correlation_report(rho, args.max_order)
     payload = {
@@ -160,23 +144,17 @@ def cmd_report(args) -> int:
             for cid, lhs, rhs, v in rep.violations
         ],
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_figure3(args) -> int:
+def cmd_figure3(args) -> str:
     rows = nc.figure3_data(args.eta_steps, cutoff=args.cutoff)
-    _write(
-        args,
-        _csv(
-            ["eta", "wigner_origin_numeric", "wigner_origin_analytic", "g2_minus_g1sq"],
-            rows,
-        ),
+    return _csv(
+        ["eta", "wigner_origin_numeric", "wigner_origin_analytic", "g2_minus_g1sq"], rows
     )
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> str:
     f = _filter_from_args(args)
     if args.theorem == 1:
         v = tl.classify_filter_bs(f, trials=args.trials, seed=args.seed)
@@ -209,23 +187,19 @@ def cmd_verify(args) -> int:
             else _fmt_complex(v.witness_beta),
             "max_residual": v.max_deviation,
         }
-    _write(args, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_classical(args) -> int:
-    ens = _load_ensemble(args.ensemble)
+def cmd_classical(args) -> str:
+    ens = cf.load_ensemble(_read_json(args.ensemble))
     if args.op == "beamsplit":
-        bs = cf.BeamSplitterParams(args.t, args.r)
-        out = cf.ensemble_beamsplit(ens, bs)
-        _write(args, json.dumps(cf.save_ensemble(out)) + "\n")
+        out = cf.ensemble_beamsplit(ens, cf.BeamSplitterParams(args.t, args.r))
     elif args.op == "attenuate":
         out = cf.classical_attenuate(ens, args.t)
-        _write(args, json.dumps(cf.save_ensemble(out)) + "\n")
     else:  # moments
         val = cf.classical_moments(ens, args.m, args.n)
-        _write(args, json.dumps({"m": args.m, "n": args.n, **_fmt_complex(val)}) + "\n")
-    return 0
+        return json.dumps({"m": args.m, "n": args.n, **_fmt_complex(val)}) + "\n"
+    return json.dumps(cf.save_ensemble(out)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,15 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charfunc", help="characteristic-function lattice as CSV")
     p.add_argument("--state", required=True)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--filter", help="filter JSON file (overrides --s)")
     p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
     p.set_defaults(func=cmd_charfunc)
 
     p = sub.add_parser("quasiprob", help="quasiprobability grid as CSV")
     p.add_argument("--state", required=True)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--filter", help="filter JSON file (overrides --s)")
     p.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID, help="alpha extent:steps")
     p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
     p.set_defaults(func=cmd_quasiprob)
@@ -283,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a covariance verification suite")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--filter", help="filter JSON file (overrides --s)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
@@ -298,6 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_classical)
 
+    for name in ("charfunc", "quasiprob", "verify"):
+        sub.choices[name].add_argument("--s", type=float, default=0.0)
+        sub.choices[name].add_argument("--filter", help="filter JSON file (overrides --s)")
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
@@ -307,11 +278,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
     except DomainError as exc:
         json.dump({"error": exc.name, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def entry():

@@ -223,8 +223,9 @@ def level_occupations(rho: DensityMatrix) -> np.ndarray:
 
 
 def effective_dim(occ: np.ndarray, floor: float = OCCUPATION_FLOOR) -> int:
-    """Highest level above ``floor`` plus one, from one row of ``level_occupations``."""
-    nz = np.nonzero(occ > floor)[0]
+    """Highest level above ``floor`` plus one, from one row of ``level_occupations``;
+    a NaN level counts as occupied, so the NaN reaches the result."""
+    nz = np.nonzero(~(occ <= floor))[0]
     return int(nz[-1]) + 1 if nz.size else 1
 
 
@@ -238,9 +239,12 @@ def normal_moment(rho: DensityMatrix, m: int, n: int) -> complex:
         raise CutoffTooSmall(
             f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {rho.cutoff}"
         )
-    a = annihilation(rho.dim)
-    op = np.linalg.matrix_power(a.conj().T, m) @ np.linalg.matrix_power(a, n)
-    return complex(np.trace(rho.entries @ op))
+    # (a^dag)^m a^n |i> = sqrt(i! k!) / (i-n)! |k>, k = i - n + m; the truncated
+    # a^dag sends it to zero when k >= dim
+    i = np.arange(n, min(rho.dim, rho.dim + n - m))
+    k = i - n + m
+    coef = np.exp(0.5 * (gammaln(i + 1) + gammaln(k + 1)) - gammaln(i - n + 1))
+    return complex(rho.entries[i, k] @ coef)
 
 
 def displacement_element(m: int, n: int, beta: complex) -> complex:

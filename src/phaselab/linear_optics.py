@@ -17,9 +17,9 @@ from .errors import (
     NonFiniteArgument,
     TrustRadiusExceeded,
 )
-from .fock_core import LEAKAGE_TOL, DensityMatrix, make_fock, tensor
+from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, level_occupations
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
-from .quasiprob_engine import CharFuncGrid, lattice
+from .quasiprob_engine import CharFuncGrid
 
 
 def _blocks(dim: int, bs: BeamSplitterParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -119,30 +119,25 @@ def partial_trace(rho12: DensityMatrix, keep: int) -> DensityMatrix:
     return DensityMatrix(d, red, leakage=rho12.leakage)
 
 
-def attenuate(rho: DensityMatrix, eta: float, route: str = "kraus") -> DensityMatrix:
+def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Vacuum loss channel with efficiency eta = |t|^2.
 
-    route="kraus" applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 =
+    Applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 =
     C(n+k, k) eta^n (1-eta)^k, band by band: A_k rho A_k^T is outer(w[k], w[k]) times
-    rho[k:, k:] in the top-left corner, O(dim^3) in all. route="beamsplitter" tensors
-    a vacuum ancilla, applies the t = sqrt(eta) splitter and traces out the ancilla.
-    Both routes agree entrywise.
+    rho[k:, k:] in the top-left corner, O(dim^3) in all; the bands k above the highest
+    stored level are zero and skipped. It equals the splitter t = sqrt(eta) acting on
+    rho and a vacuum ancilla, with the ancilla traced out.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("attenuate expects a single-mode state")
     if not 0 <= eta <= 1:
         raise GainNotAllowed(f"eta = {eta} must lie in [0, 1]")
-    if route == "beamsplitter":
-        joint = tensor(rho, make_fock(0, rho.cutoff))
-        bs = BeamSplitterParams(sqrt(eta), sqrt(1 - eta))
-        return partial_trace(apply_beamsplitter(joint, bs), keep=1)
-    if route != "kraus":
-        raise ValueError(f"unknown route {route!r}")
     d = rho.dim
-    k, n = np.arange(d)[:, None], np.arange(d)
+    bands = effective_dim(level_occupations(rho)[0], floor=0.0)
+    k, n = np.arange(bands)[:, None], np.arange(d)
     w = np.sqrt(binom(n + k, k) * eta**n * (1 - eta) ** k)
     out = np.zeros_like(rho.entries)
-    for j in range(d):
+    for j in range(bands):
         out[: d - j, : d - j] += np.outer(w[j, : d - j], w[j, : d - j]) * rho.entries[j:, j:]
     return DensityMatrix(d, out, leakage=rho.leakage)
 
@@ -155,11 +150,11 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     interpolating the sampled grid would mask the equalities this map is
     used to test.
     """
-    if cf12.n_modes != 2:
+    if cf12.values.ndim != 4:
         raise DimensionMismatch("pullback expects a two-mode grid")
     if cf12.source is None:
         raise DimensionMismatch("pullback needs the grid's source state")
-    _, betas = lattice(cf12.extent, len(cf12.axis))
+    betas = cf12.axis + 1j * cf12.axis[:, None]
     b3 = betas[:, :, None, None]
     b4 = betas[None, None, :, :]
     m = bs.matrix().conj()
@@ -169,9 +164,7 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
         values = two_mode_charfunc(cf12.source, cf12.filter, arg1, arg2)
     except CutoffTooSmall as exc:
         raise TrustRadiusExceeded(str(exc)) from exc
-    return CharFuncGrid(
-        cf12.axis, values, cf12.filter, 2, cf12.source, cf12.extent, cf12.step
-    )
+    return CharFuncGrid(cf12.axis, values, cf12.filter, cf12.source)
 
 
 def attenuate_charfunc(

@@ -13,7 +13,6 @@ from functools import lru_cache
 from math import pi
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, SingularPFunction
 from .fock_core import (
@@ -45,23 +44,20 @@ class CharFuncGrid:
     axis: np.ndarray
     values: np.ndarray
     filter: FilterSpec
-    n_modes: int
     source: DensityMatrix | None
-    extent: float
-    step: float
 
 
 @dataclass(frozen=True)
 class QuasiProbGrid:
-    """Real quasiprobability samples P_Omega(alpha) on a square lattice."""
+    """Real quasiprobability samples P_Omega(alpha) on a square lattice;
+    ``source`` is the state the samples were computed from."""
 
     axis: np.ndarray
     values: np.ndarray
     filter: FilterSpec
+    source: DensityMatrix | None
     volume_integral: float
     imag_residue: float
-    extent: float
-    step: float
 
     def at_origin(self) -> float:
         i = int(np.argmin(np.abs(self.axis)))
@@ -85,9 +81,7 @@ def charfunc_grid(
 ) -> CharFuncGrid:
     """Evaluate Phi_Omega on a square beta lattice."""
     axis, betas = lattice(extent, points)
-    values = filtered_charfunc(rho, f, betas)
-    step = float(axis[1] - axis[0])
-    return CharFuncGrid(axis, values, f, 1, rho, extent, step)
+    return CharFuncGrid(axis, filtered_charfunc(rho, f, betas), f, rho)
 
 
 def two_mode_charfunc_grid(
@@ -100,9 +94,7 @@ def two_mode_charfunc_grid(
     axis, betas = lattice(extent, points)
     b3 = betas[:, :, None, None]
     b4 = betas[None, None, :, :]
-    values = two_mode_charfunc(rho12, f, b3, b4)
-    step = float(axis[1] - axis[0])
-    return CharFuncGrid(axis, values, f, 2, rho12, extent, step)
+    return CharFuncGrid(axis, two_mode_charfunc(rho12, f, b3, b4), f, rho12)
 
 
 @lru_cache(maxsize=16)
@@ -127,15 +119,17 @@ def quasiprob_transform(
     alpha_points: int = 129,
 ) -> QuasiProbGrid:
     """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}."""
-    if cf.n_modes != 1:
+    if cf.values.ndim != 2:
         raise DimensionMismatch("transform supports single-mode grids")
-    if alpha_points < 2 or not 0 < alpha_extent < np.inf:
+    if len(cf.axis) < 2 or alpha_points < 2 or not 0 < alpha_extent < np.inf:
         raise GridTooCoarse(
-            f"alpha grid {alpha_extent}:{alpha_points} needs extent > 0 and at least 2 steps"
+            f"beta grid of {len(cf.axis)} points, alpha grid {alpha_extent}:{alpha_points}: "
+            "both need at least 2 steps and the alpha extent must be > 0"
         )
-    if cf.step > pi / (2 * alpha_extent):
+    step = float(cf.axis[1] - cf.axis[0])
+    if step > pi / (2 * alpha_extent):
         raise GridTooCoarse(
-            f"beta step {cf.step:.4f} exceeds the Nyquist bound "
+            f"beta step {step:.4f} exceeds the Nyquist bound "
             f"{pi / (2 * alpha_extent):.4f} for extent {alpha_extent}"
         )
     s = cf.filter.as_s()
@@ -151,7 +145,6 @@ def quasiprob_transform(
     alpha_axis, m1, m2 = _transform_kernels(
         np.asarray(cf.axis, dtype=float).tobytes(), float(alpha_extent), int(alpha_points)
     )
-    step = cf.step
     p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
     residue = float(np.max(np.abs(p.imag)))
     if residue > IMAG_RESIDUE_TOL:
@@ -161,9 +154,7 @@ def quasiprob_transform(
     values = np.ascontiguousarray(p.real)
     d_alpha = float(alpha_axis[1] - alpha_axis[0])
     volume = float(values.sum() * d_alpha**2)
-    return QuasiProbGrid(
-        alpha_axis, values, cf.filter, volume, residue, alpha_extent, d_alpha
-    )
+    return QuasiProbGrid(alpha_axis, values, cf.filter, cf.source, volume, residue)
 
 
 def q_function(rho: DensityMatrix, alpha):
@@ -225,27 +216,23 @@ def attenuated_photon_wigner(eta: float, alpha):
 def quadrature_distribution(
     wigner: QuasiProbGrid, phase: float
 ) -> list[tuple[float, float]]:
-    """Marginal of a Wigner grid along the direction orthogonal to `phase`."""
+    """Exact marginal <x|rho|x> of the quadrature x = Re(alpha e^{-i phase}) on the
+    grid's axis, with rho the state the s = 0 grid was computed from.
+
+    It is sum_mn rho_mn psi_m(x) psi_n(x) e^{i(n-m) phase}, with psi_n the Hermite
+    functions of variance-1/4 quadratures from their three-term recurrence.
+    """
     if wigner.filter.as_s() != 0:
         raise DimensionMismatch("quadrature marginal requires an s = 0 grid")
-    if wigner.step > 0.1:
-        raise GridTooCoarse(
-            f"alpha step {wigner.step:.3f} too coarse for a normalized marginal"
-        )
-    axis = wigner.axis
-    if phase == 0.0:
-        dens = wigner.values.sum(axis=0) * wigner.step
-    else:
-        interp = RegularGridInterpolator(
-            (axis, axis),
-            wigner.values,
-            method="cubic",
-            bounds_error=False,
-            fill_value=0.0,
-        )
-        rot = np.exp(1j * phase)
-        x, u = np.meshgrid(axis, axis)  # x: quadrature, u: integration direction
-        pts = (x + 1j * u) * rot
-        dens = interp(np.stack([pts.imag.ravel(), pts.real.ravel()], axis=-1))
-        dens = dens.reshape(x.shape).sum(axis=0) * wigner.step
-    return [(float(x), float(p)) for x, p in zip(axis, dens)]
+    rho = wigner.source
+    if rho is None:
+        raise DimensionMismatch("quadrature marginal needs the grid's source state")
+    d = effective_dim(level_occupations(rho)[0], floor=0.0)  # every stored entry counts
+    x = wigner.axis
+    psi = np.zeros((d, x.size))
+    psi[0] = (2 / pi) ** 0.25 * np.exp(-x * x)
+    for n in range(1, d):  # at n = 1 the row psi[-1] is still zero
+        psi[n] = (2 * x * psi[n - 1] - np.sqrt(n - 1) * psi[n - 2]) / np.sqrt(n)
+    v = psi * np.exp(-1j * phase * np.arange(d))[:, None]
+    dens = (v * (rho.entries[:d, :d] @ v.conj())).sum(axis=0).real
+    return list(zip(x.tolist(), dens.tolist()))

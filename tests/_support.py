@@ -25,3 +25,14 @@ def random_coherent_ensemble(rng, n_samples=4, radius=1.5):
     w = rng.uniform(0.1, 1.0, size=n_samples)
     w /= w.sum()
     return ClassicalEnsemble.single(zip(amps, w))
+
+
+def ancilla_attenuate(rho, eta):
+    """The loss channel as a t = sqrt(eta) splitter on rho and a vacuum ancilla,
+    with the ancilla traced out: the oracle for ``attenuate``."""
+    from phaselab.classical_fields import BeamSplitterParams
+    from phaselab.linear_optics import apply_beamsplitter, partial_trace
+
+    joint = fc.tensor(rho, fc.make_fock(0, rho.cutoff))
+    bs = BeamSplitterParams(np.sqrt(eta), np.sqrt(1 - eta))
+    return partial_trace(apply_beamsplitter(joint, bs), keep=1)

@@ -21,7 +21,7 @@ from phaselab.linear_optics import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import random_coherent_ensemble, random_density
+from _support import ancilla_attenuate, random_coherent_ensemble, random_density
 
 CUTOFF = 20
 
@@ -127,8 +127,8 @@ class TestAcceptance:
         worst_att = 0.0
         for eta in (0.2, 0.5, 0.9):
             rho = random_density(12, occupied=8, rng=rng)
-            k = attenuate(rho, eta, route="kraus")
-            b = attenuate(rho, eta, route="beamsplitter")
+            k = attenuate(rho, eta)
+            b = ancilla_attenuate(rho, eta)
             worst_att = max(worst_att, float(np.max(np.abs(k.entries - b.entries))))
         ok = worst_bs <= 1e-8 and worst_att <= 1e-10
         report(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from phaselab import fock_core as fc
@@ -124,6 +126,22 @@ class TestNormalMoments:
     def test_headroom_precondition(self):
         with pytest.raises(CutoffTooSmall):
             fc.normal_moment(fc.make_fock(0, 4), 2, 2)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(11, 21),
+        occupied=st.integers(1, 21),
+        m=st.integers(0, 4),
+        n=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ladder_product(self, seed, dim, occupied, m, n):
+        # the truncated-algebra product, with the a^dag that drops the top level
+        rho = random_density(dim, occupied=min(occupied, dim), rng=np.random.default_rng(seed))
+        a = fc.annihilation(dim)
+        op = np.linalg.matrix_power(a.conj().T, m) @ np.linalg.matrix_power(a, n)
+        want = np.trace(rho.entries @ op)
+        assert abs(fc.normal_moment(rho, m, n) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestDisplacementElement:

@@ -19,7 +19,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
 
-from _support import random_density
+from _support import ancilla_attenuate, random_density
 
 SQ2 = 1 / np.sqrt(2)
 S0 = FilterSpec.s_param(0.0)
@@ -189,11 +189,18 @@ class TestAttenuate:
         dim = min(occupied + headroom, 21)
         base = random_density(dim, occupied=occupied, rng=np.random.default_rng(seed))
         rho = fc.DensityMatrix(dim, base.entries, leakage=leakage)
-        k = lo.attenuate(rho, eta, route="kraus")
-        b = lo.attenuate(rho, eta, route="beamsplitter")
+        k = lo.attenuate(rho, eta)
+        b = ancilla_attenuate(rho, eta)
         assert np.max(np.abs(k.entries - b.entries)) <= 1e-12
         # the vacuum ancilla fills only the complete blocks: nothing is lost
         assert b.leakage == rho.leakage
+
+    def test_nan_level_reaches_output(self):
+        # a level whose row holds a NaN is not skipped as an empty band
+        entries = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        entries[3, 3] = np.nan
+        out = lo.attenuate(fc.DensityMatrix(4, entries), 0.5)
+        assert np.isnan(out.entries[0, 0])
 
     def test_gain_rejected(self):
         with pytest.raises(GainNotAllowed):
@@ -273,9 +280,7 @@ class TestPullbackCharfunc:
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1e-5, points=3)
         with pytest.raises(TrustRadiusExceeded):
             lo.pullback_charfunc(
-                lo.CharFuncGrid(
-                    cf.axis, cf.values, cf.filter, 2, cf.source, 4.0, cf.step
-                ),
+                lo.CharFuncGrid(np.linspace(-4, 4, 3), cf.values, cf.filter, cf.source),
                 BeamSplitterParams(SQ2, SQ2),
             )
 

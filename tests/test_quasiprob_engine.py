@@ -1,15 +1,18 @@
+from dataclasses import replace
 from math import comb, factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_hermite
 
 from phaselab import fock_core as fc
 from phaselab import quasiprob_engine as qe
 from phaselab.linear_optics import attenuate
 from phaselab.errors import (
     CutoffTooSmall,
+    DimensionMismatch,
     GridTooCoarse,
     NonFiniteArgument,
     SingularPFunction,
@@ -58,6 +61,11 @@ class TestTransform:
         cf = qe.charfunc_grid(fc.make_fock(0, 20), S0)
         with pytest.raises(GridTooCoarse):
             qe.quasiprob_transform(cf, extent, points)
+
+    def test_one_point_beta_lattice(self):
+        cf = qe.charfunc_grid(fc.make_fock(0, 20), S0, extent=6.0, points=1)
+        with pytest.raises(GridTooCoarse):
+            qe.quasiprob_transform(cf)
 
     def test_volume_integral(self):
         for rho in [fc.make_fock(0, 20), fc.make_fock(1, 20), fc.make_thermal(0.8, 40)]:
@@ -206,7 +214,7 @@ class TestPointwise:
         # a state on more levels keeps more weight: on 4 levels they are ~3e-10 off
         rho = random_density(8, occupied=occupied, rng=np.random.default_rng(seed))
         grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(-0.5)))
-        _, alphas = qe.lattice(grid.extent, len(grid.axis))
+        alphas = grid.axis + 1j * grid.axis[:, None]
         got = qe.quasiprob_pointwise(rho, alphas, -0.5)
         assert np.max(np.abs(got - grid.values)) <= 1e-10
 
@@ -297,3 +305,38 @@ class TestQuadratureDistribution:
         xs = np.array([x for x, _ in dist])
         ps = np.array([p for _, p in dist])
         assert ps.sum() * (xs[1] - xs[0]) == pytest.approx(1.0, abs=1e-3)
+
+    @given(
+        state=st.one_of(
+            st.integers(0, 10).map(lambda n: ("fock", n)),
+            disk(2.0).map(lambda a: ("coherent", a)),
+            st.floats(0.0, 1.0).map(lambda nbar: ("thermal", nbar)),
+        ),
+        phase=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_forms(self, state, phase):
+        # on a 33-point axis (step 0.25): the marginal is exact at any step
+        kind, par = state
+        x = np.linspace(-4.0, 4.0, 33)
+        if kind == "fock":
+            rho = fc.make_fock(par, 40)
+            hn = eval_hermite(par, np.sqrt(2) * x)
+            expected = np.sqrt(2 / np.pi) * hn**2 * np.exp(-2 * x**2) / (2**par * factorial(par))
+        elif kind == "coherent":
+            rho = fc.make_coherent(par, 40)
+            mean = (par * np.exp(-1j * phase)).real
+            expected = np.sqrt(2 / np.pi) * np.exp(-2 * (x - mean) ** 2)
+        else:
+            rho = fc.make_thermal(par, 40)
+            var = (2 * par + 1) / 4
+            expected = np.exp(-(x**2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+        grid = qe.quasiprob_transform(qe.charfunc_grid(rho, S0, 6.0, 32), 4.0, 33)
+        dist = qe.quadrature_distribution(grid, phase)
+        assert np.array_equal([u for u, _ in dist], x)
+        assert np.max(np.abs(np.array([p for _, p in dist]) - expected)) <= 1e-12
+
+    def test_grid_without_source_rejected(self):
+        grid = replace(wigner_grid(fc.make_fock(0, 20)), source=None)
+        with pytest.raises(DimensionMismatch):
+            qe.quadrature_distribution(grid, 0.3)
