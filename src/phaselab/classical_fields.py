@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     GainNotAllowed,
     InvalidWeights,
+    MalformedFile,
     NonUnitaryBeamSplitter,
 )
 from .fock_core import require_finite
@@ -176,8 +177,12 @@ def load_ensemble(obj: dict | str) -> ClassicalEnsemble:
     """Inverse of save_ensemble; without "n_modes", samples that carry "re1" are two-mode."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    samples = obj["samples"]
-    two_mode = obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0])
-    suffixes = ("1", "2") if two_mode else ("",)
-    amps = [[complex(s["re" + c], s["im" + c]) for c in suffixes] for s in samples]
-    return ClassicalEnsemble(amps, [s["w"] for s in samples])
+    try:
+        samples = obj["samples"]
+        two_mode = obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0])
+        suffixes = ("1", "2") if two_mode else ("",)
+        amps = [[complex(s["re" + c], s["im" + c]) for c in suffixes] for s in samples]
+        weights = [float(s["w"]) for s in samples]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"not an ensemble record: {type(exc).__name__}: {exc}") from None
+    return ClassicalEnsemble(amps, weights)

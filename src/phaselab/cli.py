@@ -7,8 +7,11 @@ on stderr with exit code 1; usage errors exit with 2.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from . import linear_optics as lo
 from . import nonclassicality as nc
 from . import quasiprob_engine as qe
 from . import theorem_lab as tl
-from .errors import DomainError
+from .errors import DomainError, MalformedFile
 from .phase_filters import FilterSpec, filter_from_json
 
 DEFAULT_CUTOFF = 20
@@ -52,7 +55,10 @@ def _complex_arg(text: str) -> complex:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedFile(f"{path} is not JSON: {exc}") from None
 
 
 def _load_state(path: str) -> fc.DensityMatrix:
@@ -76,11 +82,11 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _state_json(rho: fc.DensityMatrix) -> str:
-    return json.dumps(fc.save_state(rho)) + "\n"
+def _state_json(rho: fc.DensityMatrix) -> Iterator[str]:
+    return itertools.chain(fc.state_json_chunks(rho), ("\n",))
 
 
-def cmd_state(args) -> str:
+def cmd_state(args) -> Iterator[str]:
     if args.fock is not None:
         rho = fc.make_fock(args.fock, args.cutoff)
     elif args.coherent is not None:
@@ -118,14 +124,14 @@ def cmd_quasiprob(args) -> str:
     return _csv(["re_alpha", "im_alpha", "value"], rows)
 
 
-def cmd_beamsplit(args) -> str:
+def cmd_beamsplit(args) -> Iterator[str]:
     rho1 = _load_state(args.state1)
     rho2 = _load_state(args.state2)
     bs = cf.BeamSplitterParams(args.t, args.r)
     return _state_json(lo.apply_beamsplitter(fc.tensor(rho1, rho2), bs))
 
 
-def cmd_attenuate(args) -> str:
+def cmd_attenuate(args) -> Iterator[str]:
     return _state_json(lo.attenuate(_load_state(args.state), args.eta))
 
 
@@ -202,7 +208,9 @@ def cmd_classical(args) -> str:
     return json.dumps(cf.save_ensemble(out)) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Phase-space toolbox for classical and quantum light.",
@@ -283,11 +291,13 @@ def main(argv=None) -> int:
         json.dump({"error": exc.name, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    # a state file comes in chunks, written as they are made
+    chunks = [text] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

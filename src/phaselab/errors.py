@@ -19,6 +19,11 @@ class NonFiniteArgument(DomainError):
     """An amplitude or displacement argument is NaN or infinite."""
 
 
+class MalformedFile(DomainError):
+    """A state, ensemble or filter record is not JSON, lacks a field or holds a value
+    of the wrong type."""
+
+
 class DimensionMismatch(DomainError):
     """Operands live on incompatible Fock spaces."""
 

@@ -8,13 +8,20 @@ order with mode 1 as the slow index.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, xlogy
 
-from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, NonFiniteArgument
+from .errors import (
+    CutoffTooSmall,
+    DimensionMismatch,
+    InvalidWeights,
+    MalformedFile,
+    NonFiniteArgument,
+)
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
@@ -274,13 +281,64 @@ def save_state(rho: DensityMatrix) -> dict:
     }
 
 
+def _vocabulary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``repr`` of each distinct nonzero magnitude of a finite float array, after "0.0",
+    as an object array, and the index of each entry's magnitude in it. None when more
+    than three quarters of the nonzero entries have distinct magnitudes: then the
+    lookups cost more than the ``repr`` calls they save."""
+    nz = a != 0
+    mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
+    if 4 * mags.size > 3 * inv.size:
+        return None
+    code = np.zeros(a.shape, dtype=np.intp)
+    code[nz] = inv + 1
+    return np.array(["0.0", *map(float.__repr__, mags.tolist())], dtype=object), code
+
+
+def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
+    """``json.dumps(a.tolist())`` for a finite 2-D float array, one chunk per row. A
+    row's negative entries, -0.0 included, get their "-" as the row is made, so the
+    signed words of one row at a time are held besides the vocabulary."""
+    vocabulary = _vocabulary(a)
+    if vocabulary is None:
+        yield json.dumps(a.tolist())
+        return
+    words, code = vocabulary
+    for i, (c, neg) in enumerate(zip(code, np.signbit(a))):
+        row = words[c].tolist()
+        for j in np.flatnonzero(neg).tolist():
+            row[j] = "-" + row[j]
+        yield ("], [" if i else "[[") + ", ".join(row)
+    yield "]]"
+
+
+def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
+    """The text of ``json.dumps(save_state(rho))``, exactly, in chunks of about one
+    matrix row; where magnitudes repeat, each distinct one is formatted once. A NaN
+    or infinite entry or leakage raises NonFiniteArgument on the call, before any
+    chunk is made. The words of ``im`` are made after the last chunk of ``re``, so a
+    caller that writes each chunk as it comes never holds the whole text."""
+    e = require_finite(rho.entries, "state entries")
+    require_finite(rho.leakage, "leakage")
+    return _state_chunks(rho, e)
+
+
+def _state_chunks(rho: DensityMatrix, e: np.ndarray) -> Iterator[str]:
+    yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}, "re": '
+    yield from _matrix_chunks(e.real)
+    yield ', "im": '
+    yield from _matrix_chunks(e.imag)
+    yield f', "leakage": {json.dumps(rho.leakage)}}}'
+
+
 def load_state(obj: dict | str) -> DensityMatrix:
     """Inverse of save_state; the state must pass validate()."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return _checked(
-        DensityMatrix(
-            int(obj["dim"]), entries, int(obj.get("n_modes", 1)), float(obj.get("leakage", 0.0))
-        )
-    )
+    try:
+        entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        dim, n_modes = int(obj["dim"]), int(obj.get("n_modes", 1))
+        leakage = float(obj.get("leakage", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"not a state record: {type(exc).__name__}: {exc}") from None
+    return _checked(DensityMatrix(dim, entries, n_modes, leakage))

@@ -77,7 +77,8 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
     """Schroedinger picture U rho U^dag on a two-mode state, truncated to the cutoff.
 
     Applied block by block: a pass over the rows of each photon-number
-    block, then one over its columns. The probability the splitter moves
+    block, then one over its columns, and the mean of the result and its
+    adjoint, so that it is exactly Hermitian. The probability the splitter moves
     past the cutoff, which only the blocks with N >= dim can lose, is added
     to ``leakage``; above ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
     """
@@ -95,6 +96,10 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
     out = np.empty_like(rho)
     for idx, block in blocks:
         out[:, idx] = half[:, idx] @ block.conj().T
+    # the mean with the adjoint: out[j, i] is then the exact conjugate of out[i, j], and
+    # a state file holds each magnitude twice, formatted once
+    out += out.conj().T
+    out *= 0.5
     incomplete = np.add.outer(np.arange(d), np.arange(d)).ravel() >= d
     lost = max(0.0, float((rho.diagonal() - out.diagonal())[incomplete].real.sum()))
     if lost > LEAKAGE_TOL:

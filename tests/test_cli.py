@@ -10,6 +10,7 @@ import pytest
 import phaselab
 from phaselab import cli
 from phaselab import fock_core as fc
+from phaselab import linear_optics as lo
 
 
 def run(capsys, *argv):
@@ -107,6 +108,24 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["report", "--state"], '{"dim": 2, "re": [[1, 0], [0, 0]]}'),
+            (["report", "--state"], "[1, 2]"),
+            (["report", "--state"], '{"dim": 2,'),
+            (["classical", "--op", "moments", "--ensemble"], '{"amplitudes": [[1.0]]}'),
+            (["classical", "--op", "moments", "--ensemble"], '{"samples": [{"re": 1.0}]}'),
+            (["verify", "--theorem", "1", "--trials", "2", "--filter"], '{"coeffs": [{"k": 1}]}'),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "MalformedFile"
+
     def test_module_hook(self):
         src = str(Path(phaselab.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -183,6 +202,52 @@ class TestPipelines:
         lines = out.strip().split("\n")
         assert lines[0] == "re_beta,im_beta,re_value,im_value"
         assert len(lines) == 1 + 81
+
+
+class TestStateFiles:
+    @pytest.mark.parametrize(
+        "argv, rho",
+        [
+            (["--fock", "1"], fc.make_fock(1, 20)),
+            (["--coherent", "0.7-0.2j", "--cutoff", "15"], fc.make_coherent(0.7 - 0.2j, 15)),
+            (["--thermal", "0.3", "--cutoff", "30"], fc.make_thermal(0.3, 30)),
+        ],
+    )
+    def test_state_is_json_dumps(self, capsys, argv, rho):
+        code, out, _ = run(capsys, "state", *argv)
+        assert code == 0
+        assert out == json.dumps(fc.save_state(rho)) + "\n"
+
+    def test_attenuate_is_json_dumps(self, tmp_path):
+        state = write_state(tmp_path, "a.json", "state", "--coherent", "0.6+0.5j")
+        out = write_state(tmp_path, "att.json", "attenuate", "--state", state, "--eta", "0.37")
+        want = lo.attenuate(fc.load_state(json.loads(Path(state).read_text())), 0.37)
+        assert Path(out).read_text() == json.dumps(fc.save_state(want)) + "\n"
+
+    def test_beamsplit_output_is_hermitian(self, tmp_path):
+        s1 = write_state(tmp_path, "a.json", "state", "--coherent", "0.8", "--cutoff", "12")
+        s2 = write_state(tmp_path, "b.json", "state", "--thermal", "0.1", "--cutoff", "12")
+        out = write_state(
+            tmp_path, "q.json", "beamsplit", "--state1", s1, "--state2", s2,
+            "--t", "0.6", "--r", "0.8j",
+        )
+        text = Path(out).read_text()
+        rho = fc.load_state(json.loads(text))
+        assert np.array_equal(rho.entries, rho.entries.conj().T)
+        assert text == json.dumps(fc.save_state(rho)) + "\n"
+
+
+class TestParser:
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        assert cli.main(["state", "--fock", "1", "--out", str(path)]) == 0
+        code, out, err = run(capsys, "figure3", "--eta-steps", "3")
+        assert code == 0 and err == ""
+        assert out.startswith("eta,") and len(out.splitlines()) == 4
+        assert fc.load_state(json.loads(path.read_text())).entries[1, 1] == 1.0
+        args = cli.build_parser().parse_args(["figure3", "--eta-steps", "3"])
+        assert args.out is None and not hasattr(args, "fock")
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestFigure3:

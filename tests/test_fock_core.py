@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from phaselab import fock_core as fc
-from phaselab.errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, NonFiniteArgument
+from phaselab.errors import (
+    CutoffTooSmall,
+    DimensionMismatch,
+    InvalidWeights,
+    MalformedFile,
+    NonFiniteArgument,
+)
 
 from _support import random_density
 
@@ -276,3 +284,78 @@ class TestStateIO:
         back = fc.load_state(fc.save_state(rho))
         assert back.n_modes == 2
         assert np.allclose(back.entries, rho.entries)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim": 2, "re": [[1, 0], [0, 0]]},
+            [1, 2],
+            {"dim": "two", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "leakage": [0]},
+        ],
+    )
+    def test_malformed_record(self, obj):
+        with pytest.raises(MalformedFile):
+            fc.load_state(obj)
+
+
+# signed zeros, the smallest subnormal, values next to the largest double and
+# magnitudes that occur with both signs
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, -0.1, 1 / 3, -1 / 3, 1.0, -1.0,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestStateJsonChunks:
+    @given(
+        dim=st.integers(1, 4),
+        n_modes=st.sampled_from([1, 2]),
+        leakage=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([5e-324, 1e-11])),
+        pool=st.one_of(st.none(), st.lists(FINITE, min_size=1, max_size=4)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, dim, n_modes, leakage, pool, data):
+        # with a pool, entries repeat a few magnitudes with either sign and take the
+        # lookup route; without one, most entries differ and take json.dumps
+        side = dim**n_modes
+        if pool is None:
+            value = FINITE
+        else:
+            signed = st.tuples(st.sampled_from(pool), st.booleans())
+            value = signed.map(lambda vf: -vf[0] if vf[1] else vf[0])
+        parts = [data.draw(st.lists(value, min_size=side**2, max_size=side**2)) for _ in "ri"]
+        re, im = (np.reshape(p, (side, side)) for p in parts)
+        rho = fc.DensityMatrix(dim, re + 1j * im, n_modes, leakage)
+        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
+    def test_route_follows_repetition(self):
+        distinct = np.arange(1.0, 17.0).reshape(4, 4)
+        assert fc._vocabulary(distinct) is None
+        assert fc._vocabulary(distinct - distinct.T) is not None
+        assert fc._vocabulary(np.zeros((4, 4))) is not None
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            fc.make_coherent(0.9 - 0.4j, 12),
+            fc.make_thermal(0.1, 12),
+            random_density(9, occupied=6),
+            fc.tensor(fc.make_coherent(0.3j, 8), fc.make_thermal(0.05, 8)),
+        ],
+    )
+    def test_built_states(self, rho):
+        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_entry(self, bad, part):
+        e = fc.make_fock(0, 3).entries.copy()
+        getattr(e, part)[2, 1] = bad
+        with pytest.raises(NonFiniteArgument):
+            fc.state_json_chunks(fc.DensityMatrix(4, e))
+
+    def test_non_finite_leakage(self):
+        with pytest.raises(NonFiniteArgument):
+            fc.state_json_chunks(fc.DensityMatrix(1, [[1.0]], leakage=float("nan")))

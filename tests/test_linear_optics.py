@@ -120,6 +120,34 @@ class TestHongOuMandel:
             self.split(n, cutoff)
 
 
+class TestHermitianOutput:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        theta=st.floats(0.0, np.pi / 2),
+        phases=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exactly_hermitian(self, seed, dim, theta, phases):
+        # two-mode states on levels < dim/2 per mode lose nothing past the cutoff
+        occupied = max(1, (dim + 1) // 2)
+        rng = np.random.default_rng(seed)
+        rho = fc.tensor(
+            *(random_density(dim, occupied=occupied, rng=rng) for _ in range(2))
+        )
+        t, r = np.cos(theta) * np.exp(1j * phases[0]), np.sin(theta) * np.exp(1j * phases[1])
+        out = lo.apply_beamsplitter(rho, BeamSplitterParams(t, r, phases[2])).entries
+        assert np.array_equal(out, out.conj().T)
+        assert np.array_equal(np.signbit(out.real), np.signbit(out.real.T))
+
+    def test_coherent_pair_bits(self):
+        a = fc.make_coherent(0.79 * np.exp(0.3j), 20)
+        b = fc.make_coherent(0.8 * np.exp(2.1j), 20)
+        out = lo.apply_beamsplitter(fc.tensor(a, b), BeamSplitterParams(0.6, 0.8j)).entries
+        assert np.array_equal(out.real, out.real.T)
+        assert np.array_equal(out.imag, -out.imag.T)
+
+
 class TestNonFiniteState:
     # DensityMatrix does not validate, so a NaN can reach the splitter; one in a
     # complete block never enters the lost probability, which used to read 0
