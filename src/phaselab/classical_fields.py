@@ -175,9 +175,9 @@ def save_ensemble(ens: ClassicalEnsemble) -> dict:
 
 def load_ensemble(obj: dict | str) -> ClassicalEnsemble:
     """Inverse of save_ensemble; without "n_modes", samples that carry "re1" are two-mode."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         samples = obj["samples"]
         two_mode = obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0])
         suffixes = ("1", "2") if two_mode else ("",)

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Every subcommand writes a single file (JSON or CSV) to --out, defaulting to
-stdout. Domain errors are reported as a JSON envelope {"error", "detail"}
-on stderr with exit code 1; usage errors exit with 2.
+stdout; its ``cmd_*`` function returns the file's text as an iterable of str.
+Domain errors are reported as a JSON envelope {"error", "detail"} on stderr
+with exit code 1; usage errors exit with 2.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -75,18 +76,22 @@ def _fmt_complex(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(header: list[str], rows) -> tuple[str]:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.15g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
-def _state_json(rho: fc.DensityMatrix) -> Iterator[str]:
+def _json(payload, indent=None) -> tuple[str]:
+    return (json.dumps(payload, indent=indent) + "\n",)
+
+
+def _state_json(rho: fc.DensityMatrix) -> Iterable[str]:
     return itertools.chain(fc.state_json_chunks(rho), ("\n",))
 
 
-def cmd_state(args) -> Iterator[str]:
+def cmd_state(args) -> Iterable[str]:
     if args.fock is not None:
         rho = fc.make_fock(args.fock, args.cutoff)
     elif args.coherent is not None:
@@ -96,7 +101,7 @@ def cmd_state(args) -> Iterator[str]:
     return _state_json(rho)
 
 
-def cmd_charfunc(args) -> str:
+def cmd_charfunc(args) -> Iterable[str]:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
     extent, points = args.beta_grid
@@ -111,7 +116,7 @@ def cmd_charfunc(args) -> str:
     return _csv(["re_beta", "im_beta", "re_value", "im_value"], rows)
 
 
-def cmd_quasiprob(args) -> str:
+def cmd_quasiprob(args) -> Iterable[str]:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
     b_extent, b_points = args.beta_grid
@@ -124,18 +129,18 @@ def cmd_quasiprob(args) -> str:
     return _csv(["re_alpha", "im_alpha", "value"], rows)
 
 
-def cmd_beamsplit(args) -> Iterator[str]:
+def cmd_beamsplit(args) -> Iterable[str]:
     rho1 = _load_state(args.state1)
     rho2 = _load_state(args.state2)
     bs = cf.BeamSplitterParams(args.t, args.r)
     return _state_json(lo.apply_beamsplitter(fc.tensor(rho1, rho2), bs))
 
 
-def cmd_attenuate(args) -> Iterator[str]:
+def cmd_attenuate(args) -> Iterable[str]:
     return _state_json(lo.attenuate(_load_state(args.state), args.eta))
 
 
-def cmd_report(args) -> str:
+def cmd_report(args) -> Iterable[str]:
     rho = _load_state(args.state)
     rep = nc.correlation_report(rho, args.max_order)
     payload = {
@@ -150,17 +155,17 @@ def cmd_report(args) -> str:
             for cid, lhs, rhs, v in rep.violations
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload, indent=2)
 
 
-def cmd_figure3(args) -> str:
+def cmd_figure3(args) -> Iterable[str]:
     rows = nc.figure3_data(args.eta_steps, cutoff=args.cutoff)
     return _csv(
         ["eta", "wigner_origin_numeric", "wigner_origin_analytic", "g2_minus_g1sq"], rows
     )
 
 
-def cmd_verify(args) -> str:
+def cmd_verify(args) -> Iterable[str]:
     f = _filter_from_args(args)
     if args.theorem == 1:
         v = tl.classify_filter_bs(f, trials=args.trials, seed=args.seed)
@@ -193,10 +198,10 @@ def cmd_verify(args) -> str:
             else _fmt_complex(v.witness_beta),
             "max_residual": v.max_deviation,
         }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload, indent=2)
 
 
-def cmd_classical(args) -> str:
+def cmd_classical(args) -> Iterable[str]:
     ens = cf.load_ensemble(_read_json(args.ensemble))
     if args.op == "beamsplit":
         out = cf.ensemble_beamsplit(ens, cf.BeamSplitterParams(args.t, args.r))
@@ -204,8 +209,8 @@ def cmd_classical(args) -> str:
         out = cf.classical_attenuate(ens, args.t)
     else:  # moments
         val = cf.classical_moments(ens, args.m, args.n)
-        return json.dumps({"m": args.m, "n": args.n, **_fmt_complex(val)}) + "\n"
-    return json.dumps(cf.save_ensemble(out)) + "\n"
+        return _json({"m": args.m, "n": args.n, **_fmt_complex(val)})
+    return _json(cf.save_ensemble(out))
 
 
 @functools.cache
@@ -286,13 +291,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        chunks = args.func(args)
     except DomainError as exc:
         json.dump({"error": exc.name, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     # a state file comes in chunks, written as they are made
-    chunks = [text] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)

@@ -281,29 +281,16 @@ def save_state(rho: DensityMatrix) -> dict:
     }
 
 
-def _vocabulary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``repr`` of each distinct nonzero magnitude of a finite float array, after "0.0",
-    as an object array, and the index of each entry's magnitude in it. None when more
-    than three quarters of the nonzero entries have distinct magnitudes: then the
-    lookups cost more than the ``repr`` calls they save."""
+def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
+    """``json.dumps(a.tolist())`` for a finite 2-D float array, one chunk per row, with
+    one ``repr`` per distinct nonzero magnitude. A row's negative entries, -0.0
+    included, get their "-" as the row is made, so the signed words of one row at a
+    time are held besides the vocabulary."""
     nz = a != 0
     mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
-    if 4 * mags.size > 3 * inv.size:
-        return None
+    words = np.array(["0.0", *map(float.__repr__, mags.tolist())], dtype=object)
     code = np.zeros(a.shape, dtype=np.intp)
     code[nz] = inv + 1
-    return np.array(["0.0", *map(float.__repr__, mags.tolist())], dtype=object), code
-
-
-def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
-    """``json.dumps(a.tolist())`` for a finite 2-D float array, one chunk per row. A
-    row's negative entries, -0.0 included, get their "-" as the row is made, so the
-    signed words of one row at a time are held besides the vocabulary."""
-    vocabulary = _vocabulary(a)
-    if vocabulary is None:
-        yield json.dumps(a.tolist())
-        return
-    words, code = vocabulary
     for i, (c, neg) in enumerate(zip(code, np.signbit(a))):
         row = words[c].tolist()
         for j in np.flatnonzero(neg).tolist():
@@ -314,10 +301,10 @@ def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
 
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
     """The text of ``json.dumps(save_state(rho))``, exactly, in chunks of about one
-    matrix row; where magnitudes repeat, each distinct one is formatted once. A NaN
-    or infinite entry or leakage raises NonFiniteArgument on the call, before any
-    chunk is made. The words of ``im`` are made after the last chunk of ``re``, so a
-    caller that writes each chunk as it comes never holds the whole text."""
+    matrix row; each distinct magnitude is formatted once. A NaN or infinite entry
+    or leakage raises NonFiniteArgument on the call, before any chunk is made. The
+    words of ``im`` are made after the last chunk of ``re``, so a caller that writes
+    each chunk as it comes never holds the whole text."""
     e = require_finite(rho.entries, "state entries")
     require_finite(rho.leakage, "leakage")
     return _state_chunks(rho, e)
@@ -333,9 +320,9 @@ def _state_chunks(rho: DensityMatrix, e: np.ndarray) -> Iterator[str]:
 
 def load_state(obj: dict | str) -> DensityMatrix:
     """Inverse of save_state; the state must pass validate()."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         dim, n_modes = int(obj["dim"]), int(obj.get("n_modes", 1))
         leakage = float(obj.get("leakage", 0.0))

@@ -91,17 +91,16 @@ class FilterSpec:
 
 
 def filter_from_json(obj: dict | str) -> FilterSpec:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         if "s" in obj:
             return FilterSpec.s_param(float(obj["s"]))
-        coeffs = {
-            (e["k"], e["l"]): complex(e.get("re", 0.0), e.get("im", 0.0)) for e in obj["coeffs"]
-        }
+        return FilterSpec.general(
+            {(e["k"], e["l"]): complex(e.get("re", 0.0), e.get("im", 0.0)) for e in obj["coeffs"]}
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"not a filter record: {type(exc).__name__}: {exc}") from None
-    return FilterSpec.general(coeffs)
 
 
 def eval_filter(f: FilterSpec, beta):

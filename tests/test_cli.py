@@ -117,6 +117,11 @@ class TestInputBoundary:
             (["classical", "--op", "moments", "--ensemble"], '{"amplitudes": [[1.0]]}'),
             (["classical", "--op", "moments", "--ensemble"], '{"samples": [{"re": 1.0}]}'),
             (["verify", "--theorem", "1", "--trials", "2", "--filter"], '{"coeffs": [{"k": 1}]}'),
+            (["verify", "--theorem", "1", "--trials", "2", "--filter"],
+             '{"coeffs": [{"k": "a", "l": 1}]}'),
+            (["report", "--state"], '"x"'),
+            (["classical", "--op", "moments", "--ensemble"], '"x"'),
+            (["verify", "--theorem", "1", "--trials", "2", "--filter"], '"x"'),
         ],
     )
     def test_malformed_file(self, tmp_path, capsys, argv, text):

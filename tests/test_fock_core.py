@@ -317,8 +317,8 @@ class TestStateJsonChunks:
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_json_dumps(self, dim, n_modes, leakage, pool, data):
-        # with a pool, entries repeat a few magnitudes with either sign and take the
-        # lookup route; without one, most entries differ and take json.dumps
+        # with a pool, entries repeat a few magnitudes with either sign; without one,
+        # most entries differ
         side = dim**n_modes
         if pool is None:
             value = FINITE
@@ -329,12 +329,6 @@ class TestStateJsonChunks:
         re, im = (np.reshape(p, (side, side)) for p in parts)
         rho = fc.DensityMatrix(dim, re + 1j * im, n_modes, leakage)
         assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
-
-    def test_route_follows_repetition(self):
-        distinct = np.arange(1.0, 17.0).reshape(4, 4)
-        assert fc._vocabulary(distinct) is None
-        assert fc._vocabulary(distinct - distinct.T) is not None
-        assert fc._vocabulary(np.zeros((4, 4))) is not None
 
     @pytest.mark.parametrize(
         "rho",
