@@ -55,11 +55,13 @@ def _complex_arg(text: str) -> complex:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"{path} is not JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"{path} cannot be read: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path} is not JSON: {exc}") from None
 
 
 def _load_state(path: str) -> fc.DensityMatrix:

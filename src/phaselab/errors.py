@@ -16,12 +16,12 @@ class CutoffTooSmall(DomainError):
 
 
 class NonFiniteArgument(DomainError):
-    """An amplitude or displacement argument is NaN or infinite."""
+    """An amplitude, argument, state entry or filter parameter is NaN or infinite."""
 
 
 class MalformedFile(DomainError):
-    """A state, ensemble or filter record is not JSON, lacks a field or holds a value
-    of the wrong type."""
+    """A state, ensemble or filter file cannot be read, is not JSON, lacks a field or
+    holds a value of the wrong type."""
 
 
 class DimensionMismatch(DomainError):
@@ -46,6 +46,10 @@ class GainNotAllowed(DomainError):
 
 class SingularPFunction(DomainError):
     """Characteristic function does not decay at the lattice boundary."""
+
+
+class ImaginaryResidue(DomainError):
+    """A transformed characteristic function is not real to tolerance."""
 
 
 class GridTooCoarse(DomainError):

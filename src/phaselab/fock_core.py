@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import lgamma
+from math import isfinite, lgamma
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, xlogy
@@ -28,15 +28,13 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
 
-# occupation below this (row/column max-abs) is treated as numerically empty
-OCCUPATION_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Bosonic state on a truncated Fock space.
 
-    dim is the per-mode number of levels; the matrix side is dim**n_modes.
+    dim is the per-mode number of levels; the matrix side is dim**n_modes. A NaN or
+    infinite entry or leakage raises NonFiniteArgument, so every state is finite.
     """
 
     dim: int
@@ -55,6 +53,8 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"expected a {side}x{side} matrix, got {arr.shape}"
             )
+        if not (np.isfinite(arr).all() and isfinite(self.leakage)):
+            raise NonFiniteArgument("state entries and leakage must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -83,6 +83,13 @@ def require_finite(value, name: str) -> np.ndarray:
     return arr
 
 
+def hermitian_mean(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 in place, returned: m[j, i] is the exact conjugate of m[i, j]."""
+    m += m.conj().T
+    m *= 0.5
+    return m
+
+
 def annihilation(dim: int) -> np.ndarray:
     """Annihilation operator truncated to dim levels: a[m, n] = sqrt(n) d_{m,n-1}."""
     if dim < 1:
@@ -91,12 +98,8 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
-    """Report trace, Hermiticity and positivity deviations; never raises.
-    A NaN or infinite entry gives the one flag "finite", as nothing else can be measured."""
+    """Report trace, Hermiticity and positivity deviations; never raises."""
     m = rho.entries
-    if not np.isfinite(m).all():
-        nan = float("nan")
-        return ValidationReport(nan, nan, nan, ("finite",))
     trace_dev = abs(m.trace() - 1.0)
     herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     herm = 0.5 * (m + m.conj().T)
@@ -155,7 +158,7 @@ def make_coherent(alpha: complex, cutoff: int) -> DensityMatrix:
         )
     c = coherent_vector(alpha, cutoff)
     c = c / np.linalg.norm(c)
-    return _checked(DensityMatrix(cutoff + 1, np.outer(c, c.conj()), leakage=leak))
+    return _checked(DensityMatrix(cutoff + 1, hermitian_mean(np.outer(c, c.conj())), leakage=leak))
 
 
 def make_thermal(nbar: float, cutoff: int) -> DensityMatrix:
@@ -229,10 +232,10 @@ def level_occupations(rho: DensityMatrix) -> np.ndarray:
     ])
 
 
-def effective_dim(occ: np.ndarray, floor: float = OCCUPATION_FLOOR) -> int:
-    """Highest level above ``floor`` plus one, from one row of ``level_occupations``;
-    a NaN level counts as occupied, so the NaN reaches the result."""
-    nz = np.nonzero(~(occ <= floor))[0]
+def effective_dim(occ: np.ndarray) -> int:
+    """Last occupied level plus one, from one row of ``level_occupations``: every
+    stored nonzero entry counts."""
+    nz = np.flatnonzero(occ)
     return int(nz[-1]) + 1 if nz.size else 1
 
 
@@ -300,21 +303,13 @@ def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
 
 
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
-    """The text of ``json.dumps(save_state(rho))``, exactly, in chunks of about one
-    matrix row; each distinct magnitude is formatted once. A NaN or infinite entry
-    or leakage raises NonFiniteArgument on the call, before any chunk is made. The
-    words of ``im`` are made after the last chunk of ``re``, so a caller that writes
-    each chunk as it comes never holds the whole text."""
-    e = require_finite(rho.entries, "state entries")
-    require_finite(rho.leakage, "leakage")
-    return _state_chunks(rho, e)
-
-
-def _state_chunks(rho: DensityMatrix, e: np.ndarray) -> Iterator[str]:
+    """The text of ``json.dumps(save_state(rho))``, exactly, in chunks of about one matrix
+    row; each distinct magnitude is formatted once, and the words of ``im`` are made after
+    the last chunk of ``re``, so a caller that writes the chunks never holds the whole text."""
     yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}, "re": '
-    yield from _matrix_chunks(e.real)
+    yield from _matrix_chunks(rho.entries.real)
     yield ', "im": '
-    yield from _matrix_chunks(e.imag)
+    yield from _matrix_chunks(rho.entries.imag)
     yield f', "leakage": {json.dumps(rho.leakage)}}}'
 
 

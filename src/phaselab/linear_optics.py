@@ -14,10 +14,9 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     GainNotAllowed,
-    NonFiniteArgument,
     TrustRadiusExceeded,
 )
-from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, level_occupations
+from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean, level_occupations
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
@@ -86,9 +85,6 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
         raise DimensionMismatch("apply_beamsplitter expects a two-mode state")
     d = rho12.dim
     rho = rho12.entries
-    # DensityMatrix does not validate; one sum sees a NaN or inf anywhere in rho
-    if not np.isfinite(rho.sum()):
-        raise NonFiniteArgument("the two-mode state holds a NaN or infinite entry")
     blocks = _blocks(d, bs)
     half = np.empty_like(rho)
     for idx, block in blocks:
@@ -96,10 +92,8 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
     out = np.empty_like(rho)
     for idx, block in blocks:
         out[:, idx] = half[:, idx] @ block.conj().T
-    # the mean with the adjoint: out[j, i] is then the exact conjugate of out[i, j], and
-    # a state file holds each magnitude twice, formatted once
-    out += out.conj().T
-    out *= 0.5
+    # a state file of an exactly Hermitian matrix holds each magnitude twice, formatted once
+    hermitian_mean(out)
     incomplete = np.add.outer(np.arange(d), np.arange(d)).ravel() >= d
     lost = max(0.0, float((rho.diagonal() - out.diagonal())[incomplete].real.sum()))
     if lost > LEAKAGE_TOL:
@@ -138,7 +132,7 @@ def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
     if not 0 <= eta <= 1:
         raise GainNotAllowed(f"eta = {eta} must lie in [0, 1]")
     d = rho.dim
-    bands = effective_dim(level_occupations(rho)[0], floor=0.0)
+    bands = effective_dim(level_occupations(rho)[0])
     k, n = np.arange(bands)[:, None], np.arange(d)
     w = np.sqrt(binom(n + k, k) * eta**n * (1 - eta) ** k)
     out = np.zeros_like(rho.entries)

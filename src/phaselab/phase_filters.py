@@ -26,7 +26,8 @@ class FilterSpec:
     """Quasiprobability family selector.
 
     Exactly one representation is active: ``s`` for the Gaussian family, or
-    ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series.
+    ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series. A NaN or
+    infinite ``s`` or coefficient raises NonFiniteArgument.
     """
 
     s: float | None = None
@@ -39,6 +40,7 @@ class FilterSpec:
             clean = []
             for k, l, c in self.coeffs:
                 k, l, c = int(k), int(l), complex(c)
+                require_finite(c, f"series coefficient c_{k}{l}")
                 if k < 0 or l < 0:
                     raise ValueError("series powers must be nonnegative")
                 if (k, l) == (0, 0) and c != 0:
@@ -48,6 +50,7 @@ class FilterSpec:
             object.__setattr__(self, "coeffs", tuple(sorted(clean, key=lambda t: t[:2])))
         else:
             object.__setattr__(self, "s", float(self.s))
+            require_finite(self.s, "s")
 
     @classmethod
     def s_param(cls, s: float) -> "FilterSpec":

@@ -14,7 +14,8 @@ from math import pi
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, SingularPFunction
+from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse
+from .errors import ImaginaryResidue, SingularPFunction
 from .fock_core import (
     DensityMatrix,
     coherent_leakage,
@@ -148,7 +149,7 @@ def quasiprob_transform(
     p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
     residue = float(np.max(np.abs(p.imag)))
     if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(
+        raise ImaginaryResidue(
             f"transform imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}"
         )
     values = np.ascontiguousarray(p.real)
@@ -196,7 +197,7 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     if s > 0:
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
     alpha_arr = require_finite(alpha, "alpha")
-    d = effective_dim(level_occupations(rho)[0], floor=0.0)  # every stored entry counts
+    d = effective_dim(level_occupations(rho)[0])
     a = alpha_arr.ravel()
     x = np.abs(a) ** 2
     w = 2 * a / (1 - s)
@@ -227,7 +228,7 @@ def quadrature_distribution(
     rho = wigner.source
     if rho is None:
         raise DimensionMismatch("quadrature marginal needs the grid's source state")
-    d = effective_dim(level_occupations(rho)[0], floor=0.0)  # every stored entry counts
+    d = effective_dim(level_occupations(rho)[0])
     x = wigner.axis
     psi = np.zeros((d, x.size))
     psi[0] = (2 / pi) ** 0.25 * np.exp(-x * x)

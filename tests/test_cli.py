@@ -76,7 +76,65 @@ class TestInputBoundary:
         Path(state).write_text(json.dumps(obj))
         code, out, err = run(capsys, "report", "--state", state)
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "DimensionMismatch"
+        assert json.loads(err)["error"] == "NonFiniteArgument"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["verify", "--theorem", "2", "--s", "nan"], None),
+            (["quasiprob", "--s", "nan", "--state"], "state"),
+            (["verify", "--theorem", "2", "--filter"],
+             '{"coeffs": [{"k": 1, "l": 1, "re": NaN}]}'),
+            (["verify", "--theorem", "1", "--trials", "2", "--filter"],
+             '{"coeffs": [{"k": 2, "l": 0, "re": 0.1, "im": Infinity}]}'),
+        ],
+        ids=["verify-s", "quasiprob-s", "filter-nan", "filter-inf"],
+    )
+    def test_non_finite_filter(self, tmp_path, capsys, argv, text):
+        if text == "state":
+            argv = argv + [write_state(tmp_path, "one.json", "state", "--fock", "1")]
+        elif text is not None:
+            path = tmp_path / "filter.json"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NonFiniteArgument"
+
+    def test_imaginary_residue(self, tmp_path, capsys):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"coeffs": [{"k": 1, "l": 1, "re": -0.3, "im": 0.0},
+                                               {"k": 2, "l": 0, "re": 0.0, "im": 0.05}]}))
+        code, out, err = run(capsys, "quasiprob", "--state", state, "--filter", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ImaginaryResidue"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--state", "{missing}"],
+            ["beamsplit", "--t", "0.6", "--r", "0.8", "--state1", "{missing}", "--state2", "{ok}"],
+            ["beamsplit", "--t", "0.6", "--r", "0.8", "--state1", "{ok}", "--state2", "{missing}"],
+            ["classical", "--op", "moments", "--ensemble", "{missing}"],
+            ["verify", "--theorem", "2", "--filter", "{missing}"],
+            ["report", "--state", "{dir}"],
+            ["report", "--state", "{binary}"],
+        ],
+        ids=["state", "state1", "state2", "ensemble", "filter", "directory", "not_utf8"],
+    )
+    def test_unreadable_file(self, tmp_path, capsys, argv):
+        (tmp_path / "binary.json").write_bytes(b'{"dim": \xff}')
+        paths = {
+            "{missing}": str(tmp_path / "missing.json"),
+            "{ok}": write_state(tmp_path, "ok.json", "state", "--fock", "0", "--cutoff", "4"),
+            "{dir}": str(tmp_path),
+            "{binary}": str(tmp_path / "binary.json"),
+        }
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedFile" and "cannot be read" in payload["detail"]
 
     @pytest.mark.parametrize(
         "field, error", [("re", "NonFiniteArgument"), ("w", "InvalidWeights")]

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -57,6 +57,19 @@ class TestBuilders:
     def test_coherent_non_finite_rejected(self, alpha):
         with pytest.raises(NonFiniteArgument):
             fc.make_coherent(alpha, 20)
+
+    @given(
+        alpha=st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+        headroom=st.integers(0, 10),
+    )
+    @example(alpha=0.7 + 0.2j, headroom=10)  # cutoff 20
+    @settings(max_examples=100, deadline=None)
+    def test_coherent_exactly_hermitian(self, alpha, headroom):
+        # the smallest cutoff the leakage guard accepts, plus headroom
+        cutoff = next(c for c in range(100) if fc.coherent_leakage(alpha, c) <= fc.LEAKAGE_TOL)
+        e = fc.make_coherent(alpha, cutoff + headroom).entries
+        assert np.array_equal(e, e.conj().T)
+        assert np.array_equal(e.diagonal().imag, np.zeros(len(e)))
 
     def test_thermal_zero_temperature(self):
         assert np.allclose(fc.make_thermal(0.0, 3).entries, fc.make_fock(0, 3).entries)
@@ -219,6 +232,13 @@ class TestLevelOccupations:
     def test_empty_state_has_one_level(self):
         assert fc.effective_dim(np.zeros(4)) == 1
 
+    def test_every_stored_entry_counts(self):
+        # a coherence of 1e-300 between levels 0 and 5 occupies level 5
+        m = np.diag([1.0, 0, 0, 0, 0, 0, 0]).astype(complex)
+        m[0, 5] = m[5, 0] = 1e-300
+        occ = fc.level_occupations(fc.DensityMatrix(7, m))
+        assert fc.effective_dim(occ[0]) == 6
+
 
 class TestCoherentVector:
     def test_vectorized_over_alpha(self):
@@ -240,22 +260,46 @@ class TestCoherentVector:
         assert leak[2] == fc.coherent_leakage(3.0, 5) > leak[1] > 0
 
 
+# where a non-finite value goes in a state on 4 levels per mode: an entry of a one-mode
+# state, and entries of a two-mode state in photon-number blocks the splitter keeps whole
+# (|0,0> and |0,1>: N < 4) and in blocks it cuts (|1,3>, |3,3>, |3,2>: N >= 4)
+NON_FINITE_AT = {"one_mode": (1, (2, 1)), "complete_00": (2, (0, 0)),
+                 "complete_01": (2, (0, 1)), "cut_77": (2, (7, 7)), "cut_1514": (2, (15, 14))}
+NON_FINITE_CASES = [
+    pytest.param(n_modes, at, complex(bad, 0) if part == "real" else complex(0, bad), 0.0,
+                 id=f"{name}-{part}-{bad}")
+    for name, (n_modes, at) in NON_FINITE_AT.items()
+    for part in ("real", "imag")
+    for bad in (float("nan"), float("inf"), -float("inf"))
+] + [pytest.param(n, (0, 0), 1.0, float("nan"), id=f"leakage-{n}_mode") for n in (1, 2)]
+
+
+class TestDensityMatrix:
+    @pytest.mark.parametrize("n_modes, at, value, leakage", NON_FINITE_CASES)
+    def test_non_finite_rejected(self, n_modes, at, value, leakage):
+        e = np.zeros((4**n_modes,) * 2, dtype=complex)
+        e[0, 0] = 1.0
+        e[at] = value
+        with pytest.raises(NonFiniteArgument):
+            fc.DensityMatrix(4, e, n_modes, leakage)
+
+
 class TestValidate:
     def test_all_clear(self):
         assert fc.validate(fc.make_coherent(1.0, 20)).flags == ()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_flagged(self, bad):
+        # nothing non-finite reaches validate: the constructor raises
         m = np.diag([1.0, 0, 0]).astype(complex)
         m[1, 1] = bad
-        report = fc.validate(fc.DensityMatrix(3, m))
-        assert report.flags == ("finite",)
-        assert np.isnan(report.min_eigenvalue)
+        with pytest.raises(NonFiniteArgument):
+            fc.DensityMatrix(3, m)
 
     def test_non_finite_state_file_rejected(self):
         obj = fc.save_state(fc.make_fock(0, 6))
         obj["re"][3][3] = float("nan")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NonFiniteArgument):
             fc.load_state(obj)
 
     def test_trace_flag(self):
@@ -341,15 +385,3 @@ class TestStateJsonChunks:
     )
     def test_built_states(self, rho):
         assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("part", ["real", "imag"])
-    def test_non_finite_entry(self, bad, part):
-        e = fc.make_fock(0, 3).entries.copy()
-        getattr(e, part)[2, 1] = bad
-        with pytest.raises(NonFiniteArgument):
-            fc.state_json_chunks(fc.DensityMatrix(4, e))
-
-    def test_non_finite_leakage(self):
-        with pytest.raises(NonFiniteArgument):
-            fc.state_json_chunks(fc.DensityMatrix(1, [[1.0]], leakage=float("nan")))

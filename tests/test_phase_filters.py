@@ -37,6 +37,17 @@ class TestFilterSpec:
         f = pf.FilterSpec.general({(2, 0): 1.0})
         assert pf.eval_filter(f, 1.0) == pytest.approx(np.e)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"s": float("nan")}, {"s": float("inf")}, {"s": -float("inf")},
+         {"coeffs": ((1, 1, complex(float("nan"), 0)),)},
+         {"coeffs": ((2, 0, 0.1), (1, 1, complex(0, float("inf"))))}],
+        ids=["s-nan", "s-inf", "s--inf", "coeff-nan", "coeff-infj"],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(NonFiniteArgument):
+            pf.FilterSpec(**kwargs)
+
     def test_c00_rejected(self):
         with pytest.raises(ValueError):
             pf.FilterSpec.general({(0, 0): 0.5})

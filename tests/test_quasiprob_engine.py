@@ -14,6 +14,7 @@ from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
     GridTooCoarse,
+    ImaginaryResidue,
     NonFiniteArgument,
     SingularPFunction,
 )
@@ -49,6 +50,13 @@ class TestTransform:
     def test_singular_p_function(self):
         with pytest.raises(SingularPFunction):
             qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), SP))
+
+    def test_imaginary_residue(self):
+        # Omega = exp(-0.3 |b|^2 + 0.05i b^2) breaks Omega(-b) = conj(Omega(b)), so the
+        # transform of |1> keeps an imaginary part of 1.6e-2
+        f = FilterSpec.general({(1, 1): -0.3, (2, 0): 0.05j})
+        with pytest.raises(ImaginaryResidue):
+            qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), f))
 
     def test_nyquist_guard(self):
         cf = qe.charfunc_grid(fc.make_fock(0, 20), S0, extent=6.0, points=16)
