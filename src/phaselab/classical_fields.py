@@ -118,18 +118,10 @@ def solve_missing_amplitudes(
     """Recover (alpha2, alpha4) from one input and one output amplitude."""
     if bs.r == 0:
         raise DegenerateSplitter("inverse solve requires r != 0")
-    m = (
-        np.array(
-            [
-                [-bs.t, cmath.exp(-1j * bs.phi_U)],
-                [-cmath.exp(1j * bs.phi_U), bs.t.conjugate()],
-            ],
-            dtype=complex,
-        )
-        / bs.r
-    )
-    out = m @ np.array([alpha1, alpha3], dtype=complex)
-    return complex(out[0]), complex(out[1])
+    # alpha3 = e^{i phi_U} (t alpha1 + r alpha2), alpha4 = e^{i phi_U} (t* alpha2 - r* alpha1)
+    alpha2 = (cmath.exp(-1j * bs.phi_U) * alpha3 - bs.t * alpha1) / bs.r
+    alpha4 = (bs.t.conjugate() * alpha3 - cmath.exp(1j * bs.phi_U) * alpha1) / bs.r
+    return complex(alpha2), complex(alpha4)
 
 
 def ensemble_beamsplit(

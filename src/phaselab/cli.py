@@ -8,6 +8,7 @@ with exit code 1; usage errors exit with 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -22,7 +23,7 @@ from . import linear_optics as lo
 from . import nonclassicality as nc
 from . import quasiprob_engine as qe
 from . import theorem_lab as tl
-from .errors import DomainError, MalformedFile
+from .errors import DomainError, MalformedFile, UnwritableOutput
 from .phase_filters import FilterSpec, filter_from_json
 
 DEFAULT_CUTOFF = 20
@@ -231,46 +232,38 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--coherent", type=_complex_arg, help="complex amplitude, e.g. 1+0.5j")
     group.add_argument("--thermal", type=float, help="mean occupation")
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("charfunc", help="characteristic-function lattice as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
-    p.set_defaults(func=cmd_charfunc)
 
     p = sub.add_parser("quasiprob", help="quasiprobability grid as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID, help="alpha extent:steps")
     p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
-    p.set_defaults(func=cmd_quasiprob)
 
     p = sub.add_parser("beamsplit", help="apply a beam splitter to two states")
     p.add_argument("--state1", required=True)
     p.add_argument("--state2", required=True)
     p.add_argument("--t", type=_complex_arg, required=True)
     p.add_argument("--r", type=_complex_arg, required=True)
-    p.set_defaults(func=cmd_beamsplit)
 
     p = sub.add_parser("attenuate", help="apply the loss channel")
     p.add_argument("--state", required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.set_defaults(func=cmd_attenuate)
 
     p = sub.add_parser("report", help="correlation report as JSON")
     p.add_argument("--state", required=True)
     p.add_argument("--max-order", type=int, default=2)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("figure3", help="attenuated-photon curve data as CSV")
     p.add_argument("--eta-steps", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.set_defaults(func=cmd_figure3)
 
     p = sub.add_parser("verify", help="run a covariance verification suite")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classical", help="classical ensemble operations")
     p.add_argument("--op", choices=("beamsplit", "attenuate", "moments"), required=True)
@@ -279,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_complex_arg, default="0")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.set_defaults(func=cmd_classical)
 
     for name in ("charfunc", "quasiprob", "verify"):
         sub.choices[name].add_argument("--s", type=float, default=0.0)
         sub.choices[name].add_argument("--filter", help="filter JSON file (overrides --s)")
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
         p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -294,16 +287,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         chunks = args.func(args)
+        # a state file comes in chunks, written as they are made
+        try:
+            with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise UnwritableOutput(f"{args.out or 'stdout'} cannot be written: {exc}") from None
     except DomainError as exc:
         json.dump({"error": exc.name, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    # a state file comes in chunks, written as they are made
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -24,6 +24,14 @@ class MalformedFile(DomainError):
     holds a value of the wrong type."""
 
 
+class UnwritableOutput(DomainError):
+    """The --out file cannot be opened or written."""
+
+
+class InvalidFilter(DomainError, ValueError):
+    """A filter sets neither or both of s and coeffs, a negative power or a nonzero c_00."""
+
+
 class DimensionMismatch(DomainError):
     """Operands live on incompatible Fock spaces."""
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from math import lgamma, log, sqrt
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, MalformedFile
+from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedFile
 from .fock_core import DensityMatrix, effective_dim, level_occupations, require_finite
 
 TAIL_TOL = 1e-12
@@ -27,7 +28,8 @@ class FilterSpec:
 
     Exactly one representation is active: ``s`` for the Gaussian family, or
     ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series. A NaN or
-    infinite ``s`` or coefficient raises NonFiniteArgument.
+    infinite ``s`` or coefficient raises NonFiniteArgument; neither or both of
+    them, a negative power or a nonzero c_00 raises InvalidFilter.
     """
 
     s: float | None = None
@@ -35,16 +37,16 @@ class FilterSpec:
 
     def __post_init__(self):
         if (self.s is None) == (self.coeffs is None):
-            raise ValueError("specify exactly one of s or coeffs")
+            raise InvalidFilter("specify exactly one of s or coeffs")
         if self.coeffs is not None:
             clean = []
             for k, l, c in self.coeffs:
                 k, l, c = int(k), int(l), complex(c)
                 require_finite(c, f"series coefficient c_{k}{l}")
                 if k < 0 or l < 0:
-                    raise ValueError("series powers must be nonnegative")
+                    raise InvalidFilter("series powers must be nonnegative")
                 if (k, l) == (0, 0) and c != 0:
-                    raise ValueError("c_00 must vanish so that Omega(0) = 1")
+                    raise InvalidFilter("c_00 must vanish so that Omega(0) = 1")
                 if c != 0:
                     clean.append((k, l, c))
             object.__setattr__(self, "coeffs", tuple(sorted(clean, key=lambda t: t[:2])))
@@ -139,11 +141,13 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
 def _bands(dim: int, pref, lo, up, y, q=1.0):
     """The elements of a banded operator X on dim levels, one band k = m - n at a time.
 
-    Yields (k, lower, upper, lag) with <n+k|X|n> = lower * lag[n] and
-    <n|X|n+k> = upper * lag[n] for n = 0 .. dim-1-k, where lower = pref lo^k,
-    upper = pref up^k and ``lag`` iterates q^n sqrt(n! / (n+k)!) L_n^{(k)}(x)
-    for y = q x.
+    Yields (k, lower, upper, lag, inv) with <n+k|X|n> = lower * lag()[n, inv]
+    and <n|X|n+k> = upper * lag()[n, inv] for n = 0 .. dim-1-k, where lower =
+    pref lo^k, upper = pref up^k and ``lag()`` builds q^n sqrt(n! / (n+k)!)
+    L_n^{(k)}(x), y = q x, once per distinct y: y[i] is its column inv[i].
     """
+    # a single point needs no sort: figure 3 evaluates one alpha per state
+    distinct, inv = (y, np.zeros(1, np.intp)) if y.size == 1 else np.unique(y, return_inverse=True)
     lower = upper = pref
     first = 1.0  # 1 / sqrt(k!)
     for k in range(dim):
@@ -151,7 +155,7 @@ def _bands(dim: int, pref, lo, up, y, q=1.0):
             lower = lower * lo
             upper = upper * up
             first /= sqrt(k)
-        yield k, lower, upper, _laguerre_band(k, dim - k, y, first, q)
+        yield k, lower, upper, partial(_laguerre_band, k, dim - k, distinct, first, q), inv
 
 
 def _displacement_bands(dim: int, beta: np.ndarray):
@@ -160,8 +164,8 @@ def _displacement_bands(dim: int, beta: np.ndarray):
     return _bands(dim, np.exp(-x / 2).astype(complex), beta, -beta.conjugate(), x)
 
 
-def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0):
-    """q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x, for n = 0 .. count-1, one array at a time.
+def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np.ndarray:
+    """q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x, as the rows n = 0 .. count-1.
 
     The three-term recurrence in degree,
     (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}, with the factorial
@@ -169,49 +173,51 @@ def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0):
     product y = q x enters, so q = 0 with x infinite stays finite.
     ``first`` is the n = 0 value 1 / sqrt(k!).
     """
-    prev, cur = 0.0, np.full_like(y, first)
-    for n in range(count):
-        yield cur
-        if n + 1 < count:
-            nxt = ((2 * n + 1 + k) * q - y) * cur
-            nxt *= 1 / sqrt((n + 1) * (n + k + 1))
-            nxt -= q * q * sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * prev
-            prev, cur = cur, nxt
+    lag = np.empty((count, y.size))
+    lag[0] = first
+    for n in range(count - 1):
+        nxt = lag[n + 1]
+        np.multiply((2 * n + 1 + k) * q - y, lag[n], out=nxt)
+        nxt *= 1 / sqrt((n + 1) * (n + k + 1))
+        if n:
+            nxt -= q * q * sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * lag[n - 1]
+    return lag
 
 
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
     out = np.empty((dim, dim, beta.size), dtype=complex)
-    for k, lower, upper, band in _displacement_bands(dim, beta):
-        for n, lag in enumerate(band):
-            out[n + k, n] = lower * lag
-            out[n, n + k] = upper * lag
+    for k, lower, upper, lag, inv in _displacement_bands(dim, beta):
+        for n, row in enumerate(lag()):
+            row = np.take(row, inv)
+            out[n + k, n] = lower * row
+            out[n, n + k] = upper * row
     return out
 
 
 def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
     """Tr(e X) at ``size`` points for a square matrix e and the bands of X from ``_bands``.
 
-    Memory stays O(size); a band of e that is all zero is skipped, and bands
-    past the last one e holds are never built, so a diagonal e costs one band.
+    A band is one matrix product of e's two diagonals with its Laguerre rows,
+    mapped to the points by ``inv``. Memory stays O(size); a band of e that is
+    all zero is skipped, and bands past the last one e holds are never built,
+    so a diagonal e costs one band.
     """
     # band k holds e[n, n+k] and e[n+k, n]
     held = {k for k in range(len(e)) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
     vals = np.zeros(size, dtype=complex)
-    for k, lower, upper, band in islice(bands, max(held, default=-1) + 1):
+    for k, lower, upper, lag, inv in islice(bands, max(held, default=-1) + 1):
         if k not in held:
             continue
         # Tr(e X) = sum_{m,n} e[n, m] <m|X|n>: the band of <n+k|X|n>
         # pairs with e[n, n+k], that of <n|X|n+k> with e[n+k, n]
-        rows = [np.diagonal(e, k)] if k == 0 else [np.diagonal(e, k), np.diagonal(e, -k)]
-        w = np.array([part for r in rows for part in (r.real, r.imag)])
-        acc = np.zeros((len(w), size))
-        for n, lag in enumerate(band):
-            acc += w[:, n, None] * lag
-        vals += lower * (acc[0] + 1j * acc[1])
+        w = np.stack([np.diagonal(e, k), np.diagonal(e, -k)], axis=1)
+        # real rows times the (re, im) columns of w, read back as complex: (U, 2)
+        acc = (lag().T @ w.view(float)).view(complex)
+        vals += lower * np.take(acc[:, 0], inv)
         if k:
-            vals += upper * (acc[2] + 1j * acc[3])
+            vals += upper * np.take(acc[:, 1], inv)
     return vals
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 
 from phaselab import fock_core as fc
+from phaselab.quasiprob_engine import lattice
 
 
 def random_density(dim, occupied=None, rng=None):
@@ -36,3 +37,13 @@ def ancilla_attenuate(rho, eta):
     joint = fc.tensor(rho, fc.make_fock(0, rho.cutoff))
     bs = BeamSplitterParams(np.sqrt(eta), np.sqrt(1 - eta))
     return partial_trace(apply_beamsplitter(joint, bs), keep=1)
+
+
+def repeated_radii(extent, points, seed):
+    """Point sets on which many points share |beta|: a square lattice symmetric
+    about 0, its points shuffled with half of them repeated, and +-beta pairs."""
+    grid = lattice(extent, points)[1]
+    mixed = np.random.default_rng(seed).permutation(
+        np.concatenate([grid.ravel(), grid.ravel()[: grid.size // 2 + 1]])
+    )
+    return [grid, mixed, np.stack([mixed, -mixed])]

@@ -52,6 +52,14 @@ class TestStateCommand:
         with open(path) as fh:
             assert fc.load_state(json.load(fh)).dim == 21
 
+    @pytest.mark.parametrize("target", ["nodir/x.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_an_envelope(self, tmp_path, capsys, target):
+        code, out, err = run(capsys, "state", "--fock", "1", "--out", str(tmp_path / target))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UnwritableOutput"
+        assert str(tmp_path) in payload["detail"]
+
 
 class TestInputBoundary:
     def test_attenuate_rejects_nan_eta(self, tmp_path, capsys):

@@ -9,9 +9,9 @@ from scipy.linalg import expm
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
-from phaselab.errors import CutoffTooSmall, NonFiniteArgument
+from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, NonFiniteArgument
 
-from _support import random_density
+from _support import random_density, repeated_radii
 
 
 def charfunc_oracle(rho, beta, dim=45):
@@ -51,6 +51,17 @@ class TestFilterSpec:
     def test_c00_rejected(self):
         with pytest.raises(ValueError):
             pf.FilterSpec.general({(0, 0): 0.5})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"s": 0.0, "coeffs": ((1, 1, 0.1),)}, {"coeffs": ((0, 0, 0.5),)},
+         {"coeffs": ((2, 0, 0.1), (-1, 1, 0.2))}],
+        ids=["neither", "both", "c00", "negative-power"],
+    )
+    def test_invalid_spec_is_domain_error(self, kwargs):
+        with pytest.raises(InvalidFilter) as info:
+            pf.FilterSpec(**kwargs)
+        assert isinstance(info.value, DomainError)
 
     def test_s_reduction(self):
         assert pf.FilterSpec.general({(1, 1): 0.25}).as_s() == pytest.approx(0.5)
@@ -127,6 +138,32 @@ class TestSymmetricCharfunc:
         expected = np.sum(rho.entries[:d, :d].T * elements)
         assert abs(pf.symmetric_charfunc(rho, beta) - expected) < 1e-12
         assert np.max(np.abs(pf.displacement_stack(d, beta)[:, :, 0] - elements)) < 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        extent=st.floats(0.1, 6.0),
+        points=st.integers(2, 7),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_repeated_radii_match_points_and_elements(self, seed, d, extent, points):
+        # the kernel runs once per distinct |beta|^2 and maps the sums back to the points
+        rho = random_density(d + 1, occupied=d, rng=np.random.default_rng(seed))
+        oracle = {}
+        for betas in repeated_radii(extent, points, seed):
+            got = pf.symmetric_charfunc(rho, betas)
+            assert got.shape == betas.shape
+            each = [pf.symmetric_charfunc(rho, b) for b in betas.ravel()]
+            assert all(isinstance(v, complex) for v in each)
+            assert np.max(np.abs(got.ravel() - each)) <= 1e-13
+            for b in betas.ravel():
+                if b not in oracle:
+                    elements = np.array([
+                        [fc.displacement_element(m, n, b) for n in range(d)] for m in range(d)
+                    ])
+                    oracle[b] = np.sum(rho.entries[:d, :d].T * elements)
+            want = np.array([oracle[b] for b in betas.ravel()])
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-12
 
     def test_lattice_memory_linear_in_points(self):
         # a (d, d, N) displacement stack would take 252 MB here

@@ -20,7 +20,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import random_density
+from _support import random_density, repeated_radii
 
 S0 = FilterSpec.s_param(0.0)
 SQ = FilterSpec.s_param(-1.0)
@@ -253,6 +253,32 @@ class TestPointwise:
         lhs = qe.quasiprob_pointwise(attenuate(rho, eta), alphas, s)
         naive = qe.quasiprob_pointwise(rho, alphas / np.sqrt(eta), s) / eta
         assert np.max(np.abs(lhs - naive)) > 1e-6
+
+    @given(seed=SEEDS, occupied=st.integers(1, 6), extent=st.floats(0.1, 1.5),
+           points=st.integers(2, 5), s=S_LEQ_0)
+    @settings(max_examples=15, deadline=None)
+    def test_repeated_radii_match_points_and_elements(self, seed, occupied, extent, points, s):
+        # P_s = (2 / (pi (1-s))) sum_j q^j <j|D(a)^dag rho D(a)|j>, q = (s+1)/(s-1), from
+        # the closed-form <m|D(a)|j>; for |a|^2 <= 4.5 and m < 6 the terms j >= 50 hold < 1e-22
+        rho = random_density(8, occupied=occupied, rng=np.random.default_rng(seed))
+        e, weights = rho.entries[:occupied, :occupied], ((s + 1) / (s - 1)) ** np.arange(50)
+        oracle = {}
+        for alphas in repeated_radii(extent, points, seed):
+            got = qe.quasiprob_pointwise(rho, alphas, s)
+            assert got.shape == alphas.shape
+            each = [qe.quasiprob_pointwise(rho, a, s) for a in alphas.ravel()]
+            assert all(isinstance(v, float) for v in each)
+            assert np.max(np.abs(got.ravel() - each)) <= 1e-13
+            for a in alphas.ravel():
+                if a not in oracle:
+                    dm = np.array([
+                        [fc.displacement_element(m, j, a) for j in range(50)]
+                        for m in range(occupied)
+                    ])
+                    diag = np.einsum("mj,mn,nj->j", dm.conj(), e, dm).real
+                    oracle[a] = 2 / (np.pi * (1 - s)) * (weights @ diag)
+            want = np.array([oracle[a] for a in alphas.ravel()])
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-12
 
     @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0, 3.0])
     def test_positive_s_rejected(self, s):
