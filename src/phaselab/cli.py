@@ -80,9 +80,7 @@ def _fmt_complex(value: complex) -> dict:
 
 
 def _csv(header: list[str], rows) -> tuple[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.15g}" for v in row))
+    lines = [",".join(header), *(",".join(f"{v:.15g}" for v in row) for row in rows)]
     return ("\n".join(lines) + "\n",)
 
 
@@ -110,12 +108,8 @@ def cmd_charfunc(args) -> Iterable[str]:
     extent, points = args.beta_grid
     grid = qe.charfunc_grid(rho, f, extent, points)
     _, betas = qe.lattice(extent, points)
-    rows = zip(
-        betas.real.ravel(),
-        betas.imag.ravel(),
-        grid.values.real.ravel(),
-        grid.values.imag.ravel(),
-    )
+    values = grid.values.ravel()
+    rows = zip(betas.real.ravel(), betas.imag.ravel(), values.real, values.imag)
     return _csv(["re_beta", "im_beta", "re_value", "im_value"], rows)
 
 
@@ -196,9 +190,7 @@ def cmd_verify(args) -> Iterable[str]:
             "theorem": 2,
             "filter": f.describe(),
             "verdict": v.verdict,
-            "witness": None
-            if v.witness_beta is None
-            else _fmt_complex(v.witness_beta),
+            "witness": None if v.witness_beta is None else _fmt_complex(v.witness_beta),
             "max_residual": v.max_deviation,
         }
     return _json(payload, indent=2)

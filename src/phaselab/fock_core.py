@@ -10,18 +10,15 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import isfinite, lgamma
+from numbers import Integral
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, xlogy
 
-from .errors import (
-    CutoffTooSmall,
-    DimensionMismatch,
-    InvalidWeights,
-    MalformedFile,
-    NonFiniteArgument,
-)
+from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, MalformedFile
+from .errors import NonFiniteArgument
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
@@ -34,7 +31,8 @@ class DensityMatrix:
     """Bosonic state on a truncated Fock space.
 
     dim is the per-mode number of levels; the matrix side is dim**n_modes. A NaN or
-    infinite entry or leakage raises NonFiniteArgument, so every state is finite.
+    infinite entry or leakage raises NonFiniteArgument, so every state is finite; a
+    leakage outside [0, 1] raises InvalidWeights.
     """
 
     dim: int
@@ -50,17 +48,25 @@ class DensityMatrix:
         arr = np.array(self.entries, dtype=complex)
         side = self.dim**self.n_modes
         if arr.shape != (side, side):
-            raise DimensionMismatch(
-                f"expected a {side}x{side} matrix, got {arr.shape}"
-            )
+            raise DimensionMismatch(f"expected a {side}x{side} matrix, got {arr.shape}")
         if not (np.isfinite(arr).all() and isfinite(self.leakage)):
             raise NonFiniteArgument("state entries and leakage must be finite")
+        if not 0 <= self.leakage <= 1:
+            raise InvalidWeights(f"leakage {self.leakage} is not a probability")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
     def cutoff(self) -> int:
         return self.dim - 1
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """``level_occupations(self)``, read-only and computed on first use; the entries
+        are a private read-only copy, so it cannot go stale."""
+        occ = level_occupations(self)
+        occ.setflags(write=False)
+        return occ
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,6 @@ def hermitian_mean(m: np.ndarray) -> np.ndarray:
     m += m.conj().T
     m *= 0.5
     return m
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Annihilation operator truncated to dim levels: a[m, n] = sqrt(n) d_{m,n-1}."""
-    if dim < 1:
-        raise DimensionMismatch("dim must be a positive integer")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
@@ -249,12 +248,22 @@ def normal_moment(rho: DensityMatrix, m: int, n: int) -> complex:
         raise CutoffTooSmall(
             f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {rho.cutoff}"
         )
+    i, k, coef = _moment_weights(rho.dim, m, n)
+    return complex(rho.entries[i, k] @ coef)
+
+
+@lru_cache(maxsize=256)
+def _moment_weights(dim: int, m: int, n: int) -> tuple[np.ndarray, ...]:
+    """Rows i, columns k and weights of Tr(rho (a^dag)^m a^n) = sum rho[i, k] weight on
+    dim levels, built once per size and shared read-only."""
     # (a^dag)^m a^n |i> = sqrt(i! k!) / (i-n)! |k>, k = i - n + m; the truncated
     # a^dag sends it to zero when k >= dim
-    i = np.arange(n, min(rho.dim, rho.dim + n - m))
+    i = np.arange(n, min(dim, dim + n - m))
     k = i - n + m
     coef = np.exp(0.5 * (gammaln(i + 1) + gammaln(k + 1)) - gammaln(i - n + 1))
-    return complex(rho.entries[i, k] @ coef)
+    for arr in (i, k, coef):
+        arr.setflags(write=False)
+    return i, k, coef
 
 
 def displacement_element(m: int, n: int, beta: complex) -> complex:
@@ -314,13 +323,16 @@ def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
 
 
 def load_state(obj: dict | str) -> DensityMatrix:
-    """Inverse of save_state; the state must pass validate()."""
+    """Inverse of save_state; the state must pass validate(). A dim or n_modes that is not
+    an integer and a leakage outside [0, 1] are MalformedFile."""
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        dim, n_modes = int(obj["dim"]), int(obj.get("n_modes", 1))
-        leakage = float(obj.get("leakage", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, n_modes = obj["dim"], obj.get("n_modes", 1)
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (dim, n_modes)):
+            raise TypeError(f"dim {dim!r} and n_modes {n_modes!r} must be integers")
+        rho = DensityMatrix(int(dim), entries, int(n_modes), float(obj.get("leakage", 0.0)))
+    except (KeyError, TypeError, ValueError, InvalidWeights) as exc:
         raise MalformedFile(f"not a state record: {type(exc).__name__}: {exc}") from None
-    return _checked(DensityMatrix(dim, entries, n_modes, leakage))
+    return _checked(rho)

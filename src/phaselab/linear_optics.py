@@ -3,6 +3,7 @@ in both the Fock domain and the characteristic-function domain.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 from typing import Callable
 
@@ -10,13 +11,8 @@ import numpy as np
 from scipy.special import binom
 
 from .classical_fields import BeamSplitterParams
-from .errors import (
-    CutoffTooSmall,
-    DimensionMismatch,
-    GainNotAllowed,
-    TrustRadiusExceeded,
-)
-from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean, level_occupations
+from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
+from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
@@ -123,22 +119,34 @@ def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
     Applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 =
     C(n+k, k) eta^n (1-eta)^k, band by band: A_k rho A_k^T is outer(w[k], w[k]) times
-    rho[k:, k:] in the top-left corner, O(dim^3) in all; the bands k above the highest
-    stored level are zero and skipped. It equals the splitter t = sqrt(eta) acting on
-    rho and a vacuum ancilla, with the ancilla traced out.
+    rho[k:, k:] in the top-left corner. Only the levels below b = the highest stored
+    level + 1 hold entries, so only the bands k < b and the top-left b x b block are
+    summed, O(b^3) in all. It equals the splitter t = sqrt(eta) acting on rho and a
+    vacuum ancilla, with the ancilla traced out.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("attenuate expects a single-mode state")
     if not 0 <= eta <= 1:
         raise GainNotAllowed(f"eta = {eta} must lie in [0, 1]")
-    d = rho.dim
-    bands = effective_dim(level_occupations(rho)[0])
-    k, n = np.arange(bands)[:, None], np.arange(d)
-    w = np.sqrt(binom(n + k, k) * eta**n * (1 - eta) ** k)
-    out = np.zeros_like(rho.entries)
-    for j in range(bands):
-        out[: d - j, : d - j] += np.outer(w[j, : d - j], w[j, : d - j]) * rho.entries[j:, j:]
-    return DensityMatrix(d, out, leakage=rho.leakage)
+    b = effective_dim(rho.occupations[0])
+    k, n, binoms = _loss_binomials(b)
+    w = np.sqrt(binoms * eta**n * (1 - eta) ** k)
+    e = rho.entries
+    out = np.zeros_like(e)
+    for j in range(b):
+        out[: b - j, : b - j] += np.outer(w[j, : b - j], w[j, : b - j]) * e[j:b, j:b]
+    return DensityMatrix(rho.dim, out, leakage=rho.leakage)
+
+
+@lru_cache(maxsize=64)
+def _loss_binomials(bands: int) -> tuple[np.ndarray, ...]:
+    """k (a column), n (a row) and C(n+k, k) for k, n < bands: the parts of the Kraus
+    weights that do not depend on eta, built once per size and shared read-only."""
+    k, n = np.arange(bands)[:, None], np.arange(bands)
+    binoms = binom(n + k, k)
+    for arr in (k, n, binoms):
+        arr.setflags(write=False)
+    return k, n, binoms
 
 
 def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGrid:

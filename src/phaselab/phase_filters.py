@@ -15,7 +15,7 @@ from math import lgamma, log, sqrt
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedFile
-from .fock_core import DensityMatrix, effective_dim, level_occupations, require_finite
+from .fock_core import DensityMatrix, effective_dim, require_finite
 
 TAIL_TOL = 1e-12
 # a top level holding less than this counts as empty: the state fits the cutoff
@@ -108,12 +108,6 @@ def filter_from_json(obj: dict | str) -> FilterSpec:
         raise MalformedFile(f"not a filter record: {type(exc).__name__}: {exc}") from None
 
 
-def eval_filter(f: FilterSpec, beta):
-    """Omega(beta); vectorizes over arrays of beta."""
-    out = np.exp(f.exponent(beta))
-    return complex(out) if out.ndim == 0 else out
-
-
 def _check_trust(dim: int, top_level: float, beta: np.ndarray):
     """Reject betas where truncation can corrupt Tr(rho D(beta)).
 
@@ -204,15 +198,17 @@ def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
     all zero is skipped, and bands past the last one e holds are never built,
     so a diagonal e costs one band.
     """
-    # band k holds e[n, n+k] and e[n+k, n]
-    held = {k for k in range(len(e)) if np.diagonal(e, k).any() or np.diagonal(e, -k).any()}
+    # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries
+    rows, cols = np.nonzero(e)
+    held = set(np.abs(cols - rows).tolist())
     vals = np.zeros(size, dtype=complex)
     for k, lower, upper, lag, inv in islice(bands, max(held, default=-1) + 1):
         if k not in held:
             continue
         # Tr(e X) = sum_{m,n} e[n, m] <m|X|n>: the band of <n+k|X|n>
         # pairs with e[n, n+k], that of <n|X|n+k> with e[n+k, n]
-        w = np.stack([np.diagonal(e, k), np.diagonal(e, -k)], axis=1)
+        w = np.empty((len(e) - k, 2), dtype=complex)
+        w[:, 0], w[:, 1] = e.diagonal(k), e.diagonal(-k)
         # real rows times the (re, im) columns of w, read back as complex: (U, 2)
         acc = (lag().T @ w.view(float)).view(complex)
         vals += lower * np.take(acc[:, 0], inv)
@@ -227,7 +223,7 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     beta_arr = require_finite(beta, "beta")
-    occ = level_occupations(rho)[0]
+    occ = rho.occupations[0]
     d = effective_dim(occ)
     _check_trust(rho.dim, occ[-1], beta_arr)
     flat = beta_arr.ravel()
@@ -247,7 +243,7 @@ def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
         raise DimensionMismatch("two_mode_charfunc expects a two-mode state")
     b3, b4 = np.broadcast_arrays(require_finite(beta3, "beta3"), require_finite(beta4, "beta4"))
     d = rho12.dim
-    occ = level_occupations(rho12)
+    occ = rho12.occupations
     d1, d2 = (effective_dim(row) for row in occ)
     _check_trust(d, occ[0, -1], b3)
     _check_trust(d, occ[1, -1], b4)

@@ -16,14 +16,8 @@ import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse
 from .errors import ImaginaryResidue, SingularPFunction
-from .fock_core import (
-    DensityMatrix,
-    coherent_leakage,
-    coherent_vector,
-    effective_dim,
-    level_occupations,
-    require_finite,
-)
+from .fock_core import DensityMatrix, coherent_leakage, coherent_vector, effective_dim
+from .fock_core import require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
 from .phase_filters import _band_trace, _bands
 
@@ -163,7 +157,7 @@ def q_function(rho: DensityMatrix, alpha):
     if rho.n_modes != 1:
         raise DimensionMismatch("q_function expects a single-mode state")
     alpha_arr = require_finite(alpha, "alpha")
-    occ = level_occupations(rho)[0]
+    occ = rho.occupations[0]
     # as for the characteristic function, the sum over occupied levels is
     # exact; the Poisson tail beyond the cutoff matters only when the stored
     # matrix visibly truncates a larger state
@@ -197,7 +191,7 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     if s > 0:
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
     alpha_arr = require_finite(alpha, "alpha")
-    d = effective_dim(level_occupations(rho)[0])
+    d = effective_dim(rho.occupations[0])
     a = alpha_arr.ravel()
     x = np.abs(a) ** 2
     w = 2 * a / (1 - s)
@@ -228,7 +222,7 @@ def quadrature_distribution(
     rho = wigner.source
     if rho is None:
         raise DimensionMismatch("quadrature marginal needs the grid's source state")
-    d = effective_dim(level_occupations(rho)[0])
+    d = effective_dim(rho.occupations[0])
     x = wigner.axis
     psi = np.zeros((d, x.size))
     psi[0] = (2 / pi) ** 0.25 * np.exp(-x * x)

@@ -102,17 +102,14 @@ def classify_filter_bs(
     if trials < 1:
         raise InvalidWeights("need at least one trial")
     rng = np.random.default_rng(seed)
-    cases = [
-        (bs, b3, b4) for bs in SPECIAL_BS_CASES for b3, b4 in FIXED_BETA_CASES
-    ]
+    cases = [(bs, b3, b4) for bs in SPECIAL_BS_CASES for b3, b4 in FIXED_BETA_CASES]
     for _ in range(trials):
         cases.append((random_splitter(rng), _random_beta(rng), _random_beta(rng)))
     max_res = 0.0
     witness = None
     for bs, b3, b4 in cases:
         res = filter_bs_residual(f, bs, b3, b4)
-        if res > max_res:
-            max_res = res
+        max_res = max(max_res, res)
         if witness is None and res > tol:
             witness = (bs, b3, b4, res)
     s = f.as_s()

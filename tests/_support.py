@@ -5,6 +5,12 @@ from phaselab import fock_core as fc
 from phaselab.quasiprob_engine import lattice
 
 
+def annihilation(dim):
+    """Annihilation operator truncated to dim levels, a[m, n] = sqrt(n) d_{m,n-1}: the
+    ladder-operator oracle for ``normal_moment`` and the displacement elements."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+
+
 def random_density(dim, occupied=None, rng=None):
     """Random full-rank state supported on the lowest `occupied` levels,
     embedded with headroom up to `dim`."""

@@ -87,6 +87,19 @@ class TestInputBoundary:
         assert json.loads(err)["error"] == "NonFiniteArgument"
 
     @pytest.mark.parametrize(
+        "field, value", [("leakage", -0.5), ("leakage", 7.0), ("dim", 5.7), ("n_modes", True)]
+    )
+    def test_invalid_state_field(self, tmp_path, capsys, field, value):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1", "--cutoff", "4")
+        obj = json.loads(Path(state).read_text())
+        obj[field] = value
+        Path(state).write_text(json.dumps(obj))
+        for argv in (["report", "--state", state], ["attenuate", "--eta", "0.5", "--state", state]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "MalformedFile"
+
+    @pytest.mark.parametrize(
         "argv, text",
         [
             (["verify", "--theorem", "2", "--s", "nan"], None),

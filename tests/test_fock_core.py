@@ -15,12 +15,12 @@ from phaselab.errors import (
     NonFiniteArgument,
 )
 
-from _support import random_density
+from _support import annihilation, random_density
 
 
 def displacement_oracle(beta, dim=30):
     """Brute-force matrix exponential of beta a^dag - beta* a."""
-    a = fc.annihilation(dim)
+    a = annihilation(dim)
     return expm(beta * a.conj().T - np.conj(beta) * a)
 
 
@@ -133,6 +133,19 @@ class TestNormalMoments:
             expected = np.conj(alpha) ** m * alpha**n
             assert abs(fc.normal_moment(rho, m, n) - expected) < 1e-9
 
+    def test_weights_keyed_by_size(self):
+        # the weights are cached per (dim, m, n): each (m, n) is asked at cutoffs in turn,
+        # on coherent states whose mass reaches past the smaller cutoffs, so weights of
+        # another size would drop stored levels or index past the matrix
+        cutoffs = (14, 40, 26, 14, 40)
+        alphas = [np.sqrt(c / 12) * np.exp(0.7j) for c in cutoffs]
+        states = [fc.make_coherent(a, c) for a, c in zip(alphas, cutoffs)]
+        for m in range(4):
+            for n in range(4):
+                for alpha, rho in zip(alphas, states):
+                    want = np.conj(alpha) ** m * alpha**n
+                    assert abs(fc.normal_moment(rho, m, n) - want) <= 1e-8 * abs(want)
+
     def test_normalization_moment(self):
         for rho in [fc.make_thermal(0.7, 50), fc.make_coherent(1.1, 25), random_density(12)]:
             assert abs(fc.normal_moment(rho, 0, 0) - 1.0) <= 1e-10
@@ -159,7 +172,7 @@ class TestNormalMoments:
     def test_matches_ladder_product(self, seed, dim, occupied, m, n):
         # the truncated-algebra product, with the a^dag that drops the top level
         rho = random_density(dim, occupied=min(occupied, dim), rng=np.random.default_rng(seed))
-        a = fc.annihilation(dim)
+        a = annihilation(dim)
         op = np.linalg.matrix_power(a.conj().T, m) @ np.linalg.matrix_power(a, n)
         want = np.trace(rho.entries @ op)
         assert abs(fc.normal_moment(rho, m, n) - want) <= 1e-12 * max(1.0, abs(want))
@@ -240,6 +253,26 @@ class TestLevelOccupations:
         assert fc.effective_dim(occ[0]) == 6
 
 
+class TestOccupationsProperty:
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            random_density(9, occupied=5, rng=np.random.default_rng(4)),
+            fc.make_fock(1, 20),
+            fc.tensor(random_density(6, occupied=2), random_density(6, occupied=4)),
+        ],
+        ids=["one_mode", "fock", "two_mode"],
+    )
+    def test_equals_level_occupations_read_only_once(self, rho):
+        occ = rho.occupations
+        assert np.array_equal(occ, fc.level_occupations(rho))
+        assert occ.shape == (rho.n_modes, rho.dim)
+        assert not occ.flags.writeable
+        with pytest.raises(ValueError):
+            occ[0, 0] = 0.0
+        assert rho.occupations is occ
+
+
 class TestCoherentVector:
     def test_vectorized_over_alpha(self):
         alphas = np.array([[0.0, 0.3 - 1.2j], [2.0j, -1.5]])
@@ -275,6 +308,18 @@ NON_FINITE_CASES = [
 
 
 class TestDensityMatrix:
+    @pytest.mark.parametrize("leakage", [-0.5, -5e-324, 1 + 2e-16, 7.0])
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_leakage_outside_unit_interval_rejected(self, n_modes, leakage):
+        e = np.zeros((3**n_modes,) * 2, dtype=complex)
+        e[0, 0] = 1.0
+        with pytest.raises(InvalidWeights):
+            fc.DensityMatrix(3, e, n_modes, leakage)
+
+    @pytest.mark.parametrize("leakage", [0.0, 1.0])
+    def test_leakage_bounds_accepted(self, leakage):
+        assert fc.DensityMatrix(1, np.ones((1, 1)), leakage=leakage).leakage == leakage
+
     @pytest.mark.parametrize("n_modes, at, value, leakage", NON_FINITE_CASES)
     def test_non_finite_rejected(self, n_modes, at, value, leakage):
         e = np.zeros((4**n_modes,) * 2, dtype=complex)
@@ -342,6 +387,19 @@ class TestStateIO:
     def test_malformed_record(self, obj):
         with pytest.raises(MalformedFile):
             fc.load_state(obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("leakage", -0.5), ("leakage", 7.0), ("dim", 5.7), ("dim", True), ("dim", "5"),
+         ("n_modes", True), ("n_modes", 1.5)],
+    )
+    def test_invalid_field_is_malformed(self, field, value):
+        obj = fc.save_state(fc.make_fock(1, 4))
+        obj[field] = value
+        with pytest.raises(MalformedFile):
+            fc.load_state(obj)
+        with pytest.raises(MalformedFile):
+            fc.load_state(json.dumps(obj))
 
 
 # signed zeros, the smallest subnormal, values next to the largest double and

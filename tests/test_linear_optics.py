@@ -211,6 +211,18 @@ class TestAttenuate:
         # the vacuum ancilla fills only the complete blocks: nothing is lost
         assert b.leakage == rho.leakage
 
+    def test_tables_keyed_by_size(self):
+        # the binomial tables are cached per band count: dims and band counts are
+        # interleaved, and each output is checked against the splitter route
+        sizes = [(6, 2), (21, 2), (21, 9), (6, 5), (12, 9), (21, 21), (6, 2), (21, 9)]
+        for i, (dim, occupied) in enumerate(sizes):
+            rho = random_density(dim, occupied=occupied, rng=np.random.default_rng(i))
+            for eta in (0.2, 0.65):
+                out = lo.attenuate(rho, eta)
+                assert np.max(np.abs(out.entries - ancilla_attenuate(rho, eta).entries)) <= 1e-12
+        for arr in lo._loss_binomials(9):
+            assert not arr.flags.writeable
+
     def test_nan_level_reaches_output(self):
         # a state with a NaN level cannot be built, so none reaches the channel
         entries = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
