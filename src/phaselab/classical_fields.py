@@ -99,29 +99,12 @@ class ClassicalEnsemble:
         return cls([[a1, a2] for a1, a2, _ in triples], [w for _, _, w in triples])
 
 
-def field_at_time(alpha: complex, omega: float, tau: float) -> float:
-    """Real field E(tau) = alpha e^{i w tau} + c.c."""
-    return float((alpha * cmath.exp(1j * omega * tau)).real * 2)
-
-
 def classical_beamsplit(
     alpha1: complex, alpha2: complex, bs: BeamSplitterParams
 ) -> tuple[complex, complex]:
     """Output amplitudes (alpha3, alpha4) of the splitter."""
     out = bs.matrix() @ np.array([alpha1, alpha2], dtype=complex)
     return complex(out[0]), complex(out[1])
-
-
-def solve_missing_amplitudes(
-    alpha1: complex, alpha3: complex, bs: BeamSplitterParams
-) -> tuple[complex, complex]:
-    """Recover (alpha2, alpha4) from one input and one output amplitude."""
-    if bs.r == 0:
-        raise DegenerateSplitter("inverse solve requires r != 0")
-    # alpha3 = e^{i phi_U} (t alpha1 + r alpha2), alpha4 = e^{i phi_U} (t* alpha2 - r* alpha1)
-    alpha2 = (cmath.exp(-1j * bs.phi_U) * alpha3 - bs.t * alpha1) / bs.r
-    alpha4 = (bs.t.conjugate() * alpha3 - cmath.exp(1j * bs.phi_U) * alpha1) / bs.r
-    return complex(alpha2), complex(alpha4)
 
 
 def ensemble_beamsplit(

@@ -183,6 +183,7 @@ def cmd_verify(args) -> Iterable[str]:
             "s": v.s,
             "witness": witness,
             "max_residual": v.max_residual,
+            "reason": v.reason,
         }
     else:
         v = tl.classify_filter_attenuator(f, tl.disk_grid())
@@ -254,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a covariance verification suite")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=100, help="random probes for max_residual")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random probes")
 
     p = sub.add_parser("classical", help="classical ensemble operations")
     p.add_argument("--op", choices=("beamsplit", "attenuate", "moments"), required=True)

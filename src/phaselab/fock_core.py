@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite, lgamma
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln, xlogy
@@ -200,11 +200,10 @@ def tensor(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch("tensor expects two single-mode states")
     if rho1.dim != rho2.dim:
         raise DimensionMismatch("tensor factors must share the cutoff")
+    # the lost mass 1 - (1 - l1)(1 - l2), written to stay in [0, 1] and keep tiny leakages
+    hi, lo = max(rho1.leakage, rho2.leakage), min(rho1.leakage, rho2.leakage)
     return DensityMatrix(
-        rho1.dim,
-        np.kron(rho1.entries, rho2.entries),
-        n_modes=2,
-        leakage=rho1.leakage + rho2.leakage,
+        rho1.dim, np.kron(rho1.entries, rho2.entries), n_modes=2, leakage=hi + lo * (1 - hi)
     )
 
 
@@ -324,15 +323,18 @@ def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
 
 def load_state(obj: dict | str) -> DensityMatrix:
     """Inverse of save_state; the state must pass validate(). A dim or n_modes that is not
-    an integer and a leakage outside [0, 1] are MalformedFile."""
+    an integer and a leakage that is not a number in [0, 1] are MalformedFile."""
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         dim, n_modes = obj["dim"], obj.get("n_modes", 1)
+        leakage = obj.get("leakage", 0.0)
         if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (dim, n_modes)):
             raise TypeError(f"dim {dim!r} and n_modes {n_modes!r} must be integers")
-        rho = DensityMatrix(int(dim), entries, int(n_modes), float(obj.get("leakage", 0.0)))
+        if not isinstance(leakage, Real) or isinstance(leakage, bool):
+            raise TypeError(f"leakage {leakage!r} must be a number")
+        rho = DensityMatrix(int(dim), entries, int(n_modes), float(leakage))
     except (KeyError, TypeError, ValueError, InvalidWeights) as exc:
         raise MalformedFile(f"not a state record: {type(exc).__name__}: {exc}") from None
     return _checked(rho)

@@ -27,9 +27,10 @@ class FilterSpec:
     """Quasiprobability family selector.
 
     Exactly one representation is active: ``s`` for the Gaussian family, or
-    ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series. A NaN or
-    infinite ``s`` or coefficient raises NonFiniteArgument; neither or both of
-    them, a negative power or a nonzero c_00 raises InvalidFilter.
+    ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series: sorted, with
+    the terms of one (k, l) summed and zero terms dropped. A NaN or infinite ``s``
+    or coefficient raises NonFiniteArgument; neither or both of them, a negative
+    power or a nonzero c_00 raises InvalidFilter.
     """
 
     s: float | None = None
@@ -39,17 +40,18 @@ class FilterSpec:
         if (self.s is None) == (self.coeffs is None):
             raise InvalidFilter("specify exactly one of s or coeffs")
         if self.coeffs is not None:
-            clean = []
+            terms = {}
             for k, l, c in self.coeffs:
-                k, l, c = int(k), int(l), complex(c)
-                require_finite(c, f"series coefficient c_{k}{l}")
+                k, l = int(k), int(l)
                 if k < 0 or l < 0:
                     raise InvalidFilter("series powers must be nonnegative")
-                if (k, l) == (0, 0) and c != 0:
-                    raise InvalidFilter("c_00 must vanish so that Omega(0) = 1")
-                if c != 0:
-                    clean.append((k, l, c))
-            object.__setattr__(self, "coeffs", tuple(sorted(clean, key=lambda t: t[:2])))
+                terms[k, l] = terms.get((k, l), 0) + complex(c)
+            for (k, l), c in terms.items():
+                require_finite(c, f"series coefficient c_{k}{l}")
+            if terms.get((0, 0), 0) != 0:
+                raise InvalidFilter("c_00 must vanish so that Omega(0) = 1")
+            clean = tuple((k, l, c) for (k, l), c in sorted(terms.items()) if c != 0)
+            object.__setattr__(self, "coeffs", clean)
         else:
             object.__setattr__(self, "s", float(self.s))
             require_finite(self.s, "s")
@@ -81,7 +83,7 @@ class FilterSpec:
             return 0.0
         if len(self.coeffs) == 1:
             k, l, c = self.coeffs[0]
-            if (k, l) == (1, 1) and abs(c.imag) < 1e-15:
+            if (k, l) == (1, 1) and c.imag == 0:
                 return 2 * c.real
         return None
 
@@ -101,8 +103,9 @@ def filter_from_json(obj: dict | str) -> FilterSpec:
             obj = json.loads(obj)
         if "s" in obj:
             return FilterSpec.s_param(float(obj["s"]))
-        return FilterSpec.general(
-            {(e["k"], e["l"]): complex(e.get("re", 0.0), e.get("im", 0.0)) for e in obj["coeffs"]}
+        return FilterSpec(
+            coeffs=tuple((e["k"], e["l"], complex(e.get("re", 0.0), e.get("im", 0.0)))
+                         for e in obj["coeffs"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"not a filter record: {type(exc).__name__}: {exc}") from None

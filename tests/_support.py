@@ -23,6 +23,14 @@ def random_density(dim, occupied=None, rng=None):
     return fc.embed(rho, dim) if dim > occupied else rho
 
 
+def random_splitter(rng):
+    """A splitter drawn uniformly on the unitarity manifold, with a uniform global phase."""
+    from phaselab.classical_fields import BeamSplitterParams
+
+    theta, phi, phi_u = rng.uniform(0.0, [np.pi / 2, 2 * np.pi, 2 * np.pi])
+    return BeamSplitterParams(np.cos(theta), np.exp(1j * phi) * np.sin(theta), phi_u)
+
+
 def random_coherent_ensemble(rng, n_samples=4, radius=1.5):
     from phaselab.classical_fields import ClassicalEnsemble
 

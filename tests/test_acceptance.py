@@ -21,7 +21,7 @@ from phaselab.linear_optics import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import ancilla_attenuate, random_coherent_ensemble, random_density
+from _support import ancilla_attenuate, random_coherent_ensemble, random_density, random_splitter
 
 CUTOFF = 20
 
@@ -67,13 +67,12 @@ class TestAcceptance:
         start = time.perf_counter()
         rng = np.random.default_rng(42)
         worst = 0.0
-        splitters = [tl.random_splitter(rng) for _ in range(100)]
-        pairs = [(tl._random_beta(rng), tl._random_beta(rng)) for _ in range(100)]
+        splitters, _, _ = tl.random_probes(rng, 100)
+        _, b3, b4 = tl.random_probes(rng, 100)
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
             f = FilterSpec.s_param(s)
-            for bs in splitters:
-                for b3, b4 in pairs:
-                    worst = max(worst, tl.filter_bs_residual(f, bs, b3, b4))
+            # every splitter against every beta pair
+            worst = max(worst, tl.filter_bs_residual(f, splitters[:, None], b3, b4).max())
         ok = worst <= 1e-10
         specials = {(bs.t, bs.r) for bs in tl.SPECIAL_BS_CASES}
         for k in range(5):
@@ -116,7 +115,7 @@ class TestAcceptance:
             r1 = random_density(10, occupied=4, rng=rng)
             r2 = random_density(10, occupied=4, rng=rng)
             rho = fc.tensor(r1, r2)
-            bs = tl.random_splitter(rng)
+            bs = random_splitter(rng)
             pulled = pullback_charfunc(
                 qe.two_mode_charfunc_grid(rho, f, extent=1.5, points=5), bs
             )

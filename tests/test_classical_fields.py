@@ -27,17 +27,6 @@ def assert_same_ensemble(a, b):
     assert np.array_equal(a.weights, b.weights)
 
 
-class TestFieldAtTime:
-    def test_maximum_amplitude(self):
-        assert cl.field_at_time(1.0, 2.0, 0.0) == pytest.approx(2.0)
-
-    def test_imaginary_amplitude(self):
-        assert cl.field_at_time(1j, 1.0, 0.0) == pytest.approx(0.0)
-
-    def test_zero_field(self):
-        assert cl.field_at_time(0.0, 5.0, 1.3) == 0.0
-
-
 class TestBeamSplitterParams:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryBeamSplitter):
@@ -87,35 +76,6 @@ class TestClassicalBeamsplit:
         assert abs(a3) ** 2 + abs(a4) ** 2 == pytest.approx(
             abs(a1) ** 2 + abs(a2) ** 2, abs=1e-12
         )
-
-
-class TestSolveMissingAmplitudes:
-    def test_spec_point(self):
-        a2, a4 = cl.solve_missing_amplitudes(1.0, SQ2, symmetric_bs())
-        assert a2 == pytest.approx(0.0, abs=1e-12)
-        assert a4 == pytest.approx(-SQ2)
-
-    def test_zero_fields(self):
-        a2, a4 = cl.solve_missing_amplitudes(0.0, 0.0, cl.BeamSplitterParams(0.6, 0.8))
-        assert a2 == 0 and a4 == 0
-
-    def test_round_trip(self):
-        bs = cl.BeamSplitterParams(0.6, 0.8 * np.exp(1.1j))
-        a1, a2 = 0.4 + 0.2j, -0.9 + 0.5j
-        a3, a4 = cl.classical_beamsplit(a1, a2, bs)
-        b2, b4 = cl.solve_missing_amplitudes(a1, a3, bs)
-        assert b2 == pytest.approx(a2, abs=1e-12)
-        assert b4 == pytest.approx(a4, abs=1e-12)
-
-    def test_transmission_output(self):
-        bs = cl.BeamSplitterParams(0.6, 0.8j)
-        a2, a4 = cl.solve_missing_amplitudes(1.0, bs.t, bs)
-        assert a2 == pytest.approx(0.0, abs=1e-12)
-        assert a4 == pytest.approx(-np.conj(bs.r), abs=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSplitter):
-            cl.solve_missing_amplitudes(1.0, 1.0, cl.BeamSplitterParams(1.0, 0.0))
 
 
 class TestEnsembles:

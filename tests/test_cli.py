@@ -87,7 +87,8 @@ class TestInputBoundary:
         assert json.loads(err)["error"] == "NonFiniteArgument"
 
     @pytest.mark.parametrize(
-        "field, value", [("leakage", -0.5), ("leakage", 7.0), ("dim", 5.7), ("n_modes", True)]
+        "field, value",
+        [("leakage", -0.5), ("leakage", 7.0), ("leakage", True), ("dim", 5.7), ("n_modes", True)],
     )
     def test_invalid_state_field(self, tmp_path, capsys, field, value):
         state = write_state(tmp_path, "one.json", "state", "--fock", "1", "--cutoff", "4")
@@ -364,6 +365,32 @@ class TestVerify:
         assert code == 0
         assert payload["verdict"] == "NOT_COVARIANT"
         assert payload["witness"]["residual"] > 1e-10
+        assert payload["reason"].startswith("the c_20 bracket")
+
+    @pytest.mark.parametrize("s", ["3", "400", "-60"])
+    def test_theorem1_large_s_covariant(self, capsys, s):
+        code, out, err = run(capsys, "verify", "--theorem", "1", "--s", s)
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["verdict"] == "COVARIANT" and payload["s"] == float(s)
+        assert payload["witness"] is None
+        assert payload["max_residual"] <= 1e-13
+
+    def test_theorem1_complex_c11_reason(self, tmp_path, capsys):
+        spec = tmp_path / "filter.json"
+        spec.write_text(json.dumps({"coeffs": [{"k": 1, "l": 1, "re": 0.5, "im": 1e-16}]}))
+        code, out, _ = run(capsys, "verify", "--theorem", "1", "--filter", str(spec))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["verdict"] == "NOT_COVARIANT" and payload["witness"] is None
+        assert "not real" in payload["reason"]
+
+    def test_theorem2_overflow_is_inf(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "2", "--s", "400")
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["verdict"] == "NOT_CLASSICAL"
+        assert payload["max_residual"] == float("inf")
 
     def test_theorem2_classical(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "2", "--s", "1")

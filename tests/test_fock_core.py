@@ -320,6 +320,19 @@ class TestDensityMatrix:
     def test_leakage_bounds_accepted(self, leakage):
         assert fc.DensityMatrix(1, np.ones((1, 1)), leakage=leakage).leakage == leakage
 
+    @pytest.mark.parametrize(
+        "l1, l2, want",
+        [(0.6, 0.6, 0.84), (1.0, 0.1, 1.0), (0.1, 1.0, 1.0), (0.0, 0.3, 0.3),
+         (1e-24, 3e-24, 4e-24)],
+    )
+    def test_tensor_leakage_is_lost_mass(self, l1, l2, want):
+        # the product keeps (1 - l1)(1 - l2) of the mass
+        one = np.zeros((2, 2), dtype=complex)
+        one[0, 0] = 1.0
+        rho = fc.tensor(fc.DensityMatrix(2, one, leakage=l1), fc.DensityMatrix(2, one, leakage=l2))
+        assert rho.leakage == pytest.approx(want, rel=1e-15)
+        assert 0 <= rho.leakage <= 1
+
     @pytest.mark.parametrize("n_modes, at, value, leakage", NON_FINITE_CASES)
     def test_non_finite_rejected(self, n_modes, at, value, leakage):
         e = np.zeros((4**n_modes,) * 2, dtype=complex)
@@ -390,8 +403,8 @@ class TestStateIO:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("leakage", -0.5), ("leakage", 7.0), ("dim", 5.7), ("dim", True), ("dim", "5"),
-         ("n_modes", True), ("n_modes", 1.5)],
+        [("leakage", -0.5), ("leakage", 7.0), ("leakage", True), ("leakage", "0.1"),
+         ("dim", 5.7), ("dim", True), ("dim", "5"), ("n_modes", True), ("n_modes", 1.5)],
     )
     def test_invalid_field_is_malformed(self, field, value):
         obj = fc.save_state(fc.make_fock(1, 4))

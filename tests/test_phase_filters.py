@@ -67,6 +67,18 @@ class TestFilterSpec:
         assert pf.FilterSpec.general({(1, 1): 0.25}).as_s() == pytest.approx(0.5)
         assert pf.FilterSpec.general({(2, 0): 0.1}).as_s() is None
         assert pf.FilterSpec.s_param(-1.0).as_s() == -1.0
+        # exact: any imaginary part of c_11 leaves the s family
+        assert pf.FilterSpec.general({(1, 1): 0.5 + 1e-300j}).as_s() is None
+        assert pf.FilterSpec.general({(1, 1): 0.5, (2, 0): 0.0}).as_s() == 1.0
+
+    def test_repeated_terms_sum(self):
+        f = pf.FilterSpec(coeffs=((2, 0, 0.1), (1, 1, 0.2), (2, 0, -0.1), (1, 1, 0.3j)))
+        assert f.coeffs == ((1, 1, 0.2 + 0.3j),)
+        terms = [{"k": 1, "l": 1, "re": 0.2}, {"k": 1, "l": 1, "re": 0.3}]
+        assert pf.filter_from_json({"coeffs": terms}).as_s() == 1.0
+        # a sum that overflows is not finite
+        with pytest.raises(NonFiniteArgument):
+            pf.FilterSpec(coeffs=((2, 0, 1e308), (2, 0, 1e308)))
 
     def test_json_roundtrip(self):
         for f in [
