@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     MalformedFile,
     NonUnitaryBeamSplitter,
 )
-from .fock_core import require_finite
+from .fock_core import json_number, require_finite
 
 UNITARITY_TOL = 1e-12
 
@@ -153,11 +154,13 @@ def load_ensemble(obj: dict | str) -> ClassicalEnsemble:
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
-        samples = obj["samples"]
-        two_mode = obj.get("n_modes", 1) == 2 or (samples and "re1" in samples[0])
-        suffixes = ("1", "2") if two_mode else ("",)
-        amps = [[complex(s["re" + c], s["im" + c]) for c in suffixes] for s in samples]
-        weights = [float(s["w"]) for s in samples]
+        samples, n_modes = obj["samples"], json_number(obj.get("n_modes", 1), Integral)
+        if n_modes not in (1, 2):
+            raise ValueError(f"n_modes {n_modes} is not 1 or 2")
+        suffixes = ("1", "2") if n_modes == 2 or (samples and "re1" in samples[0]) else ("",)
+        amps = [[complex(json_number(s["re" + c]), json_number(s["im" + c])) for c in suffixes]
+                for s in samples]
+        weights = [float(json_number(s["w"])) for s in samples]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"not an ensemble record: {type(exc).__name__}: {exc}") from None
     return ClassicalEnsemble(amps, weights)

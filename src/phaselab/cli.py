@@ -79,6 +79,10 @@ def _fmt_complex(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
+def _finite_or_null(value: float) -> float | None:
+    return value if np.isfinite(value) else None  # strict JSON has no Infinity or NaN
+
+
 def _csv(header: list[str], rows) -> tuple[str]:
     lines = [",".join(header), *(",".join(f"{v:.15g}" for v in row) for row in rows)]
     return ("\n".join(lines) + "\n",)
@@ -174,7 +178,7 @@ def cmd_verify(args) -> Iterable[str]:
                 "r": _fmt_complex(bs.r),
                 "beta3": _fmt_complex(b3),
                 "beta4": _fmt_complex(b4),
-                "residual": res,
+                "residual": _finite_or_null(res),
             }
         payload = {
             "theorem": 1,
@@ -182,7 +186,7 @@ def cmd_verify(args) -> Iterable[str]:
             "verdict": v.verdict,
             "s": v.s,
             "witness": witness,
-            "max_residual": v.max_residual,
+            "max_residual": _finite_or_null(v.max_residual),
             "reason": v.reason,
         }
     else:
@@ -192,7 +196,7 @@ def cmd_verify(args) -> Iterable[str]:
             "filter": f.describe(),
             "verdict": v.verdict,
             "witness": None if v.witness_beta is None else _fmt_complex(v.witness_beta),
-            "max_residual": v.max_deviation,
+            "max_residual": _finite_or_null(v.max_deviation),
         }
     return _json(payload, indent=2)
 

@@ -29,7 +29,7 @@ class UnwritableOutput(DomainError):
 
 
 class InvalidFilter(DomainError, ValueError):
-    """A filter sets neither or both of s and coeffs, a negative power or a nonzero c_00."""
+    """A filter series power is not a nonnegative integer, or c_00 is nonzero (Omega(0) = 1)."""
 
 
 class DimensionMismatch(DomainError):

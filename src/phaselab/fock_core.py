@@ -89,6 +89,13 @@ def require_finite(value, name: str) -> np.ndarray:
     return arr
 
 
+def json_number(value, kind=Real):
+    """``value`` if JSON read it as a number of ``kind`` (Integral or Real), else TypeError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not {'an integer' if kind is Integral else 'a number'}")
+    return value
+
+
 def hermitian_mean(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 in place, returned: m[j, i] is the exact conjugate of m[i, j]."""
     m += m.conj().T
@@ -328,13 +335,9 @@ def load_state(obj: dict | str) -> DensityMatrix:
         if isinstance(obj, str):
             obj = json.loads(obj)
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        dim, n_modes = obj["dim"], obj.get("n_modes", 1)
-        leakage = obj.get("leakage", 0.0)
-        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (dim, n_modes)):
-            raise TypeError(f"dim {dim!r} and n_modes {n_modes!r} must be integers")
-        if not isinstance(leakage, Real) or isinstance(leakage, bool):
-            raise TypeError(f"leakage {leakage!r} must be a number")
-        rho = DensityMatrix(int(dim), entries, int(n_modes), float(leakage))
+        dim, n_modes = (json_number(v, Integral) for v in (obj["dim"], obj.get("n_modes", 1)))
+        leakage = float(json_number(obj.get("leakage", 0.0)))
+        rho = DensityMatrix(int(dim), entries, int(n_modes), leakage)
     except (KeyError, TypeError, ValueError, InvalidWeights) as exc:
         raise MalformedFile(f"not a state record: {type(exc).__name__}: {exc}") from None
     return _checked(rho)

@@ -124,14 +124,14 @@ def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, f
 
 
 def locate_wigner_zero(cutoff: int = 20, tol: float = 1e-4) -> float:
-    """Bisect the numeric attenuated-photon Wigner origin curve for its zero."""
+    """Bisect the numeric attenuated-photon Wigner origin curve for its zero, to
+    ``tol`` or until no float lies between the ends."""
+    if not 0 < tol < float("inf"):
+        raise InvalidWeights(f"tol {tol} must be finite and > 0")
     lo, hi = 0.0, 1.0
-    flo = wigner_origin_numeric(lo, cutoff)
-    fhi = wigner_origin_numeric(hi, cutoff)
-    if flo <= 0 or fhi >= 0:
+    if wigner_origin_numeric(lo, cutoff) <= 0 or wigner_origin_numeric(hi, cutoff) >= 0:
         raise ValueError("curve does not bracket a sign change on [0, 1]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if wigner_origin_numeric(mid, cutoff) > 0:
             lo = mid
         else:

@@ -1,8 +1,8 @@
 """Filter functions Omega(beta) and filtered characteristic functions.
 
-A filter is either the s-parameterized Gaussian exp(s|beta|^2/2) (s=1: P,
-s=0: Wigner, s=-1: Q) or a finite exponential series
-exp(sum c_kl beta^k beta*^l) with c_00 = 0 so that Omega(0) = 1.
+A filter is Omega(beta) = exp(s|beta|^2/2 + sum c_kl beta^k beta*^l) with c_00 = 0,
+so that Omega(0) = 1. The s family (s=1: P, s=0: Wigner, s=-1: Q) is the filters
+with no other term.
 """
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import lgamma, log, sqrt
+from numbers import Integral
 
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedFile
-from .fock_core import DensityMatrix, effective_dim, require_finite
+from .fock_core import DensityMatrix, effective_dim, json_number, require_finite
 
 TAIL_TOL = 1e-12
 # a top level holding less than this counts as empty: the state fits the cutoff
@@ -24,37 +25,33 @@ TOP_LEVEL_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Quasiprobability family selector.
+    """One value per filter: ``s`` plus ``coeffs``, the other series terms.
 
-    Exactly one representation is active: ``s`` for the Gaussian family, or
-    ``coeffs`` as a tuple of (k, l, c_kl) for the exponential series: sorted, with
-    the terms of one (k, l) summed and zero terms dropped. A NaN or infinite ``s``
-    or coefficient raises NonFiniteArgument; neither or both of them, a negative
-    power or a nonzero c_00 raises InvalidFilter.
+    ``coeffs`` is a tuple of (k, l, c_kl), sorted, with the terms of one (k, l) summed
+    and zero terms dropped. The real part of c_11 moves into ``s`` as 2 Re c_11, so
+    ``coeffs`` holds only its imaginary part. A NaN or inf raises NonFiniteArgument; a
+    power that is not a nonnegative integer or a nonzero c_00 raises InvalidFilter.
     """
 
-    s: float | None = None
-    coeffs: tuple[tuple[int, int, complex], ...] | None = None
+    s: float = 0.0
+    coeffs: tuple[tuple[int, int, complex], ...] = ()
 
     def __post_init__(self):
-        if (self.s is None) == (self.coeffs is None):
-            raise InvalidFilter("specify exactly one of s or coeffs")
-        if self.coeffs is not None:
-            terms = {}
-            for k, l, c in self.coeffs:
-                k, l = int(k), int(l)
-                if k < 0 or l < 0:
-                    raise InvalidFilter("series powers must be nonnegative")
-                terms[k, l] = terms.get((k, l), 0) + complex(c)
-            for (k, l), c in terms.items():
-                require_finite(c, f"series coefficient c_{k}{l}")
-            if terms.get((0, 0), 0) != 0:
-                raise InvalidFilter("c_00 must vanish so that Omega(0) = 1")
-            clean = tuple((k, l, c) for (k, l), c in sorted(terms.items()) if c != 0)
-            object.__setattr__(self, "coeffs", clean)
-        else:
-            object.__setattr__(self, "s", float(self.s))
-            require_finite(self.s, "s")
+        terms = {}
+        for k, l, c in self.coeffs:
+            if not all(isinstance(p, Integral) and p >= 0 for p in (k, l)):
+                raise InvalidFilter(f"series powers ({k}, {l}) must be nonnegative integers")
+            k, l = int(k), int(l)
+            terms[k, l] = terms.get((k, l), 0) + complex(c)
+        c11 = terms.pop((1, 1), 0j)
+        s = float(self.s) + 2 * c11.real
+        terms[1, 1] = 1j * c11.imag
+        require_finite([s, *terms.values()], "s and every series coefficient")
+        if terms.get((0, 0), 0) != 0:
+            raise InvalidFilter("c_00 must vanish so that Omega(0) = 1")
+        object.__setattr__(self, "s", s)
+        clean = tuple((k, l, c) for (k, l), c in sorted(terms.items()) if c != 0)
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def s_param(cls, s: float) -> "FilterSpec":
@@ -67,46 +64,38 @@ class FilterSpec:
     def exponent(self, beta):
         """Exponent of the filter at beta (scalar or array)."""
         beta = np.asarray(beta, dtype=complex)
-        if self.s is not None:
-            return self.s * np.abs(beta) ** 2 / 2
-        acc = np.zeros(beta.shape, dtype=complex)
-        bc = beta.conjugate()
+        acc = self.s * np.abs(beta) ** 2 / 2
         for k, l, c in self.coeffs:
-            acc = acc + c * beta**k * bc**l
+            acc = acc + c * beta**k * beta.conjugate() ** l
         return acc
 
     def as_s(self) -> float | None:
-        """The equivalent s-parameter, or None if not in the Gaussian family."""
-        if self.s is not None:
-            return self.s
-        if not self.coeffs:
-            return 0.0
-        if len(self.coeffs) == 1:
-            k, l, c = self.coeffs[0]
-            if (k, l) == (1, 1) and c.imag == 0:
-                return 2 * c.real
-        return None
+        """The s-parameter, or None if not in the Gaussian family."""
+        return None if self.coeffs else self.s
 
     def describe(self) -> dict:
-        if self.s is not None:
+        """{"s": s} for the s family, else every term with c_11 = s/2 + i Im c_11."""
+        if not self.coeffs:
             return {"s": self.s}
-        return {
-            "coeffs": [
-                {"k": k, "l": l, "re": c.real, "im": c.imag} for k, l, c in self.coeffs
-            ]
-        }
+        terms = {(k, l): c for k, l, c in self.coeffs}
+        terms[1, 1] = self.s / 2 + terms.get((1, 1), 0j)
+        return {"coeffs": [{"k": k, "l": l, "re": c.real, "im": c.imag}
+                           for (k, l), c in sorted(terms.items()) if c != 0]}
 
 
 def filter_from_json(obj: dict | str) -> FilterSpec:
+    """A record with exactly one of "s" (a number) and "coeffs" ({"k", "l", "re", "im"})."""
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if ("s" in obj) == ("coeffs" in obj):
+            raise ValueError("a filter record holds exactly one of s and coeffs")
         if "s" in obj:
-            return FilterSpec.s_param(float(obj["s"]))
-        return FilterSpec(
-            coeffs=tuple((e["k"], e["l"], complex(e.get("re", 0.0), e.get("im", 0.0)))
-                         for e in obj["coeffs"])
-        )
+            return FilterSpec(s=json_number(obj["s"]))
+        return FilterSpec(coeffs=tuple(
+            (json_number(e["k"], Integral), json_number(e["l"], Integral),
+             complex(json_number(e.get("re", 0.0)), json_number(e.get("im", 0.0))))
+            for e in obj["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"not a filter record: {type(exc).__name__}: {exc}") from None
 

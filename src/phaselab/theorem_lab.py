@@ -105,7 +105,8 @@ def classify_filter_bs(f: FilterSpec, trials: int = 100, seed: int = 42) -> BSVe
         return BSVerdict(COVARIANT, s, max_res, None, f"Omega = exp(s|beta|^2/2), s = {s}")
     bad = [(k, l) for k, l, _ in f.coeffs if (k, l) != (1, 1)]
     if not bad:
-        why = f"c_11 = {f.coeffs[0][2]} keeps the splitter law but is not real: no quasiprobability"
+        c11 = complex(f.s / 2, f.coeffs[0][2].imag)
+        why = f"c_11 = {c11} keeps the splitter law but is not real: no quasiprobability"
         return BSVerdict(NOT_COVARIANT, None, max_res, None, why)
     k, l = bad[0]
     brackets = [bracket_coefficient(k, l, bs) for bs in SPECIAL_BS_CASES]

@@ -23,6 +23,19 @@ def random_density(dim, occupied=None, rng=None):
     return fc.embed(rho, dim) if dim > occupied else rho
 
 
+def even_cat(alpha, occupied, dim):
+    """(|alpha> + |-alpha>) normalised on its lowest `occupied` levels, embedded with
+    headroom up to `dim`. Every odd level is exactly empty, so the state holds only
+    the even bands k = m - n."""
+    c = np.ones(occupied, dtype=complex)
+    for n in range(1, occupied):
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    c[1::2] = 0.0
+    c /= np.linalg.norm(c)
+    rho = fc.DensityMatrix(occupied, np.outer(c, c.conj()))
+    return fc.embed(rho, dim) if dim > occupied else rho
+
+
 def random_splitter(rng):
     """A splitter drawn uniformly on the unitarity manifold, with a uniform global phase."""
     from phaselab.classical_fields import BeamSplitterParams

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from phaselab.errors import (
     DimensionMismatch,
     GainNotAllowed,
     InvalidWeights,
+    MalformedFile,
     NonFiniteArgument,
     NonUnitaryBeamSplitter,
 )
@@ -212,3 +215,19 @@ class TestEnsembleIO:
     def test_roundtrip_two_mode(self):
         ens = cl.ClassicalEnsemble.two_mode([(0.3, 1j, 0.5), (0.0, 0.2, 0.5)])
         assert_same_ensemble(cl.load_ensemble(cl.save_ensemble(ens)), ens)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"n_modes": 3, "samples": [{"re": 1.0, "im": 0.0, "w": 1.0}]},
+         {"n_modes": True, "samples": [{"re": 1.0, "im": 0.0, "w": 1.0}]},
+         {"samples": [{"re": 1.0, "im": 0.0, "w": "1"}]},
+         {"samples": [{"re": 1.0, "im": 0.0, "w": True}]},
+         {"samples": [{"re": True, "im": 0.0, "w": 1.0}]},
+         {"samples": [{"re1": 1.0, "im1": 0.0, "re2": 0.0, "im2": "0", "w": 1.0}]}],
+        ids=["n_modes-3", "n_modes-bool", "w-string", "w-bool", "re-bool", "im2-string"],
+    )
+    def test_malformed_record(self, obj):
+        with pytest.raises(MalformedFile):
+            cl.load_ensemble(obj)
+        with pytest.raises(MalformedFile):
+            cl.load_ensemble(json.dumps(obj))

@@ -202,6 +202,24 @@ class TestInputBoundary:
             (["report", "--state"], '"x"'),
             (["classical", "--op", "moments", "--ensemble"], '"x"'),
             (["verify", "--theorem", "1", "--trials", "2", "--filter"], '"x"'),
+            # numbers must be JSON numbers of the right kind, never bools or strings
+            (["report", "--state"], '{"dim": 1, "re": [[1]], "im": [[0]], "leakage": "0"}'),
+            (["verify", "--theorem", "2", "--filter"], '{"s": true}'),
+            (["verify", "--theorem", "2", "--filter"], '{"s": "0.5"}'),
+            (["verify", "--theorem", "2", "--filter"], '{"coeffs": [{"k": 1.7, "l": 0, "re": 1}]}'),
+            (["verify", "--theorem", "2", "--filter"], '{"coeffs": [{"k": true, "l": 0, "re": 1}]}'),
+            (["verify", "--theorem", "2", "--filter"], '{"coeffs": [{"k": 2, "l": 0, "re": true}]}'),
+            (["verify", "--theorem", "2", "--filter"],
+             '{"s": 1, "coeffs": [{"k": 2, "l": 0, "re": 0.1}]}'),
+            (["verify", "--theorem", "2", "--filter"], "{}"),
+            (["classical", "--op", "moments", "--ensemble"],
+             '{"n_modes": 3, "samples": [{"re": 1.0, "im": 0.0, "w": 1.0}]}'),
+            (["classical", "--op", "moments", "--ensemble"],
+             '{"samples": [{"re": 1.0, "im": 0.0, "w": "1"}]}'),
+            (["classical", "--op", "moments", "--ensemble"],
+             '{"samples": [{"re": 1.0, "im": 0.0, "w": true}]}'),
+            (["classical", "--op", "moments", "--ensemble"],
+             '{"samples": [{"re": true, "im": 0.0, "w": 1.0}]}'),
         ],
     )
     def test_malformed_file(self, tmp_path, capsys, argv, text):
@@ -383,14 +401,27 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0
         assert payload["verdict"] == "NOT_COVARIANT" and payload["witness"] is None
-        assert "not real" in payload["reason"]
+        assert "c_11 = (0.5+1e-16j)" in payload["reason"] and "not real" in payload["reason"]
 
-    def test_theorem2_overflow_is_inf(self, capsys):
+    def test_theorem2_overflow_is_null(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "2", "--s", "400")
-        payload = json.loads(out)
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        payload = json.loads(out, parse_constant=reject)
         assert code == 0 and err == ""
         assert payload["verdict"] == "NOT_CLASSICAL"
-        assert payload["max_residual"] == float("inf")
+        assert payload["max_residual"] is None
+
+    def test_theorem2_p_function_spellings(self, tmp_path, capsys):
+        spec = tmp_path / "filter.json"
+        spec.write_text(json.dumps({"coeffs": [{"k": 1, "l": 1, "re": 0.5}]}))
+        code, by_s, _ = run(capsys, "verify", "--theorem", "2", "--s", "1")
+        assert code == 0
+        code, by_file, _ = run(capsys, "verify", "--theorem", "2", "--filter", str(spec))
+        assert code == 0 and by_file == by_s
+        assert json.loads(by_s)["max_residual"] == 0.0
 
     def test_theorem2_classical(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "2", "--s", "1")

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,20 @@ from phaselab.errors import CutoffTooSmall, InvalidWeights
 from phaselab.linear_optics import attenuate
 
 from _support import random_coherent_ensemble
+
+
+def within_seconds(seconds, fn, *args):
+    """fn(*args), failing with TimeoutError if it has not returned after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__}{args} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCorrelationReport:
@@ -116,6 +132,16 @@ class TestWignerOriginCurve:
 
     def test_zero_crossing(self):
         assert nc.locate_wigner_zero(tol=1e-3) == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_invalid_tol(self, tol):
+        with pytest.raises(InvalidWeights):
+            within_seconds(10, nc.locate_wigner_zero, 20, tol)
+
+    def test_tol_below_float_spacing_ends(self):
+        # the bracket cannot shrink below adjacent floats: the bisection stops there
+        zero = within_seconds(10, nc.locate_wigner_zero, 20, 1e-300)
+        assert zero == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCoherentMixture:

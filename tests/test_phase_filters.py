@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,11 @@ from scipy.linalg import expm
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
-from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, NonFiniteArgument
+from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, MalformedFile
+from phaselab.errors import NonFiniteArgument
+from phaselab.theorem_lab import disk_grid
 
-from _support import annihilation, random_density, repeated_radii
+from _support import annihilation, even_cat, random_density, repeated_radii
 
 
 def charfunc_oracle(rho, beta, dim=45):
@@ -54,14 +57,53 @@ class TestFilterSpec:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"s": 0.0, "coeffs": ((1, 1, 0.1),)}, {"coeffs": ((0, 0, 0.5),)},
-         {"coeffs": ((2, 0, 0.1), (-1, 1, 0.2))}],
-        ids=["neither", "both", "c00", "negative-power"],
+        [{"coeffs": ((0, 0, 0.5),)}, {"coeffs": ((2, 0, 0.1), (-1, 1, 0.2))},
+         {"coeffs": ((1.7, 0, 0.1),)}],
+        ids=["c00", "negative-power", "fractional-power"],
     )
     def test_invalid_spec_is_domain_error(self, kwargs):
         with pytest.raises(InvalidFilter) as info:
             pf.FilterSpec(**kwargs)
         assert isinstance(info.value, DomainError)
+
+    def test_default_is_wigner(self):
+        assert pf.FilterSpec() == pf.FilterSpec.s_param(0.0) == pf.FilterSpec(coeffs=())
+        assert pf.FilterSpec().as_s() == 0.0 and pf.FilterSpec().describe() == {"s": 0.0}
+
+    def test_s_plus_terms_is_one_filter(self):
+        # s and c_11 both hold |beta|^2: their sum is the filter's s
+        f = pf.FilterSpec(s=0.5, coeffs=((1, 1, 0.1), (2, 0, 0.1)))
+        assert f.s == 0.7 and f.coeffs == ((2, 0, 0.1),) and f.as_s() is None
+        assert f == pf.FilterSpec.general({(1, 1): 0.35, (2, 0): 0.1})
+        assert f.describe() == {"coeffs": [{"k": 1, "l": 1, "re": 0.35, "im": 0.0},
+                                           {"k": 2, "l": 0, "re": 0.1, "im": 0.0}]}
+
+    def test_one_spelling_per_filter(self):
+        s_family = pf.FilterSpec.s_param(0.5)
+        series = pf.FilterSpec.general({(1, 1): 0.25})
+        assert s_family == series and hash(s_family) == hash(series)
+        assert s_family.describe() == series.describe() == {"s": 0.5}
+        assert pf.FilterSpec(s=0.5, coeffs=((2, 0, 0.1),)) == pf.FilterSpec.general(
+            {(1, 1): 0.25, (2, 0): 0.1}
+        )
+        _, betas = qe.lattice(6, 128)
+        assert np.array_equal(s_family.exponent(betas), series.exponent(betas))
+        p_spellings = [
+            pf.FilterSpec.s_param(1.0),
+            pf.FilterSpec.general({(1, 1): 0.5}),
+            pf.FilterSpec(s=0.5, coeffs=((1, 1, 0.25),)),
+            pf.FilterSpec(s=2.0, coeffs=((1, 1, -0.25), (1, 1, -0.25))),
+            pf.filter_from_json({"coeffs": [{"k": 1, "l": 1, "re": 0.5}]}),
+        ]
+        grid = disk_grid()
+        for f in p_spellings:
+            assert f == p_spellings[0]
+            assert np.all(pf.vacuum_charfunc(f, grid) == 1.0)
+
+    @given(s=st.floats(-50.0, 50.0, allow_subnormal=True))
+    def test_s_survives_every_spelling(self, s):
+        assert pf.FilterSpec.s_param(s).as_s() == s
+        assert pf.FilterSpec.general({(1, 1): s / 2}).as_s() == 2 * (s / 2)
 
     def test_s_reduction(self):
         assert pf.FilterSpec.general({(1, 1): 0.25}).as_s() == pytest.approx(0.5)
@@ -73,7 +115,7 @@ class TestFilterSpec:
 
     def test_repeated_terms_sum(self):
         f = pf.FilterSpec(coeffs=((2, 0, 0.1), (1, 1, 0.2), (2, 0, -0.1), (1, 1, 0.3j)))
-        assert f.coeffs == ((1, 1, 0.2 + 0.3j),)
+        assert f.s == 0.4 and f.coeffs == ((1, 1, 0.3j),)
         terms = [{"k": 1, "l": 1, "re": 0.2}, {"k": 1, "l": 1, "re": 0.3}]
         assert pf.filter_from_json({"coeffs": terms}).as_s() == 1.0
         # a sum that overflows is not finite
@@ -84,8 +126,23 @@ class TestFilterSpec:
         for f in [
             pf.FilterSpec.s_param(0.5),
             pf.FilterSpec.general({(2, 1): 0.3 - 0.1j, (1, 0): 1j}),
+            pf.FilterSpec(s=-0.6, coeffs=((1, 1, 0.2j), (0, 2, 0.1))),
+            pf.FilterSpec.general({(1, 1): -0.3j}),
         ]:
             assert pf.filter_from_json(f.describe()) == f
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{}, {"s": 0.5, "coeffs": [{"k": 2, "l": 0, "re": 0.1}]}, {"s": True}, {"s": "0.5"},
+         {"coeffs": [{"k": 1.7, "l": 0, "re": 0.1}]}, {"coeffs": [{"k": True, "l": 0, "re": 0.1}]},
+         {"coeffs": [{"k": 2, "l": 0, "re": True}]}, {"coeffs": [{"k": 2, "l": 0, "im": "1"}]}],
+        ids=["neither", "both", "s-bool", "s-string", "k-float", "k-bool", "re-bool", "im-string"],
+    )
+    def test_malformed_record(self, obj):
+        with pytest.raises(MalformedFile):
+            pf.filter_from_json(obj)
+        with pytest.raises(MalformedFile):
+            pf.filter_from_json(json.dumps(obj))
 
 
 class TestSymmetricCharfunc:
@@ -137,11 +194,17 @@ class TestSymmetricCharfunc:
         d=st.integers(1, 31),
         radius=st.floats(0.0, 8.5),
         angle=st.floats(0.0, 2 * np.pi),
+        cat=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_band_sum_matches_laguerre_elements(self, seed, d, radius, angle):
-        # one empty level above a dense block: no trust check applies
-        rho = random_density(d + 1, occupied=d, rng=np.random.default_rng(seed))
+    def test_band_sum_matches_laguerre_elements(self, seed, d, radius, angle, cat):
+        # one empty level above a dense block, or above an even cat state, which
+        # holds no odd band: no trust check applies
+        rng = np.random.default_rng(seed)
+        if cat:
+            rho = even_cat(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()), d, d + 1)
+        else:
+            rho = random_density(d + 1, occupied=d, rng=rng)
         beta = radius * np.exp(1j * angle)
         elements = np.array(
             [[fc.displacement_element(m, n, beta) for n in range(d)] for m in range(d)]

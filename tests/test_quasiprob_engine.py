@@ -20,7 +20,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import random_density, repeated_radii
+from _support import even_cat, random_density, repeated_radii
 
 S0 = FilterSpec.s_param(0.0)
 SQ = FilterSpec.s_param(-1.0)
@@ -208,10 +208,15 @@ class TestPointwise:
         want = sum(pn * fock_ps(n, alpha, s) for n, pn in enumerate(p))
         assert np.max(np.abs(qe.quasiprob_pointwise(rho, alpha, s) - want)) <= 1e-12
 
-    @given(seed=SEEDS, occupied=st.integers(1, 14), alpha=ALPHAS)
+    @given(seed=SEEDS, occupied=st.integers(1, 14), alpha=ALPHAS, cat=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_q_function_at_s_minus_one(self, seed, occupied, alpha):
-        rho = random_density(15, occupied=occupied, rng=np.random.default_rng(seed))
+    def test_q_function_at_s_minus_one(self, seed, occupied, alpha, cat):
+        # an even cat state holds no odd band, so the band kernel skips them
+        rng = np.random.default_rng(seed)
+        if cat:
+            rho = even_cat(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()), occupied, 15)
+        else:
+            rho = random_density(15, occupied=occupied, rng=rng)
         got = qe.quasiprob_pointwise(rho, alpha, -1.0)
         assert np.max(np.abs(got - qe.q_function(rho, alpha))) <= 1e-13
 
