@@ -4,11 +4,10 @@ in both the Fock domain and the characteristic-function domain.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import sqrt
+from math import comb, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import binom
 
 from .classical_fields import BeamSplitterParams
 from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
@@ -140,10 +139,14 @@ def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
 @lru_cache(maxsize=64)
 def _loss_binomials(bands: int) -> tuple[np.ndarray, ...]:
-    """k (a column), n (a row) and C(n+k, k) for k, n < bands: the parts of the Kraus
-    weights that do not depend on eta, built once per size and shared read-only."""
+    """k (a column), n (a row) and the exact C(n+k, k) for n + k < bands, 0 elsewhere (inf
+    past the float range: a channel on over 1024 levels is NonFiniteArgument): the parts of
+    the Kraus weights that do not depend on eta, built once per size and shared read-only."""
     k, n = np.arange(bands)[:, None], np.arange(bands)
-    binoms = binom(n + k, k)
+    binoms = np.zeros((bands, bands))
+    for j in range(bands):
+        exact = (comb(i + j, j) for i in range(bands - j))
+        binoms[j, : bands - j] = [float(c) if c.bit_length() < 1024 else np.inf for c in exact]
     for arr in (k, n, binoms):
         arr.setflags(write=False)
     return k, n, binoms
@@ -174,12 +177,7 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     return CharFuncGrid(cf12.axis, values, cf12.filter, cf12.source)
 
 
-def attenuate_charfunc(
-    state_cf: Callable[[complex], complex],
-    f: FilterSpec,
-    t: complex,
-    beta3,
-):
+def attenuate_charfunc(state_cf: Callable[[complex], complex], f: FilterSpec, t: complex, beta3):
     """Attenuated characteristic function Phi_1(t* b) Phi_vac(r* b).
 
     ``state_cf`` evaluates the filtered characteristic function of the input

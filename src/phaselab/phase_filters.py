@@ -2,7 +2,8 @@
 
 A filter is Omega(beta) = exp(s|beta|^2/2 + sum c_kl beta^k beta*^l) with c_00 = 0,
 so that Omega(0) = 1. The s family (s=1: P, s=0: Wigner, s=-1: Q) is the filters
-with no other term.
+with no other term. A filtered characteristic function that is not finite at a
+requested beta raises NonFiniteArgument, with no warning.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import lgamma, log, sqrt
-from numbers import Integral
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedF
 from .fock_core import DensityMatrix, effective_dim, json_number, require_finite
 
 TAIL_TOL = 1e-12
+_PHI = "the filtered characteristic function"
 # a top level holding less than this counts as empty: the state fits the cutoff
 TOP_LEVEL_FLOOR = 1e-10
 
@@ -29,14 +31,18 @@ class FilterSpec:
 
     ``coeffs`` is a tuple of (k, l, c_kl), sorted, with the terms of one (k, l) summed
     and zero terms dropped. The real part of c_11 moves into ``s`` as 2 Re c_11, so
-    ``coeffs`` holds only its imaginary part. A NaN or inf raises NonFiniteArgument; a
-    power that is not a nonnegative integer or a nonzero c_00 raises InvalidFilter.
+    ``coeffs`` holds only its imaginary part. A NaN or inf raises NonFiniteArgument; an
+    ``s`` that is not a real number or a c_kl not a number (bool and str are neither),
+    a power that is not a nonnegative integer or a nonzero c_00 raises InvalidFilter.
     """
 
     s: float = 0.0
     coeffs: tuple[tuple[int, int, complex], ...] = ()
 
     def __post_init__(self):
+        values = [(self.s, Real), *((c, Number) for *_, c in self.coeffs)]
+        if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in values):
+            raise InvalidFilter("s must be a real number and every c_kl a number")
         terms = {}
         for k, l, c in self.coeffs:
             if not all(isinstance(p, Integral) and p >= 0 for p in (k, l)):
@@ -61,8 +67,9 @@ class FilterSpec:
     def general(cls, coeffs: dict) -> "FilterSpec":
         return cls(coeffs=tuple((k, l, c) for (k, l), c in coeffs.items()))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def exponent(self, beta):
-        """Exponent of the filter at beta (scalar or array)."""
+        """Exponent of the filter at beta (scalar or array); inf or NaN where it overflows."""
         beta = np.asarray(beta, dtype=complex)
         acc = self.s * np.abs(beta) ** 2 / 2
         for k, l, c in self.coeffs:
@@ -224,11 +231,14 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     return complex(vals) if vals.ndim == 0 else vals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def filtered_charfunc(rho: DensityMatrix, f: FilterSpec, beta):
     """Phi_Omega(beta) = Tr(rho D(beta)) Omega(beta)."""
-    return symmetric_charfunc(rho, beta) * np.exp(f.exponent(beta))
+    vals = require_finite(symmetric_charfunc(rho, beta) * np.exp(f.exponent(beta)), _PHI)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
     """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state."""
     if rho12.n_modes != 2:
@@ -244,10 +254,11 @@ def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
     e = rho12.entries.reshape(d, d, d, d)[:d1, :d2, :d1, :d2]
     # optimize: contract rho with one stack as a matrix product, not a 7-index loop
     vals = np.einsum("nqmp,mnk,pqk->k", e, s3, s4, optimize=True)
-    vals = vals.reshape(b3.shape) * np.exp(f.exponent(b3) + f.exponent(b4))
+    vals = require_finite(vals.reshape(b3.shape) * np.exp(f.exponent(b3) + f.exponent(b4)), _PHI)
     return complex(vals) if vals.ndim == 0 else vals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vacuum_charfunc(f: FilterSpec, beta):
     """Filtered vacuum characteristic function e^{-|b|^2/2} Omega(b).
 
@@ -255,5 +266,5 @@ def vacuum_charfunc(f: FilterSpec, beta):
     identically one in floating point.
     """
     beta = np.asarray(beta, dtype=complex)
-    out = np.exp(-np.abs(beta) ** 2 / 2 + f.exponent(beta))
+    out = require_finite(np.exp(-np.abs(beta) ** 2 / 2 + f.exponent(beta)), _PHI)
     return complex(out) if out.ndim == 0 else out

@@ -68,23 +68,15 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     return axis, x + 1j * y
 
 
-def charfunc_grid(
-    rho: DensityMatrix,
-    f: FilterSpec,
-    extent: float = 6.0,
-    points: int = 128,
-) -> CharFuncGrid:
+def charfunc_grid(rho: DensityMatrix, f: FilterSpec, extent: float = 6.0,
+                  points: int = 128) -> CharFuncGrid:
     """Evaluate Phi_Omega on a square beta lattice."""
     axis, betas = lattice(extent, points)
     return CharFuncGrid(axis, filtered_charfunc(rho, f, betas), f, rho)
 
 
-def two_mode_charfunc_grid(
-    rho12: DensityMatrix,
-    f: FilterSpec,
-    extent: float = 2.0,
-    points: int = 7,
-) -> CharFuncGrid:
+def two_mode_charfunc_grid(rho12: DensityMatrix, f: FilterSpec, extent: float = 2.0,
+                           points: int = 7) -> CharFuncGrid:
     """Evaluate the joint Phi_Omega(beta3, beta4) on a small 4D lattice."""
     axis, betas = lattice(extent, points)
     b3 = betas[:, :, None, None]
@@ -108,11 +100,8 @@ def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int)
     return alpha_axis, m1, m2
 
 
-def quasiprob_transform(
-    cf: CharFuncGrid,
-    alpha_extent: float = 4.0,
-    alpha_points: int = 129,
-) -> QuasiProbGrid:
+def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
+                        alpha_points: int = 129) -> QuasiProbGrid:
     """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}."""
     if cf.values.ndim != 2:
         raise DimensionMismatch("transform supports single-mode grids")
@@ -132,7 +121,7 @@ def quasiprob_transform(
         edge = np.concatenate(
             [cf.values[0, :], cf.values[-1, :], cf.values[:, 0], cf.values[:, -1]]
         )
-        if float(np.max(np.abs(edge))) > BOUNDARY_DECAY_TOL:
+        if not float(np.max(np.abs(edge))) <= BOUNDARY_DECAY_TOL:  # NaN fails it
             raise SingularPFunction(
                 "characteristic function does not decay at the lattice boundary; "
                 "the quasiprobability is singular or the lattice too small"
@@ -142,7 +131,7 @@ def quasiprob_transform(
     )
     p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
     residue = float(np.max(np.abs(p.imag)))
-    if residue > IMAG_RESIDUE_TOL:
+    if not residue <= IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(
             f"transform imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}"
         )
@@ -208,9 +197,7 @@ def attenuated_photon_wigner(eta: float, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def quadrature_distribution(
-    wigner: QuasiProbGrid, phase: float
-) -> list[tuple[float, float]]:
+def quadrature_distribution(wigner: QuasiProbGrid, phase: float) -> list[tuple[float, float]]:
     """Exact marginal <x|rho|x> of the quadrature x = Re(alpha e^{-i phase}) on the
     grid's axis, with rho the state the s = 0 grid was computed from.
 

@@ -9,7 +9,7 @@ Probes only measure how far a filter is from either law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -33,8 +33,6 @@ FIXED_BETA_CASES = (
 _FIXED_M = np.repeat([bs.matrix() for bs in SPECIAL_BS_CASES], len(FIXED_BETA_CASES), axis=0)
 _FIXED_B3, _FIXED_B4 = np.array(FIXED_BETA_CASES * len(SPECIAL_BS_CASES)).T
 
-LOG_MAX = log(np.finfo(float).max)  # exp overflows beyond it
-
 COVARIANT = "COVARIANT"
 NOT_COVARIANT = "NOT_COVARIANT"
 CLASSICAL_ATTENUATION = "CLASSICAL_ATTENUATION"
@@ -57,9 +55,11 @@ class AttenuatorVerdict:
     witness_beta: complex | None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def filter_bs_residual(f: FilterSpec, m, beta3, beta4):
     """|E(b3) + E(b4) - E(a1) - E(a2)| / max(1, |E(b3) + E(b4)|), E = f.exponent, with
-    (a1, a2) = M^dag (b3, b4): the splitter law in the exponent, so it cannot overflow.
+    (a1, a2) = M^dag (b3, b4): the splitter law in the exponent, so it cannot overflow;
+    a non-finite exponent reads as an infinite residual, with no warning.
     ``m`` is one splitter matrix (``bs.matrix()``) or a stack of shape (..., 2, 2)
     that broadcasts against the betas."""
     b3, b4 = np.broadcast_arrays(np.asarray(beta3, complex), np.asarray(beta4, complex))
@@ -67,6 +67,7 @@ def filter_bs_residual(f: FilterSpec, m, beta3, beta4):
     lhs = f.exponent(np.stack([b3, b4])).sum(0)
     a = np.stack([mc[..., 0, 0] * b3 + mc[..., 1, 0] * b4, mc[..., 0, 1] * b3 + mc[..., 1, 1] * b4])
     res = np.abs(lhs - f.exponent(a).sum(0)) / np.maximum(1.0, np.abs(lhs))
+    res = np.where(np.isnan(res), np.inf, res)  # only an inf or NaN exponent makes a NaN
     return float(res) if res.ndim == 0 else res
 
 
@@ -117,17 +118,17 @@ def classify_filter_bs(f: FilterSpec, trials: int = 100, seed: int = 42) -> BSVe
     return BSVerdict(NOT_COVARIANT, None, max_res, (bs, *FIXED_BETA_CASES[j], float(at[j])), why)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify_filter_attenuator(f: FilterSpec, grid) -> AttenuatorVerdict:
     """CLASSICAL_ATTENUATION iff f is the P function, ``f.as_s() == 1``: only then is
     the filtered vacuum e^{-|b|^2/2} Omega(b) identically one. ``max_deviation`` is
-    max |e^{E(b) - |b|^2/2} - 1| over the grid (inf where it overflows), and the
-    witness is where it peaks."""
+    max |e^{E(b) - |b|^2/2} - 1| over the grid (inf where that overflows or E is not
+    finite), and the witness is where it peaks."""
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
         raise InvalidWeights("probe grid must be nonempty")
     z = f.exponent(grid) - np.abs(grid) ** 2 / 2
-    over = z.real > LOG_MAX
-    dev = np.where(over, np.inf, np.abs(np.expm1(np.where(over, 0, z))))
+    dev = np.where(np.isfinite(z), np.abs(np.expm1(z)), np.inf)
     worst = int(np.argmax(dev))
     if f.as_s() == 1:
         return AttenuatorVerdict(CLASSICAL_ATTENUATION, float(dev[worst]), None)

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
+from math import lgamma
+
 import numpy as np
+from scipy.special import eval_genlaguerre
 
 from phaselab import fock_core as fc
+from phaselab.errors import InvalidWeights
 from phaselab.quasiprob_engine import lattice
 
 
@@ -9,6 +13,23 @@ def annihilation(dim):
     """Annihilation operator truncated to dim levels, a[m, n] = sqrt(n) d_{m,n-1}: the
     ladder-operator oracle for ``normal_moment`` and the displacement elements."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+
+
+def displacement_element(m: int, n: int, beta: complex) -> complex:
+    """Matrix element <m|D(beta)|n> of the displacement operator.
+
+    Closed form via associated Laguerre polynomials; total in m, n >= 0. The oracle
+    for the band kernel's displacement elements.
+    """
+    if m < 0 or n < 0:
+        raise InvalidWeights("Fock indices must be nonnegative")
+    beta = complex(beta)
+    if m < n:
+        m, n = n, m
+        beta = -beta.conjugate()
+    x = abs(beta) ** 2
+    pref = np.exp(0.5 * (lgamma(n + 1) - lgamma(m + 1)) - x / 2)
+    return complex(pref * beta ** (m - n) * eval_genlaguerre(n, m - n, x))
 
 
 def random_density(dim, occupied=None, rng=None):

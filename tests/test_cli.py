@@ -240,6 +240,43 @@ class TestInputBoundary:
         assert fc.load_state(json.loads(proc.stdout)).entries[1, 1] == 1.0
 
 
+class TestNumpyOnly:
+    """numpy is the only runtime dependency: scipy serves the tests as an oracle only."""
+
+    def python(self, code, cwd):
+        src = str(Path(phaselab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=cwd, timeout=120)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import sys, phaselab.cli; print([m for m in sys.modules if 'scipy' in m])"
+        proc = self.python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        ensemble = {"samples": [{"re": 1.0, "im": 0.5, "w": 1.0}]}
+        (tmp_path / "ens.json").write_text(json.dumps(ensemble))
+        commands = [
+            "state --coherent 1 --out c.json", "state --fock 1 --out f.json",
+            "figure3 --eta-steps 5", "report --state c.json", "attenuate --state c.json --eta 0.5",
+            "charfunc --state f.json", "quasiprob --state f.json",
+            "beamsplit --state1 f.json --state2 c.json --t 0.6 --r 0.8",
+            "verify --theorem 1", "verify --theorem 2",
+            "classical --op moments --ensemble ens.json",
+        ]
+        script = f"""
+import sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+from phaselab import cli
+for argv in {commands!r}:
+    assert cli.main(argv.split() + ([] if "--out" in argv else ["--out", "out.txt"])) == 0, argv
+"""
+        proc = self.python(script, tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 class TestPipelines:
     def test_attenuate_then_report(self, tmp_path, capsys):
         state = write_state(tmp_path, "one.json", "state", "--fock", "1")
@@ -433,6 +470,45 @@ class TestVerify:
     def test_theorem2_not_classical(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "2", "--s", "0")
         assert json.loads(out)["verdict"] == "NOT_CLASSICAL"
+
+
+class TestOverflowingFilter:
+    """A filter whose exponent overflows on the lattice or the probes: a characteristic
+    function that is not finite is an error, a verdict reads it as an infinite residual,
+    and neither prints a warning (the suite turns warnings into errors)."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"coeffs": [{"k": 2, "l": 0, "re": 1e308}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["charfunc", "quasiprob"])
+    @pytest.mark.parametrize("filter_args", ["huge", ["--s", "30"]], ids=["c20-1e308", "s30"])
+    def test_charfunc_and_quasiprob_fail(self, tmp_path, capsys, huge, command, filter_args):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        if filter_args == "huge":
+            filter_args = ["--filter", huge]
+        code, out, err = run(capsys, command, "--state", state, *filter_args)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NonFiniteArgument"
+
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_verify_reads_an_infinite_residual(self, capsys, huge, theorem):
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--filter", huge)
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["verdict"] == ("NOT_COVARIANT" if theorem == "1" else "NOT_CLASSICAL")
+        assert payload["max_residual"] is None
+        w = payload["witness"]
+        if theorem == "1":
+            assert w["residual"] is None
+        else:
+            from phaselab.phase_filters import FilterSpec
+
+            beta = complex(w["re"], w["im"])
+            z = FilterSpec.general({(2, 0): 1e308}).exponent(beta) - abs(beta) ** 2 / 2
+            assert not (np.isfinite(z) and z.real <= np.log(np.finfo(float).max))
 
 
 class TestClassical:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 from phaselab import fock_core as fc
 from phaselab.errors import (
@@ -15,7 +16,7 @@ from phaselab.errors import (
     NonFiniteArgument,
 )
 
-from _support import annihilation, random_density
+from _support import annihilation, displacement_element, random_density
 
 
 def displacement_oracle(beta, dim=30):
@@ -182,32 +183,32 @@ class TestDisplacementElement:
     def test_vacuum_expectation(self):
         beta = 0.3 + 0.9j
         expected = np.exp(-abs(beta) ** 2 / 2)
-        assert fc.displacement_element(0, 0, beta) == pytest.approx(expected)
+        assert displacement_element(0, 0, beta) == pytest.approx(expected)
 
     def test_element_11_at_one(self):
         # oracle: truncated matrix exponential at dim 30
         oracle = displacement_oracle(1.0)[1, 1]
         assert abs(oracle) < 1e-12
-        assert abs(fc.displacement_element(1, 1, 1.0) - oracle) < 1e-12
+        assert abs(displacement_element(1, 1, 1.0) - oracle) < 1e-12
 
     def test_element_20(self):
         beta = 0.6 - 0.2j
         oracle = displacement_oracle(beta)[2, 0]
-        assert fc.displacement_element(2, 0, beta) == pytest.approx(oracle, abs=1e-10)
+        assert displacement_element(2, 0, beta) == pytest.approx(oracle, abs=1e-10)
         closed = beta**2 / np.sqrt(2) * np.exp(-abs(beta) ** 2 / 2)
-        assert fc.displacement_element(2, 0, beta) == pytest.approx(closed)
+        assert displacement_element(2, 0, beta) == pytest.approx(closed)
 
     def test_matches_matrix_exponential(self):
         beta = -0.4 + 0.7j
         oracle = displacement_oracle(beta)
         for m in range(6):
             for n in range(6):
-                assert abs(fc.displacement_element(m, n, beta) - oracle[m, n]) < 1e-10
+                assert abs(displacement_element(m, n, beta) - oracle[m, n]) < 1e-10
 
     def test_identity_at_zero(self):
         for m in range(4):
             for n in range(4):
-                assert fc.displacement_element(m, n, 0.0) == (1.0 if m == n else 0.0)
+                assert displacement_element(m, n, 0.0) == (1.0 if m == n else 0.0)
 
     def test_unitarity_row_sums(self):
         beta = 0.7 + 0.2j
@@ -215,8 +216,8 @@ class TestDisplacementElement:
         for m in range(4):
             for n in range(4):
                 acc = sum(
-                    fc.displacement_element(m, k, beta)
-                    * np.conj(fc.displacement_element(n, k, beta))
+                    displacement_element(m, k, beta)
+                    * np.conj(displacement_element(n, k, beta))
                     for k in range(cut)
                 )
                 assert abs(acc - (1.0 if m == n else 0.0)) < 1e-8
@@ -285,6 +286,29 @@ class TestCoherentVector:
         fact = np.array([float(np.prod(np.arange(1, k + 1))) for k in n])
         want = np.exp(-abs(alphas[0, 1]) ** 2 / 2) * alphas[0, 1] ** n / np.sqrt(fact)
         assert np.allclose(c[0, 1], want, rtol=1e-13, atol=0)
+
+    @given(
+        mag=st.floats(0.0, 30.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        cutoff=st.integers(0, 150),
+    )
+    @example(mag=0.0, phase=0.0, cutoff=0)
+    @example(mag=3.4, phase=0.0, cutoff=11)  # a tail of 0.49 whose sum reaches past level 42
+    @example(mag=7.9, phase=1.0, cutoff=131)
+    @settings(max_examples=300, deadline=None)
+    def test_leakage_matches_incomplete_gamma(self, mag, phase, cutoff):
+        # oracle: the Poisson tail P(N > cutoff) = P(cutoff + 1, |alpha|^2); 1e-12 relative
+        # for a tail below 1e-3, 1e-12 absolute above. Below the smallest normal float
+        # (where the oracle underflows to 0) no relative precision is representable.
+        alpha = mag * np.exp(1j * phase)
+        want = gammainc(cutoff + 1, mag**2)
+        got = fc.coherent_leakage(alpha, cutoff)
+        tol = 1e-12 * want + np.finfo(float).tiny if want < 1e-3 else 1e-12
+        assert abs(got - want) <= tol
+        if mag == 0:
+            assert got == 0.0
+        if got <= fc.LEAKAGE_TOL:
+            assert fc.make_coherent(alpha, cutoff).leakage == got
 
     def test_leakage_elementwise(self):
         alphas = np.array([0.0, 1.0, 3.0])

@@ -14,7 +14,7 @@ from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, Malforme
 from phaselab.errors import NonFiniteArgument
 from phaselab.theorem_lab import disk_grid
 
-from _support import annihilation, even_cat, random_density, repeated_radii
+from _support import annihilation, displacement_element, even_cat, random_density, repeated_radii
 
 
 def charfunc_oracle(rho, beta, dim=45):
@@ -65,6 +65,17 @@ class TestFilterSpec:
         with pytest.raises(InvalidFilter) as info:
             pf.FilterSpec(**kwargs)
         assert isinstance(info.value, DomainError)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"s": "abc"}, {"s": None}, {"s": "0.5"}, {"s": True}, {"s": 1j},
+         {"coeffs": ((2, 0, "0.1"),)}, {"coeffs": ((2, 0, None),)}, {"coeffs": ((2, 0, False),)}],
+        ids=["s-str", "s-none", "s-numeric-str", "s-bool", "s-complex",
+             "c-str", "c-none", "c-bool"],
+    )
+    def test_non_number_is_invalid_filter(self, kwargs):
+        with pytest.raises(InvalidFilter):
+            pf.FilterSpec(**kwargs)
 
     def test_default_is_wigner(self):
         assert pf.FilterSpec() == pf.FilterSpec.s_param(0.0) == pf.FilterSpec(coeffs=())
@@ -207,7 +218,7 @@ class TestSymmetricCharfunc:
             rho = random_density(d + 1, occupied=d, rng=rng)
         beta = radius * np.exp(1j * angle)
         elements = np.array(
-            [[fc.displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
+            [[displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
         )
         # Tr(rho D) = sum_{n,m} rho[n, m] <m|D|n>
         expected = np.sum(rho.entries[:d, :d].T * elements)
@@ -234,7 +245,7 @@ class TestSymmetricCharfunc:
             for b in betas.ravel():
                 if b not in oracle:
                     elements = np.array([
-                        [fc.displacement_element(m, n, b) for n in range(d)] for m in range(d)
+                        [displacement_element(m, n, b) for n in range(d)] for m in range(d)
                     ])
                     oracle[b] = np.sum(rho.entries[:d, :d].T * elements)
             want = np.array([oracle[b] for b in betas.ravel()])
@@ -287,6 +298,31 @@ class TestFilteredCharfunc:
             assert pf.filtered_charfunc(rho, f, -beta) == pytest.approx(
                 np.conj(pf.filtered_charfunc(rho, f, beta)), abs=1e-12
             )
+
+
+class TestOverflowingFilter:
+    """A filtered characteristic function that is not finite at a requested beta is
+    NonFiniteArgument, with no warning (the suite turns warnings into errors)."""
+
+    HUGE = pf.FilterSpec.general({(2, 0): 1e308})
+
+    @pytest.mark.parametrize("f", [HUGE, pf.FilterSpec.s_param(30.0)], ids=["c20-1e308", "s30"])
+    def test_one_mode(self, f):
+        betas = qe.lattice(6.0, 32)[1]
+        with pytest.raises(NonFiniteArgument):
+            pf.filtered_charfunc(fc.make_fock(1, 20), f, betas)
+        with pytest.raises(NonFiniteArgument):
+            pf.vacuum_charfunc(f, betas)
+
+    def test_two_mode(self):
+        rho = fc.tensor(fc.make_fock(1, 6), fc.make_fock(0, 6))
+        with pytest.raises(NonFiniteArgument):
+            pf.two_mode_charfunc(rho, self.HUGE, 1.5, 0.5j)
+
+    def test_finite_values_pass(self):
+        # s = 30 stays finite on a small lattice: only the corners of 6:128 overflow
+        vals = pf.filtered_charfunc(fc.make_fock(1, 20), pf.FilterSpec.s_param(30.0), 2.0)
+        assert vals == pytest.approx(-3 * np.exp(29 * 2.0), rel=1e-12)
 
 
 class TestTwoModeCharfunc:

@@ -20,7 +20,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import even_cat, random_density, repeated_radii
+from _support import displacement_element, even_cat, random_density, repeated_radii
 
 S0 = FilterSpec.s_param(0.0)
 SQ = FilterSpec.s_param(-1.0)
@@ -50,6 +50,16 @@ class TestTransform:
     def test_singular_p_function(self):
         with pytest.raises(SingularPFunction):
             qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), SP))
+
+    @pytest.mark.parametrize("s, error", [(0.5, SingularPFunction), (0.0, ImaginaryResidue)])
+    def test_nan_fails_the_guards(self, s, error):
+        # a hand-made lattice holding NaN: the boundary check (s > 0) or the residue
+        # check (s <= 0) rejects it
+        cf = qe.charfunc_grid(fc.make_fock(0, 20), FilterSpec.s_param(-1.0))
+        values = cf.values.copy()
+        values[0, 0] = values[64, 64] = np.nan
+        with pytest.raises(error):
+            qe.quasiprob_transform(qe.CharFuncGrid(cf.axis, values, FilterSpec.s_param(s), None))
 
     def test_imaginary_residue(self):
         # Omega = exp(-0.3 |b|^2 + 0.05i b^2) breaks Omega(-b) = conj(Omega(b)), so the
@@ -277,7 +287,7 @@ class TestPointwise:
             for a in alphas.ravel():
                 if a not in oracle:
                     dm = np.array([
-                        [fc.displacement_element(m, j, a) for j in range(50)]
+                        [displacement_element(m, j, a) for j in range(50)]
                         for m in range(occupied)
                     ])
                     diag = np.einsum("mj,mn,nj->j", dm.conj(), e, dm).real

@@ -67,6 +67,17 @@ class TestResidual:
         assert np.abs(b3).max() <= 2 and np.abs(b4).max() <= 2
 
 
+class TestOverflowingResidual:
+    def test_non_finite_exponent_is_inf(self):
+        f = FilterSpec.general({(2, 0): 1e308})
+        m, b3, b4 = tl.random_probes(np.random.default_rng(3), 20)
+        res = tl.filter_bs_residual(f, m, b3, b4)
+        assert (res == np.inf).all()
+        v = tl.classify_filter_bs(f, trials=20)
+        assert v.verdict == tl.NOT_COVARIANT and v.max_residual == np.inf
+        assert v.witness[-1] == np.inf
+
+
 class TestBracketCoefficient:
     def test_balanced_real(self):
         bs = BeamSplitterParams(SQ2, SQ2)
@@ -202,6 +213,13 @@ class TestClassifyAttenuator:
         assert v.verdict == w.verdict == tl.NOT_CLASSICAL
         assert v.max_deviation == w.max_deviation == np.inf
         assert abs(v.witness_beta) == 3.0
+
+    def test_non_finite_exponent_is_inf(self):
+        # 1e308 beta^2 overflows to inf or NaN at every beta with |beta| >= 1
+        v = tl.classify_filter_attenuator(FilterSpec.general({(2, 0): 1e308}), tl.disk_grid())
+        assert v.verdict == tl.NOT_CLASSICAL and v.max_deviation == np.inf
+        z = FilterSpec.general({(2, 0): 1e308}).exponent(v.witness_beta)
+        assert not (np.isfinite(z) and z.real <= np.log(np.finfo(float).max))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidWeights):
