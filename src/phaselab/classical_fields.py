@@ -133,6 +133,8 @@ def classical_moments(ens: ClassicalEnsemble, m: int, n: int) -> complex:
     """Weighted moment sum_i w_i (a_i^*)^m a_i^n."""
     if ens.n_modes != 1:
         raise DimensionMismatch("classical_moments expects a single-mode ensemble")
+    if m < 0 or n < 0:
+        raise InvalidWeights("moment orders must be nonnegative")
     a = ens.amplitudes[:, 0]
     return complex(ens.weights @ (a.conj() ** m * a**n))
 

@@ -16,6 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from ._shortest_repr import shortest_reprs
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, MalformedFile
 from .errors import NonFiniteArgument
 
@@ -145,25 +146,31 @@ def log_factorials(count: int) -> np.ndarray:
     return table
 
 
-def coherent_vector(alpha, cutoff: int) -> np.ndarray:
-    """Unnormalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!) per alpha, levels
-    on a new last axis; in log-magnitude form nothing overflows, and at a = 0 the term
-    n log|a| is 0 for n = 0 and -inf above it, so c is exactly the vacuum."""
-    a = np.asarray(alpha, dtype=complex)[..., None]
-    mag = np.abs(a)
+def _coherent_log_magnitudes(mag: np.ndarray, cutoff: int) -> np.ndarray:
+    """log|c_n| = -|a|^2/2 + n log|a| - log(n!)/2 for levels 0..cutoff on a new last axis of
+    |a|; at |a| = 0 the term n log|a| is 0 for n = 0 and -inf above it."""
     n = np.arange(cutoff + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        n_log_mag = np.where(n > 0, n * np.log(mag), 0.0)
-    log_mag = -mag**2 / 2 + n_log_mag - 0.5 * log_factorials(cutoff + 1)
-    return np.exp(log_mag + 1j * n * np.angle(a))
+        n_log_mag = np.where(n > 0, n * np.log(mag[..., None]), 0.0)
+    return -mag[..., None] ** 2 / 2 + n_log_mag - 0.5 * log_factorials(cutoff + 1)
+
+
+def coherent_vector(alpha, cutoff: int) -> np.ndarray:
+    """Unnormalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!) per alpha, levels
+    on a new last axis; in log-magnitude form nothing overflows, and c is exactly the vacuum
+    at a = 0."""
+    a = np.asarray(alpha, dtype=complex)
+    log_mag = _coherent_log_magnitudes(np.abs(a), cutoff)
+    return np.exp(log_mag + 1j * np.arange(cutoff + 1) * np.angle(a)[..., None])
 
 
 def coherent_leakage(alpha, cutoff: int):
     """Poisson tail mass beyond the cutoff for a coherent state; elementwise over alpha.
-    Read from |c_n|^2 up to n = 2 cutoff + 40: the sum above the cutoff where the levels up
-    to it hold more than half the mass, so a small tail keeps 1e-12 relative precision,
-    else one minus the mass up to the cutoff (1e-12 absolute). Exactly 0 at a = 0."""
-    p = np.abs(coherent_vector(alpha, 2 * cutoff + 40)) ** 2
+    Read from |c_n|^2 = exp(2 log|c_n|) up to n = 2 cutoff + 40: the sum above the cutoff
+    where the levels up to it hold more than half the mass, so a small tail keeps 1e-12
+    relative precision, else one minus the mass up to the cutoff (1e-12 absolute). Exactly
+    0 at a = 0."""
+    p = np.exp(2 * _coherent_log_magnitudes(np.abs(np.asarray(alpha)), 2 * cutoff + 40))
     head, tail = p[..., : cutoff + 1].sum(axis=-1), p[..., cutoff + 1 :].sum(axis=-1)
     out = np.where(head > 0.5, tail, 1 - head)
     return float(out) if out.ndim == 0 else out
@@ -301,12 +308,12 @@ def save_state(rho: DensityMatrix) -> dict:
 
 def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
     """``json.dumps(a.tolist())`` for a finite 2-D float array, one chunk per row, with
-    one ``repr`` per distinct nonzero magnitude. A row's negative entries, -0.0
-    included, get their "-" as the row is made, so the signed words of one row at a
-    time are held besides the vocabulary."""
+    the ``repr`` words of the distinct nonzero magnitudes made together by
+    ``shortest_reprs``. A row's negative entries, -0.0 included, get their "-" as the row
+    is made, so the signed words of one row at a time are held besides the vocabulary."""
     nz = a != 0
     mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
-    words = np.array(["0.0", *map(float.__repr__, mags.tolist())], dtype=object)
+    words = np.array(["0.0", *shortest_reprs(mags)], dtype=object)
     code = np.zeros(a.shape, dtype=np.intp)
     code[nz] = inv + 1
     for i, (c, neg) in enumerate(zip(code, np.signbit(a))):

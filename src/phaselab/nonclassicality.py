@@ -50,6 +50,8 @@ class ScalingReport:
 
 def correlation_report(rho: DensityMatrix, M: int = 2) -> CorrelationReport:
     """Normally ordered moments up to order M plus the G2 >= G1^2 verdict."""
+    if M < 0:
+        raise InvalidWeights("moment order must be nonnegative")
     if 2 * M > rho.cutoff - 2:
         raise CutoffTooSmall(
             f"moment table of order {M} needs cutoff >= {2 * M + 2}, have {rho.cutoff}"

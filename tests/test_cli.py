@@ -292,6 +292,12 @@ class TestPipelines:
         assert payload["verdict"] == "VIOLATED"
         assert any(v["criterion"] == "G2_ge_G1sq" for v in payload["violations"])
 
+    def test_report_negative_max_order(self, tmp_path, capsys):
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        code, out, err = run(capsys, "report", "--state", state, "--max-order", "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidWeights"
+
     def test_beamsplit_trace(self, tmp_path, capsys):
         s1 = write_state(tmp_path, "a.json", "state", "--coherent", "0.4", "--cutoff", "7")
         s2 = write_state(tmp_path, "b.json", "state", "--fock", "0", "--cutoff", "7")
@@ -534,6 +540,16 @@ class TestClassical:
         assert code == 0
         payload = json.loads(out)
         assert payload["re"] == pytest.approx(2.5)
+
+    def test_negative_moment_order(self, tmp_path, capsys):
+        # a zero amplitude to the power -1 was inf, and the moment NaN
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"samples": [{"re": 0.0, "im": 0.0, "w": 1.0}]}))
+        code, out, err = run(
+            capsys, "classical", "--op", "moments", "--ensemble", str(path), "--m", "-1", "--n", "0"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidWeights"
 
     def test_attenuate_halves_intensity(self, tmp_path, capsys):
         ens = self.write_ensemble(tmp_path)

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from scipy.special import gammainc
 
 from phaselab import fock_core as fc
+from phaselab._shortest_repr import shortest_reprs
 from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -442,7 +443,10 @@ class TestStateIO:
 # signed zeros, the smallest subnormal, values next to the largest double and
 # magnitudes that occur with both signs
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, -0.1, 1 / 3, -1 / 3, 1.0, -1.0,
-               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+               # subnormals, the smallest normal, and both sides of each layout switch
+               1e-323, 8e-323, 2.2250738585072009e-308, 2.0**-1022,
+               9.999999999999999e-05, 1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0]
 FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -480,3 +484,21 @@ class TestStateJsonChunks:
     )
     def test_built_states(self, rho):
         assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
+    def test_kernel_is_repr_on_random_bit_patterns(self):
+        # every finite positive double is equally likely as a bit pattern, and a second
+        # draw is all subnormal
+        rng = np.random.default_rng(20201)
+        bits = np.concatenate([rng.integers(1, 0x7FF0000000000000, 200_000, dtype=np.uint64),
+                               rng.integers(1, 1 << 52, 50_000, dtype=np.uint64)])
+        mags = bits.view(np.float64)
+        assert shortest_reprs(mags) == list(map(float.__repr__, mags.tolist()))
+
+    def test_kernel_is_repr_on_powers_and_ties(self):
+        # every power of two (the unevenly spaced neighbours), and m / 2^j for odd m, where
+        # two shortest decimals can be equally near
+        m = np.random.default_rng(7).integers(2**50, 2**53, 2000) | 1
+        mags = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                               *(np.ldexp(m.astype(float), -j) for j in range(1, 8))])
+        assert shortest_reprs(mags) == list(map(float.__repr__, mags.tolist()))
+
