@@ -18,7 +18,9 @@ U = np.uint64
 M32, M63 = U(2**32 - 1), U(2**63 - 1)
 K_MIN, K_MAX = -324, 292  # the decimal exponents Schubfach reaches for doubles
 POW10 = np.array([10**i for i in range(18)], dtype=U)
-SLICE = 1 << 15  # magnitudes per pass: ~1 MB of text bytes and ~3 MB of uint64 scratch
+# magnitudes per pass: ~240 kB of text bytes and ~1 MB of uint64 scratch, so a part's
+# words take less transient memory than the Python floats `repr` would read them from
+SLICE = 1 << 13
 FILL = b"_"  # a byte no word holds, deleted before the split
 DOT, FILL_BYTE = np.uint8(ord(".")), np.uint8(FILL[0])
 
