@@ -5,7 +5,8 @@ The digits are Schubfach's (R. Giulietti, "The Schubfach way to render doubles",
 such on a tie and the even one on an exact tie, which is what ``repr`` prints.
 Schubfach keeps at least two digits for the smallest subnormals (5e-324 would be
 4.9e-324); here the candidate one digit shorter is tried for every value, so
-subnormals come out as ``repr`` writes them too. Integer parts stay ``uint64``;
+subnormals come out as ``repr`` writes them too. The integer arithmetic is all
+``uint64``, never mixed with ``int64`` (numpy would promote the mix to float64), and
 the 64x64-bit high products are built from 32-bit limbs.
 """
 from __future__ import annotations

@@ -501,4 +501,3 @@ class TestStateJsonChunks:
         mags = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                                *(np.ldexp(m.astype(float), -j) for j in range(1, 8))])
         assert shortest_reprs(mags) == list(map(float.__repr__, mags.tolist()))
-
