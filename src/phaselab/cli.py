@@ -2,8 +2,8 @@
 
 Every subcommand writes a single file (JSON or CSV) to --out, defaulting to
 stdout; its ``cmd_*`` function returns the file's text as an iterable of str.
-Domain errors are reported as a JSON envelope {"error", "detail"} on stderr
-with exit code 1; usage errors exit with 2.
+Domain errors and a MemoryError are reported as a JSON envelope {"error", "detail"}
+on stderr with exit code 1; usage errors exit with 2.
 """
 from __future__ import annotations
 
@@ -290,8 +290,8 @@ def main(argv=None) -> int:
                 fh.writelines(chunks)
         except OSError as exc:
             raise UnwritableOutput(f"{args.out or 'stdout'} cannot be written: {exc}") from None
-    except DomainError as exc:
-        json.dump({"error": exc.name, "detail": str(exc)}, sys.stderr)
+    except (DomainError, MemoryError) as exc:
+        json.dump({"error": getattr(exc, "name", "MemoryError"), "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     return 0

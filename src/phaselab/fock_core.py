@@ -270,14 +270,18 @@ def normal_moment(rho: DensityMatrix, m: int, n: int) -> complex:
     """Normally ordered moment Tr(rho (a^dag)^m a^n), exact in the truncated algebra."""
     if rho.n_modes != 1:
         raise DimensionMismatch("normal_moment supports single-mode states only")
+    return complex(_moments(rho.entries, rho.cutoff, m, n))
+
+
+def _moments(e: np.ndarray, cutoff: int, m: int, n: int) -> np.ndarray:
+    """``normal_moment`` of each b x b matrix of a stack e (..., b, b) of states whose levels
+    b .. cutoff are empty; orders past cutoff - 2 are CutoffTooSmall."""
     if m < 0 or n < 0:
         raise InvalidWeights("moment orders must be nonnegative")
-    if m + n > rho.cutoff - 2:
-        raise CutoffTooSmall(
-            f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {rho.cutoff}"
-        )
-    i, k, coef = _moment_weights(rho.dim, m, n)
-    return complex(rho.entries[i, k] @ coef)
+    if m + n > cutoff - 2:
+        raise CutoffTooSmall(f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {cutoff}")
+    i, k, coef = _moment_weights(e.shape[-1], m, n)
+    return e[..., i, k] @ coef
 
 
 @lru_cache(maxsize=256)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .classical_fields import BeamSplitterParams
 from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
-from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean
+from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean, require_finite
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
@@ -114,27 +114,37 @@ def partial_trace(rho12: DensityMatrix, keep: int) -> DensityMatrix:
 
 
 def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """Vacuum loss channel with efficiency eta = |t|^2.
+    """Vacuum loss channel with efficiency eta = |t|^2, the stack of one of ``_loss_blocks``:
+    the splitter t = sqrt(eta) acting on rho and a vacuum ancilla, the ancilla traced out."""
+    block = _loss_blocks(rho, np.array([eta], dtype=float))[0]
+    out = np.zeros_like(rho.entries)
+    out[: len(block), : len(block)] = block
+    return DensityMatrix(rho.dim, out, leakage=rho.leakage)
 
-    Applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 =
-    C(n+k, k) eta^n (1-eta)^k, band by band: A_k rho A_k^T is outer(w[k], w[k]) times
-    rho[k:, k:] in the top-left corner. Only the levels below b = the highest stored
-    level + 1 hold entries, so only the bands k < b and the top-left b x b block are
-    summed, O(b^3) in all. It equals the splitter t = sqrt(eta) acting on rho and a
-    vacuum ancilla, with the ancilla traced out.
+
+def _loss_blocks(rho: DensityMatrix, etas: np.ndarray) -> np.ndarray:
+    """The occupied b x b blocks of the loss channel's outputs at the efficiencies ``etas``
+    (a 1-D array), shape (len(etas), b, b); b is the highest level rho stores plus one, and
+    the channel leaves every level from b up empty.
+
+    Applies the Kraus operators A_k |n+k> = w[k, n] |n>, w[k, n]^2 = C(n+k, k) eta^n
+    (1-eta)^k, band by band for all etas at once: A_k rho A_k^T is outer(w[k], w[k]) times
+    rho[k:, k:] in the top-left corner, O(b^3) per eta. An eta outside [0, 1] is
+    GainNotAllowed; a non-finite block (over 1024 levels) is NonFiniteArgument.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("attenuate expects a single-mode state")
-    if not 0 <= eta <= 1:
-        raise GainNotAllowed(f"eta = {eta} must lie in [0, 1]")
+    if not ((0 <= etas) & (etas <= 1)).all():
+        raise GainNotAllowed(f"eta = {etas[~((0 <= etas) & (etas <= 1))][0]} must lie in [0, 1]")
     b = effective_dim(rho.occupations[0])
     k, n, binoms = _loss_binomials(b)
+    eta = etas[:, None, None]
     w = np.sqrt(binoms * eta**n * (1 - eta) ** k)
     e = rho.entries
-    out = np.zeros_like(e)
+    out = np.zeros((len(etas), b, b), dtype=complex)
     for j in range(b):
-        out[: b - j, : b - j] += np.outer(w[j, : b - j], w[j, : b - j]) * e[j:b, j:b]
-    return DensityMatrix(rho.dim, out, leakage=rho.leakage)
+        out[:, : b - j, : b - j] += w[:, j, : b - j, None] * w[:, j, None, : b - j] * e[j:b, j:b]
+    return require_finite(out, "the attenuated state")
 
 
 @lru_cache(maxsize=64)

@@ -9,9 +9,9 @@ import numpy as np
 
 from .classical_fields import ClassicalEnsemble
 from .errors import CutoffTooSmall, InvalidWeights
-from .fock_core import DensityMatrix, make_coherent, make_fock, mix, normal_moment
-from .linear_optics import attenuate
-from .quasiprob_engine import attenuated_photon_wigner, quasiprob_pointwise
+from .fock_core import DensityMatrix, _moments, make_coherent, make_fock, mix, normal_moment
+from .linear_optics import _loss_blocks, attenuate
+from .quasiprob_engine import _pointwise, attenuated_photon_wigner, quasiprob_pointwise
 
 # equality cases (coherent states) must not flip to VIOLATED by rounding
 VERDICT_TOL = 1e-12
@@ -110,19 +110,16 @@ def wigner_origin_analytic(eta: float) -> float:
 
 def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, float, float]]:
     """Rows (eta, wigner_origin_numeric, wigner_origin_analytic, g2 - g1^2)
-    for eta on a uniform grid of [0, 1]."""
+    for eta on a uniform grid of [0, 1], the lossy photons made as one stack."""
     if eta_steps < 2:
         raise InvalidWeights("need at least two efficiency steps")
-    photon = make_fock(1, cutoff)
-    rows = []
-    for eta in np.linspace(0.0, 1.0, eta_steps):
-        eta = float(eta)
-        rho = attenuate(photon, eta)
-        g1 = float(normal_moment(rho, 1, 1).real)
-        g2 = float(normal_moment(rho, 2, 2).real)
-        origin = quasiprob_pointwise(rho, 0.0, 0.0)
-        rows.append((eta, origin, wigner_origin_analytic(eta), g2 - g1**2))
-    return rows
+    etas = np.linspace(0.0, 1.0, eta_steps)
+    lossy = _loss_blocks(make_fock(1, cutoff), etas)
+    g1 = _moments(lossy, cutoff, 1, 1).real
+    g2 = _moments(lossy, cutoff, 2, 2).real
+    origin = _pointwise(lossy, np.zeros(1, complex), 0.0)[:, 0]
+    columns = (etas, origin, attenuated_photon_wigner(etas, 0.0), g2 - g1**2)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def locate_wigner_zero(cutoff: int = 20, tol: float = 1e-4) -> float:

@@ -139,7 +139,7 @@ def _bands(dim: int, pref, lo, up, y, q=1.0):
     pref lo^k, upper = pref up^k and ``lag()`` builds q^n sqrt(n! / (n+k)!)
     L_n^{(k)}(x), y = q x, once per distinct y: y[i] is its column inv[i].
     """
-    # a single point needs no sort: figure 3 evaluates one alpha per state
+    # a single point needs no sort: figure 3 evaluates one alpha on its stack of states
     distinct, inv = (y, np.zeros(1, np.intp)) if y.size == 1 else np.unique(y, return_inverse=True)
     lower = upper = pref
     first = 1.0  # 1 / sqrt(k!)
@@ -190,30 +190,33 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
 
 
 def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
-    """Tr(e X) at ``size`` points for a square matrix e and the bands of X from ``_bands``.
+    """Tr(e X) at ``size`` points for each square matrix of a stack e (..., n, n) and the
+    bands of X from ``_bands``; shape (..., size).
 
-    A band is one matrix product of e's two diagonals with its Laguerre rows,
-    mapped to the points by ``inv``. Memory stays O(size); a band of e that is
-    all zero is skipped, and bands past the last one e holds are never built,
-    so a diagonal e costs one band.
+    A band is one matrix product of the stack's two diagonals with its Laguerre rows,
+    mapped to the points by ``inv``. Memory stays O(size) per matrix; a band that every
+    matrix holds as zero is skipped, and bands past the last one held are never built,
+    so a stack of diagonal matrices costs one band.
     """
+    *lead, n = e.shape[:-1]
+    e = e.reshape(-1, n, n)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries
-    rows, cols = np.nonzero(e)
+    _, rows, cols = np.nonzero(e)
     held = set(np.abs(cols - rows).tolist())
-    vals = np.zeros(size, dtype=complex)
+    vals = np.zeros((len(e), size), dtype=complex)
     for k, lower, upper, lag, inv in islice(bands, max(held, default=-1) + 1):
         if k not in held:
             continue
         # Tr(e X) = sum_{m,n} e[n, m] <m|X|n>: the band of <n+k|X|n>
         # pairs with e[n, n+k], that of <n|X|n+k> with e[n+k, n]
-        w = np.empty((len(e) - k, 2), dtype=complex)
-        w[:, 0], w[:, 1] = e.diagonal(k), e.diagonal(-k)
-        # real rows times the (re, im) columns of w, read back as complex: (U, 2)
-        acc = (lag().T @ w.view(float)).view(complex)
-        vals += lower * np.take(acc[:, 0], inv)
+        w = np.empty((n - k, len(e), 2), dtype=complex)
+        w[..., 0], w[..., 1] = e.diagonal(k, 1, 2).T, e.diagonal(-k, 1, 2).T
+        # real rows times the (re, im) columns of w, read back as complex: (U, matrices, 2)
+        acc = (lag().T @ w.reshape(n - k, -1).view(float)).view(complex).reshape(-1, len(e), 2)
+        vals += lower * np.take(acc[..., 0], inv, axis=0).T
         if k:
-            vals += upper * np.take(acc[:, 1], inv)
-    return vals
+            vals += upper * np.take(acc[..., 1], inv, axis=0).T
+    return vals.reshape(*lead, size)
 
 
 def symmetric_charfunc(rho: DensityMatrix, beta):

@@ -181,13 +181,17 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
     alpha_arr = require_finite(alpha, "alpha")
     d = effective_dim(rho.occupations[0])
-    a = alpha_arr.ravel()
+    vals = _pointwise(rho.entries[:d, :d], alpha_arr.ravel(), s).reshape(alpha_arr.shape)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
+    """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a."""
     x = np.abs(a) ** 2
     w = 2 * a / (1 - s)
     pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
-    bands = _bands(d, pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
-    vals = (_band_trace(rho.entries[:d, :d], bands, a.size).real / pi).reshape(alpha_arr.shape)
-    return float(vals) if vals.ndim == 0 else vals
+    bands = _bands(e.shape[-1], pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
+    return _band_trace(e, bands, a.size).real / pi
 
 
 def attenuated_photon_wigner(eta: float, alpha):
