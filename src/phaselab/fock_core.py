@@ -281,7 +281,9 @@ def _moments(e: np.ndarray, cutoff: int, m: int, n: int) -> np.ndarray:
     if m + n > cutoff - 2:
         raise CutoffTooSmall(f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {cutoff}")
     i, k, coef = _moment_weights(e.shape[-1], m, n)
-    return e[..., i, k] @ coef
+    # summed level by level, so that a stack and each of its states alone agree bit for bit
+    terms = e[..., i, k] * coef
+    return np.cumsum(terms, axis=-1)[..., -1] if len(i) else terms.sum(axis=-1)
 
 
 @lru_cache(maxsize=256)

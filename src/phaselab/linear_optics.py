@@ -11,7 +11,8 @@ import numpy as np
 
 from .classical_fields import BeamSplitterParams
 from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
-from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, hermitian_mean, require_finite
+from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, embed, hermitian_mean
+from .fock_core import require_finite
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
@@ -117,9 +118,7 @@ def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Vacuum loss channel with efficiency eta = |t|^2, the stack of one of ``_loss_blocks``:
     the splitter t = sqrt(eta) acting on rho and a vacuum ancilla, the ancilla traced out."""
     block = _loss_blocks(rho, np.array([eta], dtype=float))[0]
-    out = np.zeros_like(rho.entries)
-    out[: len(block), : len(block)] = block
-    return DensityMatrix(rho.dim, out, leakage=rho.leakage)
+    return embed(DensityMatrix(len(block), block, leakage=rho.leakage), rho.dim)
 
 
 def _loss_blocks(rho: DensityMatrix, etas: np.ndarray) -> np.ndarray:

@@ -115,8 +115,7 @@ def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, f
         raise InvalidWeights("need at least two efficiency steps")
     etas = np.linspace(0.0, 1.0, eta_steps)
     lossy = _loss_blocks(make_fock(1, cutoff), etas)
-    g1 = _moments(lossy, cutoff, 1, 1).real
-    g2 = _moments(lossy, cutoff, 2, 2).real
+    g1, g2 = (_moments(lossy, cutoff, j, j).real for j in (1, 2))
     origin = _pointwise(lossy, np.zeros(1, complex), 0.0)[:, 0]
     columns = (etas, origin, attenuated_photon_wigner(etas, 0.0), g2 - g1**2)
     return list(zip(*(c.tolist() for c in columns)))

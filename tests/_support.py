@@ -95,3 +95,21 @@ def repeated_radii(extent, points, seed):
         np.concatenate([grid.ravel(), grid.ravel()[: grid.size // 2 + 1]])
     )
     return [grid, mixed, np.stack([mixed, -mixed])]
+
+
+def figure3_csv_per_eta(eta_steps, cutoff):
+    """The text of ``phaselab figure3``, made one efficiency at a time through the public
+    one-state functions: the oracle for the stacked efficiency sweep."""
+    from phaselab.linear_optics import attenuate
+    from phaselab.nonclassicality import wigner_origin_analytic
+    from phaselab.quasiprob_engine import quasiprob_pointwise
+
+    photon = fc.make_fock(1, cutoff)
+    lines = ["eta,wigner_origin_numeric,wigner_origin_analytic,g2_minus_g1sq"]
+    for eta in np.linspace(0.0, 1.0, eta_steps).tolist():
+        rho = attenuate(photon, eta)
+        g1 = fc.normal_moment(rho, 1, 1).real
+        g2 = fc.normal_moment(rho, 2, 2).real
+        row = (eta, quasiprob_pointwise(rho, 0.0, 0.0), wigner_origin_analytic(eta), g2 - g1**2)
+        lines.append(",".join(f"{v:.15g}" for v in row))
+    return "\n".join(lines) + "\n"

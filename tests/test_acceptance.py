@@ -41,7 +41,7 @@ class TestAcceptance:
             worst = max(worst, abs(num - nc.wigner_origin_analytic(float(eta))))
         zero = nc.locate_wigner_zero(cutoff=CUTOFF, tol=1e-4)
         elapsed = time.perf_counter() - start
-        ok = worst <= 1e-6 and abs(zero - 0.5) <= 1e-4 and elapsed <= 60.0
+        ok = worst <= 1e-14 and abs(zero - 0.5) <= 1e-4 and elapsed <= 60.0
         report(
             "acceptance-1 attenuated-photon curve",
             ok,

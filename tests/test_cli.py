@@ -12,6 +12,8 @@ from phaselab import cli
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
 
+from _support import figure3_csv_per_eta
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -62,6 +64,20 @@ class TestStateCommand:
 
 
 class TestInputBoundary:
+    class ArrayMemoryError(MemoryError):
+        """A MemoryError subclass, as numpy raises for an array it cannot allocate."""
+
+    @pytest.mark.parametrize("exc", [MemoryError(), ArrayMemoryError("Unable to allocate 745. GiB")])
+    def test_memory_error_is_an_envelope(self, capsys, monkeypatch, exc):
+        # an input too large to allocate, raised without allocating it
+        def too_large(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.nc, "figure3_data", too_large)
+        code, out, err = run(capsys, "figure3", "--eta-steps", "100000000000")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "detail": str(exc)}
+
     def test_attenuate_rejects_nan_eta(self, tmp_path, capsys):
         state = write_state(tmp_path, "one.json", "state", "--fock", "1")
         code, out, err = run(capsys, "attenuate", "--state", state, "--eta", "nan")
@@ -405,8 +421,18 @@ class TestFigure3:
         rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
         for (eta, num, ana, gap), target in zip(rows, [2 / np.pi, 0.0, -2 / np.pi]):
             assert ana == pytest.approx(target, abs=1e-12)
-            assert num == pytest.approx(target, abs=1e-6)
+            assert num == pytest.approx(target, abs=1e-14)
             assert gap == pytest.approx(-(eta**2), abs=1e-12)
+
+    @pytest.mark.parametrize("eta_steps", [3, 101, 1001])
+    def test_csv_matches_per_eta_loop(self, capsys, eta_steps):
+        # the stacked sweep against one attenuate, two normal_moment and one
+        # quasiprob_pointwise call per efficiency, byte for byte
+        for cutoff in range(6, 25):
+            code, out, _ = run(capsys, "figure3", "--eta-steps", str(eta_steps),
+                               "--cutoff", str(cutoff))
+            assert code == 0
+            assert out == figure3_csv_per_eta(eta_steps, cutoff)
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from phaselab import fock_core as fc
 from phaselab import nonclassicality as nc
-from phaselab.errors import CutoffTooSmall, InvalidWeights
-from phaselab.linear_optics import attenuate
+from phaselab.errors import CutoffTooSmall, GainNotAllowed, InvalidWeights
+from phaselab.linear_optics import _loss_blocks, attenuate
+from phaselab.quasiprob_engine import _pointwise, quasiprob_pointwise
 
-from _support import random_coherent_ensemble
+from _support import random_coherent_ensemble, random_density
 
 
 def within_seconds(seconds, fn, *args):
@@ -119,14 +121,14 @@ class TestWignerOriginCurve:
     def test_numeric_matches_analytic(self):
         for eta in (0.0, 0.3, 0.8):
             assert nc.wigner_origin_numeric(eta) == pytest.approx(
-                nc.wigner_origin_analytic(eta), abs=1e-6
+                nc.wigner_origin_analytic(eta), abs=1e-14
             )
 
     def test_figure3_rows(self):
         rows = nc.figure3_data(3)
         assert [r[0] for r in rows] == [0.0, 0.5, 1.0]
         for eta, num, ana, gap in rows:
-            assert num == pytest.approx(ana, abs=1e-6)
+            assert num == pytest.approx(ana, abs=1e-14)
             # the intensity-correlation gap stays negative for every eta > 0
             assert gap == pytest.approx(-(eta**2), abs=1e-12)
 
@@ -190,3 +192,61 @@ class TestCoherentMixture:
         # relative to sum_i w_i |a_i|^(m+n), which bounds both moments
         scale = float(ens.weights @ np.abs(ens.amplitudes[:, 0]) ** (m + n))
         assert abs(quantum - classical) <= 1e-12 * scale
+
+
+class TestEfficiencyStack:
+    """The loss channel, the moments and the pointwise trace on a stack of efficiencies
+    against the same functions on each state alone."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        occupied=st.integers(1, 21),
+        headroom=st.integers(0, 20),
+        diagonal=st.booleans(),
+        leakage=st.floats(0.0, 1e-10),
+        etas=st.lists(st.floats(0.0, 1.0), max_size=6),
+        s=st.floats(-3.0, 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_slices_match_one_state(self, seed, occupied, headroom, diagonal, leakage, etas, s):
+        rng = np.random.default_rng(seed)
+        dim = min(occupied + headroom, 21)
+        dense = random_density(dim, occupied=occupied, rng=rng).entries
+        entries = np.diag(dense.diagonal()) if diagonal else dense
+        rho = fc.DensityMatrix(dim, entries, leakage=leakage)
+        etas = np.array([0.0, 1.0, *etas])
+        lossy = _loss_blocks(rho, etas)
+        b = fc.effective_dim(rho.occupations[0])
+        assert lossy.shape == (len(etas), b, b)
+        orders = [(m, n) for m in range(3) for n in range(3) if m + n <= rho.cutoff - 2]
+        stacked = [fc._moments(lossy, rho.cutoff, m, n) for m, n in orders]
+        stacked = np.array(stacked).reshape(len(orders), len(etas))
+        alpha = np.concatenate([[0.0], rng.normal(size=3) + 1j * rng.normal(size=3)])
+        wigner = _pointwise(lossy, alpha, s)
+        for i, eta in enumerate(etas.tolist()):
+            one = attenuate(rho, eta)
+            assert one.leakage == rho.leakage
+            assert not one.entries[b:].any() and not one.entries[:, b:].any()
+            peak = np.abs(one.entries).max()
+            assert np.abs(one.entries[:b, :b] - lossy[i]).max() <= 4 * np.spacing(peak)
+            moments = np.array([fc.normal_moment(one, m, n) for m, n in orders])
+            peak = np.abs(moments).max(initial=0.0)
+            assert np.abs(moments - stacked[:, i]).max(initial=0.0) <= 4 * np.spacing(peak)
+            # 2 / (pi (1 - s)) is the peak |P_s| can reach, at the vacuum's origin
+            peak = 2 / (np.pi * (1 - s))
+            p = quasiprob_pointwise(one, alpha, s)
+            assert np.abs(p - wigner[i]).max() <= 4 * np.spacing(peak)
+
+    def test_stack_holds_the_occupied_block(self):
+        # an attenuated photon is a 2 x 2 block per efficiency at any cutoff: the stack
+        # takes less memory than the rows of four floats that figure3_data returns
+        etas = np.linspace(0.0, 1.0, 101)
+        lossy = _loss_blocks(fc.make_fock(1, 40), etas)
+        assert lossy.shape == (101, 2, 2)
+        rows = nc.figure3_data(101, 40)
+        assert lossy.nbytes <= sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in rows)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_gain_checked_on_every_eta(self, bad):
+        with pytest.raises(GainNotAllowed):
+            _loss_blocks(fc.make_fock(1, 8), np.array([0.2, bad, 0.7]))
