@@ -117,7 +117,7 @@ def partial_trace(rho12: DensityMatrix, keep: int) -> DensityMatrix:
 def attenuate(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Vacuum loss channel with efficiency eta = |t|^2, the stack of one of ``_loss_blocks``:
     the splitter t = sqrt(eta) acting on rho and a vacuum ancilla, the ancilla traced out."""
-    block = _loss_blocks(rho, np.array([eta], dtype=float))[0]
+    block = _loss_blocks(rho, np.array([float(eta)]))[0]
     return embed(DensityMatrix(len(block), block, leakage=rho.leakage), rho.dim)
 
 

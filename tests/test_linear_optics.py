@@ -237,6 +237,9 @@ class TestAttenuate:
             lo.attenuate(fc.make_fock(0, 4), -0.1)
         with pytest.raises(GainNotAllowed):
             lo.attenuate(fc.make_fock(0, 4), float("nan"))
+        # a complex efficiency is not truncated to its real part
+        with pytest.raises(TypeError):
+            lo.attenuate(fc.make_fock(0, 4), 0.5 + 0.1j)
 
     def test_moment_scaling(self):
         rng = np.random.default_rng(29)
