@@ -1,4 +1,4 @@
-"""``float.__repr__`` for many positive doubles at once, in numpy.
+"""``float.__repr__`` for many positive doubles at once, in numpy, as fixed-width records.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render doubles",
 2020): the shortest decimal in the double's rounding interval, the nearer of two
@@ -8,9 +8,13 @@ Schubfach keeps at least two digits for the smallest subnormals (5e-324 would be
 subnormals come out as ``repr`` writes them too. The integer arithmetic is all
 ``uint64``, never mixed with ``int64`` (numpy would promote the mix to float64), and
 the 64x64-bit high products are built from 32-bit limbs.
+
+A record is WIDTH bytes: a sign byte, 23 of text, five of exponent tail and a four-byte
+separator ", ". Bytes a value does not use hold FILL, which the reader deletes.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -19,11 +23,10 @@ U = np.uint64
 M32, M63 = U(2**32 - 1), U(2**63 - 1)
 K_MIN, K_MAX = -324, 292  # the decimal exponents Schubfach reaches for doubles
 POW10 = np.array([10**i for i in range(18)], dtype=U)
-# magnitudes per pass: ~240 kB of text bytes and ~1 MB of uint64 scratch, so a part's
-# words take less transient memory than the Python floats `repr` would read them from
+# magnitudes per pass: ~270 kB of records and ~1.5 MB of scratch
 SLICE = 1 << 13
-FILL = b"_"  # a byte no word holds, deleted before the split
-DOT, FILL_BYTE = np.uint8(ord(".")), np.uint8(FILL[0])
+FILL = b"_"  # a byte no number holds
+WIDTH = 33
 
 
 def _flog2pow10(e):
@@ -34,16 +37,28 @@ def _flog2pow10(e):
 @lru_cache(maxsize=1)
 def _tables() -> tuple[np.ndarray, ...]:
     """g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1 in [2^125, 2^126), r = floor(log2 10^-k) - 125,
-    for k = K_MIN..K_MAX; and the five-byte heads ("0." and up to three zeros) and
-    exponent tails of the layout."""
+    for k = K_MIN..K_MAX; and the layout tables of ``record_table``."""
     g = []
     for k in range(K_MIN, K_MAX + 1):
         r = _flog2pow10(-k) - 125
         g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
-    heads = [b"_____", b"0.___", b"0.0__", b"0.00_", b"0.000"]
-    tails = [b"_____"] + [f"e{x:+03d}".encode().ljust(5, FILL) for x in range(-324, 309)]
+    # four ASCII digits per group 0..9999, then the point and three fills
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)) + b"." + FILL * 3, np.uint32)
+    # the text of 0.d1d2..d17 10^decpt with n significant digits, for decpt clipped to
+    # -4..17, as indices into the 24 bytes "000" d1..d17 "." FILL FILL FILL (digit j at d[j])
+    maps, d = np.full((22, 18, 23), 21, dtype=np.intp), list(range(2, 20))
+    for decpt, n in itertools.product(range(-4, 18), range(1, 18)):
+        if -4 < decpt <= 0:
+            text = [0, 20] + [0] * -decpt + d[1 : n + 1]
+        elif 0 < decpt <= 16:
+            text = d[1 : decpt + 1] + [20] + d[decpt + 1 : max(n, decpt + 1) + 1]
+        else:
+            text = d[1:2] + [20] * (n > 1) + d[2 : n + 1]
+        maps[decpt + 4, n, : len(text)] = text
+    tails = b"".join(FILL * 5 if -4 < x <= 16 else f"e{x - 1:+03d}".encode().ljust(5, FILL)
+                     for x in range(-324, 310))
     return (np.array([x >> 63 for x in g], dtype=U), np.array([x & (2**63 - 1) for x in g], dtype=U),
-            *(np.frombuffer(b"".join(b), np.uint8).reshape(-1, 5) for b in (heads, tails)))
+            quads, maps.reshape(-1, 23), np.frombuffer(tails, "V5"))
 
 
 def _mulhi(a, b):
@@ -83,41 +98,26 @@ def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(up != wp, np.where(up, sp, sp + U(10)), s + np.where(u != w, w, above)), k
 
 
-def _words(f: np.ndarray, k: np.ndarray) -> list[str]:
-    """``repr`` of f 10^k: positional for decimal exponents -4..15, else d.ddde+XX."""
-    nd = np.searchsorted(POW10, f, side="right")
-    hi, lo = np.divmod(f * POW10[17 - nd], U(10**9))
-    d = np.zeros((f.size, 19), dtype=np.uint8)  # the 17 digits, with a column either side
-    for cols, part in ((range(17, 8, -1), lo), (range(8, 0, -1), hi)):
-        part = part.astype(np.uint32)
-        for i in cols:
-            part, d[:, i] = np.divmod(part, np.uint32(10))
-    d += 48
-    n = 17 - np.argmax(d[:, 17:0:-1] != 48, axis=1)  # significant digits
-    decpt = nd + k  # the value is 0.d1d2... 10^decpt
-    pos = (decpt > -4) & (decpt <= 16)
-    lead = pos & (decpt <= 0)
-    # the point goes before digit p and digits from `last` on are dropped
-    p = np.where(pos, np.where(lead, 18, decpt), 1).astype(np.int8)[:, None]
-    last = np.where(pos & ~lead, np.maximum(n, decpt + 1), n).astype(np.int8)[:, None]
-    col = np.arange(18, dtype=np.int8)
-    after = col > p
-    heads, tails = _tables()[2:]
-    text = np.empty((f.size, 29), dtype=np.uint8)
-    body = text[:, 5:23]
-    body[...] = d[:, 1:]
-    np.copyto(body, d[:, :-1], where=after)
-    np.copyto(body, DOT, where=col == p)
-    np.copyto(body, FILL_BYTE, where=col - after >= last)
-    text[:, :5] = heads[np.where(lead, 1 - decpt, 0)]
-    text[:, 23:28] = tails[np.where(pos, 0, decpt + 324)]
-    text[:, 28] = ord(" ")
-    return text.tobytes().translate(None, FILL).decode("ascii").split()
-
-
-def shortest_reprs(mags: np.ndarray) -> list[str]:
-    """``[repr(x) for x in mags]`` for a 1-D float64 array of positive finite values."""
-    words = []
+def record_table(mags: np.ndarray) -> np.ndarray:
+    """(1 + mags.size, WIDTH) uint8 records for a 1-D float64 array of positive finite
+    values: row 0 is 0.0 and row i + 1 is ``repr(mags[i])``, positional for decimal
+    exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator."""
+    quads, maps, tails = _tables()[2:]
+    table = np.tile(np.frombuffer(FILL * 29 + b", " + FILL * 2, np.uint8), (mags.size + 1, 1))
+    table[0, 1:4] = list(b"0.0")
     for i in range(0, mags.size, SLICE):
-        words += _words(*_digits(mags[i : i + SLICE]))
-    return words
+        f, k = _digits(mags[i : i + SLICE])
+        nd = np.searchsorted(POW10, f, side="right")
+        hi, lo = np.divmod(f * POW10[17 - nd], U(10**8))  # the 17 digits, 9 and 8
+        g = np.empty((6, f.size), dtype=np.uint32)  # d1, four groups of four digits, the point
+        g[0], hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
+        g[1], g[2] = np.divmod(hi, np.uint32(10**4))
+        g[3], g[4] = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
+        g[5] = 10**4
+        digits = quads.take(g.T).view(np.uint8)  # "000" d1..d17 "." FILL FILL FILL
+        n = 17 - np.argmax(digits[:, 19:2:-1] != ord("0"), axis=1)  # significant digits
+        decpt = nd + k  # the value is 0.d1d2... 10^decpt
+        idx = maps[(np.clip(decpt, -4, 17) + 4) * 18 + n] + np.arange(0, 24 * f.size, 24)[:, None]
+        table[1 + i : 1 + i + f.size, 1:24] = digits.ravel()[idx]
+        table[1 + i : 1 + i + f.size, 24:29].view("V5")[:, 0] = tails[decpt + 324]
+    return table

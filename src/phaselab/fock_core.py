@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from ._shortest_repr import shortest_reprs
+from ._shortest_repr import FILL, SLICE, WIDTH, record_table
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, MalformedFile
 from .errors import NonFiniteArgument
 
@@ -30,9 +30,9 @@ LEAKAGE_TOL = 1e-10
 class DensityMatrix:
     """Bosonic state on a truncated Fock space.
 
-    dim is the per-mode number of levels; the matrix side is dim**n_modes. A NaN or
-    infinite entry or leakage raises NonFiniteArgument, so every state is finite; a
-    leakage outside [0, 1] raises InvalidWeights.
+    dim is the per-mode number of levels and dim**n_modes the matrix side, both kept as
+    int; a float or bool is DimensionMismatch. A NaN or infinite entry or leakage raises
+    NonFiniteArgument, and a leakage outside [0, 1] InvalidWeights.
     """
 
     dim: int
@@ -41,12 +41,14 @@ class DensityMatrix:
     leakage: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch("dim must be a positive integer")
-        if self.n_modes not in (1, 2):
-            raise DimensionMismatch("only 1- and 2-mode states are supported")
+        try:  # a numpy integer becomes int, which json.dumps can write
+            dim, n_modes = (int(json_number(v, Integral)) for v in (self.dim, self.n_modes))
+        except TypeError as exc:
+            raise DimensionMismatch(f"dim and n_modes must be integers: {exc}") from None
+        if dim < 1 or n_modes not in (1, 2):
+            raise DimensionMismatch(f"need dim >= 1 and 1 or 2 modes, got {dim} and {n_modes}")
         arr = np.array(self.entries, dtype=complex)
-        side = self.dim**self.n_modes
+        side = dim**n_modes
         if arr.shape != (side, side):
             raise DimensionMismatch(f"expected a {side}x{side} matrix, got {arr.shape}")
         if not (np.isfinite(arr).all() and isfinite(self.leakage)):
@@ -54,7 +56,8 @@ class DensityMatrix:
         if not 0 <= self.leakage <= 1:
             raise InvalidWeights(f"leakage {self.leakage} is not a probability")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        for name, value in (("dim", dim), ("n_modes", n_modes), ("entries", arr)):
+            object.__setattr__(self, name, value)
 
     @property
     def cutoff(self) -> int:
@@ -312,32 +315,29 @@ def save_state(rho: DensityMatrix) -> dict:
     }
 
 
-def _matrix_chunks(a: np.ndarray) -> Iterator[str]:
-    """``json.dumps(a.tolist())`` for a finite 2-D float array, one chunk per row, with
-    the ``repr`` words of the distinct nonzero magnitudes made together by
-    ``shortest_reprs``. A row's negative entries, -0.0 included, get their "-" as the row
-    is made, so the signed words of one row at a time are held besides the vocabulary."""
-    nz = a != 0
-    mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
-    words = np.array(["0.0", *shortest_reprs(mags)], dtype=object)
-    code = np.zeros(a.shape, dtype=np.intp)
-    code[nz] = inv + 1
-    for i, (c, neg) in enumerate(zip(code, np.signbit(a))):
-        row = words[c].tolist()
-        for j in np.flatnonzero(neg).tolist():
-            row[j] = "-" + row[j]
-        yield ("], [" if i else "[[") + ", ".join(row)
-    yield "]]"
-
-
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
-    """The text of ``json.dumps(save_state(rho))``, exactly, in chunks of about one matrix
-    row; each distinct magnitude is formatted once, and the words of ``im`` are made after
-    the last chunk of ``re``, so a caller that writes the chunks never holds the whole text."""
-    yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}, "re": '
-    yield from _matrix_chunks(rho.entries.real)
-    yield ', "im": '
-    yield from _matrix_chunks(rho.entries.imag)
+    """The text of ``json.dumps(save_state(rho))``, exactly, in slabs of whole matrix rows
+    of about ``SLICE`` entries. Each part, ``re`` then ``im``, takes its slabs from one
+    ``record_table`` of its distinct nonzero magnitudes: a slab puts "-" in the sign byte of
+    the negative entries, -0.0 included, and closes each row with "], [" and the last with
+    "]]". So a caller that writes the chunks holds one part's records and one slab."""
+    yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}'
+    for name, a in (("re", rho.entries.real), ("im", rho.entries.imag)):
+        nz = a != 0
+        mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
+        records = record_table(mags).view(f"V{WIDTH}")[:, 0]
+        code = np.zeros(a.shape, dtype=np.intp)
+        code[nz] = inv + 1
+        step = max(1, SLICE // len(a))
+        yield f', "{name}": [['
+        for i in range(0, len(a), step):
+            slab = records.take(code[i : i + step]).view(np.uint8).reshape(-1, len(a), WIDTH)
+            slab[..., 0][np.signbit(a[i : i + step])] = ord("-")
+            slab[:, -1, -4:] = list(b"], [")
+            if i + step >= len(a):
+                slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
+            yield slab.tobytes().translate(None, FILL).decode("ascii")
+        del nz, mags, inv, records, code  # freed before the next part's are made
     yield f', "leakage": {json.dumps(rho.leakage)}}}'
 
 
@@ -350,7 +350,7 @@ def load_state(obj: dict | str) -> DensityMatrix:
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         dim, n_modes = (json_number(v, Integral) for v in (obj["dim"], obj.get("n_modes", 1)))
         leakage = float(json_number(obj.get("leakage", 0.0)))
-        rho = DensityMatrix(int(dim), entries, int(n_modes), leakage)
+        rho = DensityMatrix(dim, entries, n_modes, leakage)
     except (KeyError, TypeError, ValueError, InvalidWeights) as exc:
         raise MalformedFile(f"not a state record: {type(exc).__name__}: {exc}") from None
     return _checked(rho)

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 from math import lgamma
+from os.path import commonprefix
 
 import numpy as np
 from scipy.special import eval_genlaguerre
 
 from phaselab import fock_core as fc
+from phaselab._shortest_repr import FILL, record_table
 from phaselab.errors import InvalidWeights
 from phaselab.quasiprob_engine import lattice
 
@@ -113,3 +115,19 @@ def figure3_csv_per_eta(eta_steps, cutoff):
         row = (eta, quasiprob_pointwise(rho, 0.0, 0.0), wigner_origin_analytic(eta), g2 - g1**2)
         lines.append(",".join(f"{v:.15g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def shortest_reprs(mags):
+    """``[repr(x) for x in mags]`` for a 1-D array of positive finite doubles, read from
+    ``record_table``: each record's fill bytes deleted and its ", " split off. Row 0, 0.0,
+    is checked and dropped."""
+    words = record_table(mags).tobytes().translate(None, FILL).decode("ascii").split(", ")
+    assert words[0] == "0.0" and words[-1] == "", words[:1] + words[-1:]
+    return words[1:-1]
+
+
+def assert_same_text(got: str, want: str):
+    """got == want; a failure shows where the texts part, not a diff of megabytes."""
+    if got != want:
+        i = len(commonprefix([got, want]))
+        raise AssertionError(f"texts part at {i}: {got[i - 30 : i + 30]!r} != {want[i - 30 : i + 30]!r}")

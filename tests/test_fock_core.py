@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from scipy.special import gammainc
 
 from phaselab import fock_core as fc
-from phaselab._shortest_repr import shortest_reprs
 from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -17,7 +16,8 @@ from phaselab.errors import (
     NonFiniteArgument,
 )
 
-from _support import annihilation, displacement_element, random_density
+from _support import annihilation, assert_same_text, displacement_element, random_density
+from _support import shortest_reprs
 
 
 def displacement_oracle(beta, dim=30):
@@ -341,6 +341,25 @@ class TestDensityMatrix:
         with pytest.raises(InvalidWeights):
             fc.DensityMatrix(3, e, n_modes, leakage)
 
+    def test_numpy_integer_dims_are_int(self):
+        # a numpy cutoff gives a numpy dim, which json.dumps cannot write
+        rho = fc.make_fock(1, np.int64(3))
+        assert type(rho.dim) is int and rho.dim == 4
+        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+        two = fc.DensityMatrix(np.int32(2), np.eye(4) / 4, np.uint8(2))
+        assert (type(two.dim), type(two.n_modes)) == (int, int)
+
+    @pytest.mark.parametrize(
+        "dim, n_modes",
+        [(2.0, 1), (True, 1), (np.float64(2.0), 1), (np.True_, 1), (2, 1.0), (1, True),
+         (2, np.float32(1.0)), ("2", 1)],
+    )
+    def test_non_integer_dims_rejected(self, dim, n_modes):
+        # a float or bool that equals an integer would be written as 2.0 or true
+        side = int(dim) ** int(n_modes)
+        with pytest.raises(DimensionMismatch):
+            fc.DensityMatrix(dim, np.eye(side) / side, n_modes)
+
     @pytest.mark.parametrize("leakage", [0.0, 1.0])
     def test_leakage_bounds_accepted(self, leakage):
         assert fc.DensityMatrix(1, np.ones((1, 1)), leakage=leakage).leakage == leakage
@@ -484,6 +503,51 @@ class TestStateJsonChunks:
     )
     def test_built_states(self, rho):
         assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
+    @pytest.mark.parametrize("seed", [1207, 1208])
+    def test_random_bits_across_slabs(self, seed):
+        # two modes at dim 12: 144 columns, so slabs of 56, 56 and 32 rows; every finite
+        # bit pattern, subnormals, random signs, zeros and -0.0
+        rng = np.random.default_rng(seed)
+        e = np.empty((144, 144), dtype=complex)
+        for part in ("real", "imag"):
+            bits = np.where(rng.random((144, 144)) < 0.2, rng.integers(1, 1 << 52, (144, 144)),
+                            rng.integers(1, 0x7FF0000000000000, (144, 144))).astype(np.uint64)
+            x = bits.view(np.float64) * rng.choice([-1.0, 1.0], (144, 144))
+            x[rng.random((144, 144)) < 0.1] = 0.0
+            x[rng.random((144, 144)) < 0.05] = -0.0
+            setattr(e, part, x)
+        rho = fc.DensityMatrix(12, e, 2)
+        assert np.signbit(rho.entries.real[rho.entries.real == 0]).any()
+        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+
+    @pytest.mark.parametrize(
+        "dim, n_modes, entries",
+        [
+            (1, 1, [[1.0]]),
+            (1, 2, [[-0.0 - 0.0j]]),
+            (1, 1, [[-5e-324 + 1e16j]]),
+            # every row negative, over three slabs
+            (12, 2, -np.arange(1, 144**2 + 1).reshape(144, 144) * (1 + 1j) / 7),
+            (4, 1, [[5e-324, -1.7976931348623157e308, 1e16, -1e-5],
+                    [1e-5j, 1.7976931348623157e308j, -5e-324j, -1e16j],
+                    [-0.0, 0.0, 1e-4, 9999999999999998.0],
+                    [1e15, -1e-300, 0.1, 1.0]]),
+        ],
+    )
+    def test_edge_matrices(self, dim, n_modes, entries):
+        rho = fc.DensityMatrix(dim, entries, n_modes)
+        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+
+    def test_coherent_pair_output(self):
+        # the 441x441 splitter output of the largest state file: 25 slabs of up to 18 rows
+        from phaselab.classical_fields import BeamSplitterParams
+        from phaselab.linear_optics import apply_beamsplitter
+
+        pair = fc.tensor(fc.make_coherent(0.79 * np.exp(0.4j), 20), fc.make_coherent(0.785j, 20))
+        rho = apply_beamsplitter(pair, BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j)))
+        assert rho.entries.shape == (441, 441)
+        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     def test_kernel_is_repr_on_random_bit_patterns(self):
         # every finite positive double is equally likely as a bit pattern, and a second
