@@ -88,6 +88,12 @@ def _csv(header: list[str], rows) -> tuple[str]:
     return ("\n".join(lines) + "\n",)
 
 
+def _lattice_csv(header: list[str], axis, *columns) -> tuple[str]:
+    """CSV rows (Re, Im, *columns) over the square lattice of ``axis``, in its values' order."""
+    x, y = np.meshgrid(axis, axis)
+    return _csv(header, zip(x.ravel(), y.ravel(), *columns))
+
+
 def _json(payload, indent=None) -> tuple[str]:
     return (json.dumps(payload, indent=indent) + "\n",)
 
@@ -109,25 +115,16 @@ def cmd_state(args) -> Iterable[str]:
 def cmd_charfunc(args) -> Iterable[str]:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
-    extent, points = args.beta_grid
-    grid = qe.charfunc_grid(rho, f, extent, points)
-    _, betas = qe.lattice(extent, points)
-    values = grid.values.ravel()
-    rows = zip(betas.real.ravel(), betas.imag.ravel(), values.real, values.imag)
-    return _csv(["re_beta", "im_beta", "re_value", "im_value"], rows)
+    grid = qe.charfunc_grid(rho, f, *args.beta_grid)
+    v = grid.values.ravel()
+    return _lattice_csv(["re_beta", "im_beta", "re_value", "im_value"], grid.axis, v.real, v.imag)
 
 
 def cmd_quasiprob(args) -> Iterable[str]:
     rho = _load_state(args.state)
     f = _filter_from_args(args)
-    b_extent, b_points = args.beta_grid
-    a_extent, a_points = args.grid
-    grid = qe.quasiprob_transform(
-        qe.charfunc_grid(rho, f, b_extent, b_points), a_extent, a_points
-    )
-    _, alphas = qe.lattice(a_extent, a_points)
-    rows = zip(alphas.real.ravel(), alphas.imag.ravel(), grid.values.ravel())
-    return _csv(["re_alpha", "im_alpha", "value"], rows)
+    grid = qe.quasiprob_transform(qe.charfunc_grid(rho, f, *args.beta_grid), *args.grid)
+    return _lattice_csv(["re_alpha", "im_alpha", "value"], grid.axis, grid.values.ravel())
 
 
 def cmd_beamsplit(args) -> Iterable[str]:

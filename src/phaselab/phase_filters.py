@@ -191,7 +191,7 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
 
 def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
     """Tr(e X) at ``size`` points for each square matrix of a stack e (..., n, n) and the
-    bands of X from ``_bands``; shape (..., size).
+    bands of X from ``_bands``, the even and the odd bands summed apart; shape (2, ..., size).
 
     A band is one matrix product of the stack's two diagonals with its Laguerre rows,
     mapped to the points by ``inv``. Memory stays O(size) per matrix; a band that every
@@ -203,7 +203,7 @@ def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries
     _, rows, cols = np.nonzero(e)
     held = set(np.abs(cols - rows).tolist())
-    vals = np.zeros((len(e), size), dtype=complex)
+    vals = np.zeros((2, len(e), size), dtype=complex)
     for k, lower, upper, lag, inv in islice(bands, max(held, default=-1) + 1):
         if k not in held:
             continue
@@ -213,10 +213,22 @@ def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
         w[..., 0], w[..., 1] = e.diagonal(k, 1, 2).T, e.diagonal(-k, 1, 2).T
         # real rows times the (re, im) columns of w, read back as complex: (U, matrices, 2)
         acc = (lag().T @ w.reshape(n - k, -1).view(float)).view(complex).reshape(-1, len(e), 2)
-        vals += lower * np.take(acc[..., 0], inv, axis=0).T
+        part = vals[k % 2]
+        part += lower * np.take(acc[..., 0], inv, axis=0).T
         if k:
-            vals += upper * np.take(acc[..., 1], inv, axis=0).T
-    return vals.reshape(*lead, size)
+            part += upper * np.take(acc[..., 1], inv, axis=0).T
+    return vals.reshape(2, *lead, size)
+
+
+def _paired_trace(e: np.ndarray, bands_at, p: np.ndarray) -> np.ndarray:
+    """Tr(e X) at the flat points p, X having the bands ``bands_at(points)``. Band k of D(b)
+    and of T(a, s) only changes by (-1)^k at -b: when p read backwards is its own negative,
+    the kernel sees its first ceil(N/2) points and gives E + O of the even and odd sums
+    there, E - O at their negatives. Any other p gets E + O at every point."""
+    half = (p.size + 1) // 2 if np.array_equal(p[::-1], -p) else p.size
+    even, odd = _band_trace(e, bands_at(p[:half]), half)
+    mirror = (even[..., : p.size - half] - odd[..., : p.size - half])[..., ::-1]
+    return np.concatenate([even + odd, mirror], axis=-1)
 
 
 def symmetric_charfunc(rho: DensityMatrix, beta):
@@ -228,8 +240,7 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     occ = rho.occupations[0]
     d = effective_dim(occ)
     _check_trust(rho.dim, occ[-1], beta_arr)
-    flat = beta_arr.ravel()
-    vals = _band_trace(rho.entries[:d, :d], _displacement_bands(d, flat), flat.size)
+    vals = _paired_trace(rho.entries[:d, :d], partial(_displacement_bands, d), beta_arr.ravel())
     vals = vals.reshape(beta_arr.shape)
     return complex(vals) if vals.ndim == 0 else vals
 

@@ -19,7 +19,7 @@ from .errors import ImaginaryResidue, SingularPFunction
 from .fock_core import DensityMatrix, coherent_leakage, coherent_vector, effective_dim
 from .fock_core import require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _band_trace, _bands
+from .phase_filters import _bands, _paired_trace
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -62,8 +62,11 @@ class QuasiProbGrid:
 
 
 def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axis and complex mesh of a square lattice symmetric about the origin."""
-    axis = np.linspace(-extent, extent, points)
+    """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
+    linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of an
+    odd axis, so the band kernel pairs every point of the mesh with its negative."""
+    half = np.linspace(-extent, extent, points)[: points // 2]
+    axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
     x, y = np.meshgrid(axis, axis)
     return axis, x + 1j * y
 
@@ -90,7 +93,7 @@ def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int)
     axis (its float64 bytes). They do not depend on Phi, so they are built
     once per lattice pair and shared as read-only arrays."""
     b = np.frombuffer(beta_axis)
-    alpha_axis = np.linspace(-alpha_extent, alpha_extent, alpha_points)
+    alpha_axis = lattice(alpha_extent, alpha_points)[0]
     # kernel e^{b*a - b a*} = exp(2i (Re b . Im a - Im b . Re a)); rows of the
     # value array run over Im b, columns over Re b
     m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
@@ -187,11 +190,13 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
 
 def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
     """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a."""
-    x = np.abs(a) ** 2
-    w = 2 * a / (1 - s)
-    pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
-    bands = _bands(e.shape[-1], pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
-    return _band_trace(e, bands, a.size).real / pi
+    def bands_at(a):
+        x = np.abs(a) ** 2
+        w = 2 * a / (1 - s)
+        pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
+        return _bands(e.shape[-1], pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
+
+    return _paired_trace(e, bands_at, a).real / pi
 
 
 def attenuated_photon_wigner(eta: float, alpha):

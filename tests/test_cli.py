@@ -11,6 +11,8 @@ import phaselab
 from phaselab import cli
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
+from phaselab import quasiprob_engine as qe
+from phaselab.phase_filters import FilterSpec
 
 from _support import figure3_csv_per_eta
 
@@ -364,6 +366,26 @@ class TestPipelines:
         lines = out.strip().split("\n")
         assert lines[0] == "re_beta,im_beta,re_value,im_value"
         assert len(lines) == 1 + 81
+
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["quasiprob", "--grid", "4:100"], lambda rho: qe.quasiprob_transform(
+            qe.charfunc_grid(rho, FilterSpec()), 4.0, 100)),
+        (["charfunc", "--beta-grid", "6:128"], lambda rho: qe.charfunc_grid(
+            rho, FilterSpec(), 6.0, 128)),
+    ], ids=["quasiprob", "charfunc"])
+    def test_csv_coordinates_are_the_grid_axis(self, tmp_path, capsys, argv, grid):
+        # sizes where linspace is not antisymmetric: the coordinates are the axis the
+        # values were computed on, and each row's negative is the mirror row
+        state = write_state(tmp_path, "one.json", "state", "--fock", "1")
+        code, out, _ = run(capsys, *argv, "--state", state)
+        assert code == 0
+        coords = [ln.split(",")[:2] for ln in out.strip().split("\n")[1:]]
+        axis = grid(fc.make_fock(1, cli.DEFAULT_CUTOFF)).axis
+        x, y = np.meshgrid(axis, axis)
+        assert coords == [[f"{a:.15g}", f"{b:.15g}"] for a, b in zip(x.ravel(), y.ravel())]
+        values = np.array(coords, dtype=float)
+        assert np.array_equal(values[::-1], -values)
 
 
 class TestStateFiles:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -250,6 +250,26 @@ class TestSymmetricCharfunc:
                     oracle[b] = np.sum(rho.entries[:d, :d].T * elements)
             want = np.array([oracle[b] for b in betas.ravel()])
             assert np.max(np.abs(got.ravel() - want)) <= 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 31),
+        extent=st.floats(0.1, 6.0),
+        points=st.integers(2, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_paired_lattice_matches_shuffled_points(self, seed, d, extent, points):
+        # a lattice() mesh reads backwards as its own negative, so the kernel sees half of
+        # it and writes E - O at the mirror points; shuffled, every point goes through it
+        rng = np.random.default_rng(seed)
+        rho = random_density(d + 1, occupied=d, rng=rng)
+        betas = qe.lattice(extent, points)[1].ravel()
+        order = rng.permutation(betas.size)
+        assume(not np.array_equal(betas[order][::-1], -betas[order]))
+        paired = pf.symmetric_charfunc(rho, betas)
+        unpaired = np.empty_like(paired)
+        unpaired[order] = pf.symmetric_charfunc(rho, betas[order])
+        assert np.max(np.abs(paired - unpaired)) <= 1e-15 * np.max(np.abs(paired))
 
     def test_lattice_memory_linear_in_points(self):
         # a (d, d, N) displacement stack would take 252 MB here

@@ -3,11 +3,12 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
 from phaselab import fock_core as fc
+from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
 from phaselab.linear_optics import attenuate
 from phaselab.errors import (
@@ -29,6 +30,40 @@ SP = FilterSpec.s_param(1.0)
 
 def wigner_grid(rho, **kw):
     return qe.quasiprob_transform(qe.charfunc_grid(rho, S0), **kw)
+
+
+class TestLattice:
+    @given(extent=st.floats(1e-3, 1e3), points=st.integers(2, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_axis_is_exactly_antisymmetric(self, extent, points):
+        axis, mesh = qe.lattice(extent, points)
+        assert np.array_equal(axis[::-1], -axis)
+        assert np.array_equal(mesh.ravel()[::-1], -mesh.ravel())
+        assert axis[0] == -extent and axis[-1] == extent
+        if points % 2:
+            assert axis[points // 2] == 0.0 and not np.signbit(axis[points // 2])
+        assert np.max(np.abs(axis - np.linspace(-extent, extent, points))) <= 4 * np.spacing(extent)
+
+    def test_default_lattice_kernel_sees_half_the_points(self, monkeypatch):
+        # the 128^2 beta lattice pairs every point with its negative: 8192 points reach
+        # the band recurrence, for the characteristic function and for T(alpha, s)
+        sizes = []
+        band_trace = pf._band_trace
+
+        def spy(e, bands, size):
+            sizes.append(size)
+            return band_trace(e, bands, size)
+
+        monkeypatch.setattr(pf, "_band_trace", spy)
+        rho = random_density(8, occupied=7)
+        qe.charfunc_grid(rho, S0)
+        qe.quasiprob_pointwise(rho, qe.lattice(6.0, 128)[1], -0.5)
+        assert sizes == [8192, 8192]
+
+    def test_transform_axis_is_the_lattice_axis(self):
+        grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), S0), 4.0, 100)
+        assert np.array_equal(grid.axis, qe.lattice(4.0, 100)[0])
+        assert np.array_equal(wigner_grid(fc.make_fock(0, 20)).axis, np.linspace(-4, 4, 129))
 
 
 class TestTransform:
@@ -294,6 +329,27 @@ class TestPointwise:
                     oracle[a] = 2 / (np.pi * (1 - s)) * (weights @ diag)
             want = np.array([oracle[a] for a in alphas.ravel()])
             assert np.max(np.abs(got.ravel() - want)) <= 1e-12
+
+    @given(seed=SEEDS, d=st.integers(1, 31), stack=st.integers(1, 3), extent=st.floats(0.1, 4.0),
+           points=st.integers(2, 40), s=S_LEQ_0)
+    @settings(max_examples=40, deadline=None)
+    def test_paired_lattice_matches_shuffled_points(self, seed, d, stack, extent, points, s):
+        # the paired branch (a lattice() mesh) against the unpaired one (its points
+        # shuffled), for a stack through _pointwise and its first state through the API
+        rng = np.random.default_rng(seed)
+        states = [random_density(d, rng=rng) for _ in range(stack)]
+        e = np.stack([rho.entries for rho in states])
+        alphas = qe.lattice(extent, points)[1].ravel()
+        order = rng.permutation(alphas.size)
+        assume(not np.array_equal(alphas[order][::-1], -alphas[order]))
+        paired = qe._pointwise(e, alphas, s)
+        unpaired = np.empty_like(paired)
+        unpaired[:, order] = qe._pointwise(e, alphas[order], s)
+        peak = np.max(np.abs(paired))
+        assert np.max(np.abs(paired - unpaired)) <= 1e-15 * peak
+        one = np.empty(alphas.size)
+        one[order] = qe.quasiprob_pointwise(states[0], alphas[order], s)
+        assert np.max(np.abs(qe.quasiprob_pointwise(states[0], alphas, s) - one)) <= 1e-15 * peak
 
     @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0, 3.0])
     def test_positive_s_rejected(self, s):
