@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from math import lgamma, log, sqrt
 from numbers import Integral, Number, Real
@@ -131,30 +131,40 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
         )
 
 
-def _bands(dim: int, pref, lo, up, y, q=1.0):
+@lru_cache(maxsize=8)
+def _distinct(r2: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` of the squared radii (float64 bytes) of a point set with its inverse,
+    read-only: the sort is paid once per point set and shared by every filter and s."""
+    distinct, inv = np.unique(np.frombuffer(r2), return_inverse=True)
+    for arr in (distinct, inv):
+        arr.setflags(write=False)
+    return distinct, inv
+
+
+def _bands(dim: int, pref, lo, sign: int, r2: np.ndarray, scale=1.0, q=1.0):
     """The elements of a banded operator X on dim levels, one band k = m - n at a time.
 
-    Yields (k, lower, upper, lag, inv) with <n+k|X|n> = lower * lag()[n, inv]
-    and <n|X|n+k> = upper * lag()[n, inv] for n = 0 .. dim-1-k, where lower =
-    pref lo^k, upper = pref up^k and ``lag()`` builds q^n sqrt(n! / (n+k)!)
-    L_n^{(k)}(x), y = q x, once per distinct y: y[i] is its column inv[i].
+    Yields (k, lower, flip, lag, inv) with <n+k|X|n> = lower * lag()[n, inv] and
+    <n|X|n+k> = flip * conj(<n+k|X|n>) for n = 0 .. dim-1-k, where lower = pref lo^k,
+    flip = sign^k and ``lag()`` builds q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x =
+    scale r2, once per distinct squared radius r2: r2[i] is its column inv[i].
     """
     # a single point needs no sort: figure 3 evaluates one alpha on its stack of states
-    distinct, inv = (y, np.zeros(1, np.intp)) if y.size == 1 else np.unique(y, return_inverse=True)
-    lower = upper = pref
+    distinct, inv = (r2, np.zeros(1, np.intp)) if r2.size == 1 else _distinct(r2.tobytes())
+    y = scale * distinct
+    lower = pref
     first = 1.0  # 1 / sqrt(k!)
     for k in range(dim):
         if k:
             lower = lower * lo
-            upper = upper * up
             first /= sqrt(k)
-        yield k, lower, upper, partial(_laguerre_band, k, dim - k, distinct, first, q), inv
+        yield k, lower, sign**k, partial(_laguerre_band, k, dim - k, y, first, q), inv
 
 
 def _displacement_bands(dim: int, beta: np.ndarray):
-    """The bands of <m|D(b)|n>: pref = e^{-|b|^2/2}, lo = b, up = -b*, q = 1, x = |b|^2."""
+    """The bands of <m|D(b)|n>: pref = e^{-|b|^2/2}, lo = b, sign = -1, q = 1, r2 = |b|^2."""
     x = np.abs(beta) ** 2
-    return _bands(dim, np.exp(-x / 2).astype(complex), beta, -beta.conjugate(), x)
+    return _bands(dim, np.exp(-x / 2).astype(complex), beta, -1, x)
 
 
 def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np.ndarray:
@@ -181,22 +191,25 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
     out = np.empty((dim, dim, beta.size), dtype=complex)
-    for k, lower, upper, lag, inv in _displacement_bands(dim, beta):
+    for k, lower, flip, lag, inv in _displacement_bands(dim, beta):
         for n, row in enumerate(lag()):
-            row = np.take(row, inv)
-            out[n + k, n] = lower * row
-            out[n, n + k] = upper * row
+            out[n + k, n] = lower * np.take(row, inv)
+            out[n, n + k] = flip * out[n + k, n].conj()
     return out
 
 
 def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
-    """Tr(e X) at ``size`` points for each square matrix of a stack e (..., n, n) and the
-    bands of X from ``_bands``, the even and the odd bands summed apart; shape (2, ..., size).
+    """Tr(h X) at ``size`` points for the Hermitian part h = (e + e^dag)/2 of each square
+    matrix of a stack e (..., n, n) and the bands of X from ``_bands``, the even and the
+    odd bands summed apart; shape (2, ..., size).
 
-    A band is one matrix product of the stack's two diagonals with its Laguerre rows,
-    mapped to the points by ``inv``. Memory stays O(size) per matrix; a band that every
-    matrix holds as zero is skipped, and bands past the last one held are never built,
-    so a stack of diagonal matrices costs one band.
+    Band k of X above the diagonal is flip times the conjugate of the band below it, and
+    h[n+k, n] is the conjugate of h[n, n+k], so band k adds z + flip conj(z), 2 Re z or
+    2i Im z, with z = sum_n h[n, n+k] <n+k|X|n>. 2z is one matrix product of the stack's
+    e[n, n+k] + conj(e[n+k, n]) with the Laguerre rows, mapped to the points by ``inv``,
+    times the band's prefactor. Memory stays O(size) per matrix; a band that every matrix
+    holds as zero is skipped, and bands past the last one held are never built, so a
+    stack of diagonal matrices costs one band.
     """
     *lead, n = e.shape[:-1]
     e = e.reshape(-1, n, n)
@@ -204,27 +217,34 @@ def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
     _, rows, cols = np.nonzero(e)
     held = set(np.abs(cols - rows).tolist())
     vals = np.zeros((2, len(e), size), dtype=complex)
-    for k, lower, upper, lag, inv in islice(bands, max(held, default=-1) + 1):
+    for k, lower, flip, lag, inv in islice(bands, max(held, default=-1) + 1):
         if k not in held:
             continue
-        # Tr(e X) = sum_{m,n} e[n, m] <m|X|n>: the band of <n+k|X|n>
-        # pairs with e[n, n+k], that of <n|X|n+k> with e[n+k, n]
-        w = np.empty((n - k, len(e), 2), dtype=complex)
-        w[..., 0], w[..., 1] = e.diagonal(k, 1, 2).T, e.diagonal(-k, 1, 2).T
-        # real rows times the (re, im) columns of w, read back as complex: (U, matrices, 2)
-        acc = (lag().T @ w.reshape(n - k, -1).view(float)).view(complex).reshape(-1, len(e), 2)
+        # Tr(h X) = sum_{m,n} h[n, m] <m|X|n>: 2 h[n, n+k] pairs with <n+k|X|n>, and
+        # 2 h[n, n] is halved; (levels, matrices), padded to an even count of matrices
+        # so that the matrix product below always has a multiple of four columns: its
+        # sums then do not depend on how many matrices share it
+        h = np.zeros((n - k, len(e) + len(e) % 2), dtype=complex)
+        h[:, : len(e)] = (e.diagonal(k, 1, 2) + e.diagonal(-k, 1, 2).conj()).T
+        if not k:
+            h *= 0.5
+        # real rows times the (re, im) columns of h, read back as complex: (U, matrices)
+        acc = (lag().T @ h.view(float)).view(complex)[:, : len(e)]
+        z = lower * np.take(acc, inv, axis=0).T
         part = vals[k % 2]
-        part += lower * np.take(acc[..., 0], inv, axis=0).T
-        if k:
-            part += upper * np.take(acc[..., 1], inv, axis=0).T
+        if flip > 0:
+            part.real += z.real
+        else:
+            part.imag += z.imag
     return vals.reshape(2, *lead, size)
 
 
 def _paired_trace(e: np.ndarray, bands_at, p: np.ndarray) -> np.ndarray:
-    """Tr(e X) at the flat points p, X having the bands ``bands_at(points)``. Band k of D(b)
-    and of T(a, s) only changes by (-1)^k at -b: when p read backwards is its own negative,
-    the kernel sees its first ceil(N/2) points and gives E + O of the even and odd sums
-    there, E - O at their negatives. Any other p gets E + O at every point."""
+    """Tr(h X) at the flat points p, h the Hermitian part of e and X having the bands
+    ``bands_at(points)``. Band k of D(b) and of T(a, s) only changes by (-1)^k at -b: when
+    p read backwards is its own negative, the kernel sees its first ceil(N/2) points and
+    gives E + O of the even and odd sums there, E - O at their negatives. Any other p gets
+    E + O at every point."""
     half = (p.size + 1) // 2 if np.array_equal(p[::-1], -p) else p.size
     even, odd = _band_trace(e, bands_at(p[:half]), half)
     mirror = (even[..., : p.size - half] - odd[..., : p.size - half])[..., ::-1]
@@ -233,7 +253,8 @@ def _paired_trace(e: np.ndarray, bands_at, p: np.ndarray) -> np.ndarray:
 
 def symmetric_charfunc(rho: DensityMatrix, beta):
     """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function,
-    summed band by band over the occupied levels."""
+    summed band by band over the occupied levels. A matrix that is not Hermitian gives
+    the value of its Hermitian part (rho + rho^dag)/2."""
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     beta_arr = require_finite(beta, "beta")

@@ -144,6 +144,26 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     return QuasiProbGrid(alpha_axis, values, cf.filter, cf.source, volume, residue)
 
 
+# the coherent rows of the last grid q_function evaluated: (its points' bytes, read-only
+# c_n(alpha) for the most levels asked of that grid so far, levels on the last axis)
+_q_rows: tuple[bytes, np.ndarray] | None = None
+
+
+def _coherent_rows(a: np.ndarray, levels: int) -> np.ndarray:
+    """c_n(a) for n < levels at the flat points a; points x levels. c_n does not depend on
+    the cutoff, so the rows of one grid are built once for the most levels asked of it and
+    fewer levels are a slice. A single point is not kept."""
+    global _q_rows
+    if a.size < 2:
+        return coherent_vector(a, levels - 1)
+    key, held = a.tobytes(), _q_rows
+    if held is None or held[0] != key or held[1].shape[1] < levels:
+        rows = coherent_vector(a, levels - 1)
+        rows.setflags(write=False)
+        held = _q_rows = key, rows
+    return held[1][:, :levels]
+
+
 def q_function(rho: DensityMatrix, alpha):
     """Husimi Q(alpha) = <alpha|rho|alpha> / pi, directly in the Fock basis."""
     if rho.n_modes != 1:
@@ -161,7 +181,7 @@ def q_function(rho: DensityMatrix, alpha):
                 f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
             )
     d = effective_dim(occ)
-    c = coherent_vector(alpha_arr.ravel(), d - 1)  # points x levels
+    c = _coherent_rows(alpha_arr.ravel(), d)  # points x levels
     vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals
@@ -175,7 +195,8 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     <n+k|T|n> = (2/(1-s)) e^{-2|a|^2/(1-s)} (2a/(1-s))^k q^n sqrt(n!/(n+k)!)
     L_n^{(k)}(4|a|^2/(1-s^2)), and <n|T|n+k> is its conjugate. The band
     kernel takes q x = -4|a|^2/(1-s)^2, which stays finite at s = -1 (Q).
-    For s > 0, |q| > 1 and the weights grow with n: ``SingularPFunction``.
+    For s > 0, |q| > 1 and the weights grow with n: ``SingularPFunction``. A matrix
+    that is not Hermitian gives the value of its Hermitian part (rho + rho^dag)/2.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("quasiprob_pointwise expects a single-mode state")
@@ -194,7 +215,7 @@ def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
         x = np.abs(a) ** 2
         w = 2 * a / (1 - s)
         pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
-        return _bands(e.shape[-1], pref, w, w.conjugate(), -4 * x / (1 - s) ** 2, (s + 1) / (s - 1))
+        return _bands(e.shape[-1], pref, w, 1, x, -4 / (1 - s) ** 2, (s + 1) / (s - 1))
 
     return _paired_trace(e, bands_at, a).real / pi
 

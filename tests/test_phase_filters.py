@@ -283,6 +283,81 @@ class TestSymmetricCharfunc:
         assert peak < 20 * 2**20
 
 
+def two_triangle_stack(dim, beta):
+    """<m|D(b)|n> with both triangles built: the band below the diagonal from pref b^k and
+    the band above from its own prefactor pref (-b*)^k, on the same Laguerre rows."""
+    x = np.abs(beta) ** 2
+    out = np.empty((dim, dim, beta.size), dtype=complex)
+    lower = upper = np.exp(-x / 2).astype(complex)
+    first = 1.0
+    for k in range(dim):
+        if k:
+            lower, upper, first = lower * beta, upper * -beta.conjugate(), first / np.sqrt(k)
+        for n, row in enumerate(pf._laguerre_band(k, dim - k, x, first)):
+            out[n + k, n], out[n, n + k] = lower * row, upper * row
+    return out
+
+
+def fold_state(kind, d, rng):
+    """A state on d levels with one empty level above: coherent, even cat, or the exactly
+    Hermitian mean of a random state."""
+    amp = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    if kind == "cat":
+        return even_cat(amp, d, d + 1)
+    if kind == "coherent":
+        c = fc.coherent_vector(amp, d - 1)
+        return fc.embed(fc.DensityMatrix(d, np.outer(c, c.conj()) / np.vdot(c, c).real), d + 1)
+    rho = random_density(d + 1, occupied=d, rng=rng)
+    return fc.DensityMatrix(d + 1, fc.hermitian_mean(rho.entries.copy()))
+
+
+class TestHermitianFold:
+    """Band k of D(b) above the diagonal is (-1)^k times the conjugate of the band below,
+    so the kernel sums one triangle of the Hermitian part of the state."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 31),
+           kind=st.sampled_from(["coherent", "cat", "hermitian"]))
+    @settings(max_examples=30, deadline=None)
+    def test_fold_matches_two_triangle_sum(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        rho = fold_state(kind, d, rng)
+        # three points and their negatives, so the kernel pairs them
+        b = rng.uniform(0.0, 6.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        betas = np.concatenate([b, -b[::-1]])
+        got = pf.symmetric_charfunc(rho, betas)
+        for beta, value in zip(betas, got):
+            elements = np.array(
+                [[displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
+            )
+            # both triangles: sum_{n,m} rho[n, m] <m|D|n>
+            assert abs(value - np.sum(rho.entries[:d, :d].T * elements)) < 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 31), extent=st.floats(0.1, 8.0),
+           points=st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_displacement_stack_equals_two_triangle_assembly(self, seed, d, extent, points):
+        rng = np.random.default_rng(seed)
+        shuffled = rng.permutation(qe.lattice(extent, points)[1].ravel())
+        for betas in (qe.lattice(extent, points)[1].ravel(), shuffled):
+            assert np.array_equal(pf.displacement_stack(d, betas), two_triangle_stack(d, betas))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 20])
+    def test_non_hermitian_matrix_gives_its_hermitian_part(self, d):
+        rng = np.random.default_rng(d)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = fc.embed(fc.DensityMatrix(d, m), d + 1)
+        herm = fc.embed(fc.DensityMatrix(d, fc.hermitian_mean(m.copy())), d + 1)
+        mesh = qe.lattice(3.0, 9)[1]
+        for points in (mesh, rng.permutation(mesh.ravel())):
+            assert np.array_equal(pf.symmetric_charfunc(rho, points),
+                                  pf.symmetric_charfunc(herm, points))
+            assert np.array_equal(qe.quasiprob_pointwise(rho, points, -0.4),
+                                  qe.quasiprob_pointwise(herm, points, -0.4))
+        if d > 1:  # Tr(m D) of the matrix itself is another value
+            assert abs(pf.symmetric_charfunc(rho, 0.7) - np.trace(
+                m @ pf.displacement_stack(d, np.array([0.7]))[:, :, 0])) > 1e-3
+
+
 class TestFilteredCharfunc:
     def test_vacuum_p_filter_is_one(self):
         rho = fc.make_fock(0, 10)

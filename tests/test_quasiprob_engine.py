@@ -351,6 +351,22 @@ class TestPointwise:
         one[order] = qe.quasiprob_pointwise(states[0], alphas[order], s)
         assert np.max(np.abs(qe.quasiprob_pointwise(states[0], alphas, s) - one)) <= 1e-15 * peak
 
+    @given(seed=SEEDS, d=st.integers(1, 31), stack=st.integers(2, 4), extent=st.floats(0.1, 4.0),
+           points=st.integers(1, 30), s=S_LEQ_0)
+    @settings(max_examples=30, deadline=None)
+    def test_stack_and_each_state_agree_bit_for_bit(self, seed, d, stack, extent, points, s):
+        # Hermitian, cat and non-Hermitian matrices in one stack, on a paired mesh and shuffled
+        rng = np.random.default_rng(seed)
+        shape = (stack - 2, d, d)
+        e = np.stack([fc.hermitian_mean(random_density(d, rng=rng).entries.copy()),
+                      even_cat(rng.uniform(0.5, 2.0), d, d).entries,
+                      *(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
+        mesh = qe.lattice(extent, points)[1].ravel()
+        for alphas in (mesh, rng.permutation(mesh)):
+            got = qe._pointwise(e, alphas, s)
+            for i, one in enumerate(e):
+                assert np.array_equal(got[i], qe._pointwise(one, alphas, s))
+
     @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0, 3.0])
     def test_positive_s_rejected(self, s):
         with pytest.raises(SingularPFunction):
@@ -366,6 +382,90 @@ class TestPointwise:
         rho = fc.make_fock(1, 5)
         assert isinstance(qe.quasiprob_pointwise(rho, 0.5j, -0.5), float)
         assert qe.quasiprob_pointwise(rho, np.zeros((3, 2)), 0.0).shape == (3, 2)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Empty grid tables: no Q rows held, no sorted radii."""
+    def clear():
+        monkeypatch.setattr(qe, "_q_rows", None)
+        pf._distinct.cache_clear()
+
+    clear()
+    return clear
+
+
+class TestGridTables:
+    """Tables that depend only on the grid are built once and shared read-only: the Q rows
+    of the last grid and the sorted radii of the last 8 point sets."""
+
+    Q_AXIS = np.linspace(-1.25, 1.25, 25)
+    Q_GRID = Q_AXIS[None, :] + 1j * Q_AXIS[:, None]
+
+    def test_q_rows_for_fewer_levels_are_a_slice(self, cold):
+        states = [random_density(32, occupied=31, rng=np.random.default_rng(1)),
+                  random_density(21, occupied=4, rng=np.random.default_rng(2)),
+                  random_density(32, occupied=31, rng=np.random.default_rng(3))]
+        warm = [qe.q_function(rho, self.Q_GRID) for rho in states]
+        assert qe._q_rows[1].shape == (625, 31)
+        for rho, got in zip(states, warm):
+            cold()
+            assert np.array_equal(got, qe.q_function(rho, self.Q_GRID))
+
+    def test_more_levels_rebuild_the_rows(self, cold):
+        qe.q_function(fc.make_fock(3, 20), self.Q_GRID)
+        assert qe._q_rows[1].shape == (625, 4)
+        qe.q_function(random_density(12, occupied=11), self.Q_GRID)
+        assert qe._q_rows[1].shape == (625, 11)
+
+    @pytest.mark.parametrize("alpha", [0.3 + 0.1j, np.array([0.3 + 0.1j]), np.zeros(0)])
+    def test_single_point_leaves_the_q_rows_alone(self, cold, alpha):
+        rho = random_density(12, occupied=11)
+        qe.q_function(rho, self.Q_GRID)
+        held = qe._q_rows
+        qe.q_function(rho, alpha)
+        assert qe._q_rows is held
+
+    def test_tables_are_read_only(self, cold):
+        rho = random_density(12, occupied=11)
+        qe.q_function(rho, self.Q_GRID)
+        x = np.abs(qe.lattice(6.0, 128)[1].ravel()[:8192]) ** 2
+        qe.charfunc_grid(rho, S0)
+        assert pf._distinct.cache_info().currsize == 1
+        for table in (qe._q_rows[1], *pf._distinct(x.tobytes())):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert pf._distinct.cache_info().hits == 1
+
+    def test_points_changed_in_place_get_new_values(self, cold):
+        rho = random_density(12, occupied=11)
+        alpha = self.Q_GRID.copy()
+        first_q, first_cf = qe.q_function(rho, alpha), pf.symmetric_charfunc(rho, alpha)
+        alpha[2, 3] = 0.7 - 0.2j
+        got_q, got_cf = qe.q_function(rho, alpha), pf.symmetric_charfunc(rho, alpha)
+        assert got_q[2, 3] != first_q[2, 3] and got_cf[2, 3] != first_cf[2, 3]
+        cold()
+        assert np.array_equal(got_q, qe.q_function(rho, alpha))
+        assert np.array_equal(got_cf, pf.symmetric_charfunc(rho, alpha))
+
+    def test_every_s_shares_one_sort(self, cold):
+        rho = random_density(8, occupied=7)
+        mesh = qe.lattice(6.0, 128)[1]
+        got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.3, -0.7)]
+        info = pf._distinct.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        cold()
+        assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, mesh, -0.7))
+
+    def test_tables_stay_bounded(self, cold):
+        rho = random_density(8, occupied=7)
+        for i in range(10):
+            mesh = qe.lattice(1.0 + i / 10, 20 + i)[1]
+            qe.q_function(rho, mesh)
+            pf.symmetric_charfunc(rho, mesh)
+            assert qe._q_rows[0] == mesh.tobytes()
+            assert pf._distinct.cache_info().currsize == min(i + 1, 8)
 
 
 class TestAttenuatedPhotonWigner:
