@@ -15,7 +15,6 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
-    DegenerateSplitter,
     DimensionMismatch,
     GainNotAllowed,
     InvalidWeights,
@@ -118,14 +117,12 @@ def ensemble_beamsplit(
 
 
 def classical_attenuate(ens: ClassicalEnsemble, t: complex) -> ClassicalEnsemble:
-    """Scale every amplitude by the transmittance t, |t| <= 1."""
+    """Scale every amplitude by the transmittance t, |t| <= 1; t = 0 gives the origin."""
     if ens.n_modes != 1:
         raise DimensionMismatch("classical_attenuate expects a single-mode ensemble")
     t = complex(t)
-    if t == 0:
-        raise DegenerateSplitter("attenuation by t = 0 is degenerate")
-    if not abs(t) <= 1 + 1e-15:
-        raise GainNotAllowed(f"|t| = {abs(t)} must lie in (0, 1]")
+    if not abs(t) <= 1 + UNITARITY_TOL:
+        raise GainNotAllowed(f"|t| = {abs(t)} must lie in [0, 1]")
     return ClassicalEnsemble(t * ens.amplitudes, ens.weights)
 
 

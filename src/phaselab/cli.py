@@ -268,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
 
     for name in ("charfunc", "quasiprob", "verify"):
-        sub.choices[name].add_argument("--s", type=float, default=0.0)
-        sub.choices[name].add_argument("--filter", help="filter JSON file (overrides --s)")
+        group = sub.choices[name].add_mutually_exclusive_group()
+        group.add_argument("--s", type=float, default=0.0)
+        group.add_argument("--filter", help="filter JSON file (instead of --s)")
     for name, p in sub.choices.items():
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.set_defaults(func=globals()[f"cmd_{name}"])

@@ -44,10 +44,6 @@ class NonUnitaryBeamSplitter(DomainError):
     """|t|^2 + |r|^2 deviates from 1 beyond tolerance."""
 
 
-class DegenerateSplitter(DomainError):
-    """Operation requires r != 0 (or t != 0)."""
-
-
 class GainNotAllowed(DomainError):
     """Attenuator transmittance with |t| > 1 (active optics)."""
 
@@ -62,8 +58,3 @@ class ImaginaryResidue(DomainError):
 
 class GridTooCoarse(DomainError):
     """Lattice step violates the Nyquist guard for the requested output."""
-
-
-class TrustRadiusExceeded(DomainError):
-    """Pulled-back argument left the region where the truncated
-    characteristic function is accurate."""

@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_fields import BeamSplitterParams
-from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed, TrustRadiusExceeded
+from .classical_fields import UNITARITY_TOL, BeamSplitterParams
+from .errors import CutoffTooSmall, DimensionMismatch, GainNotAllowed
 from .fock_core import LEAKAGE_TOL, DensityMatrix, effective_dim, embed, hermitian_mean
 from .fock_core import require_finite
 from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
@@ -165,12 +165,12 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     """Phi_34(b) = Phi_12(M^dag b) on the same lattice, M = bs.matrix(); for
     phi_U = 0 that is Phi_12(t* b3 - r b4, r* b3 + t b4).
 
-    The underlying state is re-evaluated at the transformed arguments;
-    interpolating the sampled grid would mask the equalities this map is
-    used to test.
+    The underlying state is re-evaluated at the transformed arguments (its
+    ``CutoffTooSmall`` propagates); interpolating the sampled grid would mask
+    the equalities this map is used to test.
     """
     if cf12.values.ndim != 4:
-        raise DimensionMismatch("pullback expects a two-mode grid")
+        raise DimensionMismatch("pullback_charfunc expects a two-mode grid")
     if cf12.source is None:
         raise DimensionMismatch("pullback needs the grid's source state")
     betas = cf12.axis + 1j * cf12.axis[:, None]
@@ -179,10 +179,7 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     m = bs.matrix().conj()
     arg1 = m[0, 0] * b3 + m[1, 0] * b4
     arg2 = m[0, 1] * b3 + m[1, 1] * b4
-    try:
-        values = two_mode_charfunc(cf12.source, cf12.filter, arg1, arg2)
-    except CutoffTooSmall as exc:
-        raise TrustRadiusExceeded(str(exc)) from exc
+    values = two_mode_charfunc(cf12.source, cf12.filter, arg1, arg2)
     return CharFuncGrid(cf12.axis, values, cf12.filter, cf12.source)
 
 
@@ -190,16 +187,12 @@ def attenuate_charfunc(state_cf: Callable[[complex], complex], f: FilterSpec, t:
     """Attenuated characteristic function Phi_1(t* b) Phi_vac(r* b).
 
     ``state_cf`` evaluates the filtered characteristic function of the input
-    state; r is fixed real nonnegative from |t|^2 + |r|^2 = 1.
+    state (its ``CutoffTooSmall`` propagates); r = sqrt(1 - |t|^2) is real nonnegative.
     """
     t = complex(t)
-    if not abs(t) <= 1 + 1e-12:
+    if not abs(t) <= 1 + UNITARITY_TOL:
         raise GainNotAllowed(f"|t| = {abs(t)} must lie in [0, 1]")
     r = sqrt(max(0.0, 1.0 - abs(t) ** 2))
     beta3 = np.asarray(beta3, dtype=complex)
-    try:
-        signal = state_cf(t.conjugate() * beta3)
-    except CutoffTooSmall as exc:
-        raise TrustRadiusExceeded(str(exc)) from exc
-    out = np.asarray(signal) * vacuum_charfunc(f, r * beta3)
+    out = np.asarray(state_cf(t.conjugate() * beta3)) * vacuum_charfunc(f, r * beta3)
     return complex(out) if out.ndim == 0 else out

@@ -107,7 +107,7 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
                         alpha_points: int = 129) -> QuasiProbGrid:
     """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}."""
     if cf.values.ndim != 2:
-        raise DimensionMismatch("transform supports single-mode grids")
+        raise DimensionMismatch("quasiprob_transform supports single-mode grids")
     if len(cf.axis) < 2 or alpha_points < 2 or not 0 < alpha_extent < np.inf:
         raise GridTooCoarse(
             f"beta grid of {len(cf.axis)} points, alpha grid {alpha_extent}:{alpha_points}: "

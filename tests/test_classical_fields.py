@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import classical_fields as cl
+from phaselab import fock_core as fc
+from phaselab import linear_optics as lo
+from phaselab import nonclassicality as nc
 from phaselab.errors import (
-    DegenerateSplitter,
     DimensionMismatch,
     GainNotAllowed,
     InvalidWeights,
@@ -15,6 +18,9 @@ from phaselab.errors import (
     NonFiniteArgument,
     NonUnitaryBeamSplitter,
 )
+from phaselab.phase_filters import FilterSpec, filtered_charfunc
+
+from _support import random_coherent_ensemble
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -157,10 +163,26 @@ class TestClassicalAttenuate:
         ens = cl.ClassicalEnsemble.single([(1.0, 1.0)])
         with pytest.raises(GainNotAllowed):
             cl.classical_attenuate(ens, 1.2)
-        with pytest.raises(DegenerateSplitter):
-            cl.classical_attenuate(ens, 0.0)
         with pytest.raises(GainNotAllowed):
             cl.classical_attenuate(ens, complex("nan"))
+
+    def test_full_loss_agrees_across_pictures(self):
+        # at t = 0 the ensemble sits at the origin, the Kraus channel gives the vacuum and
+        # the P-picture characteristic function is that of delta at the origin, 1 everywhere
+        ens = random_coherent_ensemble(np.random.default_rng(23))
+        mix = nc.coherent_mixture(ens, 25)
+        out = cl.classical_attenuate(ens, 0)
+        assert np.array_equal(out.weights, ens.weights) and not out.amplitudes.any()
+        vacuum = lo.attenuate(mix, 0.0)
+        for m in range(3):
+            for n in range(3):
+                want = 1.0 if m == n == 0 else 0.0
+                assert cl.classical_moments(out, m, n) == pytest.approx(want, abs=1e-12)
+                assert fc.normal_moment(vacuum, m, n) == pytest.approx(want, abs=1e-12)
+        p = FilterSpec.s_param(1.0)
+        betas = np.array([0.0, 0.4, 1.0 - 0.6j, -2.5j, 3.0 + 4.0j])
+        vals = lo.attenuate_charfunc(partial(filtered_charfunc, mix, p), p, 0, betas)
+        assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
 
 class TestClassicalMoments:

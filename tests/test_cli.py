@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import phaselab
+from phaselab import classical_fields as cf
 from phaselab import cli
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
@@ -190,16 +191,29 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["quasiprob", "--grid", "4:1"],
-            ["quasiprob", "--beta-grid", "0:128"],
+            ["quasiprob", "--grid", "4:1", "--state", "{state}"],
+            ["quasiprob", "--beta-grid", "0:128", "--state", "{state}"],
             ["state", "--coherent", "1+0.5i"],
-            ["attenuate", "--eta", "0.5", "--cutoff", "3"],
-            ["quasiprob", "--seed", "9"],
+            ["attenuate", "--eta", "0.5", "--cutoff", "3", "--state", "{state}"],
+            ["quasiprob", "--seed", "9", "--state", "{state}"],
+            ["quasiprob", "--grid", "4", "--state", "{state}"],
+            ["classical", "--op", "attenuate", "--ensemble", "{ensemble}", "--t", "inf"],
+            ["charfunc", "--s", "0", "--filter", "{filter}", "--state", "{state}"],
+            ["quasiprob", "--filter", "{filter}", "--s", "0.0", "--state", "{state}"],
+            ["verify", "--theorem", "2", "--s", "0", "--filter", "{filter}"],
+            ["verify", "--theorem", "2", "--s", "0.0", "--filter", "{filter}"],
         ],
     )
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv):
-        if argv[0] != "state":
-            argv = argv + ["--state", write_state(tmp_path, "one.json", "state", "--fock", "1")]
+        # every file exists, so without the usage error each command would run
+        (tmp_path / "p.json").write_text('{"s": 1}')
+        (tmp_path / "ens.json").write_text('{"samples": [{"re": 1.0, "im": 0.0, "w": 1.0}]}')
+        paths = {
+            "{state}": write_state(tmp_path, "one.json", "state", "--fock", "1"),
+            "{filter}": str(tmp_path / "p.json"),
+            "{ensemble}": str(tmp_path / "ens.json"),
+        }
+        argv = [paths.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -598,6 +612,25 @@ class TestClassical:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidWeights"
+
+    def test_beamsplit_writes_the_ensemble_image(self, tmp_path, capsys):
+        ens = cf.ClassicalEnsemble.two_mode([(1.0, 0.5j, 0.25), (-0.3 + 0.2j, 2.0, 0.75)])
+        path = tmp_path / "ens2.json"
+        path.write_text(json.dumps(cf.save_ensemble(ens)))
+        code, out, _ = run(
+            capsys,
+            "classical", "--op", "beamsplit", "--ensemble", str(path), "--t", "0.6", "--r", "0.8j",
+        )
+        want = cf.save_ensemble(cf.ensemble_beamsplit(ens, cf.BeamSplitterParams(0.6, 0.8j)))
+        assert code == 0 and want["n_modes"] == 2
+        assert out == json.dumps(want) + "\n"
+
+    def test_attenuate_full_loss_gives_the_origin(self, tmp_path, capsys):
+        ens = self.write_ensemble(tmp_path)
+        code, out, _ = run(capsys, "classical", "--op", "attenuate", "--ensemble", ens, "--t", "0")
+        samples = json.loads(out)["samples"]
+        assert code == 0 and [s["w"] for s in samples] == [0.5, 0.5]
+        assert all(s["re"] == 0 and s["im"] == 0 for s in samples)
 
     def test_attenuate_halves_intensity(self, tmp_path, capsys):
         ens = self.write_ensemble(tmp_path)

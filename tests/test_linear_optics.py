@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
+from phaselab import classical_fields as cl
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
+from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
 from phaselab.classical_fields import BeamSplitterParams
 from phaselab.errors import (
@@ -15,7 +17,6 @@ from phaselab.errors import (
     DimensionMismatch,
     GainNotAllowed,
     NonFiniteArgument,
-    TrustRadiusExceeded,
 )
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
 
@@ -309,7 +310,7 @@ class TestPullbackCharfunc:
     def test_trust_radius_translated(self):
         rho = fc.tensor(fc.make_fock(2, 2), fc.make_fock(0, 2))
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1e-5, points=3)
-        with pytest.raises(TrustRadiusExceeded):
+        with pytest.raises(CutoffTooSmall):
             lo.pullback_charfunc(
                 lo.CharFuncGrid(np.linspace(-4, 4, 3), cf.values, cf.filter, cf.source),
                 BeamSplitterParams(SQ2, SQ2),
@@ -349,8 +350,41 @@ class TestAttenuateCharfunc:
         )
         assert val == pytest.approx(1.0, abs=1e-12)
 
+    def test_truncation_is_cutoff_too_small(self):
+        # |3> on 3 levels occupies its top level; t* beta = 2.25 is past its trust radius
+        rho = fc.make_fock(3, 3)
+        with pytest.raises(CutoffTooSmall, match="trust radius"):
+            lo.attenuate_charfunc(lambda b: filtered_charfunc(rho, S0, b), S0, 0.9, 2.5)
+
     def test_gain_rejected(self):
         with pytest.raises(GainNotAllowed):
             lo.attenuate_charfunc(lambda b: 1.0, S0, 1.5, 0.3)
         with pytest.raises(GainNotAllowed):
             lo.attenuate_charfunc(lambda b: 1.0, S0, complex("nan"), 0.3)
+
+
+ONE, ENS1 = fc.make_fock(1, 3), cl.ClassicalEnsemble.single([(1.0, 1.0)])
+TWO, ENS2 = fc.tensor(ONE, ONE), cl.ClassicalEnsemble.two_mode([(1.0, 0.5j, 1.0)])
+# every function that checks its operand's mode count, given the other count
+MODE_GUARDS = [
+    (cl.ensemble_beamsplit, (ENS1, BeamSplitterParams(SQ2, SQ2))),
+    (cl.classical_attenuate, (ENS2, 0.5)),
+    (cl.classical_moments, (ENS2, 1, 1)),
+    (fc.tensor, (ONE, TWO)),
+    (fc.embed, (TWO, 6)),
+    (fc.normal_moment, (TWO, 1, 1)),
+    (lo.apply_beamsplitter, (ONE, BeamSplitterParams(SQ2, SQ2))),
+    (lo.attenuate, (TWO, 0.5)),
+    (lo.pullback_charfunc, (qe.charfunc_grid(ONE, S0, 1.0, 3), BeamSplitterParams(SQ2, SQ2))),
+    (pf.symmetric_charfunc, (TWO, 0.3)),
+    (pf.two_mode_charfunc, (ONE, S0, 0.3, 0.3)),
+    (qe.quasiprob_transform, (qe.two_mode_charfunc_grid(TWO, S0, 1.0, 3),)),
+    (qe.q_function, (TWO, 0.3)),
+    (qe.quasiprob_pointwise, (TWO, 0.3, -1.0)),
+]
+
+
+@pytest.mark.parametrize("func, args", MODE_GUARDS, ids=[f.__name__ for f, _ in MODE_GUARDS])
+def test_wrong_mode_count(func, args):
+    with pytest.raises(DimensionMismatch, match=rf"^{func.__name__} .* (single|two)-mode"):
+        func(*args)
