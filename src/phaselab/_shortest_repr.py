@@ -9,8 +9,11 @@ subnormals come out as ``repr`` writes them too. The integer arithmetic is all
 ``uint64``, never mixed with ``int64`` (numpy would promote the mix to float64), and
 the 64x64-bit high products are built from 32-bit limbs.
 
-A record is WIDTH bytes: a sign byte, 23 of text, five of exponent tail and a four-byte
-separator ", ". Bytes a value does not use hold FILL, which the reader deletes.
+A record is WIDTH = 28 bytes: a sign byte, 23 of text, then ", " and two spare bytes, so
+that a row's last record can take "], [" in its last four. The text is at most 23
+characters, the exponent tail packed against the digits (the longest, such as
+"2.2250738585072014e-308", fill it). Bytes a value does not use hold FILL, which the reader
+deletes.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ POW10 = np.array([10**i for i in range(18)], dtype=U)
 # magnitudes per pass: ~270 kB of records and ~1.5 MB of scratch
 SLICE = 1 << 13
 FILL = b"_"  # a byte no number holds
-WIDTH = 33
+WIDTH = 28
 
 
 def _flog2pow10(e):
@@ -42,10 +45,15 @@ def _tables() -> tuple[np.ndarray, ...]:
     for k in range(K_MIN, K_MAX + 1):
         r = _flog2pow10(-k) - 125
         g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
-    # four ASCII digits per group 0..9999, then the point and three fills
-    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)) + b"." + FILL * 3, np.uint32)
+    # words: four ASCII digits per group 0..9999, the point and three fills, then two words
+    # per decpt = -324..309 of exponent tail ("e-05" for decpt -4), FILL where it is positional
+    tails = (FILL * 8 if -4 < x <= 16 else f"e{x - 1:+03d}".encode().ljust(8, FILL)
+             for x in range(-324, 310))
+    words = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)) + b"." + FILL * 3
+                          + b"".join(tails), np.uint32)
     # the text of 0.d1d2..d17 10^decpt with n significant digits, for decpt clipped to
-    # -4..17, as indices into the 24 bytes "000" d1..d17 "." FILL FILL FILL (digit j at d[j])
+    # -4..17, as indices into the 32 bytes "000" d1..d17 "." FILL FILL FILL, then the tail
+    # (digit j at d[j], the tail at 24..28)
     maps, d = np.full((22, 18, 23), 21, dtype=np.intp), list(range(2, 20))
     for decpt, n in itertools.product(range(-4, 18), range(1, 18)):
         if -4 < decpt <= 0:
@@ -53,12 +61,10 @@ def _tables() -> tuple[np.ndarray, ...]:
         elif 0 < decpt <= 16:
             text = d[1 : decpt + 1] + [20] + d[decpt + 1 : max(n, decpt + 1) + 1]
         else:
-            text = d[1:2] + [20] * (n > 1) + d[2 : n + 1]
+            text = d[1:2] + [20] * (n > 1) + d[2 : n + 1] + list(range(24, 29))
         maps[decpt + 4, n, : len(text)] = text
-    tails = b"".join(FILL * 5 if -4 < x <= 16 else f"e{x - 1:+03d}".encode().ljust(5, FILL)
-                     for x in range(-324, 310))
     return (np.array([x >> 63 for x in g], dtype=U), np.array([x & (2**63 - 1) for x in g], dtype=U),
-            quads, maps.reshape(-1, 23), np.frombuffer(tails, "V5"))
+            words, maps.reshape(-1, 23))
 
 
 def _mulhi(a, b):
@@ -102,22 +108,25 @@ def record_table(mags: np.ndarray) -> np.ndarray:
     """(1 + mags.size, WIDTH) uint8 records for a 1-D float64 array of positive finite
     values: row 0 is 0.0 and row i + 1 is ``repr(mags[i])``, positional for decimal
     exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator."""
-    quads, maps, tails = _tables()[2:]
-    table = np.tile(np.frombuffer(FILL * 29 + b", " + FILL * 2, np.uint8), (mags.size + 1, 1))
+    words, maps = _tables()[2:]
+    table = np.tile(np.frombuffer(FILL * 24 + b", " + FILL * 2, np.uint8), (mags.size + 1, 1))
     table[0, 1:4] = list(b"0.0")
     for i in range(0, mags.size, SLICE):
         f, k = _digits(mags[i : i + SLICE])
         nd = np.searchsorted(POW10, f, side="right")
         hi, lo = np.divmod(f * POW10[17 - nd], U(10**8))  # the 17 digits, 9 and 8
-        g = np.empty((6, f.size), dtype=np.uint32)  # d1, four groups of four digits, the point
+        decpt = nd + k  # the value is 0.d1d2... 10^decpt
+        # d1, four groups of four digits, the point and the two words of the tail
+        g = np.empty((8, f.size), dtype=np.uint32)
         g[0], hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
         g[1], g[2] = np.divmod(hi, np.uint32(10**4))
         g[3], g[4] = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
         g[5] = 10**4
-        digits = quads.take(g.T).view(np.uint8)  # "000" d1..d17 "." FILL FILL FILL
+        g[6] = 2 * (decpt + 324) + 10**4 + 1
+        g[7] = g[6] + 1
+        digits = words.take(g.T).view(np.uint8)  # "000" d1..d17 "." FILL FILL FILL, the tail
         n = 17 - np.argmax(digits[:, 19:2:-1] != ord("0"), axis=1)  # significant digits
-        decpt = nd + k  # the value is 0.d1d2... 10^decpt
-        idx = maps[(np.clip(decpt, -4, 17) + 4) * 18 + n] + np.arange(0, 24 * f.size, 24)[:, None]
+        idx = maps[(np.clip(decpt, -4, 17) + 4) * 18 + n]
+        idx += np.arange(0, 32 * f.size, 32)[:, None]
         table[1 + i : 1 + i + f.size, 1:24] = digits.ravel()[idx]
-        table[1 + i : 1 + i + f.size, 24:29].view("V5")[:, 0] = tails[decpt + 324]
     return table

@@ -117,13 +117,15 @@ def ensemble_beamsplit(
 
 
 def classical_attenuate(ens: ClassicalEnsemble, t: complex) -> ClassicalEnsemble:
-    """Scale every amplitude by the transmittance t, |t| <= 1; t = 0 gives the origin."""
+    """Scale every amplitude by the transmittance t, |t| <= 1; t = 0 gives the origin, 0.0
+    in both parts."""
     if ens.n_modes != 1:
         raise DimensionMismatch("classical_attenuate expects a single-mode ensemble")
     t = complex(t)
     if not abs(t) <= 1 + UNITARITY_TOL:
         raise GainNotAllowed(f"|t| = {abs(t)} must lie in [0, 1]")
-    return ClassicalEnsemble(t * ens.amplitudes, ens.weights)
+    # 0j * (-1 + 0.5j) is -0.0 + 0j; adding 0.0 makes every exact zero +0.0
+    return ClassicalEnsemble(t * ens.amplitudes + 0.0, ens.weights)
 
 
 def classical_moments(ens: ClassicalEnsemble, m: int, n: int) -> complex:

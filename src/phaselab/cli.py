@@ -30,6 +30,15 @@ DEFAULT_CUTOFF = 20
 DEFAULT_GRID = "4:129"
 DEFAULT_BETA_GRID = "6:128"
 DEFAULT_SEED = 42
+DEFAULT_TRIALS = 100
+# flags that a mode does not read, so that giving one is a usage error; the flags that a
+# mode reads default to None, and its cmd_* function supplies the value
+UNREAD_FLAGS = {
+    "verify --theorem 2": ("trials", "seed"),
+    "classical --op beamsplit": ("m", "n"),
+    "classical --op attenuate": ("r", "m", "n"),
+    "classical --op moments": ("t", "r"),
+}
 
 
 def _grid_arg(spec: str) -> tuple[float, int]:
@@ -73,6 +82,11 @@ def _filter_from_args(args) -> FilterSpec:
     if args.filter:
         return filter_from_json(_read_json(args.filter))
     return FilterSpec.s_param(args.s)
+
+
+def _or(value, default):
+    """A flag's value, or its default when it was not given."""
+    return default if value is None else value
 
 
 def _fmt_complex(value: complex) -> dict:
@@ -166,7 +180,8 @@ def cmd_figure3(args) -> Iterable[str]:
 def cmd_verify(args) -> Iterable[str]:
     f = _filter_from_args(args)
     if args.theorem == 1:
-        v = tl.classify_filter_bs(f, trials=args.trials, seed=args.seed)
+        trials, seed = _or(args.trials, DEFAULT_TRIALS), _or(args.seed, DEFAULT_SEED)
+        v = tl.classify_filter_bs(f, trials=trials, seed=seed)
         witness = None
         if v.witness is not None:
             bs, b3, b4, res = v.witness
@@ -200,13 +215,14 @@ def cmd_verify(args) -> Iterable[str]:
 
 def cmd_classical(args) -> Iterable[str]:
     ens = cf.load_ensemble(_read_json(args.ensemble))
+    t, r, m, n = _or(args.t, 1), _or(args.r, 0), _or(args.m, 1), _or(args.n, 1)
     if args.op == "beamsplit":
-        out = cf.ensemble_beamsplit(ens, cf.BeamSplitterParams(args.t, args.r))
+        out = cf.ensemble_beamsplit(ens, cf.BeamSplitterParams(t, r))
     elif args.op == "attenuate":
-        out = cf.classical_attenuate(ens, args.t)
+        out = cf.classical_attenuate(ens, t)
     else:  # moments
-        val = cf.classical_moments(ens, args.m, args.n)
-        return _json({"m": args.m, "n": args.n, **_fmt_complex(val)})
+        val = cf.classical_moments(ens, m, n)
+        return _json({"m": m, "n": n, **_fmt_complex(val)})
     return _json(cf.save_ensemble(out))
 
 
@@ -256,16 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a covariance verification suite")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=int, default=100, help="random probes for max_residual")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the random probes")
+    p.add_argument("--trials", type=int, help="theorem 1: random probes for max_residual, "
+                   f"{DEFAULT_TRIALS} if not given")
+    p.add_argument("--seed", type=int, help="theorem 1: seed of the random probes, "
+                   f"{DEFAULT_SEED} if not given")
 
     p = sub.add_parser("classical", help="classical ensemble operations")
     p.add_argument("--op", choices=("beamsplit", "attenuate", "moments"), required=True)
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--t", type=_complex_arg, default="1")
-    p.add_argument("--r", type=_complex_arg, default="0")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--t", type=_complex_arg, help="beamsplit, attenuate: 1 if not given")
+    p.add_argument("--r", type=_complex_arg, help="beamsplit: 0 if not given")
+    p.add_argument("--m", type=int, help="moments: 1 if not given")
+    p.add_argument("--n", type=int, help="moments: 1 if not given")
 
     for name in ("charfunc", "quasiprob", "verify"):
         group = sub.choices[name].add_mutually_exclusive_group()
@@ -280,6 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    mode = " ".join([args.command, *(f"--{k} {getattr(args, k)}" for k in ("theorem", "op")
+                                     if hasattr(args, k))])
+    unread = [f"--{flag}" for flag in UNREAD_FLAGS.get(mode, ()) if getattr(args, flag) is not None]
+    if unread:
+        parser.error(f"{mode} does not read {', '.join(unread)}")
     try:
         chunks = args.func(args)
         # a state file comes in chunks, written as they are made

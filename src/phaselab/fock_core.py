@@ -100,10 +100,12 @@ def json_number(value, kind=Real):
 
 
 def hermitian_mean(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 in place, returned: m[j, i] is the exact conjugate of m[i, j]."""
-    m += m.conj().T
-    m *= 0.5
-    return m
+    """(m + m^dag) / 2 as a new array, m unchanged: its [j, i] is the exact conjugate of its
+    [i, j]. The sum is formed in the result, with no temporary conjugate (a + b is b + a)."""
+    out = np.conjugate(m.T, order="C")
+    out += m
+    out *= 0.5
+    return out
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
@@ -315,19 +317,37 @@ def save_state(rho: DensityMatrix) -> dict:
     }
 
 
+def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mags, code) for a square real matrix a: |a| is ``[0, *mags][code]``, mags positive.
+
+    The nonzero entries on and above the diagonal take a record each, in position order,
+    and so does a lower entry whose magnitude differs from its mirror's; every other lower
+    entry takes its mirror's code. So an exactly Hermitian matrix formats each magnitude of
+    one triangle once, and the work follows the nonzero entries, with no sort."""
+    n = len(a)
+    mag = np.abs(a).ravel()
+    at = np.flatnonzero(mag != 0)
+    row = at // n
+    mirror = (at - row * n) * n + row
+    shared = (at > mirror) & (mag[at] == mag[mirror])
+    code = np.zeros(mag.size, dtype=np.intp)
+    own = at[~shared]
+    code[own] = np.arange(1, own.size + 1)
+    code[at[shared]] = code[mirror[shared]]
+    return mag[own], code.reshape(n, n)
+
+
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
     """The text of ``json.dumps(save_state(rho))``, exactly, in slabs of whole matrix rows
     of about ``SLICE`` entries. Each part, ``re`` then ``im``, takes its slabs from one
-    ``record_table`` of its distinct nonzero magnitudes: a slab puts "-" in the sign byte of
-    the negative entries, -0.0 included, and closes each row with "], [" and the last with
-    "]]". So a caller that writes the chunks holds one part's records and one slab."""
+    ``record_table`` of the magnitudes ``_record_codes`` picks, one triangle's for an
+    exactly Hermitian matrix: a slab puts "-" in the sign byte of the negative entries,
+    -0.0 included, and closes each row with "], [" and the last with "]]". So a caller that
+    writes the chunks holds one part's records and one slab."""
     yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}'
     for name, a in (("re", rho.entries.real), ("im", rho.entries.imag)):
-        nz = a != 0
-        mags, inv = np.unique(np.abs(a[nz]), return_inverse=True)
+        mags, code = _record_codes(a)
         records = record_table(mags).view(f"V{WIDTH}")[:, 0]
-        code = np.zeros(a.shape, dtype=np.intp)
-        code[nz] = inv + 1
         step = max(1, SLICE // len(a))
         yield f', "{name}": [['
         for i in range(0, len(a), step):
@@ -337,7 +357,7 @@ def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
             if i + step >= len(a):
                 slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
             yield slab.tobytes().translate(None, FILL).decode("ascii")
-        del nz, mags, inv, records, code  # freed before the next part's are made
+        del mags, records, code  # freed before the next part's are made
     yield f', "leakage": {json.dumps(rho.leakage)}}}'
 
 

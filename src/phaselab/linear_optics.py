@@ -73,9 +73,10 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
 
     Applied block by block: a pass over the rows of each photon-number
     block, then one over its columns, and the mean of the result and its
-    adjoint, so that it is exactly Hermitian. The probability the splitter moves
-    past the cutoff, which only the blocks with N >= dim can lose, is added
-    to ``leakage``; above ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
+    adjoint, so that it is exactly Hermitian; its exact zeros are 0.0, never
+    -0.0. The probability the splitter moves past the cutoff, which only the
+    blocks with N >= dim can lose, is added to ``leakage``; above
+    ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
     """
     if rho12.n_modes != 2:
         raise DimensionMismatch("apply_beamsplitter expects a two-mode state")
@@ -88,8 +89,10 @@ def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityM
     out = np.empty_like(rho)
     for idx, block in blocks:
         out[:, idx] = half[:, idx] @ block.conj().T
-    # a state file of an exactly Hermitian matrix holds each magnitude twice, formatted once
-    hermitian_mean(out)
+    # exactly Hermitian, so that its state file formats one triangle; adding 0.0 turns the
+    # -0.0 that the block products leave into 0.0 and changes no other entry
+    out = hermitian_mean(out)
+    out += 0.0
     incomplete = np.add.outer(np.arange(d), np.arange(d)).ravel() >= d
     lost = max(0.0, float((rho.diagonal() - out.diagonal())[incomplete].real.sum()))
     if lost > LEAKAGE_TOL:

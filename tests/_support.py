@@ -1,4 +1,5 @@
 """Shared helpers for the test suite."""
+from functools import cache
 from math import lgamma
 from os.path import commonprefix
 
@@ -87,6 +88,28 @@ def ancilla_attenuate(rho, eta):
     joint = fc.tensor(rho, fc.make_fock(0, rho.cutoff))
     bs = BeamSplitterParams(np.sqrt(eta), np.sqrt(1 - eta))
     return partial_trace(apply_beamsplitter(joint, bs), keep=1)
+
+
+@cache
+def splitter_output(kind):
+    """The 441x441 ``apply_beamsplitter`` output at cutoff 20 of one of the four pairs that
+    the benchmark splits: "coherent", "cat_vacuum", "thermal" or "fock"; built once."""
+    from phaselab.classical_fields import BeamSplitterParams
+    from phaselab.linear_optics import apply_beamsplitter
+
+    if kind == "coherent":
+        pair = fc.make_coherent(0.79 * np.exp(0.4j), 20), fc.make_coherent(0.785j, 20)
+    elif kind == "cat_vacuum":
+        a = 0.9 * np.exp(0.7j)
+        v = fc.coherent_vector(a, 20) + np.exp(0.9j) * fc.coherent_vector(-a, 20)
+        v /= np.linalg.norm(v)
+        pair = fc.DensityMatrix(21, fc.hermitian_mean(np.outer(v, v.conj()))), fc.make_fock(0, 20)
+    elif kind == "thermal":
+        pair = fc.make_thermal(0.12, 20), fc.make_thermal(0.18, 20)
+    else:
+        pair = fc.make_fock(3, 20), fc.make_fock(5, 20)
+    bs = BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j))
+    return apply_beamsplitter(fc.tensor(*pair), bs)
 
 
 def repeated_radii(extent, points, seed):

@@ -202,16 +202,30 @@ class TestInputBoundary:
             ["quasiprob", "--filter", "{filter}", "--s", "0.0", "--state", "{state}"],
             ["verify", "--theorem", "2", "--s", "0", "--filter", "{filter}"],
             ["verify", "--theorem", "2", "--s", "0.0", "--filter", "{filter}"],
+            # a flag that the chosen mode does not read
+            ["verify", "--theorem", "2", "--s", "0", "--trials", "3"],
+            ["verify", "--theorem", "2", "--s", "0", "--seed", "9"],
+            ["classical", "--op", "beamsplit", "--ensemble", "{ensemble2}", "--m", "2"],
+            ["classical", "--op", "beamsplit", "--ensemble", "{ensemble2}", "--n", "2"],
+            ["classical", "--op", "attenuate", "--ensemble", "{ensemble}", "--t", "0.5",
+             "--r", "7"],
+            ["classical", "--op", "attenuate", "--ensemble", "{ensemble}", "--m", "1"],
+            ["classical", "--op", "attenuate", "--ensemble", "{ensemble}", "--n", "1"],
+            ["classical", "--op", "moments", "--ensemble", "{ensemble}", "--t", "0.5"],
+            ["classical", "--op", "moments", "--ensemble", "{ensemble}", "--r", "0"],
         ],
     )
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv):
         # every file exists, so without the usage error each command would run
         (tmp_path / "p.json").write_text('{"s": 1}')
         (tmp_path / "ens.json").write_text('{"samples": [{"re": 1.0, "im": 0.0, "w": 1.0}]}')
+        (tmp_path / "ens2.json").write_text('{"n_modes": 2, "samples": [{"re1": 1.0, "im1": 0.0, '
+                                            '"re2": 0.0, "im2": 1.0, "w": 1.0}]}')
         paths = {
             "{state}": write_state(tmp_path, "one.json", "state", "--fock", "1"),
             "{filter}": str(tmp_path / "p.json"),
             "{ensemble}": str(tmp_path / "ens.json"),
+            "{ensemble2}": str(tmp_path / "ens2.json"),
         }
         argv = [paths.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -626,11 +640,14 @@ class TestClassical:
         assert out == json.dumps(want) + "\n"
 
     def test_attenuate_full_loss_gives_the_origin(self, tmp_path, capsys):
-        ens = self.write_ensemble(tmp_path)
-        code, out, _ = run(capsys, "classical", "--op", "attenuate", "--ensemble", ens, "--t", "0")
-        samples = json.loads(out)["samples"]
-        assert code == 0 and [s["w"] for s in samples] == [0.5, 0.5]
-        assert all(s["re"] == 0 and s["im"] == 0 for s in samples)
+        # a sample at -1 + 0.5i scaled by 0j is -0.0 + 0j; the file holds the origin itself
+        ens = tmp_path / "ens.json"
+        ens.write_text('{"samples": [{"re": -1.0, "im": 0.5, "w": 0.5}, '
+                       '{"re": 0.0, "im": -2.0, "w": 0.5}]}')
+        out = write_state(tmp_path, "lost.json", "classical", "--op", "attenuate",
+                          "--ensemble", str(ens), "--t", "0")
+        origin = {"re": 0.0, "im": 0.0, "w": 0.5}
+        assert Path(out).read_text() == json.dumps({"samples": [origin, origin]}) + "\n"
 
     def test_attenuate_halves_intensity(self, tmp_path, capsys):
         ens = self.write_ensemble(tmp_path)

@@ -17,7 +17,7 @@ from phaselab.errors import (
 )
 
 from _support import annihilation, assert_same_text, displacement_element, random_density
-from _support import shortest_reprs
+from _support import shortest_reprs, splitter_output
 
 
 def displacement_oracle(beta, dim=30):
@@ -416,6 +416,25 @@ class TestValidate:
         assert "hermiticity" in report.flags
 
 
+class TestHermitianMean:
+    def test_out_of_place_and_bit_identical(self):
+        # a read-only input is left as it is; the result has the bits, signed zeros included,
+        # of (m + m^dag) / 2 computed in place on a copy
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        m.real[rng.random((9, 9)) < 0.3] = -0.0
+        m.imag[rng.random((9, 9)) < 0.3] = -0.0
+        m.setflags(write=False)
+        before = m.copy()
+        want = m.copy()
+        want += want.conj().T
+        want *= 0.5
+        got = fc.hermitian_mean(m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
+        assert np.array_equal(got, got.conj().T)
+
+
 class TestStateIO:
     def test_roundtrip(self):
         rho = fc.make_coherent(0.4 + 0.2j, 15)
@@ -520,6 +539,13 @@ class TestStateJsonChunks:
         rho = fc.DensityMatrix(12, e, 2)
         assert np.signbit(rho.entries.real[rho.entries.real == 0]).any()
         assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        # its upper triangle mirrored: exactly Hermitian but for one lower entry an ulp away
+        h = np.triu(e) + np.triu(e, 1).conj().T
+        h.imag[np.diag_indices(144)] = 0.0
+        h.real[100, 7] = np.nextafter(h.real[100, 7], np.inf)
+        assert np.count_nonzero(h != h.conj().T) == 2
+        rho = fc.DensityMatrix(12, h, 2)
+        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     @pytest.mark.parametrize(
         "dim, n_modes, entries",
@@ -539,14 +565,55 @@ class TestStateJsonChunks:
         rho = fc.DensityMatrix(dim, entries, n_modes)
         assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
+    @given(
+        dim=st.integers(2, 4),
+        n_modes=st.sampled_from([1, 2]),
+        pool=st.lists(FINITE, min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hermitian_and_perturbed(self, dim, n_modes, pool, seed, data):
+        # an exactly Hermitian matrix whose entries repeat a few magnitudes with either sign,
+        # so mirrors and repeated values meet; then three ways to break one mirror pair
+        side = dim**n_modes
+        rng = np.random.default_rng(seed)
+        re, im = (rng.choice(pool, (side, side)) * rng.choice([-1.0, 1.0], (side, side))
+                  for _ in "ri")
+        low = np.tril_indices(side, -1)
+        re[low], im[low] = re.T[low], -im.T[low]
+        np.fill_diagonal(im, 0.0)
+        i = data.draw(st.integers(1, side - 1))
+        j = data.draw(st.integers(0, i - 1))
+        in_re = data.draw(st.booleans(), label="in re")
+        part = re if in_re else im
+        nudged, zeroed, signed = part.copy(), part.copy(), im.copy()
+        with np.errstate(over="ignore"):  # the largest doubles move one way only
+            moved = [np.nextafter(nudged[i, j], to) for to in (-np.inf, np.inf)]
+        nudged[i, j] = data.draw(st.sampled_from([x for x in moved if np.isfinite(x)]))
+        zeroed[j, i] = zeroed[j, i] or 1.0
+        zeroed[i, j] = data.draw(st.sampled_from([0.0, -0.0]))
+        k = data.draw(st.integers(0, side - 1))
+        signed[k, k] = -0.0
+        variants = [(re, im), (re, signed)]
+        variants += [(x, im) if in_re else (re, x) for x in (nudged, zeroed)]
+        for n, (x, y) in enumerate(variants):
+            e = np.empty((side, side), dtype=complex)
+            e.real, e.imag = x, y
+            rho = fc.DensityMatrix(dim, e, n_modes)
+            assert n or np.array_equal(rho.entries, rho.entries.conj().T)
+            assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
     def test_coherent_pair_output(self):
         # the 441x441 splitter output of the largest state file: 25 slabs of up to 18 rows
-        from phaselab.classical_fields import BeamSplitterParams
-        from phaselab.linear_optics import apply_beamsplitter
-
-        pair = fc.tensor(fc.make_coherent(0.79 * np.exp(0.4j), 20), fc.make_coherent(0.785j, 20))
-        rho = apply_beamsplitter(pair, BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j)))
+        rho = splitter_output("coherent")
         assert rho.entries.shape == (441, 441)
+        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+
+    @pytest.mark.parametrize("kind", ["cat_vacuum", "thermal", "fock"])
+    def test_sparse_splitter_outputs(self, kind):
+        # the same size, with 27% to 0.04% of the entries nonzero
+        rho = splitter_output(kind)
         assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     def test_kernel_is_repr_on_random_bit_patterns(self):

@@ -20,7 +20,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
 
-from _support import ancilla_attenuate, random_density
+from _support import ancilla_attenuate, random_density, splitter_output
 
 SQ2 = 1 / np.sqrt(2)
 S0 = FilterSpec.s_param(0.0)
@@ -147,6 +147,14 @@ class TestHermitianOutput:
         out = lo.apply_beamsplitter(fc.tensor(a, b), BeamSplitterParams(0.6, 0.8j)).entries
         assert np.array_equal(out.real, out.real.T)
         assert np.array_equal(out.imag, -out.imag.T)
+
+    @pytest.mark.parametrize("kind", ["coherent", "cat_vacuum", "thermal", "fock"])
+    def test_no_negative_zero(self, kind):
+        # the block products leave -0.0 where every term is a signed zero; no value needs it,
+        # so the state file writes 0.0
+        e = splitter_output(kind).entries
+        for part in (e.real, e.imag):
+            assert not np.signbit(part[part == 0]).any()
 
 
 class TestPartialTrace:

@@ -308,7 +308,7 @@ def fold_state(kind, d, rng):
         c = fc.coherent_vector(amp, d - 1)
         return fc.embed(fc.DensityMatrix(d, np.outer(c, c.conj()) / np.vdot(c, c).real), d + 1)
     rho = random_density(d + 1, occupied=d, rng=rng)
-    return fc.DensityMatrix(d + 1, fc.hermitian_mean(rho.entries.copy()))
+    return fc.DensityMatrix(d + 1, fc.hermitian_mean(rho.entries))
 
 
 class TestHermitianFold:
@@ -346,7 +346,7 @@ class TestHermitianFold:
         rng = np.random.default_rng(d)
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = fc.embed(fc.DensityMatrix(d, m), d + 1)
-        herm = fc.embed(fc.DensityMatrix(d, fc.hermitian_mean(m.copy())), d + 1)
+        herm = fc.embed(fc.DensityMatrix(d, fc.hermitian_mean(m)), d + 1)
         mesh = qe.lattice(3.0, 9)[1]
         for points in (mesh, rng.permutation(mesh.ravel())):
             assert np.array_equal(pf.symmetric_charfunc(rho, points),

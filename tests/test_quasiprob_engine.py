@@ -358,7 +358,7 @@ class TestPointwise:
         # Hermitian, cat and non-Hermitian matrices in one stack, on a paired mesh and shuffled
         rng = np.random.default_rng(seed)
         shape = (stack - 2, d, d)
-        e = np.stack([fc.hermitian_mean(random_density(d, rng=rng).entries.copy()),
+        e = np.stack([fc.hermitian_mean(random_density(d, rng=rng).entries),
                       even_cat(rng.uniform(0.5, 2.0), d, d).entries,
                       *(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
         mesh = qe.lattice(extent, points)[1].ravel()
