@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import islice
-from math import lgamma, log, sqrt
+from functools import lru_cache
+from math import isqrt, lgamma, log, sqrt
 from numbers import Integral, Number, Real
 
 import numpy as np
@@ -141,30 +140,17 @@ def _distinct(r2: bytes) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inv
 
 
-def _bands(dim: int, pref, lo, sign: int, r2: np.ndarray, scale=1.0, q=1.0):
-    """The elements of a banded operator X on dim levels, one band k = m - n at a time.
-
-    Yields (k, lower, flip, lag, inv) with <n+k|X|n> = lower * lag()[n, inv] and
-    <n|X|n+k> = flip * conj(<n+k|X|n>) for n = 0 .. dim-1-k, where lower = pref lo^k,
-    flip = sign^k and ``lag()`` builds q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x =
-    scale r2, once per distinct squared radius r2: r2[i] is its column inv[i].
-    """
+def _radial(dim: int, r2: np.ndarray, scale=1.0, q=1.0):
+    """(distinct, inv, rows) for a banded operator on dim levels at points of squared radius
+    r2: r2[i] is distinct[inv[i]], and ``rows(k)`` builds band k's rows
+    q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale distinct, for n < dim - k."""
     # a single point needs no sort: figure 3 evaluates one alpha on its stack of states
     distinct, inv = (r2, np.zeros(1, np.intp)) if r2.size == 1 else _distinct(r2.tobytes())
     y = scale * distinct
-    lower = pref
-    first = 1.0  # 1 / sqrt(k!)
-    for k in range(dim):
-        if k:
-            lower = lower * lo
-            first /= sqrt(k)
-        yield k, lower, sign**k, partial(_laguerre_band, k, dim - k, y, first, q), inv
-
-
-def _displacement_bands(dim: int, beta: np.ndarray):
-    """The bands of <m|D(b)|n>: pref = e^{-|b|^2/2}, lo = b, sign = -1, q = 1, r2 = |b|^2."""
-    x = np.abs(beta) ** 2
-    return _bands(dim, np.exp(-x / 2).astype(complex), beta, -1, x)
+    first = [1.0]  # 1 / sqrt(k!)
+    for k in range(1, dim):
+        first.append(first[-1] / sqrt(k))
+    return distinct, inv, lambda k: _laguerre_band(k, dim - k, y, first[k], q)
 
 
 def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np.ndarray:
@@ -174,81 +160,149 @@ def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np
     (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}, with the factorial
     weights and the powers of q folded into its coefficients; only the
     product y = q x enters, so q = 0 with x infinite stays finite.
-    ``first`` is the n = 0 value 1 / sqrt(k!).
+    ``first`` is the n = 0 value 1 / sqrt(k!). Each row is formed in place, with one
+    scratch row for the second term: no temporary per row.
     """
     lag = np.empty((count, y.size))
     lag[0] = first
+    scratch = np.empty(y.size)
     for n in range(count - 1):
         nxt = lag[n + 1]
-        np.multiply((2 * n + 1 + k) * q - y, lag[n], out=nxt)
+        np.subtract((2 * n + 1 + k) * q, y, out=nxt)
+        nxt *= lag[n]
         nxt *= 1 / sqrt((n + 1) * (n + k + 1))
         if n:
-            nxt -= q * q * sqrt(n * (n + k) / ((n + 1) * (n + k + 1))) * lag[n - 1]
+            nxt -= np.multiply(q * q * sqrt(n * (n + k) / ((n + 1) * (n + k + 1))), lag[n - 1],
+                               out=scratch)
     return lag
 
 
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
+    x = np.abs(beta) ** 2
+    _, inv, rows = _radial(dim, x)
     out = np.empty((dim, dim, beta.size), dtype=complex)
-    for k, lower, flip, lag, inv in _displacement_bands(dim, beta):
-        for n, row in enumerate(lag()):
+    lower = np.exp(-x / 2).astype(complex)
+    for k in range(dim):
+        if k:
+            lower = lower * beta
+        for n, row in enumerate(rows(k)):
             out[n + k, n] = lower * np.take(row, inv)
-            out[n, n + k] = flip * out[n + k, n].conj()
+            out[n, n + k] = (-1) ** k * out[n + k, n].conj()
     return out
 
 
-def _band_trace(e: np.ndarray, bands, size: int) -> np.ndarray:
-    """Tr(h X) at ``size`` points for the Hermitian part h = (e + e^dag)/2 of each square
-    matrix of a stack e (..., n, n) and the bands of X from ``_bands``, the even and the
-    odd bands summed apart; shape (2, ..., size).
+def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q) -> list:
+    """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
+    the flat points p for the Hermitian part h of each matrix of a stack e (m, d, d); each
+    Z_j is (m, p.size), and None for j > 0 when no band of its class is held.
 
-    Band k of X above the diagonal is flip times the conjugate of the band below it, and
-    h[n+k, n] is the conjugate of h[n, n+k], so band k adds z + flip conj(z), 2 Re z or
-    2i Im z, with z = sum_n h[n, n+k] <n+k|X|n>. 2z is one matrix product of the stack's
-    e[n, n+k] + conj(e[n+k, n]) with the Laguerre rows, mapped to the points by ``inv``,
-    times the band's prefactor. Memory stays O(size) per matrix; a band that every matrix
-    holds as zero is skipped, and bands past the last one held are never built, so a
-    stack of diagonal matrices costs one band.
+    <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
+    r2 = |p|^2. Per band, the sums over n are one matrix product of the band's rows at the
+    distinct radii with the band of 2h, times pref there, mapped to the points by ``inv``.
+    A class is summed by Horner in (c p)^4 from its highest band down, then multiplied by
+    (c p)^j once. Memory stays O(p.size) per matrix, with one band's rows at a time; a band
+    that every matrix holds as zero is skipped, and bands past the last one held are never
+    built, so a stack of diagonal matrices costs one band.
     """
-    *lead, n = e.shape[:-1]
-    e = e.reshape(-1, n, n)
-    # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries
+    m, d = len(e), e.shape[-1]
+    # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
+    # trace, is always summed, so Z_0 is an array
     _, rows, cols = np.nonzero(e)
-    held = set(np.abs(cols - rows).tolist())
-    vals = np.zeros((2, len(e), size), dtype=complex)
-    for k, lower, flip, lag, inv in islice(bands, max(held, default=-1) + 1):
+    held = set(np.abs(cols - rows).tolist()) | {0}
+    top = max(held)
+    # Tr(h X) = sum_{m,n} h[n, m] <m|X|n>: 2 h[n, n+k] = e[n, n+k] + conj(e[n+k, n]) pairs
+    # with <n+k|X|n>, and 2 h[n, n] is halved; (levels, levels, matrices), padded to an even
+    # count of matrices so that the matrix products below always have a multiple of four
+    # columns: their sums then do not depend on how many matrices share them
+    two_h = np.zeros((d, d, m + m % 2), dtype=complex)
+    two_h[..., :m] = (e + e.conj().swapaxes(1, 2)).transpose(1, 2, 0)
+    two_h[np.diag_indices(d)] *= 0.5
+    distinct, inv, band_rows = _radial(d, np.abs(p) ** 2, scale, q)
+    radial = pref(distinct)[:, None]
+    size = p.size
+    if size == 1:
+        # numpy rounds a complex product on a one-element loop otherwise than on a longer
+        # one, and a stack of one point runs a loop over its matrices: two copies of the
+        # point keep the loops over points, so a stack and its matrices alone agree
+        p, inv = np.repeat(p, 2), np.repeat(inv, 2)
+    lo = c * p if top > 0 else None
+    lo2 = lo * lo if top > 1 else None
+    lo4 = lo2 * lo2 if top > 3 else None
+    sums = [None] * 4
+    for k in range(top, -1, -1):
+        z = sums[k % 4]
+        if z is not None:
+            z *= lo4
         if k not in held:
             continue
-        # Tr(h X) = sum_{m,n} h[n, m] <m|X|n>: 2 h[n, n+k] pairs with <n+k|X|n>, and
-        # 2 h[n, n] is halved; (levels, matrices), padded to an even count of matrices
-        # so that the matrix product below always has a multiple of four columns: its
-        # sums then do not depend on how many matrices share it
-        h = np.zeros((n - k, len(e) + len(e) % 2), dtype=complex)
-        h[:, : len(e)] = (e.diagonal(k, 1, 2) + e.diagonal(-k, 1, 2).conj()).T
-        if not k:
-            h *= 0.5
-        # real rows times the (re, im) columns of h, read back as complex: (U, matrices)
-        acc = (lag().T @ h.view(float)).view(complex)[:, : len(e)]
-        z = lower * np.take(acc, inv, axis=0).T
-        part = vals[k % 2]
-        if flip > 0:
-            part.real += z.real
+        # real rows times the (re, im) columns of band k of 2h, read back as complex: (U, m)
+        acc = (band_rows(k).T @ two_h.diagonal(k).T.view(float)).view(complex)[:, :m]
+        acc *= radial
+        band = np.take(acc, inv, axis=0).T
+        if z is None:
+            sums[k % 4] = band
         else:
-            part.imag += z.imag
-    return vals.reshape(2, *lead, size)
+            z += band
+    for j, power in ((1, lo), (2, lo2), (3, None if sums[3] is None else lo2 * lo)):
+        if sums[j] is not None:
+            sums[j] *= power
+    return [z if z is None else z[:, :size] for z in sums]
 
 
-def _paired_trace(e: np.ndarray, bands_at, p: np.ndarray) -> np.ndarray:
-    """Tr(h X) at the flat points p, h the Hermitian part of e and X having the bands
-    ``bands_at(points)``. Band k of D(b) and of T(a, s) only changes by (-1)^k at -b: when
-    p read backwards is its own negative, the kernel sees its first ceil(N/2) points and
-    gives E + O of the even and odd sums there, E - O at their negatives. Any other p gets
-    E + O at every point."""
-    half = (p.size + 1) // 2 if np.array_equal(p[::-1], -p) else p.size
-    even, odd = _band_trace(e, bands_at(p[:half]), half)
-    mirror = (even[..., : p.size - half] - odd[..., : p.size - half])[..., ::-1]
-    return np.concatenate([even + odd, mirror], axis=-1)
+def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q=1.0):
+    """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of each square
+    matrix of a stack e (..., d, d); shape (..., p.size), complex for sign -1, real for +1.
+
+    X is banded as in ``_class_sums``, with <n|X|n+k> = sign^k conj(<n+k|X|n>): D(b) has
+    pref e^{-x/2}, c = 1 and sign -1, T(a, s) sign +1. So band k adds z_k + sign^k conj(z_k),
+    the real part for even k and, for odd k, the real part (sign +1) or i times the imaginary
+    part (sign -1); call that Part. At i p band k is i^k times its value at p, and so is its
+    conjugate term, as sign^k (-i)^k = i^k for sign -1. With Z_j the class sums at p, the
+    four points of a rotation orbit get Re(Z_0 + Z_2) +- Part(Z_1 + Z_3) at +-p and
+    Re(Z_0 - Z_2) +- Part(i (Z_1 - Z_3)) at +-i p.
+    When p reads as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh does,
+    the kernel sees one point of each orbit: the block of rows < n // 2 and columns
+    < n - n // 2, and after it the centre of an odd mesh, its own orbit. The four values
+    are written through the ``np.rot90`` views of the result. Any other p gets every point.
+    """
+    *lead, d = e.shape[:-1]
+    e = e.reshape(-1, d, d)
+    n = isqrt(p.size)
+    mesh = p.reshape(n, n) if n > 1 and n * n == p.size else None
+    # mesh[:, ::-1].T is np.rot90(mesh): the point at row i, column j is i times mesh[i, j]
+    closed = mesh is not None and np.array_equal(mesh[:, ::-1].T, 1j * mesh)
+    rows, cols = (n // 2, n - n // 2) if closed else (1, p.size)
+    block = np.concatenate([mesh[:rows, :cols].ravel(), p[p.size // 2:][: n % 2]]) if closed else p
+    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q)
+    even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
+    if z1 is None and z3 is None:
+        values = even * 2
+    else:
+        z1, z3 = (0 if z is None else z for z in (z1, z3))
+        part, unit = (np.real, 1) if sign > 0 else (np.imag, 1j)
+        odd = [unit * part(z) for z in (z1 + z3, 1j * (z1 - z3))]
+        values = [even[0] + odd[0], even[1] + odd[1], even[0] - odd[0], even[1] - odd[1]]
+    out = np.empty((len(e), p.size), complex if sign < 0 else float)
+    if not closed:
+        out[:] = values[0]
+        return out.reshape(*lead, p.size)
+    grid, size = out.reshape(len(e), n, n), rows * cols
+    # the views np.rot90(grid, turn, axes=(1, 2)) returns for turn = 0 .. 3, taken as its
+    # slices: each np.rot90 call costs about 5 us, a fifth of a small diagonal-state grid
+    turns = (grid, grid[:, :, ::-1].swapaxes(1, 2), grid[:, ::-1, ::-1],
+             grid[:, ::-1].swapaxes(1, 2))
+    for turned, value in zip(turns, values):
+        turned[:, :rows, :cols] = value[:, :size].reshape(-1, rows, cols)
+    if n % 2:
+        grid[:, rows, rows] = values[0][:, -1]
+    return out.reshape(*lead, p.size)
+
+
+def _half_gaussian(x):
+    """e^{-x/2}, the radial prefactor of <n+k|D(b)|n> at x = |b|^2."""
+    return np.exp(-x / 2)
 
 
 def symmetric_charfunc(rho: DensityMatrix, beta):
@@ -261,7 +315,7 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     occ = rho.occupations[0]
     d = effective_dim(occ)
     _check_trust(rho.dim, occ[-1], beta_arr)
-    vals = _paired_trace(rho.entries[:d, :d], partial(_displacement_bands, d), beta_arr.ravel())
+    vals = _band_trace(rho.entries[:d, :d], beta_arr.ravel(), _half_gaussian)
     vals = vals.reshape(beta_arr.shape)
     return complex(vals) if vals.ndim == 0 else vals
 

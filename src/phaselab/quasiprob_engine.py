@@ -19,7 +19,7 @@ from .errors import ImaginaryResidue, SingularPFunction
 from .fock_core import DensityMatrix, coherent_leakage, coherent_vector, effective_dim
 from .fock_core import require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _bands, _paired_trace
+from .phase_filters import _band_trace
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -64,7 +64,8 @@ class QuasiProbGrid:
 def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
     linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of an
-    odd axis, so the band kernel pairs every point of the mesh with its negative."""
+    odd axis, so the mesh is exactly closed under b -> ib and the band kernel evaluates each
+    four-point rotation orbit once."""
     half = np.linspace(-extent, extent, points)[: points // 2]
     axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
     x, y = np.meshgrid(axis, axis)
@@ -211,13 +212,10 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
 
 def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
     """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a."""
-    def bands_at(a):
-        x = np.abs(a) ** 2
-        w = 2 * a / (1 - s)
-        pref = (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
-        return _bands(e.shape[-1], pref, w, 1, x, -4 / (1 - s) ** 2, (s + 1) / (s - 1))
+    def pref(x):
+        return (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
 
-    return _paired_trace(e, bands_at, a).real / pi
+    return _band_trace(e, a, pref, 2 / (1 - s), 1, -4 / (1 - s) ** 2, (s + 1) / (s - 1)) / pi
 
 
 def attenuated_photon_wigner(eta: float, alpha):

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 from functools import cache
-from math import lgamma
+from math import isqrt, lgamma
 from os.path import commonprefix
 
 import numpy as np
@@ -110,6 +110,14 @@ def splitter_output(kind):
         pair = fc.make_fock(3, 20), fc.make_fock(5, 20)
     bs = BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j))
     return apply_beamsplitter(fc.tensor(*pair), bs)
+
+
+def rotation_closed(points):
+    """Whether flat points read as a square mesh m with np.rot90(m) = i m, the point sets
+    whose four-point rotation orbits the band kernel evaluates once."""
+    n = isqrt(points.size)
+    mesh = points.reshape(n, n) if n * n == points.size else None
+    return mesh is not None and np.array_equal(np.rot90(mesh), 1j * mesh)
 
 
 def repeated_radii(extent, points, seed):

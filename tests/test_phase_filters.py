@@ -15,6 +15,7 @@ from phaselab.errors import NonFiniteArgument
 from phaselab.theorem_lab import disk_grid
 
 from _support import annihilation, displacement_element, even_cat, random_density, repeated_radii
+from _support import rotation_closed
 
 
 def charfunc_oracle(rho, beta, dim=45):
@@ -255,17 +256,18 @@ class TestSymmetricCharfunc:
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(1, 31),
         extent=st.floats(0.1, 6.0),
-        points=st.integers(2, 40),
+        points=st.one_of(st.integers(1, 3), st.integers(1, 40)),
     )
     @settings(max_examples=40, deadline=None)
     def test_paired_lattice_matches_shuffled_points(self, seed, d, extent, points):
-        # a lattice() mesh reads backwards as its own negative, so the kernel sees half of
-        # it and writes E - O at the mirror points; shuffled, every point goes through it
+        # a lattice() mesh, even or odd, is closed under b -> ib, so the kernel sees one point
+        # of each rotation orbit and writes the other three; shuffled, every point goes
+        # through it
         rng = np.random.default_rng(seed)
         rho = random_density(d + 1, occupied=d, rng=rng)
         betas = qe.lattice(extent, points)[1].ravel()
         order = rng.permutation(betas.size)
-        assume(not np.array_equal(betas[order][::-1], -betas[order]))
+        assume(points == 1 or not rotation_closed(betas[order]))
         paired = pf.symmetric_charfunc(rho, betas)
         unpaired = np.empty_like(paired)
         unpaired[order] = pf.symmetric_charfunc(rho, betas[order])
@@ -321,16 +323,19 @@ class TestHermitianFold:
     def test_fold_matches_two_triangle_sum(self, seed, d, kind):
         rng = np.random.default_rng(seed)
         rho = fold_state(kind, d, rng)
-        # three points and their negatives, so the kernel pairs them
+        # three points and their negatives, which take the plain path, and a 2x2 rotation
+        # orbit (b, ib, -ib, -b), of which the kernel sees b alone
         b = rng.uniform(0.0, 6.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
-        betas = np.concatenate([b, -b[::-1]])
-        got = pf.symmetric_charfunc(rho, betas)
-        for beta, value in zip(betas, got):
-            elements = np.array(
-                [[displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
-            )
-            # both triangles: sum_{n,m} rho[n, m] <m|D|n>
-            assert abs(value - np.sum(rho.entries[:d, :d].T * elements)) < 1e-12
+        orbit = np.array([b[0], 1j * b[0], -1j * b[0], -b[0]])
+        assert rotation_closed(orbit)
+        for betas in (np.concatenate([b, -b[::-1]]), orbit):
+            got = pf.symmetric_charfunc(rho, betas)
+            for beta, value in zip(betas, got):
+                elements = np.array(
+                    [[displacement_element(m, n, beta) for n in range(d)] for m in range(d)]
+                )
+                # both triangles: sum_{n,m} rho[n, m] <m|D|n>
+                assert abs(value - np.sum(rho.entries[:d, :d].T * elements)) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 31), extent=st.floats(0.1, 8.0),
            points=st.integers(1, 12))

@@ -22,6 +22,7 @@ from phaselab.errors import (
 from phaselab.phase_filters import FilterSpec
 
 from _support import displacement_element, even_cat, random_density, repeated_radii
+from _support import rotation_closed
 
 S0 = FilterSpec.s_param(0.0)
 SQ = FilterSpec.s_param(-1.0)
@@ -39,26 +40,30 @@ class TestLattice:
         axis, mesh = qe.lattice(extent, points)
         assert np.array_equal(axis[::-1], -axis)
         assert np.array_equal(mesh.ravel()[::-1], -mesh.ravel())
+        assert np.array_equal(np.rot90(mesh), 1j * mesh)
         assert axis[0] == -extent and axis[-1] == extent
         if points % 2:
             assert axis[points // 2] == 0.0 and not np.signbit(axis[points // 2])
         assert np.max(np.abs(axis - np.linspace(-extent, extent, points))) <= 4 * np.spacing(extent)
 
-    def test_default_lattice_kernel_sees_half_the_points(self, monkeypatch):
-        # the 128^2 beta lattice pairs every point with its negative: 8192 points reach
-        # the band recurrence, for the characteristic function and for T(alpha, s)
+    def test_default_lattice_kernel_sees_a_quarter_of_the_points(self, monkeypatch):
+        # a lattice() mesh is closed under b -> ib: one point of each four-point orbit
+        # reaches the band recurrence, 64^2 of the 128^2 beta lattice for the characteristic
+        # function and for T(alpha, s), and 64 * 65 plus the centre of the 129^2 alpha
+        # lattice, in the same one kernel call
         sizes = []
-        band_trace = pf._band_trace
+        class_sums = pf._class_sums
 
-        def spy(e, bands, size):
-            sizes.append(size)
-            return band_trace(e, bands, size)
+        def spy(e, p, *args):
+            sizes.append(p.size)
+            return class_sums(e, p, *args)
 
-        monkeypatch.setattr(pf, "_band_trace", spy)
+        monkeypatch.setattr(pf, "_class_sums", spy)
         rho = random_density(8, occupied=7)
         qe.charfunc_grid(rho, S0)
         qe.quasiprob_pointwise(rho, qe.lattice(6.0, 128)[1], -0.5)
-        assert sizes == [8192, 8192]
+        qe.quasiprob_pointwise(rho, qe.lattice(4.0, 129)[1], -0.5)
+        assert sizes == [4096, 4096, 64 * 65 + 1]
 
     def test_transform_axis_is_the_lattice_axis(self):
         grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), S0), 4.0, 100)
@@ -331,17 +336,19 @@ class TestPointwise:
             assert np.max(np.abs(got.ravel() - want)) <= 1e-12
 
     @given(seed=SEEDS, d=st.integers(1, 31), stack=st.integers(1, 3), extent=st.floats(0.1, 4.0),
-           points=st.integers(2, 40), s=S_LEQ_0)
+           points=st.one_of(st.integers(1, 3), st.integers(1, 40)),
+           s=st.one_of(st.just(-1.0), S_LEQ_0))
     @settings(max_examples=40, deadline=None)
     def test_paired_lattice_matches_shuffled_points(self, seed, d, stack, extent, points, s):
-        # the paired branch (a lattice() mesh) against the unpaired one (its points
-        # shuffled), for a stack through _pointwise and its first state through the API
+        # the rotation branch (a lattice() mesh, even or odd, q = 0 at s = -1) against the
+        # plain one (its points shuffled), for a stack through _pointwise and its first state
+        # through the API
         rng = np.random.default_rng(seed)
         states = [random_density(d, rng=rng) for _ in range(stack)]
         e = np.stack([rho.entries for rho in states])
         alphas = qe.lattice(extent, points)[1].ravel()
         order = rng.permutation(alphas.size)
-        assume(not np.array_equal(alphas[order][::-1], -alphas[order]))
+        assume(points == 1 or not rotation_closed(alphas[order]))
         paired = qe._pointwise(e, alphas, s)
         unpaired = np.empty_like(paired)
         unpaired[:, order] = qe._pointwise(e, alphas[order], s)
@@ -355,14 +362,15 @@ class TestPointwise:
            points=st.integers(1, 30), s=S_LEQ_0)
     @settings(max_examples=30, deadline=None)
     def test_stack_and_each_state_agree_bit_for_bit(self, seed, d, stack, extent, points, s):
-        # Hermitian, cat and non-Hermitian matrices in one stack, on a paired mesh and shuffled
+        # Hermitian, cat and non-Hermitian matrices in one stack, on a lattice() mesh, shuffled
+        # and at its last point alone
         rng = np.random.default_rng(seed)
         shape = (stack - 2, d, d)
         e = np.stack([fc.hermitian_mean(random_density(d, rng=rng).entries),
                       even_cat(rng.uniform(0.5, 2.0), d, d).entries,
                       *(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
         mesh = qe.lattice(extent, points)[1].ravel()
-        for alphas in (mesh, rng.permutation(mesh)):
+        for alphas in (mesh, rng.permutation(mesh), mesh[-1:]):
             got = qe._pointwise(e, alphas, s)
             for i, one in enumerate(e):
                 assert np.array_equal(got[i], qe._pointwise(one, alphas, s))
@@ -429,7 +437,7 @@ class TestGridTables:
     def test_tables_are_read_only(self, cold):
         rho = random_density(12, occupied=11)
         qe.q_function(rho, self.Q_GRID)
-        x = np.abs(qe.lattice(6.0, 128)[1].ravel()[:8192]) ** 2
+        x = np.abs(qe.lattice(6.0, 128)[1][:64, :64].ravel()) ** 2
         qe.charfunc_grid(rho, S0)
         assert pf._distinct.cache_info().currsize == 1
         for table in (qe._q_rows[1], *pf._distinct(x.tobytes())):
