@@ -250,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quasiprob", help="quasiprobability grid as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID, help="alpha extent:steps")
-    p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID, help="extent:steps")
+    p.add_argument("--beta-grid", type=_grid_arg, default=DEFAULT_BETA_GRID,
+                   help="extent:steps; the lattice is sampled only for s > 0 or a series "
+                   "filter, s <= 0 is evaluated exactly from the state")
 
     p = sub.add_parser("beamsplit", help="apply a beam splitter to two states")
     p.add_argument("--state1", required=True)

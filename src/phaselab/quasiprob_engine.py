@@ -8,16 +8,17 @@ bit-identical output.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse
 from .errors import ImaginaryResidue, SingularPFunction
-from .fock_core import DensityMatrix, coherent_leakage, coherent_vector, effective_dim
-from .fock_core import require_finite
+from .fock_core import LEAKAGE_TOL, DensityMatrix, coherent_leakage, coherent_vector
+from .fock_core import effective_dim, require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
 from .phase_filters import _band_trace
 
@@ -34,12 +35,28 @@ class CharFuncGrid:
     values array is 4-dimensional over (i3, j3, i4, j4) with the same axis
     for both modes. ``source`` keeps the underlying state so consumers can
     re-evaluate Phi functionally instead of interpolating.
+
+    ``sample`` is the values array, or a function that returns it: ``values`` calls
+    it on first read and keeps the result, so a grid whose consumer answers from the
+    source never samples the lattice. ``quasiprob_transform`` answers a single-mode
+    grid with a ``source`` and an s <= 0 filter from the source, also when the grid
+    is made by hand; pass ``source=None`` to transform hand-made values.
     """
 
     axis: np.ndarray
-    values: np.ndarray
+    sample: np.ndarray | Callable[[], np.ndarray]
     filter: FilterSpec
     source: DensityMatrix | None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.sample() if callable(self.sample) else self.sample
+
+    @property
+    def ndim(self) -> int:
+        """``values.ndim``, read as two per mode of the source where there is one, so that
+        it samples nothing."""
+        return 2 * self.source.n_modes if self.source is not None else self.values.ndim
 
 
 @dataclass(frozen=True)
@@ -61,22 +78,35 @@ class QuasiProbGrid:
         return float(self.values[i, i])
 
 
-def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
-    linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of an
-    odd axis, so the mesh is exactly closed under b -> ib and the band kernel evaluates each
-    four-point rotation orbit once."""
+@lru_cache(maxsize=16)
+def _axis(extent: float, points: int) -> np.ndarray:
+    """linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of
+    an odd axis; read-only."""
     half = np.linspace(-extent, extent, points)[: points // 2]
     axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
+    axis.setflags(write=False)
+    return axis
+
+
+@lru_cache(maxsize=16)
+def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
+    exactly antisymmetric (``_axis``), so the mesh is exactly closed under b -> ib and the
+    band kernel evaluates each four-point rotation orbit once. Both depend only on
+    (extent, points), so they are built once per pair and shared as read-only arrays."""
+    axis = _axis(extent, points)
     x, y = np.meshgrid(axis, axis)
-    return axis, x + 1j * y
+    mesh = x + 1j * y
+    mesh.setflags(write=False)
+    return axis, mesh
 
 
 def charfunc_grid(rho: DensityMatrix, f: FilterSpec, extent: float = 6.0,
                   points: int = 128) -> CharFuncGrid:
-    """Evaluate Phi_Omega on a square beta lattice."""
-    axis, betas = lattice(extent, points)
-    return CharFuncGrid(axis, filtered_charfunc(rho, f, betas), f, rho)
+    """Phi_Omega on a square beta lattice: the axis now, the values (and the mesh) when
+    they are first read."""
+    return CharFuncGrid(_axis(extent, points),
+                        lambda: filtered_charfunc(rho, f, lattice(extent, points)[1]), f, rho)
 
 
 def two_mode_charfunc_grid(rho12: DensityMatrix, f: FilterSpec, extent: float = 2.0,
@@ -99,15 +129,20 @@ def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int)
     # value array run over Im b, columns over Re b
     m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
     m2 = np.exp(-2j * np.outer(b, alpha_axis))  # (Im b) x (alpha cols: Re a)
-    for arr in (alpha_axis, m1, m2):
+    for arr in (m1, m2):
         arr.setflags(write=False)
     return alpha_axis, m1, m2
 
 
 def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
                         alpha_points: int = 129) -> QuasiProbGrid:
-    """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}."""
-    if cf.values.ndim != 2:
+    """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}.
+
+    A grid with a ``source`` and an s-family filter with s <= 0 is answered exactly from
+    the source, ``quasiprob_pointwise`` on the alpha lattice, and its values are never
+    sampled. Any other grid (s > 0, a series filter, no source) is Fourier-summed.
+    """
+    if cf.ndim != 2:
         raise DimensionMismatch("quasiprob_transform supports single-mode grids")
     if len(cf.axis) < 2 or alpha_points < 2 or not 0 < alpha_extent < np.inf:
         raise GridTooCoarse(
@@ -121,25 +156,29 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
             f"{pi / (2 * alpha_extent):.4f} for extent {alpha_extent}"
         )
     s = cf.filter.as_s()
-    if s is None or s > 0:
-        edge = np.concatenate(
-            [cf.values[0, :], cf.values[-1, :], cf.values[:, 0], cf.values[:, -1]]
-        )
-        if not float(np.max(np.abs(edge))) <= BOUNDARY_DECAY_TOL:  # NaN fails it
-            raise SingularPFunction(
-                "characteristic function does not decay at the lattice boundary; "
-                "the quasiprobability is singular or the lattice too small"
+    if cf.source is not None and s is not None and s <= 0:
+        alpha_axis, alphas = lattice(float(alpha_extent), int(alpha_points))
+        values, residue = quasiprob_pointwise(cf.source, alphas, s), 0.0
+    else:
+        if s is None or s > 0:
+            edge = np.concatenate(
+                [cf.values[0, :], cf.values[-1, :], cf.values[:, 0], cf.values[:, -1]]
             )
-    alpha_axis, m1, m2 = _transform_kernels(
-        np.asarray(cf.axis, dtype=float).tobytes(), float(alpha_extent), int(alpha_points)
-    )
-    p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
-    residue = float(np.max(np.abs(p.imag)))
-    if not residue <= IMAG_RESIDUE_TOL:
-        raise ImaginaryResidue(
-            f"transform imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}"
+            if not float(np.max(np.abs(edge))) <= BOUNDARY_DECAY_TOL:  # NaN fails it
+                raise SingularPFunction(
+                    "characteristic function does not decay at the lattice boundary; "
+                    "the quasiprobability is singular or the lattice too small"
+                )
+        alpha_axis, m1, m2 = _transform_kernels(
+            np.asarray(cf.axis, dtype=float).tobytes(), float(alpha_extent), int(alpha_points)
         )
-    values = np.ascontiguousarray(p.real)
+        p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
+        residue = float(np.max(np.abs(p.imag)))
+        if not residue <= IMAG_RESIDUE_TOL:
+            raise ImaginaryResidue(
+                f"transform imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}"
+            )
+        values = np.ascontiguousarray(p.real)
     d_alpha = float(alpha_axis[1] - alpha_axis[0])
     volume = float(values.sum() * d_alpha**2)
     return QuasiProbGrid(alpha_axis, values, cf.filter, cf.source, volume, residue)
@@ -198,12 +237,24 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     kernel takes q x = -4|a|^2/(1-s)^2, which stays finite at s = -1 (Q).
     For s > 0, |q| > 1 and the weights grow with n: ``SingularPFunction``. A matrix
     that is not Hermitian gives the value of its Hermitian part (rho + rho^dag)/2.
+
+    The answer is exact for the stored matrix. If that matrix renormalizes a state that
+    lost trace eps (its ``leakage``), then, as ||T(alpha, s)|| = 2/(1-s), the answer for
+    the untruncated state differs by at most (2/(pi(1-s)))(2 sqrt(eps) + 2 eps) at every
+    alpha; a leakage above ``fock_core.LEAKAGE_TOL``, the cap of the state builders,
+    raises ``CutoffTooSmall``.
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("quasiprob_pointwise expects a single-mode state")
     require_finite(s, "s")
     if s > 0:
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
+    eps = rho.leakage
+    if eps > LEAKAGE_TOL:
+        raise CutoffTooSmall(
+            f"leakage {eps:.3e} exceeds {LEAKAGE_TOL}: P_s of the truncated state may be off "
+            f"by up to {2 / (pi * (1 - s)) * (2 * eps**0.5 + 2 * eps):.3e}"
+        )
     alpha_arr = require_finite(alpha, "alpha")
     d = effective_dim(rho.occupations[0])
     vals = _pointwise(rho.entries[:d, :d], alpha_arr.ravel(), s).reshape(alpha_arr.shape)

@@ -381,6 +381,18 @@ class TestPipelines:
         origin = min(rows, key=lambda r: r[0] ** 2 + r[1] ** 2)
         assert origin[2] == pytest.approx(2 / np.pi, abs=1e-6)
 
+    def test_quasiprob_of_coherent_state(self, tmp_path, capsys):
+        # the Wigner grid of |1> on the default lattices, answered from the state file: within
+        # its leakage bound (2/pi)(2 sqrt(eps) + 2 eps) of (2/pi) e^{-2|alpha - 1|^2}
+        state = write_state(tmp_path, "c1.json", "state", "--coherent", "1")
+        code, out, err = run(capsys, "quasiprob", "--state", state)
+        assert code == 0 and err == ""
+        d = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+        assert len(d) == 129**2
+        eps = fc.load_state(Path(state).read_text()).leakage
+        want = 2 / np.pi * np.exp(-2 * ((d[:, 0] - 1) ** 2 + d[:, 1] ** 2))
+        assert np.max(np.abs(d[:, 2] - want)) <= 2 / np.pi * (2 * np.sqrt(eps) + 2 * eps)
+
     def test_singular_p_function_error(self, tmp_path, capsys):
         state = write_state(tmp_path, "one.json", "state", "--fock", "1")
         code, out, err = run(capsys, "quasiprob", "--state", state, "--s", "1")

@@ -196,7 +196,7 @@ class TestSymmetricCharfunc:
         rho = fc.make_fock(0, 5)
         with pytest.raises(NonFiniteArgument):
             pf.symmetric_charfunc(rho, float("nan"))
-        _, betas = qe.lattice(6.0, 128)
+        betas = qe.lattice(6.0, 128)[1].copy()
         betas[7, 9] = complex(float("inf"), 0.0)
         with pytest.raises(NonFiniteArgument):
             pf.symmetric_charfunc(rho, betas)
@@ -278,7 +278,7 @@ class TestSymmetricCharfunc:
         rho = random_density(32, occupied=31, rng=np.random.default_rng(3))
         tracemalloc.start()
         try:
-            qe.charfunc_grid(rho, pf.FilterSpec.s_param(0.0), 6.0, 128)
+            qe.charfunc_grid(rho, pf.FilterSpec.s_param(0.0), 6.0, 128).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -46,6 +46,14 @@ class TestLattice:
             assert axis[points // 2] == 0.0 and not np.signbit(axis[points // 2])
         assert np.max(np.abs(axis - np.linspace(-extent, extent, points))) <= 4 * np.spacing(extent)
 
+    def test_meshes_are_kept_read_only(self):
+        # one axis and mesh per (extent, points), shared by every caller
+        for again in (qe.lattice(6.0, 128), qe.lattice(6.0, 128), qe.lattice(6, 128)):
+            for kept, arr in zip(qe.lattice(6.0, 128), again):
+                assert arr is kept and not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
     def test_default_lattice_kernel_sees_a_quarter_of_the_points(self, monkeypatch):
         # a lattice() mesh is closed under b -> ib: one point of each four-point orbit
         # reaches the band recurrence, 64^2 of the 128^2 beta lattice for the characteristic
@@ -60,7 +68,7 @@ class TestLattice:
 
         monkeypatch.setattr(pf, "_class_sums", spy)
         rho = random_density(8, occupied=7)
-        qe.charfunc_grid(rho, S0)
+        qe.charfunc_grid(rho, S0).values
         qe.quasiprob_pointwise(rho, qe.lattice(6.0, 128)[1], -0.5)
         qe.quasiprob_pointwise(rho, qe.lattice(4.0, 129)[1], -0.5)
         assert sizes == [4096, 4096, 64 * 65 + 1]
@@ -141,7 +149,7 @@ class TestTransform:
         assert np.max(np.abs(grid.values[mask] - direct)) < 1e-6
 
     def test_cached_kernels_reproduce_uncached_transform(self):
-        cf = qe.charfunc_grid(fc.make_thermal(0.6, 40), S0)
+        cf = replace(qe.charfunc_grid(fc.make_thermal(0.6, 40), S0), source=None)
         qe._transform_kernels.cache_clear()
         fresh = qe.quasiprob_transform(cf)
         hits = qe._transform_kernels.cache_info().hits
@@ -276,7 +284,8 @@ class TestPointwise:
         # the default lattices cut the characteristic function at |beta| = 6, where
         # a state on more levels keeps more weight: on 4 levels they are ~3e-10 off
         rho = random_density(8, occupied=occupied, rng=np.random.default_rng(seed))
-        grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(-0.5)))
+        cf = replace(qe.charfunc_grid(rho, FilterSpec.s_param(-0.5)), source=None)
+        grid = qe.quasiprob_transform(cf)
         alphas = grid.axis + 1j * grid.axis[:, None]
         got = qe.quasiprob_pointwise(rho, alphas, -0.5)
         assert np.max(np.abs(got - grid.values)) <= 1e-10
@@ -392,6 +401,124 @@ class TestPointwise:
         assert qe.quasiprob_pointwise(rho, np.zeros((3, 2)), 0.0).shape == (3, 2)
 
 
+def cat_ps(a, alpha, s):
+    # P_s of (|a> + |-a>) / norm from <b|T(alpha, s)|g> = (2/(1-s)) e^{(alpha b* - alpha* b)/2}
+    # e^{(alpha* g - alpha g*)/2} e^{-|b-alpha|^2/2 - |g-alpha|^2/2 + q (b-alpha)* (g-alpha)}
+    q = (s + 1) / (s - 1)
+    amps = (a, -a)
+    num = sum(
+        np.exp((alpha * np.conj(b) - np.conj(alpha) * b) / 2
+               + (np.conj(alpha) * g - alpha * np.conj(g)) / 2
+               - abs(b - alpha) ** 2 / 2 - abs(g - alpha) ** 2 / 2
+               + q * np.conj(b - alpha) * (g - alpha))
+        for b in amps for g in amps)
+    norm = sum(np.exp(-abs(b) ** 2 / 2 - abs(g) ** 2 / 2 + np.conj(b) * g) for b in amps for g in amps)
+    return (2 / (1 - s) * num / norm).real / np.pi
+
+
+def _fock_mixture(weights):
+    p = np.array(weights) / sum(weights)
+    return (fc.DensityMatrix(9, np.diag(np.pad(p, (0, 9 - len(p))))),
+            lambda a, s: sum(pn * fock_ps(n, a, s) for n, pn in enumerate(p)))
+
+
+# (state, closed-form P_s) pairs whose truncation lies far below 1e-13 of the peak: a
+# coherent |beta| <= 1.5 state or cat on 41 levels, a thermal nbar <= 1 state on 61
+CLOSED_FORMS = st.one_of(
+    disk(1.5).map(lambda b: (fc.make_coherent(b, 40), lambda a, s: coherent_ps(b, a, s))),
+    st.floats(0.0, 1.0).map(
+        lambda n: (fc.make_thermal(n, 60), lambda a, s: thermal_ps(n, a, s))),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(
+        lambda w: sum(w) > 0.1).map(_fock_mixture),
+    st.tuples(st.floats(0.3, 1.8), st.floats(0.0, 2 * np.pi)).map(
+        lambda c: (even_cat(c[0] * np.exp(1j * c[1]), 41, 41),
+                   lambda a, s: cat_ps(c[0] * np.exp(1j * c[1]), a, s))),
+)
+
+
+class TestExactRoute:
+    """A grid with a source and an s <= 0 filter is answered from the source; the lattice is
+    Fourier-summed for s > 0, for a series filter and for a grid without a source."""
+
+    @given(case=CLOSED_FORMS, s=S_LEQ_0)
+    @settings(max_examples=40, deadline=None)
+    def test_default_lattices_match_closed_forms(self, case, s):
+        rho, ps = case
+        grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(s)))
+        want = ps(grid.axis + 1j * grid.axis[:, None], s)
+        assert np.max(np.abs(grid.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(seed=SEEDS, occupied=st.integers(1, 31), s=S_LEQ_0)
+    @settings(max_examples=30, deadline=None)
+    def test_grid_is_the_pointwise_grid(self, seed, occupied, s):
+        rho = random_density(31, occupied=occupied, rng=np.random.default_rng(seed))
+        cf = qe.charfunc_grid(rho, FilterSpec.s_param(s))
+        grid = qe.quasiprob_transform(cf)
+        axis, alphas = qe.lattice(4.0, 129)
+        assert grid.axis is axis
+        assert np.array_equal(grid.values, qe.quasiprob_pointwise(rho, alphas, s))
+        assert grid.imag_residue == 0.0 and grid.source is rho
+        assert grid.volume_integral == float(grid.values.sum() * (axis[1] - axis[0]) ** 2)
+        assert "values" not in vars(cf)  # the beta lattice was never sampled
+
+    @pytest.mark.parametrize("f", [FilterSpec.s_param(0.5),
+                                   FilterSpec.general({(1, 1): -0.25, (2, 2): -0.01})],
+                             ids=["s>0", "series"])
+    def test_other_grids_take_the_fourier_sum(self, monkeypatch, f):
+        calls = []
+        kernels = qe._transform_kernels
+
+        def spy(*args):
+            calls.append(args[1:])
+            return kernels(*args)
+
+        monkeypatch.setattr(qe, "_transform_kernels", spy)
+        cf = qe.charfunc_grid(fc.make_fock(0, 20), f, extent=9.0, points=160)
+        grid = qe.quasiprob_transform(cf)
+        assert calls == [(4.0, 129)] and "values" in vars(cf)
+        assert np.array_equal(grid.values, qe.quasiprob_transform(replace(cf, source=None)).values)
+        if f.as_s() is not None:  # vacuum: (2 / (pi (1-s))) e^{-2|a|^2 / (1-s)}
+            want = coherent_ps(0.0, grid.axis + 1j * grid.axis[:, None], 0.5)
+            assert np.max(np.abs(grid.values - want)) <= 1e-9
+
+    def test_cutoff_error_moves_to_the_first_read(self):
+        # the trust-radius check runs where the lattice is sampled: at the first read of
+        # values; the exact route never reads them
+        cf = qe.charfunc_grid(fc.make_fock(5, 5), S0)
+        qe.quasiprob_transform(cf)
+        with pytest.raises(CutoffTooSmall):
+            cf.values
+
+    def test_leakage_beyond_the_builders_cap_raises(self):
+        obj = fc.save_state(fc.make_fock(1, 10))
+        obj["leakage"] = 1e-6
+        rho = fc.load_state(obj)
+        with pytest.raises(CutoffTooSmall):
+            qe.quasiprob_pointwise(rho, 0.3, -0.5)
+        with pytest.raises(CutoffTooSmall):
+            qe.quasiprob_transform(qe.charfunc_grid(rho, S0))
+
+    def test_occupied_top_level_without_leakage_is_exact(self):
+        grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(3, 3), FilterSpec.s_param(-0.5)))
+        want = fock_ps(3, grid.axis + 1j * grid.axis[:, None], -0.5)
+        assert np.max(np.abs(grid.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(beta=disk(2.0), cutoff=st.integers(2, 14), s=S_LEQ_0, alpha=ALPHAS)
+    @settings(max_examples=40, deadline=None)
+    def test_leakage_bound_holds(self, beta, cutoff, s, alpha):
+        # truncate a coherent state to cutoff + 1 levels and renormalize: P_s moves by at
+        # most (2 / (pi (1-s))) (2 sqrt(eps) + 2 eps), eps the trace it lost, summed from the
+        # levels it drops (1 - trace rounds a loss below 1e-16 to 0, where the coherences
+        # still move P_s by about sqrt(eps))
+        full = fc.make_coherent(beta, 60)
+        block = full.entries[: cutoff + 1, : cutoff + 1]
+        eps = float(full.entries.diagonal()[cutoff + 1:].real.sum())
+        cut = fc.DensityMatrix(cutoff + 1, block / block.trace().real)
+        moved = np.abs(qe.quasiprob_pointwise(cut, alpha, s) - qe.quasiprob_pointwise(full, alpha, s))
+        bound = 2 / (np.pi * (1 - s)) * (2 * np.sqrt(eps) + 2 * eps)
+        assert np.max(moved) <= bound + 1e-15
+
+
 @pytest.fixture
 def cold(monkeypatch):
     """Empty grid tables: no Q rows held, no sorted radii."""
@@ -438,7 +565,7 @@ class TestGridTables:
         rho = random_density(12, occupied=11)
         qe.q_function(rho, self.Q_GRID)
         x = np.abs(qe.lattice(6.0, 128)[1][:64, :64].ravel()) ** 2
-        qe.charfunc_grid(rho, S0)
+        qe.charfunc_grid(rho, S0).values
         assert pf._distinct.cache_info().currsize == 1
         for table in (qe._q_rows[1], *pf._distinct(x.tobytes())):
             assert not table.flags.writeable
