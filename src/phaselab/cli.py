@@ -98,14 +98,15 @@ def _finite_or_null(value: float) -> float | None:
 
 
 def _csv(header: list[str], rows) -> tuple[str]:
-    lines = [",".join(header), *(",".join(f"{v:.15g}" for v in row) for row in rows)]
+    fmt = ",".join(["%.15g"] * len(header))
+    lines = [",".join(header), *(fmt % tuple(row) for row in rows)]
     return ("\n".join(lines) + "\n",)
 
 
 def _lattice_csv(header: list[str], axis, *columns) -> tuple[str]:
     """CSV rows (Re, Im, *columns) over the square lattice of ``axis``, in its values' order."""
     x, y = np.meshgrid(axis, axis)
-    return _csv(header, zip(x.ravel(), y.ravel(), *columns))
+    return _csv(header, np.column_stack([x.ravel(), y.ravel(), *columns]).tolist())
 
 
 def _json(payload, indent=None) -> tuple[str]:

@@ -8,6 +8,7 @@ requested beta raises NonFiniteArgument, with no warning.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, lgamma, log, sqrt
@@ -130,6 +131,35 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
         )
 
 
+@lru_cache(maxsize=16)
+def _axis(extent: float, points: int) -> np.ndarray:
+    """linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of
+    an odd axis; read-only."""
+    half = np.linspace(-extent, extent, points)[: points // 2]
+    axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
+    axis.setflags(write=False)
+    return axis
+
+
+# (extent, points) of each mesh lattice() keeps, by its id, dropped when the mesh is freed
+_kept_meshes: dict[int, tuple[float, int]] = {}
+
+
+@lru_cache(maxsize=16)
+def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
+    exactly antisymmetric (``_axis``), so the mesh is exactly closed under b -> ib and the
+    band kernel evaluates each four-point rotation orbit once. Both depend only on
+    (extent, points), so they are built once per pair and shared as read-only arrays."""
+    axis = _axis(extent, points)
+    x, y = np.meshgrid(axis, axis)
+    mesh = x + 1j * y
+    mesh.setflags(write=False)
+    _kept_meshes[id(mesh)] = extent, points
+    weakref.finalize(mesh, _kept_meshes.pop, id(mesh))
+    return axis, mesh
+
+
 @lru_cache(maxsize=8)
 def _distinct(r2: bytes) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique`` of the squared radii (float64 bytes) of a point set with its inverse,
@@ -140,12 +170,16 @@ def _distinct(r2: bytes) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inv
 
 
-def _radial(dim: int, r2: np.ndarray, scale=1.0, q=1.0):
-    """(distinct, inv, rows) for a banded operator on dim levels at points of squared radius
-    r2: r2[i] is distinct[inv[i]], and ``rows(k)`` builds band k's rows
+def _radii(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inv), r2 = distinct[inv]; a single point (figure 3's alpha) is not sorted."""
+    return (r2, np.zeros(1, np.intp)) if r2.size == 1 else _distinct(r2.tobytes())
+
+
+def _radial(dim: int, radii: tuple[np.ndarray, np.ndarray], scale=1.0, q=1.0):
+    """(distinct, inv, rows) for a banded operator on dim levels at the ``_radii`` (distinct,
+    inv) of its points' squared radii: ``rows(k)`` builds band k's rows
     q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale distinct, for n < dim - k."""
-    # a single point needs no sort: figure 3 evaluates one alpha on its stack of states
-    distinct, inv = (r2, np.zeros(1, np.intp)) if r2.size == 1 else _distinct(r2.tobytes())
+    distinct, inv = radii
     y = scale * distinct
     first = [1.0]  # 1 / sqrt(k!)
     for k in range(1, dim):
@@ -181,7 +215,7 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
     x = np.abs(beta) ** 2
-    _, inv, rows = _radial(dim, x)
+    _, inv, rows = _radial(dim, _radii(x))
     out = np.empty((dim, dim, beta.size), dtype=complex)
     lower = np.exp(-x / 2).astype(complex)
     for k in range(dim):
@@ -193,14 +227,14 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q) -> list:
+def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
     the flat points p for the Hermitian part h of each matrix of a stack e (m, d, d); each
     Z_j is (m, p.size), and None for j > 0 when no band of its class is held.
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
     r2 = |p|^2. Per band, the sums over n are one matrix product of the band's rows at the
-    distinct radii with the band of 2h, times pref there, mapped to the points by ``inv``.
+    distinct radii with the band of 2h, times pref there, mapped to the points by ``radii``.
     A class is summed by Horner in (c p)^4 from its highest band down, then multiplied by
     (c p)^j once. Memory stays O(p.size) per matrix, with one band's rows at a time; a band
     that every matrix holds as zero is skipped, and bands past the last one held are never
@@ -219,7 +253,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q) -> list:
     two_h = np.zeros((d, d, m + m % 2), dtype=complex)
     two_h[..., :m] = (e + e.conj().swapaxes(1, 2)).transpose(1, 2, 0)
     two_h[np.diag_indices(d)] *= 0.5
-    distinct, inv, band_rows = _radial(d, np.abs(p) ** 2, scale, q)
+    distinct, inv, band_rows = _radial(d, radii, scale, q)
     radial = pref(distinct)[:, None]
     size = p.size
     if size == 1:
@@ -251,6 +285,27 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q) -> list:
     return [z if z is None else z[:, :size] for z in sums]
 
 
+def _orbits(p: np.ndarray) -> tuple:
+    """(closed, n, rows, cols, block, radii) of the flat points p. If p reads as an n x n mesh
+    m with rot90(m) = i m, ``block`` is one point of each rotation orbit: rows < n // 2 and
+    columns < n - n // 2 of m, then the centre of an odd mesh. Else ``block`` is p."""
+    n = isqrt(p.size)
+    mesh = p.reshape(n, n) if n > 1 and n * n == p.size else None
+    # mesh[:, ::-1].T is np.rot90(mesh): the point at row i, column j is i times mesh[i, j]
+    closed = mesh is not None and np.array_equal(mesh[:, ::-1].T, 1j * mesh)
+    rows, cols = (n // 2, n - n // 2) if closed else (1, p.size)
+    block = np.concatenate([mesh[:rows, :cols].ravel(), p[p.size // 2:][: n % 2]]) if closed else p
+    return closed, n, rows, cols, block, _radii(np.abs(block) ** 2)
+
+
+@lru_cache(maxsize=16)
+def _lattice_orbits(extent: float, points: int) -> tuple:
+    """``_orbits`` of ``lattice(extent, points)``, read-only: about 0.1 MB for 4:129."""
+    orbits = _orbits(lattice(extent, points)[1].ravel())
+    orbits[4].setflags(write=False)
+    return orbits
+
+
 def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q=1.0):
     """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of each square
     matrix of a stack e (..., d, d); shape (..., p.size), complex for sign -1, real for +1.
@@ -263,19 +318,15 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     four points of a rotation orbit get Re(Z_0 + Z_2) +- Part(Z_1 + Z_3) at +-p and
     Re(Z_0 - Z_2) +- Part(i (Z_1 - Z_3)) at +-i p.
     When p reads as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh does,
-    the kernel sees one point of each orbit: the block of rows < n // 2 and columns
-    < n - n // 2, and after it the centre of an odd mesh, its own orbit. The four values
-    are written through the ``np.rot90`` views of the result. Any other p gets every point.
+    the kernel sees one point of each orbit (``_orbits``), and the four values are written
+    through the ``np.rot90`` views of the result. Any other p gets every point.
     """
     *lead, d = e.shape[:-1]
     e = e.reshape(-1, d, d)
-    n = isqrt(p.size)
-    mesh = p.reshape(n, n) if n > 1 and n * n == p.size else None
-    # mesh[:, ::-1].T is np.rot90(mesh): the point at row i, column j is i times mesh[i, j]
-    closed = mesh is not None and np.array_equal(mesh[:, ::-1].T, 1j * mesh)
-    rows, cols = (n // 2, n - n // 2) if closed else (1, p.size)
-    block = np.concatenate([mesh[:rows, :cols].ravel(), p[p.size // 2:][: n % 2]]) if closed else p
-    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q)
+    key = _kept_meshes.get(id(p.base))  # all of a kept mesh, in its order: orbits kept
+    kept = key is not None and p.flags.c_contiguous and p.size == p.base.size
+    closed, n, rows, cols, block, radii = _lattice_orbits(*key) if kept else _orbits(p)
+    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2

@@ -20,7 +20,7 @@ from .errors import ImaginaryResidue, SingularPFunction
 from .fock_core import LEAKAGE_TOL, DensityMatrix, coherent_leakage, coherent_vector
 from .fock_core import effective_dim, require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _band_trace
+from .phase_filters import _axis, _band_trace, lattice
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -78,29 +78,6 @@ class QuasiProbGrid:
         return float(self.values[i, i])
 
 
-@lru_cache(maxsize=16)
-def _axis(extent: float, points: int) -> np.ndarray:
-    """linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of
-    an odd axis; read-only."""
-    half = np.linspace(-extent, extent, points)[: points // 2]
-    axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
-    axis.setflags(write=False)
-    return axis
-
-
-@lru_cache(maxsize=16)
-def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
-    exactly antisymmetric (``_axis``), so the mesh is exactly closed under b -> ib and the
-    band kernel evaluates each four-point rotation orbit once. Both depend only on
-    (extent, points), so they are built once per pair and shared as read-only arrays."""
-    axis = _axis(extent, points)
-    x, y = np.meshgrid(axis, axis)
-    mesh = x + 1j * y
-    mesh.setflags(write=False)
-    return axis, mesh
-
-
 def charfunc_grid(rho: DensityMatrix, f: FilterSpec, extent: float = 6.0,
                   points: int = 128) -> CharFuncGrid:
     """Phi_Omega on a square beta lattice: the axis now, the values (and the mesh) when
@@ -124,7 +101,7 @@ def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int)
     axis (its float64 bytes). They do not depend on Phi, so they are built
     once per lattice pair and shared as read-only arrays."""
     b = np.frombuffer(beta_axis)
-    alpha_axis = lattice(alpha_extent, alpha_points)[0]
+    alpha_axis = _axis(alpha_extent, alpha_points)
     # kernel e^{b*a - b a*} = exp(2i (Re b . Im a - Im b . Re a)); rows of the
     # value array run over Im b, columns over Re b
     m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
@@ -139,27 +116,25 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     """P_Omega(alpha) = (1/pi^2) int d^2b Phi_Omega(b) e^{b*a - b a*}.
 
     A grid with a ``source`` and an s-family filter with s <= 0 is answered exactly from
-    the source, ``quasiprob_pointwise`` on the alpha lattice, and its values are never
-    sampled. Any other grid (s > 0, a series filter, no source) is Fourier-summed.
+    the source, ``quasiprob_pointwise`` on the alpha lattice, and its values and beta axis
+    are never read. Any other grid (s > 0, a series filter, no source) is Fourier-summed,
+    on a beta axis of 2 points or more within the Nyquist bound pi / (2 alpha_extent).
     """
     if cf.ndim != 2:
         raise DimensionMismatch("quasiprob_transform supports single-mode grids")
-    if len(cf.axis) < 2 or alpha_points < 2 or not 0 < alpha_extent < np.inf:
-        raise GridTooCoarse(
-            f"beta grid of {len(cf.axis)} points, alpha grid {alpha_extent}:{alpha_points}: "
-            "both need at least 2 steps and the alpha extent must be > 0"
-        )
-    step = float(cf.axis[1] - cf.axis[0])
-    if step > pi / (2 * alpha_extent):
-        raise GridTooCoarse(
-            f"beta step {step:.4f} exceeds the Nyquist bound "
-            f"{pi / (2 * alpha_extent):.4f} for extent {alpha_extent}"
-        )
+    if alpha_points < 2 or not 0 < alpha_extent < np.inf:
+        raise GridTooCoarse(f"alpha grid {alpha_extent}:{alpha_points} needs at least 2 steps "
+                            "and an extent > 0")
     s = cf.filter.as_s()
     if cf.source is not None and s is not None and s <= 0:
         alpha_axis, alphas = lattice(float(alpha_extent), int(alpha_points))
         values, residue = quasiprob_pointwise(cf.source, alphas, s), 0.0
     else:
+        step = float(cf.axis[1] - cf.axis[0]) if len(cf.axis) > 1 else np.inf
+        if step > pi / (2 * alpha_extent):
+            raise GridTooCoarse(f"beta axis of {len(cf.axis)} points, step {step:.4f}: the "
+                                "Fourier sum needs 2 or more and a step within the Nyquist "
+                                f"bound {pi / (2 * alpha_extent):.4f} for extent {alpha_extent}")
         if s is None or s > 0:
             edge = np.concatenate(
                 [cf.values[0, :], cf.values[-1, :], cf.values[:, 0], cf.values[:, -1]]
@@ -184,24 +159,31 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     return QuasiProbGrid(alpha_axis, values, cf.filter, cf.source, volume, residue)
 
 
-# the coherent rows of the last grid q_function evaluated: (its points' bytes, read-only
-# c_n(alpha) for the most levels asked of that grid so far, levels on the last axis)
-_q_rows: tuple[bytes, np.ndarray] | None = None
+# per row builder, (the bytes of the last points, their read-only rows: points x levels)
+_kept_rows: dict[Callable, tuple[bytes, np.ndarray]] = {}
 
 
-def _coherent_rows(a: np.ndarray, levels: int) -> np.ndarray:
-    """c_n(a) for n < levels at the flat points a; points x levels. c_n does not depend on
-    the cutoff, so the rows of one grid are built once for the most levels asked of it and
-    fewer levels are a slice. A single point is not kept."""
-    global _q_rows
-    if a.size < 2:
-        return coherent_vector(a, levels - 1)
-    key, held = a.tobytes(), _q_rows
+def _rows(build: Callable, x: np.ndarray, levels: int) -> np.ndarray:
+    """build(x, levels - 1), rows n < levels at the flat points x, as points x levels. Row n
+    does not depend on the levels built, so the rows of one point set are built once for
+    the most levels asked of it and fewer levels are a slice. A single point is not kept."""
+    if x.size < 2:
+        return build(x, levels - 1)
+    key, held = x.tobytes(), _kept_rows.get(build)
     if held is None or held[0] != key or held[1].shape[1] < levels:
-        rows = coherent_vector(a, levels - 1)
+        rows = build(x, levels - 1)
         rows.setflags(write=False)
-        held = _q_rows = key, rows
+        held = _kept_rows[build] = key, rows
     return held[1][:, :levels]
+
+
+def _hermite_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
+    """psi_n(x) for n <= cutoff, Hermite functions of variance-1/4 quadratures; points x levels."""
+    psi = np.zeros((cutoff + 1, x.size))
+    psi[0] = (2 / pi) ** 0.25 * np.exp(-x * x)
+    for n in range(1, cutoff + 1):  # at n = 1 the row psi[-1] is still zero
+        psi[n] = (2 * x * psi[n - 1] - np.sqrt(n - 1) * psi[n - 2]) / np.sqrt(n)
+    return psi.T
 
 
 def q_function(rho: DensityMatrix, alpha):
@@ -221,7 +203,7 @@ def q_function(rho: DensityMatrix, alpha):
                 f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
             )
     d = effective_dim(occ)
-    c = _coherent_rows(alpha_arr.ravel(), d)  # points x levels
+    c = _rows(coherent_vector, alpha_arr.ravel(), d)  # points x levels
     vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals
@@ -281,7 +263,7 @@ def quadrature_distribution(wigner: QuasiProbGrid, phase: float) -> list[tuple[f
     grid's axis, with rho the state the s = 0 grid was computed from.
 
     It is sum_mn rho_mn psi_m(x) psi_n(x) e^{i(n-m) phase}, with psi_n the Hermite
-    functions of variance-1/4 quadratures from their three-term recurrence.
+    functions of variance-1/4 quadratures (``_hermite_rows``), kept per axis.
     """
     if wigner.filter.as_s() != 0:
         raise DimensionMismatch("quadrature marginal requires an s = 0 grid")
@@ -290,10 +272,6 @@ def quadrature_distribution(wigner: QuasiProbGrid, phase: float) -> list[tuple[f
         raise DimensionMismatch("quadrature marginal needs the grid's source state")
     d = effective_dim(rho.occupations[0])
     x = wigner.axis
-    psi = np.zeros((d, x.size))
-    psi[0] = (2 / pi) ** 0.25 * np.exp(-x * x)
-    for n in range(1, d):  # at n = 1 the row psi[-1] is still zero
-        psi[n] = (2 * x * psi[n - 1] - np.sqrt(n - 1) * psi[n - 2]) / np.sqrt(n)
-    v = psi * np.exp(-1j * phase * np.arange(d))[:, None]
+    v = _rows(_hermite_rows, x, d).T * np.exp(-1j * phase * np.arange(d))[:, None]
     dens = (v * (rho.entries[:d, :d] @ v.conj())).sum(axis=0).real
     return list(zip(x.tolist(), dens.tolist()))

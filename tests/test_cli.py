@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaselab
 from phaselab import classical_fields as cf
@@ -426,6 +428,28 @@ class TestPipelines:
         assert coords == [[f"{a:.15g}", f"{b:.15g}"] for a, b in zip(x.ravel(), y.ravel())]
         values = np.array(coords, dtype=float)
         assert np.array_equal(values[::-1], -values)
+
+
+# every float, with -0.0, subnormals and 1e16 (where %.15g turns to exponent form) drawn often
+CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e16, -1e16, 1e16 + 2])
+
+
+class TestCsvRows:
+    @given(rows=st.lists(st.lists(CSV_FLOATS, min_size=3, max_size=3), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_per_value_join(self, rows):
+        # one %-format per row gives the text of one f-string per value, for Python floats
+        # (figure3's rows) and numpy scalars (the lattice columns)
+        header = ["a", "b", "c"]
+        (got,) = cli._csv(header, rows)
+        assert got == "\n".join([",".join(header), *(",".join(f"{v:.15g}" for v in row)
+                                                     for row in rows)]) + "\n"
+        axis = np.array([r[0] for r in rows])
+        columns = np.array([r[1:] for r in rows] * len(rows)).reshape(-1, 2).T
+        x, y = np.meshgrid(axis, axis)
+        (got,) = cli._lattice_csv(header + ["d"], axis, *columns)
+        want = [",".join(f"{v:.15g}" for v in row) for row in zip(x.ravel(), y.ravel(), *columns)]
+        assert got == "\n".join(["a,b,c,d", *want]) + "\n"
 
 
 class TestStateFiles:

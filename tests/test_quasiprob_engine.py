@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from math import comb, factorial
 
@@ -91,6 +92,13 @@ class TestTransform:
         expected = (2 / np.pi) * np.exp(-2 * (x**2 + y**2))
         assert np.max(np.abs(grid.values - expected)) < 1e-6
 
+    def test_fourier_vacuum_wigner_closed_form(self):
+        # the same oracle on the lattice route: the 6:128 grid without its source
+        grid = qe.quasiprob_transform(replace(qe.charfunc_grid(fc.make_fock(0, 20), S0), source=None))
+        x, y = np.meshgrid(grid.axis, grid.axis)
+        expected = (2 / np.pi) * np.exp(-2 * (x**2 + y**2))
+        assert np.max(np.abs(grid.values - expected)) < 1e-6
+
     def test_single_photon_origin(self):
         grid = wigner_grid(fc.make_fock(1, 20))
         assert grid.at_origin() == pytest.approx(-2 / np.pi, abs=1e-6)
@@ -119,7 +127,7 @@ class TestTransform:
     def test_nyquist_guard(self):
         cf = qe.charfunc_grid(fc.make_fock(0, 20), S0, extent=6.0, points=16)
         with pytest.raises(GridTooCoarse):
-            qe.quasiprob_transform(cf, alpha_extent=4.0)
+            qe.quasiprob_transform(replace(cf, source=None), alpha_extent=4.0)
 
     @pytest.mark.parametrize("extent, points", [(4.0, 1), (4.0, 0), (0.0, 129)])
     def test_degenerate_alpha_grid(self, extent, points):
@@ -131,16 +139,53 @@ class TestTransform:
     def test_one_point_beta_lattice(self):
         cf = qe.charfunc_grid(fc.make_fock(0, 20), S0, extent=6.0, points=1)
         with pytest.raises(GridTooCoarse):
+            qe.quasiprob_transform(replace(cf, source=None))
+
+    @pytest.mark.parametrize("extent, points", [(6.0, 1), (6.0, 16), (60.0, 128)])
+    def test_exact_route_reads_no_beta_axis(self, extent, points):
+        # a sourced s <= 0 grid is answered on the alpha lattice: a one-point or sub-Nyquist
+        # beta axis gives the default grid bit for bit
+        for rho, s in [(fc.make_fock(0, 20), 0.0), (random_density(12, occupied=11), -0.6)]:
+            f = FilterSpec.s_param(s)
+            got = qe.quasiprob_transform(qe.charfunc_grid(rho, f, extent, points))
+            want = qe.quasiprob_transform(qe.charfunc_grid(rho, f))
+            assert np.array_equal(got.values, want.values)
+            assert got.volume_integral == want.volume_integral
+
+    @pytest.mark.parametrize("points", [1, 16])
+    @pytest.mark.parametrize("f", [FilterSpec.s_param(0.5),
+                                   FilterSpec.general({(1, 1): -0.25, (2, 2): -0.01})],
+                             ids=["s>0", "series"])
+    def test_fourier_route_checks_its_beta_axis(self, f, points):
+        cf = qe.charfunc_grid(fc.make_fock(0, 20), f, extent=6.0, points=points)
+        with pytest.raises(GridTooCoarse):
             qe.quasiprob_transform(cf)
+        assert "values" not in vars(cf)  # rejected before the lattice is sampled
 
     def test_volume_integral(self):
         for rho in [fc.make_fock(0, 20), fc.make_fock(1, 20), fc.make_thermal(0.8, 40)]:
             assert wigner_grid(rho).volume_integral == pytest.approx(1.0, abs=1e-3)
 
+    def test_fourier_volume_integral(self):
+        for rho in [fc.make_fock(0, 20), fc.make_fock(1, 20), fc.make_thermal(0.8, 40)]:
+            cf = replace(qe.charfunc_grid(rho, S0), source=None)
+            assert qe.quasiprob_transform(cf).volume_integral == pytest.approx(1.0, abs=1e-3)
+
     def test_q_transform_matches_closed_form(self):
         rng = np.random.default_rng(31)
         rho = random_density(10, occupied=5, rng=rng)
         cf = qe.charfunc_grid(rho, SQ, extent=7.0, points=160)
+        grid = qe.quasiprob_transform(cf)
+        x, y = np.meshgrid(grid.axis, grid.axis)
+        alphas = x + 1j * y
+        mask = np.abs(alphas) <= 2.0
+        direct = qe.q_function(fc.embed(rho, 26), alphas[mask])
+        assert np.max(np.abs(grid.values[mask] - direct)) < 1e-6
+
+    def test_fourier_q_transform_matches_closed_form(self):
+        # the same oracle on the lattice route: the 7:160 grid at s = -1 without its source
+        rho = random_density(10, occupied=5, rng=np.random.default_rng(31))
+        cf = replace(qe.charfunc_grid(rho, SQ, extent=7.0, points=160), source=None)
         grid = qe.quasiprob_transform(cf)
         x, y = np.meshgrid(grid.axis, grid.axis)
         alphas = x + 1j * y
@@ -521,18 +566,24 @@ class TestExactRoute:
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Empty grid tables: no Q rows held, no sorted radii."""
+    """Empty grid tables: no Q or Hermite rows held, no sorted radii, no orbit geometry."""
     def clear():
-        monkeypatch.setattr(qe, "_q_rows", None)
+        monkeypatch.setattr(qe, "_kept_rows", {})
         pf._distinct.cache_clear()
+        pf._lattice_orbits.cache_clear()
 
     clear()
     return clear
 
 
+def q_rows():
+    return qe._kept_rows[qe.coherent_vector]
+
+
 class TestGridTables:
     """Tables that depend only on the grid are built once and shared read-only: the Q rows
-    of the last grid and the sorted radii of the last 8 point sets."""
+    of the last grid, the Hermite rows of the last axis, the sorted radii of the last 8
+    point sets and the orbit geometry of the last 16 kept lattices."""
 
     Q_AXIS = np.linspace(-1.25, 1.25, 25)
     Q_GRID = Q_AXIS[None, :] + 1j * Q_AXIS[:, None]
@@ -542,24 +593,24 @@ class TestGridTables:
                   random_density(21, occupied=4, rng=np.random.default_rng(2)),
                   random_density(32, occupied=31, rng=np.random.default_rng(3))]
         warm = [qe.q_function(rho, self.Q_GRID) for rho in states]
-        assert qe._q_rows[1].shape == (625, 31)
+        assert q_rows()[1].shape == (625, 31)
         for rho, got in zip(states, warm):
             cold()
             assert np.array_equal(got, qe.q_function(rho, self.Q_GRID))
 
     def test_more_levels_rebuild_the_rows(self, cold):
         qe.q_function(fc.make_fock(3, 20), self.Q_GRID)
-        assert qe._q_rows[1].shape == (625, 4)
+        assert q_rows()[1].shape == (625, 4)
         qe.q_function(random_density(12, occupied=11), self.Q_GRID)
-        assert qe._q_rows[1].shape == (625, 11)
+        assert q_rows()[1].shape == (625, 11)
 
     @pytest.mark.parametrize("alpha", [0.3 + 0.1j, np.array([0.3 + 0.1j]), np.zeros(0)])
     def test_single_point_leaves_the_q_rows_alone(self, cold, alpha):
         rho = random_density(12, occupied=11)
         qe.q_function(rho, self.Q_GRID)
-        held = qe._q_rows
+        held = q_rows()
         qe.q_function(rho, alpha)
-        assert qe._q_rows is held
+        assert q_rows() is held
 
     def test_tables_are_read_only(self, cold):
         rho = random_density(12, occupied=11)
@@ -567,7 +618,7 @@ class TestGridTables:
         x = np.abs(qe.lattice(6.0, 128)[1][:64, :64].ravel()) ** 2
         qe.charfunc_grid(rho, S0).values
         assert pf._distinct.cache_info().currsize == 1
-        for table in (qe._q_rows[1], *pf._distinct(x.tobytes())):
+        for table in (q_rows()[1], *pf._distinct(x.tobytes())):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -585,13 +636,62 @@ class TestGridTables:
         assert np.array_equal(got_cf, pf.symmetric_charfunc(rho, alpha))
 
     def test_every_s_shares_one_sort(self, cold):
+        # a kept mesh reads its sort from its orbit geometry, built on the first s; a copy of
+        # it is another point set, whose sort _distinct finds by the bytes of its radii
         rho = random_density(8, occupied=7)
         mesh = qe.lattice(6.0, 128)[1]
         got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.3, -0.7)]
+        orbits, info = pf._lattice_orbits.cache_info(), pf._distinct.cache_info()
+        assert (orbits.currsize, orbits.misses, orbits.hits) == (1, 1, 1)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        copied = [qe.quasiprob_pointwise(rho, mesh.copy(), s) for s in (-0.3, -0.7)]
         info = pf._distinct.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
         cold()
         assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, mesh, -0.7))
+        assert all(np.array_equal(a, b) for a, b in zip(got, copied))
+
+    def test_kept_mesh_geometry_is_built_once(self, cold, monkeypatch):
+        # the orbit geometry of a kept lattice() mesh is built on its first kernel call and
+        # found by the mesh's identity after that; a copy, or a view of the mesh that
+        # reverses or drops points, is another point set, decomposed on every call
+        calls = []
+        orbits = pf._orbits
+        monkeypatch.setattr(pf, "_orbits", lambda p: calls.append(p.size) or orbits(p))
+        rho = random_density(12, occupied=11)
+        e = rho.entries[:11, :11]
+        mesh = qe.lattice(4.0, 129)[1]
+        got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.2, -0.2, -1.0)]
+        assert calls == [mesh.size] and np.array_equal(got[0], got[1])
+        assert not pf._lattice_orbits(4.0, 129)[4].flags.writeable
+        flat = mesh.ravel()
+        for points in (flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
+            want = qe._pointwise(e, points.copy(), -0.2)
+            calls.clear()
+            assert np.array_equal(qe._pointwise(e, points, -0.2), want)
+            assert calls == [points.size]
+
+    def test_kept_mesh_entry_goes_with_the_mesh(self):
+        mesh = qe.lattice(2.5, 11)[1]
+        key = id(mesh)
+        assert pf._kept_meshes[key] == (2.5, 11)
+        pf.lattice.cache_clear()
+        del mesh
+        gc.collect()
+        assert key not in pf._kept_meshes
+
+    def test_hermite_rows_for_fewer_levels_are_a_slice(self, cold):
+        # the marginal's psi_n(x) on the grid's axis, kept for the most levels asked of it: a
+        # state on 31 levels, then 4 (a slice), then 31; each as from a fresh build
+        states = [fc.make_thermal(0.7, 30), fc.make_fock(3, 20), fc.make_coherent(1.2 + 0.5j, 30)]
+        grids = [wigner_grid(rho) for rho in states]
+        warm = [qe.quadrature_distribution(grid, 0.7) for grid in grids]
+        key, rows = qe._kept_rows[qe._hermite_rows]
+        assert key == grids[0].axis.tobytes() and rows.shape == (129, 31)
+        assert not rows.flags.writeable
+        for grid, got in zip(grids, warm):
+            cold()
+            assert qe.quadrature_distribution(grid, 0.7) == got
 
     def test_tables_stay_bounded(self, cold):
         rho = random_density(8, occupied=7)
@@ -599,8 +699,9 @@ class TestGridTables:
             mesh = qe.lattice(1.0 + i / 10, 20 + i)[1]
             qe.q_function(rho, mesh)
             pf.symmetric_charfunc(rho, mesh)
-            assert qe._q_rows[0] == mesh.tobytes()
+            assert q_rows()[0] == mesh.tobytes()
             assert pf._distinct.cache_info().currsize == min(i + 1, 8)
+            assert pf._lattice_orbits.cache_info().currsize == i + 1
 
 
 class TestAttenuatedPhotonWigner:
