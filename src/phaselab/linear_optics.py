@@ -37,17 +37,20 @@ def _blocks(dim: int, bs: BeamSplitterParams) -> list[tuple[np.ndarray, np.ndarr
     m = bs.matrix()
     full = np.ones((1, 1), dtype=complex)
     blocks = [(np.zeros(1, dtype=int), full)]
+    # sqrt(j) and M00, M10, M01, M11 times it, for j < 2 dim - 1: block N reads its
+    # sqrt(j) and sqrt(N-j) columns as slices, forward and reversed
+    root = np.sqrt(np.arange(2 * dim - 1))
+    table = np.array([m[0, 0], m[1, 0], m[0, 1], m[1, 1]])[:, None, None] * root[:, None]
     for n in range(1, 2 * dim - 1):
         # q[a, b] = U_{N-1}[a-1, b-1], zero outside the block
         q = np.zeros((n + 2, n + 2), dtype=complex)
         q[1:-1, 1:-1] = full
         lo, hi = slice(0, n + 1), slice(1, n + 2)
-        s = np.sqrt(np.arange(n + 1))
-        sn = s[::-1]
-        full = (
-            s * (m[0, 0] * s[:, None] * q[lo, lo] + m[1, 0] * sn[:, None] * q[hi, lo])
-            + sn * (m[0, 1] * s[:, None] * q[lo, hi] + m[1, 1] * sn[:, None] * q[hi, hi])
-        ) / n
+        s, sn = root[: n + 1], root[n::-1]
+        m00, m01 = table[0, : n + 1], table[2, : n + 1]
+        m10, m11 = table[1, n::-1], table[3, n::-1]
+        full = (s * (m00 * q[lo, lo] + m10 * q[hi, lo])
+                + sn * (m01 * q[lo, hi] + m11 * q[hi, hi])) / n
         k0, k1 = max(0, n - dim + 1), min(n, dim - 1) + 1
         k = np.arange(k0, k1)
         blocks.append((k * dim + n - k, full[k0:k1, k0:k1]))

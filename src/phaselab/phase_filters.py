@@ -17,6 +17,7 @@ from numbers import Integral, Number, Real
 import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedFile
+from .errors import NonFiniteArgument
 from .fock_core import DensityMatrix, effective_dim, json_number, require_finite
 
 TAIL_TOL = 1e-12
@@ -134,7 +135,10 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
 @lru_cache(maxsize=16)
 def _axis(extent: float, points: int) -> np.ndarray:
     """linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of
-    an odd axis; read-only."""
+    an odd axis; read-only. An extent whose double is not finite (linspace spans it) raises
+    NonFiniteArgument, so every axis and mesh made from one is finite."""
+    if not np.isfinite(2.0 * extent):
+        raise NonFiniteArgument(f"lattice extent {extent} must be finite, and twice it too")
     half = np.linspace(-extent, extent, points)[: points // 2]
     axis = np.concatenate([half, [0.0] * (points % 2), -half[::-1]])
     axis.setflags(write=False)
@@ -150,7 +154,8 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
     exactly antisymmetric (``_axis``), so the mesh is exactly closed under b -> ib and the
     band kernel evaluates each four-point rotation orbit once. Both depend only on
-    (extent, points), so they are built once per pair and shared as read-only arrays."""
+    (extent, points), so they are built once per pair and shared as read-only arrays; every
+    mesh kept is finite (``_axis``), so the kernel's callers do not scan it again."""
     axis = _axis(extent, points)
     x, y = np.meshgrid(axis, axis)
     mesh = x + 1j * y
@@ -158,6 +163,20 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     _kept_meshes[id(mesh)] = extent, points
     weakref.finalize(mesh, _kept_meshes.pop, id(mesh))
     return axis, mesh
+
+
+def _kept(p: np.ndarray) -> tuple[float, int] | None:
+    """(extent, points) when p is a mesh that ``lattice()`` keeps, or all of one in its order
+    (a C-contiguous view of the same size), else None: found by identity, never hashed."""
+    mesh = p if id(p) in _kept_meshes else p.base
+    key = _kept_meshes.get(id(mesh))
+    return key if key is not None and p.flags.c_contiguous and p.size == mesh.size else None
+
+
+def _finite_points(value, name: str) -> np.ndarray:
+    """``require_finite(value, name)``, with no scan of a mesh that ``_kept`` finds."""
+    arr = np.asarray(value, dtype=complex)
+    return arr if _kept(arr) else require_finite(arr, name)
 
 
 @lru_cache(maxsize=8)
@@ -211,6 +230,41 @@ def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np
     return lag
 
 
+# the recurrence runs on the anchor bands k = 0 mod 3 only, and bands k + 1 and k + 2 are
+# folded onto the anchor's rows, one and two steps up. A fixed rule, chosen for accuracy:
+# against mpmath on dense states at s = 0 the folded kernel is as accurate as one recurrence
+# per band, while three steps (anchors 4 apart) double the worst error at 60 levels
+ANCHOR_SPACING = 3
+
+
+@lru_cache(maxsize=4)
+def _fold_weights(dim: int) -> np.ndarray:
+    """S[i, a - 1, n, j] for the anchors k = 3 i < dim and a = 1, 2 steps: the part of the
+    fold T^(a) (``_class_sums``) that does not depend on q, (dim, dim) padded, read-only.
+
+    S = (n - j + 1)^(a - 1) sqrt(prod_{t=j+1..n} t / (t+k+a) / prod_{i=1..a} (j+k+i)) for
+    j <= n, else 0: one running product per column under one square root.
+    """
+    k = np.arange(0, dim, ANCHOR_SPACING)[:, None, None, None]
+    a = np.arange(1, 3)[:, None, None]
+    n, j = np.arange(dim)[:, None], np.arange(dim)
+    rising = (j + k + 1.0) * np.where(a == 2, j + k + 2.0, 1.0)
+    steps = np.where(n > j, n / (n + k + a), np.where(n == j, 1 / rising, 1.0))
+    binomial = np.where(n >= j, (n - j + 1.0) ** (a - 1), 0.0)
+    weights = np.sqrt(np.cumprod(steps, axis=2)) * binomial
+    weights.setflags(write=False)
+    return weights
+
+
+def _folds(dim: int, q: float) -> np.ndarray:
+    """T^(a)[i, a - 1, n, j] = q^(n-j) S[i, a - 1, n, j], the ``_fold_weights`` at q."""
+    weights = _fold_weights(dim)
+    if q == 1:
+        return weights
+    lag = np.arange(dim)
+    return weights * q ** np.maximum(lag[:, None] - lag, 0)
+
+
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
@@ -233,12 +287,17 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     Z_j is (m, p.size), and None for j > 0 when no band of its class is held.
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
-    r2 = |p|^2. Per band, the sums over n are one matrix product of the band's rows at the
-    distinct radii with the band of 2h, times pref there, mapped to the points by ``radii``.
-    A class is summed by Horner in (c p)^4 from its highest band down, then multiplied by
-    (c p)^j once. Memory stays O(p.size) per matrix, with one band's rows at a time; a band
-    that every matrix holds as zero is skipped, and bands past the last one held are never
-    built, so a stack of diagonal matrices costs one band.
+    r2 = |p|^2. The recurrence runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
+    only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition formula
+    L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1, a-1)
+    q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (``_folds``), so its sum over n with the band c of
+    2h is sum_j R_j^(k) g_j, g = T^(a)^T c. One matrix product of the anchor's rows at the
+    distinct radii with the columns c, g1, g2 of its group gives the group's sums there, which
+    are multiplied by pref and mapped to the points by ``radii``. A class is summed by Horner
+    in (c p)^4 from its highest band down, then multiplied by (c p)^j once. Memory stays
+    O(p.size) per matrix, with one group's rows at a time; a band that every matrix holds as
+    zero is skipped, a group with no band held is never built, and the folds are built only
+    for a held band off the anchors, so a stack of diagonal matrices costs one band.
     """
     m, d = len(e), e.shape[-1]
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -252,9 +311,10 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     # columns: their sums then do not depend on how many matrices share them
     two_h = np.zeros((d, d, m + m % 2), dtype=complex)
     two_h[..., :m] = (e + e.conj().swapaxes(1, 2)).transpose(1, 2, 0)
-    two_h[np.diag_indices(d)] *= 0.5
+    trace = two_h.reshape(d * d, -1)[:: d + 1]  # the diagonal, as a view
+    trace *= 0.5
     distinct, inv, band_rows = _radial(d, radii, scale, q)
-    radial = pref(distinct)[:, None]
+    radial = pref(distinct)[:, None, None]
     size = p.size
     if size == 1:
         # numpy rounds a complex product on a one-element loop otherwise than on a longer
@@ -264,17 +324,39 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     lo = c * p if top > 0 else None
     lo2 = lo * lo if top > 1 else None
     lo4 = lo2 * lo2 if top > 3 else None
-    sums = [None] * 4
+    sums, folds, width, anchor = [None] * 4, None, two_h.shape[-1], top + 1
     for k in range(top, -1, -1):
         z = sums[k % 4]
         if z is not None:
             z *= lo4
         if k not in held:
             continue
-        # real rows times the (re, im) columns of band k of 2h, read back as complex: (U, m)
-        acc = (band_rows(k).T @ two_h.diagonal(k).T.view(float)).view(complex)[:, :m]
-        acc *= radial
-        band = np.take(acc, inv, axis=0).T
+        if k < anchor:
+            # the first band reached of its group: the group's held bands up to k, each as
+            # columns g on the anchor's rows R, with sum_n c_n R_n^(b) = sum_j g_j R_j
+            anchor = k - k % ANCHOR_SPACING
+            parts = [b for b in range(anchor, k + 1) if b in held] if k > anchor else [k]
+            # the (re, im) columns of band b of 2h: the anchor's alone are read in place
+            columns = two_h.diagonal(anchor).T.view(float)
+            if k > anchor:
+                folds = _folds(d, q) if folds is None else folds
+                count = d - anchor
+                columns = np.empty((count, len(parts), 2 * width))
+                for i, b in enumerate(parts):
+                    column = two_h.diagonal(b).T.view(float)
+                    if b == anchor:
+                        columns[:, i] = column
+                    else:
+                        # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
+                        fold = folds[anchor // ANCHOR_SPACING, b - anchor - 1, : d - b, :count]
+                        np.matmul(fold.T, column, out=columns[:, i])
+                columns = columns.reshape(count, -1)
+            # real rows times those columns, read back as complex: (U, part, matrix)
+            acc = (band_rows(anchor).T @ columns).view(complex).reshape(-1, len(parts), width)
+            acc = acc[..., :m]
+            acc *= radial
+            spread = np.take(acc, inv, axis=0)
+        band = spread[:, parts.index(k)].T
         if z is None:
             sums[k % 4] = band
         else:
@@ -323,9 +405,8 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     """
     *lead, d = e.shape[:-1]
     e = e.reshape(-1, d, d)
-    key = _kept_meshes.get(id(p.base))  # all of a kept mesh, in its order: orbits kept
-    kept = key is not None and p.flags.c_contiguous and p.size == p.base.size
-    closed, n, rows, cols, block, radii = _lattice_orbits(*key) if kept else _orbits(p)
+    key = _kept(p)  # all of a kept mesh, in its order: orbits kept
+    closed, n, rows, cols, block, radii = _lattice_orbits(*key) if key else _orbits(p)
     z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
@@ -362,7 +443,7 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     the value of its Hermitian part (rho + rho^dag)/2."""
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
-    beta_arr = require_finite(beta, "beta")
+    beta_arr = _finite_points(beta, "beta")
     occ = rho.occupations[0]
     d = effective_dim(occ)
     _check_trust(rho.dim, occ[-1], beta_arr)

@@ -20,7 +20,7 @@ from .errors import ImaginaryResidue, SingularPFunction
 from .fock_core import LEAKAGE_TOL, DensityMatrix, coherent_leakage, coherent_vector
 from .fock_core import effective_dim, require_finite
 from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _axis, _band_trace, lattice
+from .phase_filters import _axis, _band_trace, _finite_points, lattice
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -237,7 +237,7 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
             f"leakage {eps:.3e} exceeds {LEAKAGE_TOL}: P_s of the truncated state may be off "
             f"by up to {2 / (pi * (1 - s)) * (2 * eps**0.5 + 2 * eps):.3e}"
         )
-    alpha_arr = require_finite(alpha, "alpha")
+    alpha_arr = _finite_points(alpha, "alpha")
     d = effective_dim(rho.occupations[0])
     vals = _pointwise(rho.entries[:d, :d], alpha_arr.ravel(), s).reshape(alpha_arr.shape)
     return float(vals) if vals.ndim == 0 else vals

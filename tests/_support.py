@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 from functools import cache
-from math import isqrt, lgamma
+from math import isqrt, lgamma, sqrt
 from os.path import commonprefix
 
 import numpy as np
@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre
 from phaselab import fock_core as fc
 from phaselab._shortest_repr import FILL, record_table
 from phaselab.errors import InvalidWeights
+from phaselab import phase_filters as pf
 from phaselab.quasiprob_engine import lattice
 
 
@@ -162,3 +163,60 @@ def assert_same_text(got: str, want: str):
     if got != want:
         i = len(commonprefix([got, want]))
         raise AssertionError(f"texts part at {i}: {got[i - 30 : i + 30]!r} != {want[i - 30 : i + 30]!r}")
+
+
+def spy(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that each call appends ``record(*args)`` to the list returned,
+    then runs the original."""
+    seen, inner = [], getattr(module, name)
+
+    def wrapper(*args):
+        seen.append(record(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def band_trace_per_band(e, points, s=None):
+    """``symmetric_charfunc`` (s None) or ``quasiprob_pointwise`` at s of the Hermitian part h
+    of the square matrix e at the flat points, one ``_laguerre_band`` recurrence per band and
+    every point on its own: the oracle for the band kernel's folds, orbits and class sums.
+
+    Band k adds w + sign^k conj(w), w = sum_n h[n, n+k] pref (c p)^k R_n^(k), with R_n^(k) =
+    q^n sqrt(n! / (n+k)!) L_n^(k)(x) at y = q x = scale |p|^2."""
+    x = np.abs(points) ** 2
+    if s is None:
+        pref, c, sign, scale, q = np.exp(-x / 2), 1.0, -1, 1.0, 1.0
+    else:
+        pref, c, sign = (2 / (1 - s)) * np.exp(-2 * x / (1 - s)), 2 / (1 - s), 1
+        scale, q = -4 / (1 - s) ** 2, (s + 1) / (s - 1)
+    h = (e + e.conj().T) / 2
+    total, first = np.zeros(points.size, dtype=complex), 1.0
+    for k in range(len(e)):
+        first = first / sqrt(k) if k else first
+        rows = pf._laguerre_band(k, len(e) - k, scale * x, first, q)
+        w = pref * (c * points) ** k * (h.diagonal(k) @ rows)
+        total += w if k == 0 else w + sign**k * w.conj()
+    return total if s is None else total.real / np.pi
+
+
+def quasiprob_mpmath(e, alpha, s, dps=30):
+    """(1/pi) Tr(h T(alpha, s)) for the Hermitian part h of the square matrix e and -1 < s <= 0,
+    from mpmath's own Laguerre polynomials at ``dps`` digits: the oracle for the kernel's
+    rounding. <n+k|T|n> = (2/(1-s)) e^{-2|a|^2/(1-s)} (2a/(1-s))^k q^n sqrt(n!/(n+k)!)
+    L_n^(k)(4|a|^2/(1-s^2)), q = (s+1)/(s-1)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, s = mp.mpc(complex(alpha)), mp.mpf(s)
+        x = abs(a) ** 2
+        pref, c, q = 2 / (1 - s) * mp.exp(-2 * x / (1 - s)), 2 * a / (1 - s), (s + 1) / (s - 1)
+        total = mp.mpf(0)
+        for k in range(len(e)):
+            for n in range(len(e) - k):
+                element = (pref * c**k * q**n * mp.sqrt(mp.factorial(n) / mp.factorial(n + k))
+                           * mp.laguerre(n, k, 4 * x / (1 - s * s)))
+                h = (mp.mpc(complex(e[n, n + k])) + mp.conj(mp.mpc(complex(e[n + k, n])))) / 2
+                total += (h * element).real * (1 if k == 0 else 2)
+        return float(total / mp.pi)

@@ -26,7 +26,43 @@ SQ2 = 1 / np.sqrt(2)
 S0 = FilterSpec.s_param(0.0)
 
 
+def blocks_per_n(dim, bs):
+    """``_blocks`` with the sqrt(j) vectors and their M products built anew for each N: the
+    oracle for the per-call table, whose blocks must keep these bits."""
+    m = bs.matrix()
+    full = np.ones((1, 1), dtype=complex)
+    blocks = [(np.zeros(1, dtype=int), full)]
+    for n in range(1, 2 * dim - 1):
+        q = np.zeros((n + 2, n + 2), dtype=complex)
+        q[1:-1, 1:-1] = full
+        lo_, hi = slice(0, n + 1), slice(1, n + 2)
+        s = np.sqrt(np.arange(n + 1))
+        sn = s[::-1]
+        full = (
+            s * (m[0, 0] * s[:, None] * q[lo_, lo_] + m[1, 0] * sn[:, None] * q[hi, lo_])
+            + sn * (m[0, 1] * s[:, None] * q[lo_, hi] + m[1, 1] * sn[:, None] * q[hi, hi])
+        ) / n
+        k0, k1 = max(0, n - dim + 1), min(n, dim - 1) + 1
+        k = np.arange(k0, k1)
+        blocks.append((k * dim + n - k, full[k0:k1, k0:k1]))
+    return blocks
+
+
 class TestBeamsplitterUnitary:
+    @pytest.mark.parametrize("kind", ["thermal", "coherent"])
+    def test_tabled_blocks_keep_their_bits(self, kind, monkeypatch):
+        bs = BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j), 0.4)
+        for (idx, got), (want_idx, want) in zip(lo._blocks(21, bs), blocks_per_n(21, bs)):
+            assert np.array_equal(idx, want_idx) and np.array_equal(got, want)
+        if kind == "thermal":
+            pair = fc.tensor(fc.make_thermal(0.12, 20), fc.make_thermal(0.18, 20))
+        else:
+            a, b = fc.make_coherent(0.79 * np.exp(0.4j), 20), fc.make_coherent(0.785j, 20)
+            pair = fc.tensor(a, b)
+        got = lo.apply_beamsplitter(pair, bs).entries
+        monkeypatch.setattr(lo, "_blocks", blocks_per_n)
+        assert np.array_equal(got, lo.apply_beamsplitter(pair, bs).entries)
+
     def test_identity_setting(self):
         u = lo.beamsplitter_unitary(4, BeamSplitterParams(1.0, 0.0))
         assert np.allclose(u, np.eye(16), atol=1e-12)

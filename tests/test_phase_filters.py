@@ -14,8 +14,8 @@ from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, Malforme
 from phaselab.errors import NonFiniteArgument
 from phaselab.theorem_lab import disk_grid
 
-from _support import annihilation, displacement_element, even_cat, random_density, repeated_radii
-from _support import rotation_closed
+from _support import annihilation, band_trace_per_band, displacement_element, even_cat
+from _support import quasiprob_mpmath, random_density, repeated_radii, rotation_closed, spy
 
 
 def charfunc_oracle(rho, beta, dim=45):
@@ -311,6 +311,56 @@ def fold_state(kind, d, rng):
         return fc.embed(fc.DensityMatrix(d, np.outer(c, c.conj()) / np.vdot(c, c).real), d + 1)
     rho = random_density(d + 1, occupied=d, rng=rng)
     return fc.DensityMatrix(d + 1, fc.hermitian_mean(rho.entries))
+
+
+class TestAnchoredKernel:
+    """The recurrence runs on the bands k = 0 mod 3 only; bands k + 1 and k + 2 are folded
+    onto the anchor's rows by L_n^(k+1) = sum_{j<=n} L_j^(k)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 100),
+           s=st.sampled_from([None, 0.0, -0.5, -1.0, -2.5]), extent=st.floats(0.1, 4.0),
+           points=st.integers(2, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_anchored_bands_match_per_band_recurrence(self, seed, d, s, extent, points):
+        # D (s None) and T(alpha, s) of a dense state, with one empty level above it, on a
+        # lattice (one point per rotation orbit reaches the class sums) and on its points
+        # shuffled (every point does), against one recurrence per band and point
+        rng = np.random.default_rng(seed)
+        rho = random_density(d + 1, occupied=d, rng=rng)
+        mesh = qe.lattice(extent, points)[1].ravel()
+        shuffled = rng.permutation(mesh)
+        assume(not rotation_closed(shuffled))
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = spy(patch, pf, "_class_sums", lambda e, p, *args: p.size)
+            for betas in (mesh, shuffled):
+                got = (pf.symmetric_charfunc(rho, betas) if s is None
+                       else qe.quasiprob_pointwise(rho, betas, s))
+                want = band_trace_per_band(rho.entries[:d, :d], betas, s)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert sizes == [(points // 2) * (points - points // 2) + points % 2, points**2]
+
+    def test_mpmath_spot_check(self):
+        # s = 0, 60 dense levels, 12 points of the 4:129 lattice, against mpmath's Laguerre
+        # polynomials at 30 digits
+        rng = np.random.default_rng(60)
+        rho = random_density(61, occupied=60, rng=rng)
+        alpha = qe.lattice(4.0, 129)[1].ravel()[rng.choice(129**2, 12, replace=False)]
+        want = np.array([quasiprob_mpmath(rho.entries[:60, :60], a, 0.0) for a in alpha])
+        got = qe.quasiprob_pointwise(rho, alpha, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_recurrence_runs_on_every_third_band(self, monkeypatch):
+        # a dense state on 31 levels runs 11 recurrences, 176 rows, in place of 31 and 496;
+        # a diagonal state holds band 0 alone and runs one
+        calls = spy(monkeypatch, pf, "_laguerre_band", lambda k, count, *args: (k, count))
+        dense = random_density(32, occupied=31, rng=np.random.default_rng(31))
+        qe.quasiprob_pointwise(dense, qe.lattice(4.0, 129)[1], 0.0)
+        pf.symmetric_charfunc(dense, qe.lattice(6.0, 128)[1])
+        anchors = [(k, 31 - k) for k in range(30, -1, -3)]
+        assert calls == anchors * 2 and sum(count for _, count in anchors) == 176
+        calls.clear()
+        qe.quasiprob_pointwise(fc.make_thermal(0.7, 30), qe.lattice(4.0, 129)[1], 0.0)
+        assert calls == [(0, 31)]
 
 
 class TestHermitianFold:

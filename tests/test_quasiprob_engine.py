@@ -23,7 +23,7 @@ from phaselab.errors import (
 from phaselab.phase_filters import FilterSpec
 
 from _support import displacement_element, even_cat, random_density, repeated_radii
-from _support import rotation_closed
+from _support import rotation_closed, spy
 
 S0 = FilterSpec.s_param(0.0)
 SQ = FilterSpec.s_param(-1.0)
@@ -60,19 +60,34 @@ class TestLattice:
         # reaches the band recurrence, 64^2 of the 128^2 beta lattice for the characteristic
         # function and for T(alpha, s), and 64 * 65 plus the centre of the 129^2 alpha
         # lattice, in the same one kernel call
-        sizes = []
-        class_sums = pf._class_sums
-
-        def spy(e, p, *args):
-            sizes.append(p.size)
-            return class_sums(e, p, *args)
-
-        monkeypatch.setattr(pf, "_class_sums", spy)
+        sizes = spy(monkeypatch, pf, "_class_sums", lambda e, p, *args: p.size)
         rho = random_density(8, occupied=7)
         qe.charfunc_grid(rho, S0).values
         qe.quasiprob_pointwise(rho, qe.lattice(6.0, 128)[1], -0.5)
         qe.quasiprob_pointwise(rho, qe.lattice(4.0, 129)[1], -0.5)
         assert sizes == [4096, 4096, 64 * 65 + 1]
+
+    @pytest.mark.parametrize("extent", [np.inf, -np.inf, np.nan, 1e308])
+    def test_non_finite_extent_rejected(self, extent):
+        # linspace spans twice the extent: a mesh is made, and kept, only when that is finite
+        kept = dict(pf._kept_meshes)
+        with pytest.raises(NonFiniteArgument):
+            qe.lattice(extent, 5)
+        with pytest.raises(NonFiniteArgument):
+            qe.charfunc_grid(fc.make_fock(0, 5), S0, extent, 5)
+        assert pf._kept_meshes == kept
+
+    def test_non_finite_copy_of_a_kept_mesh_rejected(self):
+        # a kept mesh is finite and not scanned again; a copy of one is scanned
+        rho = random_density(8, occupied=7)
+        for mesh in (qe.lattice(4.0, 129)[1], qe.lattice(6.0, 128)[1]):
+            for bad in (np.nan, complex(0.0, np.inf)):
+                copy = mesh.copy()
+                copy[5, 7] = bad
+                with pytest.raises(NonFiniteArgument):
+                    qe.quasiprob_pointwise(rho, copy, -0.5)
+                with pytest.raises(NonFiniteArgument):
+                    pf.symmetric_charfunc(rho, copy.ravel())
 
     def test_transform_axis_is_the_lattice_axis(self):
         grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), S0), 4.0, 100)
