@@ -16,8 +16,8 @@ from numbers import Integral, Number, Real
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, InvalidFilter, MalformedFile
-from .errors import NonFiniteArgument
+from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, InvalidFilter
+from .errors import MalformedFile, NonFiniteArgument
 from .fock_core import DensityMatrix, effective_dim, json_number, require_finite
 
 TAIL_TOL = 1e-12
@@ -132,11 +132,14 @@ def _check_trust(dim: int, top_level: float, beta: np.ndarray):
         )
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _axis(extent: float, points: int) -> np.ndarray:
     """linspace's lower half mirrored onto its upper half, with an exact 0 at the centre of
-    an odd axis; read-only. An extent whose double is not finite (linspace spans it) raises
-    NonFiniteArgument, so every axis and mesh made from one is finite."""
+    an odd axis; read-only. Points that are not a non-negative integer (nor a bool: the cache
+    is typed, so 129.0 never finds 129) raise GridTooCoarse, and an extent whose double is
+    not finite (linspace spans it) NonFiniteArgument: every axis and mesh made is finite."""
+    if isinstance(points, bool) or not isinstance(points, Integral) or points < 0:
+        raise GridTooCoarse(f"lattice points must be a non-negative integer, not {points!r}")
     if not np.isfinite(2.0 * extent):
         raise NonFiniteArgument(f"lattice extent {extent} must be finite, and twice it too")
     half = np.linspace(-extent, extent, points)[: points // 2]
@@ -145,32 +148,38 @@ def _axis(extent: float, points: int) -> np.ndarray:
     return axis
 
 
-# (extent, points) of each mesh lattice() keeps, by its id, dropped when the mesh is freed
-_kept_meshes: dict[int, tuple[float, int]] = {}
+# the orbit plan (``_orbits``) of each mesh lattice() keeps, by its id, dropped when it is freed
+_kept_meshes: dict[int, tuple] = {}
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Axis and complex mesh of a square lattice symmetric about the origin. The axis is
     exactly antisymmetric (``_axis``), so the mesh is exactly closed under b -> ib and the
-    band kernel evaluates each four-point rotation orbit once. Both depend only on
-    (extent, points), so they are built once per pair and shared as read-only arrays; every
-    mesh kept is finite (``_axis``), so the kernel's callers do not scan it again."""
+    band kernel evaluates each four-point rotation orbit once. Both depend only on the values
+    (extent, points), so they are built once per pair (6 and 6.0 share theirs) and shared as
+    read-only arrays, the mesh with its read-only orbit plan, which the kernel finds by the
+    mesh's identity (``_kept``). Every mesh kept is finite (``_axis``): not scanned again."""
     axis = _axis(extent, points)
+    if type(extent) is not float or type(points) is not int:
+        return lattice(float(extent), int(points))
     x, y = np.meshgrid(axis, axis)
     mesh = x + 1j * y
     mesh.setflags(write=False)
-    _kept_meshes[id(mesh)] = extent, points
+    plan = _orbits(mesh.ravel())
+    for arr in (plan[4], *plan[5]):
+        arr.setflags(write=False)
+    _kept_meshes[id(mesh)] = plan
     weakref.finalize(mesh, _kept_meshes.pop, id(mesh))
     return axis, mesh
 
 
-def _kept(p: np.ndarray) -> tuple[float, int] | None:
-    """(extent, points) when p is a mesh that ``lattice()`` keeps, or all of one in its order
-    (a C-contiguous view of the same size), else None: found by identity, never hashed."""
+def _kept(p: np.ndarray) -> tuple | None:
+    """The orbit plan of a mesh that ``lattice()`` keeps when p is it, or all of it in its
+    order (a C-contiguous view of the same size), else None: found by identity, not hashed."""
     mesh = p if id(p) in _kept_meshes else p.base
-    key = _kept_meshes.get(id(mesh))
-    return key if key is not None and p.flags.c_contiguous and p.size == mesh.size else None
+    plan = _kept_meshes.get(id(mesh))
+    return plan if plan is not None and p.flags.c_contiguous and p.size == mesh.size else None
 
 
 def _finite_points(value, name: str) -> np.ndarray:
@@ -179,19 +188,9 @@ def _finite_points(value, name: str) -> np.ndarray:
     return arr if _kept(arr) else require_finite(arr, name)
 
 
-@lru_cache(maxsize=8)
-def _distinct(r2: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique`` of the squared radii (float64 bytes) of a point set with its inverse,
-    read-only: the sort is paid once per point set and shared by every filter and s."""
-    distinct, inv = np.unique(np.frombuffer(r2), return_inverse=True)
-    for arr in (distinct, inv):
-        arr.setflags(write=False)
-    return distinct, inv
-
-
 def _radii(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inv), r2 = distinct[inv]; a single point (figure 3's alpha) is not sorted."""
-    return (r2, np.zeros(1, np.intp)) if r2.size == 1 else _distinct(r2.tobytes())
+    return (r2, np.zeros(1, np.intp)) if r2.size == 1 else np.unique(r2, return_inverse=True)
 
 
 def _radial(dim: int, radii: tuple[np.ndarray, np.ndarray], scale=1.0, q=1.0):
@@ -380,14 +379,7 @@ def _orbits(p: np.ndarray) -> tuple:
     return closed, n, rows, cols, block, _radii(np.abs(block) ** 2)
 
 
-@lru_cache(maxsize=16)
-def _lattice_orbits(extent: float, points: int) -> tuple:
-    """``_orbits`` of ``lattice(extent, points)``, read-only: about 0.1 MB for 4:129."""
-    orbits = _orbits(lattice(extent, points)[1].ravel())
-    orbits[4].setflags(write=False)
-    return orbits
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q=1.0):
     """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of each square
     matrix of a stack e (..., d, d); shape (..., p.size), complex for sign -1, real for +1.
@@ -401,13 +393,18 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     Re(Z_0 - Z_2) +- Part(i (Z_1 - Z_3)) at +-i p.
     When p reads as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh does,
     the kernel sees one point of each orbit (``_orbits``), and the four values are written
-    through the ``np.rot90`` views of the result. Any other p gets every point.
+    through the ``np.rot90`` views of the result. Any other p gets every point. Class sums
+    that are not finite (the rows overflow far out) raise NonFiniteArgument, with no warning.
     """
     *lead, d = e.shape[:-1]
     e = e.reshape(-1, d, d)
-    key = _kept(p)  # all of a kept mesh, in its order: orbits kept
-    closed, n, rows, cols, block, radii = _lattice_orbits(*key) if key else _orbits(p)
-    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
+    # all of a kept mesh, in its order, reads the plan lattice() built with it
+    closed, n, rows, cols, block, radii = _kept(p) or _orbits(p)
+    sums = _class_sums(e, block, pref, c, scale, q, radii)
+    if not all(z is None or np.isfinite(z).all() for z in sums):
+        raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
+                                f"up to {np.abs(block).max():.3g}")
+    z0, z1, z2, z3 = sums
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -95,19 +95,13 @@ def two_mode_charfunc_grid(rho12: DensityMatrix, f: FilterSpec, extent: float = 
     return CharFuncGrid(axis, two_mode_charfunc(rho12, f, b3, b4), f, rho12)
 
 
-@lru_cache(maxsize=16)
-def _transform_kernels(beta_axis: bytes, alpha_extent: float, alpha_points: int):
-    """The alpha axis and the two factors of the transform kernel for one beta
-    axis (its float64 bytes). They do not depend on Phi, so they are built
-    once per lattice pair and shared as read-only arrays."""
-    b = np.frombuffer(beta_axis)
+def _transform_kernels(beta_axis: np.ndarray, alpha_extent: float, alpha_points: int):
+    """The alpha axis and the two factors of the transform kernel for one beta axis."""
     alpha_axis = _axis(alpha_extent, alpha_points)
     # kernel e^{b*a - b a*} = exp(2i (Re b . Im a - Im b . Re a)); rows of the
     # value array run over Im b, columns over Re b
-    m1 = np.exp(2j * np.outer(alpha_axis, b))  # (alpha rows: Im a) x (Re b)
-    m2 = np.exp(-2j * np.outer(b, alpha_axis))  # (Im b) x (alpha cols: Re a)
-    for arr in (m1, m2):
-        arr.setflags(write=False)
+    m1 = np.exp(2j * np.outer(alpha_axis, beta_axis))  # (alpha rows: Im a) x (Re b)
+    m2 = np.exp(-2j * np.outer(beta_axis, alpha_axis))  # (Im b) x (alpha cols: Re a)
     return alpha_axis, m1, m2
 
 
@@ -127,7 +121,7 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
                             "and an extent > 0")
     s = cf.filter.as_s()
     if cf.source is not None and s is not None and s <= 0:
-        alpha_axis, alphas = lattice(float(alpha_extent), int(alpha_points))
+        alpha_axis, alphas = lattice(alpha_extent, alpha_points)
         values, residue = quasiprob_pointwise(cf.source, alphas, s), 0.0
     else:
         step = float(cf.axis[1] - cf.axis[0]) if len(cf.axis) > 1 else np.inf
@@ -144,9 +138,8 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
                     "characteristic function does not decay at the lattice boundary; "
                     "the quasiprobability is singular or the lattice too small"
                 )
-        alpha_axis, m1, m2 = _transform_kernels(
-            np.asarray(cf.axis, dtype=float).tobytes(), float(alpha_extent), int(alpha_points)
-        )
+        alpha_axis, m1, m2 = _transform_kernels(np.asarray(cf.axis, dtype=float),
+                                                alpha_extent, alpha_points)
         p = m1 @ (cf.values.T @ m2) * (step**2 / pi**2)
         residue = float(np.max(np.abs(p.imag)))
         if not residue <= IMAG_RESIDUE_TOL:
@@ -243,12 +236,15 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     return float(vals) if vals.ndim == 0 else vals
 
 
+@np.errstate(over="ignore")
 def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
-    """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a."""
+    """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a;
+    for s << 0, (1-s)^2 overflows to inf and the scale to -0.0: P_s -> 2 Tr(e) / (pi (1-s))."""
     def pref(x):
         return (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
 
-    return _band_trace(e, a, pref, 2 / (1 - s), 1, -4 / (1 - s) ** 2, (s + 1) / (s - 1)) / pi
+    scale = -4 / np.float64(1 - s) ** 2
+    return _band_trace(e, a, pref, 2 / (1 - s), 1, scale, (s + 1) / (s - 1)) / pi
 
 
 def attenuated_photon_wigner(eta: float, alpha):

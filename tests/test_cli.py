@@ -611,6 +611,22 @@ class TestOverflowingFilter:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "NonFiniteArgument"
 
+    def test_quasiprob_far_out_fails(self, tmp_path, capsys):
+        # the band rows of 31 levels overflow on the 1e6:5 alpha lattice
+        state = write_state(tmp_path, "c30.json", "state", "--coherent", "1", "--cutoff", "30")
+        code, out, err = run(capsys, "quasiprob", "--state", state, "--grid", "1000000:5")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NonFiniteArgument"
+
+    def test_quasiprob_far_below_zero(self, tmp_path, capsys):
+        # P_s tends to 2 / (pi (1-s)) for a state of unit trace as s -> -inf
+        state = write_state(tmp_path, "c1.json", "state", "--coherent", "1")
+        code, out, err = run(capsys, "quasiprob", "--state", state, "--s=-1e200")
+        assert code == 0 and err == ""
+        d = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+        assert len(d) == 129**2
+        assert np.max(np.abs(d[:, 2] / (2 / (np.pi * (1 + 1e200))) - 1)) <= 1e-13
+
     @pytest.mark.parametrize("theorem", ["1", "2"])
     def test_verify_reads_an_infinite_residual(self, capsys, huge, theorem):
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--filter", huge)

@@ -469,6 +469,16 @@ class TestOverflowingFilter:
         with pytest.raises(NonFiniteArgument):
             pf.two_mode_charfunc(rho, self.HUGE, 1.5, 0.5j)
 
+    def test_band_rows_that_overflow_raise(self):
+        # 31 levels at |beta| = 1e6: the Laguerre rows overflow where e^{-|b|^2/2} is 0, on
+        # any point set and on a kept mesh's orbits alike
+        rho = fc.make_coherent(1, 30)
+        for beta in (1e6, np.array([0.5, 1e6j]), qe.lattice(1e6, 5)[1]):
+            with pytest.raises(NonFiniteArgument):
+                pf.symmetric_charfunc(rho, beta)
+            with pytest.raises(NonFiniteArgument):
+                pf.filtered_charfunc(rho, pf.FilterSpec.s_param(-0.5), beta)
+
     def test_finite_values_pass(self):
         # s = 30 stays finite on a small lattice: only the corners of 6:128 overflow
         vals = pf.filtered_charfunc(fc.make_fock(1, 20), pf.FilterSpec.s_param(30.0), 2.0)

@@ -75,7 +75,55 @@ class TestLattice:
             qe.lattice(extent, 5)
         with pytest.raises(NonFiniteArgument):
             qe.charfunc_grid(fc.make_fock(0, 5), S0, extent, 5)
-        assert pf._kept_meshes == kept
+        # no plan is added, and every plan kept is the one that was there
+        assert pf._kept_meshes.keys() == kept.keys()
+        assert all(pf._kept_meshes[key] is plan for key, plan in kept.items())
+
+    @pytest.mark.parametrize("points", [129.0, 9.7, -3, True, np.float64(129)],
+                             ids=["129.0", "9.7", "-3", "True", "float64-129"])
+    def test_point_counts_that_are_not_counts_rejected(self, points):
+        # 129.0 is not the count 129 even once lattice(4.0, 129) is kept, and 9.7 is not cut
+        # to 9: every grid size reaches _axis, which raises before an axis or mesh is made
+        rho = fc.make_fock(1, 20)
+        # the sourceless grid reads its beta mesh on the first check; the alpha mesh is kept
+        sourceless = replace(qe.charfunc_grid(rho, S0), source=None)
+        sourceless.values
+        qe.lattice(4.0, 129)
+        kept = set(pf._kept_meshes)
+        for make in (lambda: qe.lattice(4.0, points),
+                     lambda: qe.charfunc_grid(rho, S0, 6.0, points),
+                     lambda: qe.two_mode_charfunc_grid(fc.tensor(rho, rho), S0, 2.0, points),
+                     lambda: qe.quasiprob_transform(qe.charfunc_grid(rho, S0), 4.0, points),
+                     lambda: qe.quasiprob_transform(sourceless, 4.0, points)):
+            with pytest.raises(GridTooCoarse):
+                make()
+        assert set(pf._kept_meshes) == kept
+
+    def test_integer_types_share_one_lattice(self):
+        # one mesh and plan per value: an int extent or a numpy count finds the kept pair
+        kept = qe.lattice(6.0, 128)
+        for again in (qe.lattice(6, 128), qe.lattice(np.float64(6.0), np.int64(128))):
+            assert again[0] is kept[0] and again[1] is kept[1]
+        axis, mesh = qe.lattice(4.0, 0)
+        assert axis.size == 0 and mesh.shape == (0, 0)
+
+    @given(extent=st.floats(1e-3, 12.0), points=st.integers(2, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_kept_plan_is_the_plan_of_a_copy(self, extent, points):
+        # the plan lattice() keeps equals the one _orbits builds from a copy of the mesh, and
+        # the kernel gives the same bits on the mesh and on the copy
+        mesh = qe.lattice(extent, points)[1]
+        copy = mesh.copy()
+        plan = pf._kept(mesh.ravel())
+        assert plan is pf._kept_meshes[id(mesh)]
+        closed, n, rows, cols, block, (distinct, inv) = pf._orbits(copy.ravel())
+        assert plan[:4] == (closed, n, rows, cols) and closed
+        for kept, built in zip((plan[4], *plan[5]), (block, distinct, inv)):
+            assert np.array_equal(kept, built) and not kept.flags.writeable
+        rho = random_density(8, occupied=5, rng=np.random.default_rng(points))
+        assert np.array_equal(pf.symmetric_charfunc(rho, mesh), pf.symmetric_charfunc(rho, copy))
+        assert np.array_equal(qe.quasiprob_pointwise(rho, mesh, -0.4),
+                              qe.quasiprob_pointwise(rho, copy, -0.4))
 
     def test_non_finite_copy_of_a_kept_mesh_rejected(self):
         # a kept mesh is finite and not scanned again; a copy of one is scanned
@@ -208,20 +256,19 @@ class TestTransform:
         direct = qe.q_function(fc.embed(rho, 26), alphas[mask])
         assert np.max(np.abs(grid.values[mask] - direct)) < 1e-6
 
-    def test_cached_kernels_reproduce_uncached_transform(self):
+    def test_fourier_transform_is_repeatable(self, monkeypatch):
+        # the kernel factors are built on every Fourier sum, from the beta axis itself, and
+        # each build gives the same bits
+        calls = spy(monkeypatch, qe, "_transform_kernels", lambda *args: args)
         cf = replace(qe.charfunc_grid(fc.make_thermal(0.6, 40), S0), source=None)
-        qe._transform_kernels.cache_clear()
-        fresh = qe.quasiprob_transform(cf)
-        hits = qe._transform_kernels.cache_info().hits
-        cached = qe.quasiprob_transform(cf)
-        assert qe._transform_kernels.cache_info().hits == hits + 1
-        assert np.array_equal(cached.values, fresh.values)
-        assert cached.volume_integral == fresh.volume_integral
-        key = (cf.axis.tobytes(), 4.0, 129)
-        for arr in qe._transform_kernels(*key):
-            assert not arr.flags.writeable
+        first = qe.quasiprob_transform(cf)
+        again = qe.quasiprob_transform(cf)
+        assert [args[1:] for args in calls] == [(4.0, 129)] * 2
+        assert all(np.array_equal(args[0], cf.axis) for args in calls)
+        assert np.array_equal(again.values, first.values)
+        assert again.volume_integral == first.volume_integral
         with pytest.raises(ValueError):
-            cached.axis[0] = 0.0
+            again.axis[0] = 0.0
 
     def test_q_grid_nonnegative(self):
         rho = fc.make_fock(2, 20)
@@ -460,6 +507,27 @@ class TestPointwise:
         assert isinstance(qe.quasiprob_pointwise(rho, 0.5j, -0.5), float)
         assert qe.quasiprob_pointwise(rho, np.zeros((3, 2)), 0.0).shape == (3, 2)
 
+    @pytest.mark.parametrize("s", [-1e160, -1e300])
+    def test_far_below_zero_tends_to_the_trace(self, s):
+        # T(alpha, s) -> (2/(1-s)) I as s -> -inf: (1-s)^2 overflows and its scale is -0.0
+        rho = random_density(12, occupied=9, rng=np.random.default_rng(160))
+        want = 2 / (np.pi * (1 - s)) * rho.entries.trace().real
+        for alpha in (0.3, qe.lattice(4.0, 129)[1], np.array([2.0 - 3.0j, 0.0])):
+            got = qe.quasiprob_pointwise(rho, alpha, s)
+            assert np.max(np.abs(got - want)) <= 1e-14 * want
+        grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(s)))
+        assert np.max(np.abs(grid.values - want)) <= 1e-14 * want
+
+    def test_rows_that_overflow_raise(self):
+        # 31 levels at |alpha| = 1e6: the Laguerre rows overflow where e^{-2|a|^2/(1-s)} is 0,
+        # on any point set and on a kept mesh's orbits alike, with no warning
+        rho = fc.make_coherent(1, 30)
+        for alpha in (1e6, np.array([0.5, 1e6j]), qe.lattice(1e6, 5)[1]):
+            with pytest.raises(NonFiniteArgument):
+                qe.quasiprob_pointwise(rho, alpha, -0.5)
+        with pytest.raises(NonFiniteArgument):
+            qe.quasiprob_transform(qe.charfunc_grid(rho, S0), 1e6, 5)
+
 
 def cat_ps(a, alpha, s):
     # P_s of (|a> + |-a>) / norm from <b|T(alpha, s)|g> = (2/(1-s)) e^{(alpha b* - alpha* b)/2}
@@ -524,19 +592,16 @@ class TestExactRoute:
     @pytest.mark.parametrize("f", [FilterSpec.s_param(0.5),
                                    FilterSpec.general({(1, 1): -0.25, (2, 2): -0.01})],
                              ids=["s>0", "series"])
-    def test_other_grids_take_the_fourier_sum(self, monkeypatch, f):
-        calls = []
-        kernels = qe._transform_kernels
-
-        def spy(*args):
-            calls.append(args[1:])
-            return kernels(*args)
-
-        monkeypatch.setattr(qe, "_transform_kernels", spy)
+    def test_other_grids_take_the_fourier_sum(self, cold, monkeypatch, f):
+        # the beta mesh is sampled through the plan lattice() builds with it, once for both
+        # sums; the alpha grid is an axis, and no alpha mesh or plan is made
+        calls = spy(monkeypatch, qe, "_transform_kernels", lambda beta_axis, *args: args)
+        builds = spy(monkeypatch, pf, "_orbits", lambda p: p.size)
         cf = qe.charfunc_grid(fc.make_fock(0, 20), f, extent=9.0, points=160)
         grid = qe.quasiprob_transform(cf)
-        assert calls == [(4.0, 129)] and "values" in vars(cf)
+        assert calls == [(4.0, 129)] and "values" in vars(cf) and builds == [160**2]
         assert np.array_equal(grid.values, qe.quasiprob_transform(replace(cf, source=None)).values)
+        assert builds == [160**2]
         if f.as_s() is not None:  # vacuum: (2 / (pi (1-s))) e^{-2|a|^2 / (1-s)}
             want = coherent_ps(0.0, grid.axis + 1j * grid.axis[:, None], 0.5)
             assert np.max(np.abs(grid.values - want)) <= 1e-9
@@ -581,11 +646,12 @@ class TestExactRoute:
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Empty grid tables: no Q or Hermite rows held, no sorted radii, no orbit geometry."""
+    """Empty grid tables: no Q or Hermite rows held, and no lattice() mesh kept by the cache,
+    so the next lattice() call builds its mesh and plan afresh."""
     def clear():
         monkeypatch.setattr(qe, "_kept_rows", {})
-        pf._distinct.cache_clear()
-        pf._lattice_orbits.cache_clear()
+        pf.lattice.cache_clear()
+        gc.collect()
 
     clear()
     return clear
@@ -595,10 +661,14 @@ def q_rows():
     return qe._kept_rows[qe.coherent_vector]
 
 
+def plan_of(mesh):
+    return pf._kept_meshes[id(mesh)]
+
+
 class TestGridTables:
     """Tables that depend only on the grid are built once and shared read-only: the Q rows
-    of the last grid, the Hermite rows of the last axis, the sorted radii of the last 8
-    point sets and the orbit geometry of the last 16 kept lattices."""
+    of the last grid, the Hermite rows of the last axis and, with each kept lattice() mesh,
+    its orbit plan."""
 
     Q_AXIS = np.linspace(-1.25, 1.25, 25)
     Q_GRID = Q_AXIS[None, :] + 1j * Q_AXIS[:, None]
@@ -630,14 +700,15 @@ class TestGridTables:
     def test_tables_are_read_only(self, cold):
         rho = random_density(12, occupied=11)
         qe.q_function(rho, self.Q_GRID)
-        x = np.abs(qe.lattice(6.0, 128)[1][:64, :64].ravel()) ** 2
+        mesh = qe.lattice(6.0, 128)[1]
         qe.charfunc_grid(rho, S0).values
-        assert pf._distinct.cache_info().currsize == 1
-        for table in (q_rows()[1], *pf._distinct(x.tobytes())):
+        _, _, _, _, block, (distinct, inv) = plan_of(mesh)
+        x = np.abs(mesh[:64, :64].ravel()) ** 2
+        assert np.array_equal(distinct[inv], x)
+        for table in (q_rows()[1], block, distinct, inv):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
-        assert pf._distinct.cache_info().hits == 1
 
     def test_points_changed_in_place_get_new_values(self, cold):
         rho = random_density(12, occupied=11)
@@ -650,35 +721,35 @@ class TestGridTables:
         assert np.array_equal(got_q, qe.q_function(rho, alpha))
         assert np.array_equal(got_cf, pf.symmetric_charfunc(rho, alpha))
 
-    def test_every_s_shares_one_sort(self, cold):
-        # a kept mesh reads its sort from its orbit geometry, built on the first s; a copy of
-        # it is another point set, whose sort _distinct finds by the bytes of its radii
+    def test_every_s_shares_one_sort(self, cold, monkeypatch):
+        # a kept mesh reads its sort from the plan lattice() built with it, for every s; a
+        # copy of it is another point set, sorted on every call
+        sorts = spy(monkeypatch, pf, "_radii", lambda r2: r2.size)
         rho = random_density(8, occupied=7)
         mesh = qe.lattice(6.0, 128)[1]
         got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.3, -0.7)]
-        orbits, info = pf._lattice_orbits.cache_info(), pf._distinct.cache_info()
-        assert (orbits.currsize, orbits.misses, orbits.hits) == (1, 1, 1)
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        assert sorts == [64 * 64]
         copied = [qe.quasiprob_pointwise(rho, mesh.copy(), s) for s in (-0.3, -0.7)]
-        info = pf._distinct.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        assert sorts == [64 * 64] * 3
         cold()
-        assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, mesh, -0.7))
+        fresh = qe.lattice(6.0, 128)[1]
+        assert fresh is not mesh and sorts == [64 * 64] * 4
+        assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, fresh, -0.7))
         assert all(np.array_equal(a, b) for a, b in zip(got, copied))
 
     def test_kept_mesh_geometry_is_built_once(self, cold, monkeypatch):
-        # the orbit geometry of a kept lattice() mesh is built on its first kernel call and
-        # found by the mesh's identity after that; a copy, or a view of the mesh that
+        # the orbit plan of a lattice() mesh is built with the mesh, once for every s and
+        # state, and found by the mesh's identity; a copy, or a view of the mesh that
         # reverses or drops points, is another point set, decomposed on every call
-        calls = []
-        orbits = pf._orbits
-        monkeypatch.setattr(pf, "_orbits", lambda p: calls.append(p.size) or orbits(p))
-        rho = random_density(12, occupied=11)
-        e = rho.entries[:11, :11]
+        calls = spy(monkeypatch, pf, "_orbits", lambda p: p.size)
+        states = [random_density(12, occupied=11), fc.make_thermal(0.7, 30)]
         mesh = qe.lattice(4.0, 129)[1]
-        got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.2, -0.2, -1.0)]
+        assert calls == [mesh.size]
+        got = [qe.quasiprob_pointwise(rho, mesh, s) for rho in states for s in (-0.2, -0.2, -1.0)]
+        qe.quasiprob_transform(qe.charfunc_grid(states[0], S0))
         assert calls == [mesh.size] and np.array_equal(got[0], got[1])
-        assert not pf._lattice_orbits(4.0, 129)[4].flags.writeable
+        assert not plan_of(mesh)[4].flags.writeable
+        e = states[0].entries[:11, :11]
         flat = mesh.ravel()
         for points in (flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
             want = qe._pointwise(e, points.copy(), -0.2)
@@ -688,8 +759,9 @@ class TestGridTables:
 
     def test_kept_mesh_entry_goes_with_the_mesh(self):
         mesh = qe.lattice(2.5, 11)[1]
-        key = id(mesh)
-        assert pf._kept_meshes[key] == (2.5, 11)
+        key, plan = id(mesh), plan_of(mesh)
+        assert pf._kept(mesh) is plan and pf._kept(mesh.ravel()) is plan
+        assert plan[:4] == (True, 11, 5, 6) and plan[4].size == 5 * 6 + 1
         pf.lattice.cache_clear()
         del mesh
         gc.collect()
@@ -709,14 +781,16 @@ class TestGridTables:
             assert qe.quadrature_distribution(grid, 0.7) == got
 
     def test_tables_stay_bounded(self, cold):
+        # one Q table, and a plan for each of the last 16 lattices: the plan of a mesh the
+        # cache drops goes with it
         rho = random_density(8, occupied=7)
-        for i in range(10):
+        base = len(pf._kept_meshes)
+        for i in range(20):
             mesh = qe.lattice(1.0 + i / 10, 20 + i)[1]
             qe.q_function(rho, mesh)
             pf.symmetric_charfunc(rho, mesh)
             assert q_rows()[0] == mesh.tobytes()
-            assert pf._distinct.cache_info().currsize == min(i + 1, 8)
-            assert pf._lattice_orbits.cache_info().currsize == i + 1
+            assert len(pf._kept_meshes) == base + min(i + 1, 16)
 
 
 class TestAttenuatedPhotonWigner:
