@@ -26,6 +26,20 @@ PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
 
 
+def check_leakage(rho: DensityMatrix, norm: float) -> None:
+    """The one truncation guard: a state is exactly the matrix it stores, and ``leakage``,
+    the trace eps its builder cut off, is the only record of truncation. Tr(rho X) of the
+    stored matrix differs from that of the untruncated state by at most
+    norm (2 sqrt(eps) + 2 eps), norm = ||X||; a leakage above ``LEAKAGE_TOL`` (the builders'
+    cap) raises ``CutoffTooSmall`` with that bound."""
+    eps = rho.leakage
+    if eps > LEAKAGE_TOL:
+        raise CutoffTooSmall(
+            f"leakage {eps:.3e} exceeds {LEAKAGE_TOL}: the answer for the truncated state "
+            f"may be off by up to {norm * (2 * eps**0.5 + 2 * eps):.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Bosonic state on a truncated Fock space.
@@ -254,7 +268,7 @@ def embed(rho: DensityMatrix, dim: int) -> DensityMatrix:
 
 def level_occupations(rho: DensityMatrix) -> np.ndarray:
     """Per mode, the largest |entry| in any row or column that holds each level, shape
-    (n_modes, dim): the one rule every effective dimension and top-level guard reads."""
+    (n_modes, dim): the one rule every effective dimension reads."""
     a = np.abs(rho.entries).reshape((rho.dim,) * (2 * rho.n_modes))
     axes = set(range(a.ndim))
     # mode i is axis i of the row index and axis n_modes + i of the column index

@@ -11,19 +11,16 @@ import json
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lgamma, log, sqrt
+from math import isqrt, sqrt
 from numbers import Integral, Number, Real
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse, InvalidFilter
+from .errors import DimensionMismatch, GridTooCoarse, InvalidFilter
 from .errors import MalformedFile, NonFiniteArgument
-from .fock_core import DensityMatrix, effective_dim, json_number, require_finite
+from .fock_core import DensityMatrix, check_leakage, effective_dim, json_number, require_finite
 
-TAIL_TOL = 1e-12
 _PHI = "the filtered characteristic function"
-# a top level holding less than this counts as empty: the state fits the cutoff
-TOP_LEVEL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,30 +103,6 @@ def filter_from_json(obj: dict | str) -> FilterSpec:
             for e in obj["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"not a filter record: {type(exc).__name__}: {exc}") from None
-
-
-def _check_trust(dim: int, top_level: float, beta: np.ndarray):
-    """Reject betas where truncation can corrupt Tr(rho D(beta)).
-
-    The closed-form Laguerre elements make the sum over occupied levels
-    exact, so the check only bites when the top level carries weight (the
-    stored matrix visibly truncates a larger state). There the first
-    neglected displacement element e^{-|b|^2/2} |b|^dim / sqrt(dim!) must
-    stay below TAIL_TOL.
-    """
-    if top_level <= TOP_LEVEL_FLOOR:
-        return
-    mag = np.abs(np.asarray(beta, dtype=complex))
-    big = mag[mag > 0]
-    if big.size == 0:
-        return
-    log_tail = -big**2 / 2 + dim * np.log(big) - 0.5 * lgamma(dim + 1)
-    worst = float(log_tail.max())
-    if worst > log(TAIL_TOL):
-        raise CutoffTooSmall(
-            f"|beta| = {big[log_tail.argmax()]:.3f} outside the trust radius for "
-            f"a state occupying its top level at dim {dim}"
-        )
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -393,18 +366,14 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     Re(Z_0 - Z_2) +- Part(i (Z_1 - Z_3)) at +-i p.
     When p reads as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh does,
     the kernel sees one point of each orbit (``_orbits``), and the four values are written
-    through the ``np.rot90`` views of the result. Any other p gets every point. Class sums
-    that are not finite (the rows overflow far out) raise NonFiniteArgument, with no warning.
+    through the ``np.rot90`` views of the result. Any other p gets every point. A result
+    that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning.
     """
     *lead, d = e.shape[:-1]
     e = e.reshape(-1, d, d)
     # all of a kept mesh, in its order, reads the plan lattice() built with it
     closed, n, rows, cols, block, radii = _kept(p) or _orbits(p)
-    sums = _class_sums(e, block, pref, c, scale, q, radii)
-    if not all(z is None or np.isfinite(z).all() for z in sums):
-        raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
-                                f"up to {np.abs(block).max():.3g}")
-    z0, z1, z2, z3 = sums
+    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2
@@ -416,16 +385,20 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     out = np.empty((len(e), p.size), complex if sign < 0 else float)
     if not closed:
         out[:] = values[0]
-        return out.reshape(*lead, p.size)
-    grid, size = out.reshape(len(e), n, n), rows * cols
-    # the views np.rot90(grid, turn, axes=(1, 2)) returns for turn = 0 .. 3, taken as its
-    # slices: each np.rot90 call costs about 5 us, a fifth of a small diagonal-state grid
-    turns = (grid, grid[:, :, ::-1].swapaxes(1, 2), grid[:, ::-1, ::-1],
-             grid[:, ::-1].swapaxes(1, 2))
-    for turned, value in zip(turns, values):
-        turned[:, :rows, :cols] = value[:, :size].reshape(-1, rows, cols)
-    if n % 2:
-        grid[:, rows, rows] = values[0][:, -1]
+    else:
+        grid, size = out.reshape(len(e), n, n), rows * cols
+        # the views np.rot90(grid, turn, axes=(1, 2)) returns for turn = 0 .. 3, taken as its
+        # slices: each np.rot90 call costs about 5 us, a fifth of a small diagonal-state grid
+        turns = (grid, grid[:, :, ::-1].swapaxes(1, 2), grid[:, ::-1, ::-1],
+                 grid[:, ::-1].swapaxes(1, 2))
+        for turned, value in zip(turns, values):
+            turned[:, :rows, :cols] = value[:, :size].reshape(-1, rows, cols)
+        if n % 2:
+            grid[:, rows, rows] = values[0][:, -1]
+    # one contiguous scan as floats: a non-finite class sum reaches the real part it writes
+    if not np.isfinite(out.view(float)).all():
+        raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
+                                f"up to {np.abs(block).max():.3g}")
     return out.reshape(*lead, p.size)
 
 
@@ -436,14 +409,14 @@ def _half_gaussian(x):
 
 def symmetric_charfunc(rho: DensityMatrix, beta):
     """Tr(rho D(beta)), the unfiltered (Wigner) characteristic function,
-    summed band by band over the occupied levels. A matrix that is not Hermitian gives
-    the value of its Hermitian part (rho + rho^dag)/2."""
+    summed band by band over the occupied levels: exact for the stored matrix, and within
+    2 sqrt(eps) + 2 eps of the untruncated state's (``check_leakage``, ||D|| = 1). A matrix
+    that is not Hermitian gives the value of its Hermitian part (rho + rho^dag)/2."""
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
+    check_leakage(rho, 1.0)
     beta_arr = _finite_points(beta, "beta")
-    occ = rho.occupations[0]
-    d = effective_dim(occ)
-    _check_trust(rho.dim, occ[-1], beta_arr)
+    d = effective_dim(rho.occupations[0])
     vals = _band_trace(rho.entries[:d, :d], beta_arr.ravel(), _half_gaussian)
     vals = vals.reshape(beta_arr.shape)
     return complex(vals) if vals.ndim == 0 else vals
@@ -458,15 +431,14 @@ def filtered_charfunc(rho: DensityMatrix, f: FilterSpec, beta):
 
 @np.errstate(over="ignore", invalid="ignore")
 def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
-    """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state."""
+    """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state; the trace is guarded
+    as in ``symmetric_charfunc``."""
     if rho12.n_modes != 2:
         raise DimensionMismatch("two_mode_charfunc expects a two-mode state")
+    check_leakage(rho12, 1.0)
     b3, b4 = np.broadcast_arrays(require_finite(beta3, "beta3"), require_finite(beta4, "beta4"))
     d = rho12.dim
-    occ = rho12.occupations
-    d1, d2 = (effective_dim(row) for row in occ)
-    _check_trust(d, occ[0, -1], b3)
-    _check_trust(d, occ[1, -1], b4)
+    d1, d2 = (effective_dim(row) for row in rho12.occupations)
     s3 = displacement_stack(d1, b3.ravel())
     s4 = displacement_stack(d2, b4.ravel())
     e = rho12.entries.reshape(d, d, d, d)[:d1, :d2, :d1, :d2]

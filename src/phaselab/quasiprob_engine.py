@@ -15,16 +15,13 @@ from math import pi
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, GridTooCoarse
-from .errors import ImaginaryResidue, SingularPFunction
-from .fock_core import LEAKAGE_TOL, DensityMatrix, coherent_leakage, coherent_vector
-from .fock_core import effective_dim, require_finite
-from .phase_filters import TOP_LEVEL_FLOOR, FilterSpec, filtered_charfunc, two_mode_charfunc
+from .errors import DimensionMismatch, GridTooCoarse, ImaginaryResidue, SingularPFunction
+from .fock_core import DensityMatrix, check_leakage, coherent_vector, effective_dim, require_finite
+from .phase_filters import FilterSpec, filtered_charfunc, two_mode_charfunc
 from .phase_filters import _axis, _band_trace, _finite_points, lattice
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
-Q_LEAKAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,12 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     are never read. Any other grid (s > 0, a series filter, no source) is Fourier-summed,
     on a beta axis of 2 points or more within the Nyquist bound pi / (2 alpha_extent).
     """
-    if cf.ndim != 2:
-        raise DimensionMismatch("quasiprob_transform supports single-mode grids")
-    if alpha_points < 2 or not 0 < alpha_extent < np.inf:
+    # the alpha grid first (``_axis`` checks the count): ndim samples a sourceless grid
+    if not 0 < alpha_extent < np.inf or len(_axis(alpha_extent, alpha_points)) < 2:
         raise GridTooCoarse(f"alpha grid {alpha_extent}:{alpha_points} needs at least 2 steps "
                             "and an extent > 0")
+    if cf.ndim != 2:
+        raise DimensionMismatch("quasiprob_transform supports single-mode grids")
     s = cf.filter.as_s()
     if cf.source is not None and s is not None and s <= 0:
         alpha_axis, alphas = lattice(alpha_extent, alpha_points)
@@ -180,22 +178,13 @@ def _hermite_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def q_function(rho: DensityMatrix, alpha):
-    """Husimi Q(alpha) = <alpha|rho|alpha> / pi, directly in the Fock basis."""
+    """Husimi Q(alpha) = <alpha|rho|alpha> / pi, directly in the Fock basis: exact for the
+    stored matrix, and within (2 sqrt(eps) + 2 eps) / pi of the untruncated state's."""
     if rho.n_modes != 1:
         raise DimensionMismatch("q_function expects a single-mode state")
+    check_leakage(rho, 1 / pi)
     alpha_arr = require_finite(alpha, "alpha")
-    occ = rho.occupations[0]
-    # as for the characteristic function, the sum over occupied levels is
-    # exact; the Poisson tail beyond the cutoff matters only when the stored
-    # matrix visibly truncates a larger state
-    if occ[-1] > TOP_LEVEL_FLOOR and alpha_arr.size:
-        worst = float(np.max(coherent_leakage(alpha_arr, rho.cutoff)))
-        if worst > Q_LEAKAGE_TOL:
-            raise CutoffTooSmall(
-                f"coherent leakage {worst:.3e} at |alpha| = {np.abs(alpha_arr).max():.2f} "
-                f"exceeds {Q_LEAKAGE_TOL} at cutoff {rho.cutoff}"
-            )
-    d = effective_dim(occ)
+    d = effective_dim(rho.occupations[0])
     c = _rows(coherent_vector, alpha_arr.ravel(), d)  # points x levels
     vals = ((c.conj() @ rho.entries[:d, :d]) * c).sum(axis=1).real / pi
     vals = vals.reshape(alpha_arr.shape)
@@ -217,19 +206,14 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     lost trace eps (its ``leakage``), then, as ||T(alpha, s)|| = 2/(1-s), the answer for
     the untruncated state differs by at most (2/(pi(1-s)))(2 sqrt(eps) + 2 eps) at every
     alpha; a leakage above ``fock_core.LEAKAGE_TOL``, the cap of the state builders,
-    raises ``CutoffTooSmall``.
+    raises ``CutoffTooSmall`` (``check_leakage``).
     """
     if rho.n_modes != 1:
         raise DimensionMismatch("quasiprob_pointwise expects a single-mode state")
     require_finite(s, "s")
     if s > 0:
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
-    eps = rho.leakage
-    if eps > LEAKAGE_TOL:
-        raise CutoffTooSmall(
-            f"leakage {eps:.3e} exceeds {LEAKAGE_TOL}: P_s of the truncated state may be off "
-            f"by up to {2 / (pi * (1 - s)) * (2 * eps**0.5 + 2 * eps):.3e}"
-        )
+    check_leakage(rho, 2 / (pi * (1 - s)))
     alpha_arr = _finite_points(alpha, "alpha")
     d = effective_dim(rho.occupations[0])
     vals = _pointwise(rho.entries[:d, :d], alpha_arr.ravel(), s).reshape(alpha_arr.shape)

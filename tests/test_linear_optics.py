@@ -301,8 +301,6 @@ class TestAttenuate:
 
 class TestPullbackCharfunc:
     def test_identity_splitter(self):
-        # cutoff 14 leaves the top level empty; at cutoff 8 |0.4> holds 2.8e-6
-        # there and its sums are not exact out to |beta| = 2.12
         rho = fc.tensor(fc.make_coherent(0.4, 14), fc.make_fock(0, 14))
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1.5, points=5)
         back = lo.pullback_charfunc(cf, BeamSplitterParams(1.0, 0.0))
@@ -352,13 +350,20 @@ class TestPullbackCharfunc:
         assert np.max(np.abs(pulled.values - direct.values)) < 1e-12
 
     def test_trust_radius_translated(self):
+        # the source is re-evaluated at the pulled-back points, far out on the wider axis; |2>
+        # on 3 levels with leakage 0 is exact there: Phi_12(b1, b2) = e^{-(|b1|^2 + |b2|^2)/2}
+        # L_2(|b1|^2) at b1 = (b3 - b4)/sqrt(2), b2 = (b3 + b4)/sqrt(2)
         rho = fc.tensor(fc.make_fock(2, 2), fc.make_fock(0, 2))
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1e-5, points=3)
-        with pytest.raises(CutoffTooSmall):
-            lo.pullback_charfunc(
-                lo.CharFuncGrid(np.linspace(-4, 4, 3), cf.values, cf.filter, cf.source),
-                BeamSplitterParams(SQ2, SQ2),
-            )
+        axis = np.linspace(-4, 4, 3)
+        pulled = lo.pullback_charfunc(
+            lo.CharFuncGrid(axis, cf.values, cf.filter, cf.source), BeamSplitterParams(SQ2, SQ2)
+        )
+        betas = axis + 1j * axis[:, None]
+        b3, b4 = betas[:, :, None, None], betas[None, None, :, :]
+        x1 = np.abs(b3 - b4) ** 2 / 2
+        want = np.exp(-(np.abs(b3) ** 2 + np.abs(b4) ** 2) / 2) * (x1 * x1 - 4 * x1 + 2) / 2
+        assert np.max(np.abs(pulled.values - want)) <= 1e-15
 
 
 class TestAttenuateCharfunc:
@@ -395,10 +400,13 @@ class TestAttenuateCharfunc:
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_is_cutoff_too_small(self):
-        # |3> on 3 levels occupies its top level; t* beta = 2.25 is past its trust radius
+        # |3> on 3 levels occupies its top level, but with leakage 0 it is exact at t* beta =
+        # 2.25: the attenuated Phi is e^{-|beta|^2/2} L_3(|t beta|^2)
         rho = fc.make_fock(3, 3)
-        with pytest.raises(CutoffTooSmall, match="trust radius"):
-            lo.attenuate_charfunc(lambda b: filtered_charfunc(rho, S0, b), S0, 0.9, 2.5)
+        got = lo.attenuate_charfunc(lambda b: filtered_charfunc(rho, S0, b), S0, 0.9, 2.5)
+        x = 2.25**2
+        assert got == pytest.approx(np.exp(-2.5**2 / 2) * (6 - 18 * x + 9 * x * x - x**3) / 6,
+                                    abs=1e-15)
 
     def test_gain_rejected(self):
         with pytest.raises(GainNotAllowed):

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
-from phaselab.errors import CutoffTooSmall, DomainError, InvalidFilter, MalformedFile
+from phaselab.errors import DomainError, InvalidFilter, MalformedFile
 from phaselab.errors import NonFiniteArgument
 from phaselab.theorem_lab import disk_grid
 
@@ -187,10 +187,9 @@ class TestSymmetricCharfunc:
                 ) < 1e-8
 
     def test_trust_radius_on_truncating_state(self):
-        # a state with weight on its top level cannot be displaced far
-        rho = fc.make_fock(3, 3)
-        with pytest.raises(CutoffTooSmall):
-            pf.symmetric_charfunc(rho, 2.0)
+        # |3> on 3 levels occupies its top level, but with leakage 0 it is exactly the matrix
+        # it stores, so Tr(rho D(2)) is e^{-2} L_3(4) = 7 e^{-2} / 3
+        assert abs(pf.symmetric_charfunc(fc.make_fock(3, 3), 2.0) - 7 * np.exp(-2) / 3) <= 1e-15
 
     def test_non_finite_beta_rejected(self):
         rho = fc.make_fock(0, 5)
@@ -211,7 +210,7 @@ class TestSymmetricCharfunc:
     @settings(max_examples=60, deadline=None)
     def test_band_sum_matches_laguerre_elements(self, seed, d, radius, angle, cat):
         # one empty level above a dense block, or above an even cat state, which
-        # holds no odd band: no trust check applies
+        # holds no odd band
         rng = np.random.default_rng(seed)
         if cat:
             rho = even_cat(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()), d, d + 1)
@@ -533,12 +532,13 @@ class TestTwoModeCharfunc:
         assert np.max(np.abs(got - chi(b3, a1) * chi(b4, a2))) < 1e-12
 
     def test_top_level_guard_per_mode(self):
-        # mode 2 occupies its top level: its betas are checked, mode 1's are not
+        # mode 2 occupies its top level, and with leakage 0 that is no truncation: both modes
+        # are exact at |beta| = 3, mode 2's value e^{-9/2} L_4(9) = -(37/8) e^{-9/2}
         rho = fc.tensor(fc.make_fock(0, 4), fc.make_fock(4, 4))
         f = pf.FilterSpec.s_param(0.0)
         assert pf.two_mode_charfunc(rho, f, 3.0, 0.0) == pytest.approx(np.exp(-4.5), abs=1e-15)
-        with pytest.raises(CutoffTooSmall):
-            pf.two_mode_charfunc(rho, f, 0.0, 3.0)
+        assert pf.two_mode_charfunc(rho, f, 0.0, 3.0) == pytest.approx(
+            -37 / 8 * np.exp(-4.5), abs=1e-15)
 
 
 class TestVacuumCharfunc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_hermite
+from scipy.special import eval_hermite, eval_laguerre
 
 from phaselab import fock_core as fc
 from phaselab import phase_filters as pf
@@ -85,9 +85,8 @@ class TestLattice:
         # 129.0 is not the count 129 even once lattice(4.0, 129) is kept, and 9.7 is not cut
         # to 9: every grid size reaches _axis, which raises before an axis or mesh is made
         rho = fc.make_fock(1, 20)
-        # the sourceless grid reads its beta mesh on the first check; the alpha mesh is kept
+        # the alpha grid is checked first: the sourceless grid's values are never sampled
         sourceless = replace(qe.charfunc_grid(rho, S0), source=None)
-        sourceless.values
         qe.lattice(4.0, 129)
         kept = set(pf._kept_meshes)
         for make in (lambda: qe.lattice(4.0, points),
@@ -97,7 +96,7 @@ class TestLattice:
                      lambda: qe.quasiprob_transform(sourceless, 4.0, points)):
             with pytest.raises(GridTooCoarse):
                 make()
-        assert set(pf._kept_meshes) == kept
+        assert set(pf._kept_meshes) == kept and "values" not in vars(sourceless)
 
     def test_integer_types_share_one_lattice(self):
         # one mesh and plan per value: an int extent or a numpy count finds the kept pair
@@ -290,9 +289,11 @@ class TestQFunction:
         )
 
     def test_leakage_guard(self):
-        # the state occupies its top level, so it may stand for a larger one
-        with pytest.raises(CutoffTooSmall):
-            qe.q_function(fc.make_fock(5, 5), 4.0)
+        # the state occupies its top level, but only its leakage records truncation, and that
+        # is 0; the probe |4> loses 0.984 of its mass past cutoff 5, which no guard reads.
+        # Q of |5> is x^5 e^{-x} / (5! pi), x = |alpha|^2
+        assert qe.q_function(fc.make_fock(5, 5), 4.0) == pytest.approx(
+            16.0**5 * np.exp(-16.0) / (120 * np.pi), rel=1e-14)
 
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(NonFiniteArgument):
@@ -607,21 +608,28 @@ class TestExactRoute:
             assert np.max(np.abs(grid.values - want)) <= 1e-9
 
     def test_cutoff_error_moves_to_the_first_read(self):
-        # the trust-radius check runs where the lattice is sampled: at the first read of
-        # values; the exact route never reads them
+        # the exact route never reads the values; the first read samples the lattice, where
+        # |5> on 6 levels with leakage 0 is exact out to the corners: e^{-x/2} L_5(x)
         cf = qe.charfunc_grid(fc.make_fock(5, 5), S0)
         qe.quasiprob_transform(cf)
-        with pytest.raises(CutoffTooSmall):
-            cf.values
+        assert "values" not in vars(cf)
+        x = np.abs(qe.lattice(6.0, 128)[1]) ** 2
+        assert np.max(np.abs(cf.values - np.exp(-x / 2) * eval_laguerre(5, x))) <= 1e-13
 
     def test_leakage_beyond_the_builders_cap_raises(self):
         obj = fc.save_state(fc.make_fock(1, 10))
         obj["leakage"] = 1e-6
         rho = fc.load_state(obj)
-        with pytest.raises(CutoffTooSmall):
-            qe.quasiprob_pointwise(rho, 0.3, -0.5)
-        with pytest.raises(CutoffTooSmall):
-            qe.quasiprob_transform(qe.charfunc_grid(rho, S0))
+        pair = fc.tensor(rho, rho)  # leakage 2e-6 - 1e-12
+        # every functional reads the one rule and states the bound ||X|| (2 sqrt(eps) + 2 eps)
+        for call, norm, eps in [
+                (lambda: qe.quasiprob_pointwise(rho, 0.3, -0.5), 4 / (3 * np.pi), 1e-6),
+                (lambda: qe.quasiprob_transform(qe.charfunc_grid(rho, S0)), 2 / np.pi, 1e-6),
+                (lambda: pf.symmetric_charfunc(rho, 0.3), 1.0, 1e-6),
+                (lambda: qe.q_function(rho, 0.3), 1 / np.pi, 1e-6),
+                (lambda: pf.two_mode_charfunc(pair, S0, 0.3, 0.3), 1.0, pair.leakage)]:
+            with pytest.raises(CutoffTooSmall, match=f"{norm * (2 * np.sqrt(eps) + 2 * eps):.3e}"):
+                call()
 
     def test_occupied_top_level_without_leakage_is_exact(self):
         grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(3, 3), FilterSpec.s_param(-0.5)))
@@ -631,17 +639,20 @@ class TestExactRoute:
     @given(beta=disk(2.0), cutoff=st.integers(2, 14), s=S_LEQ_0, alpha=ALPHAS)
     @settings(max_examples=40, deadline=None)
     def test_leakage_bound_holds(self, beta, cutoff, s, alpha):
-        # truncate a coherent state to cutoff + 1 levels and renormalize: P_s moves by at
-        # most (2 / (pi (1-s))) (2 sqrt(eps) + 2 eps), eps the trace it lost, summed from the
-        # levels it drops (1 - trace rounds a loss below 1e-16 to 0, where the coherences
-        # still move P_s by about sqrt(eps))
+        # truncate a coherent state to cutoff + 1 levels and renormalize: each functional
+        # Tr(rho X) moves by at most ||X|| (2 sqrt(eps) + 2 eps), eps the trace it lost, summed
+        # from the levels it drops (1 - trace rounds a loss below 1e-16 to 0, where the
+        # coherences still move it by about sqrt(eps)); ||X|| is 2 / (pi (1-s)) for P_s,
+        # 1 for the characteristic function and 1 / pi for Q
         full = fc.make_coherent(beta, 60)
         block = full.entries[: cutoff + 1, : cutoff + 1]
         eps = float(full.entries.diagonal()[cutoff + 1:].real.sum())
         cut = fc.DensityMatrix(cutoff + 1, block / block.trace().real)
-        moved = np.abs(qe.quasiprob_pointwise(cut, alpha, s) - qe.quasiprob_pointwise(full, alpha, s))
-        bound = 2 / (np.pi * (1 - s)) * (2 * np.sqrt(eps) + 2 * eps)
-        assert np.max(moved) <= bound + 1e-15
+        for value, norm in [(lambda r: qe.quasiprob_pointwise(r, alpha, s), 2 / (np.pi * (1 - s))),
+                            (lambda r: pf.symmetric_charfunc(r, alpha), 1.0),
+                            (lambda r: qe.q_function(r, alpha), 1 / np.pi)]:
+            moved = np.abs(value(cut) - value(full))
+            assert np.max(moved) <= norm * (2 * np.sqrt(eps) + 2 * eps) + 1e-15
 
 
 @pytest.fixture
