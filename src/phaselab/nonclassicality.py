@@ -11,7 +11,7 @@ from .classical_fields import ClassicalEnsemble
 from .errors import CutoffTooSmall, InvalidWeights
 from .fock_core import DensityMatrix, _moments, make_coherent, make_fock, mix, normal_moment
 from .linear_optics import _loss_blocks, attenuate
-from .quasiprob_engine import _pointwise, attenuated_photon_wigner, quasiprob_pointwise
+from .quasiprob_engine import attenuated_photon_wigner, quasiprob_pointwise
 
 # equality cases (coherent states) must not flip to VIOLATED by rounding
 VERDICT_TOL = 1e-12
@@ -110,13 +110,15 @@ def wigner_origin_analytic(eta: float) -> float:
 
 def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, float, float]]:
     """Rows (eta, wigner_origin_numeric, wigner_origin_analytic, g2 - g1^2)
-    for eta on a uniform grid of [0, 1], the lossy photons made as one stack."""
+    for eta on a uniform grid of [0, 1], the lossy photons made as one stack. Each Wigner
+    origin is (2/pi) Tr(rho Pi), Pi = (-1)^{a^dag a} the parity, as T(0, 0) = 2 Pi."""
     if eta_steps < 2:
         raise InvalidWeights("need at least two efficiency steps")
     etas = np.linspace(0.0, 1.0, eta_steps)
     lossy = _loss_blocks(make_fock(1, cutoff), etas)
     g1, g2 = (_moments(lossy, cutoff, j, j).real for j in (1, 2))
-    origin = _pointwise(lossy, np.zeros(1, complex), 0.0)[:, 0]
+    parity = (-1.0) ** np.arange(lossy.shape[-1])
+    origin = 2 * (lossy.diagonal(axis1=1, axis2=2).real @ parity) / np.pi
     columns = (etas, origin, attenuated_photon_wigner(etas, 0.0), g2 - g1**2)
     return list(zip(*(c.tolist() for c in columns)))
 

@@ -162,7 +162,7 @@ def _finite_points(value, name: str) -> np.ndarray:
 
 
 def _radii(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, inv), r2 = distinct[inv]; a single point (figure 3's alpha) is not sorted."""
+    """(distinct, inv), r2 = distinct[inv]; a single point is not sorted."""
     return (r2, np.zeros(1, np.intp)) if r2.size == 1 else np.unique(r2, return_inverse=True)
 
 
@@ -255,8 +255,8 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
 
 def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
-    the flat points p for the Hermitian part h of each matrix of a stack e (m, d, d); each
-    Z_j is (m, p.size), and None for j > 0 when no band of its class is held.
+    the flat points p for the Hermitian part h of the square matrix e (d, d); each Z_j has
+    p.size values, and is None for j > 0 when no band of its class is held.
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
     r2 = |p|^2. The recurrence runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
@@ -267,36 +267,28 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     distinct radii with the columns c, g1, g2 of its group gives the group's sums there, which
     are multiplied by pref and mapped to the points by ``radii``. A class is summed by Horner
     in (c p)^4 from its highest band down, then multiplied by (c p)^j once. Memory stays
-    O(p.size) per matrix, with one group's rows at a time; a band that every matrix holds as
-    zero is skipped, a group with no band held is never built, and the folds are built only
-    for a held band off the anchors, so a stack of diagonal matrices costs one band.
+    O(p.size), with one group's rows at a time; an all-zero band is skipped, a group with
+    no band held is never built, and the folds are built only for a held band off the
+    anchors, so a diagonal matrix costs one band.
     """
-    m, d = len(e), e.shape[-1]
+    d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
     # trace, is always summed, so Z_0 is an array
-    _, rows, cols = np.nonzero(e)
+    rows, cols = np.nonzero(e)
     held = set(np.abs(cols - rows).tolist()) | {0}
     top = max(held)
     # Tr(h X) = sum_{m,n} h[n, m] <m|X|n>: 2 h[n, n+k] = e[n, n+k] + conj(e[n+k, n]) pairs
-    # with <n+k|X|n>, and 2 h[n, n] is halved; (levels, levels, matrices), padded to an even
-    # count of matrices so that the matrix products below always have a multiple of four
-    # columns: their sums then do not depend on how many matrices share them
-    two_h = np.zeros((d, d, m + m % 2), dtype=complex)
-    two_h[..., :m] = (e + e.conj().swapaxes(1, 2)).transpose(1, 2, 0)
-    trace = two_h.reshape(d * d, -1)[:: d + 1]  # the diagonal, as a view
-    trace *= 0.5
+    # with <n+k|X|n>, and 2 h[n, n] is halved; as (re, im) pairs of floats, so that the
+    # columns of band b are the (d - b, 2) view two_h.diagonal(b).T
+    two_h = e + e.conj().T
+    two_h = np.stack([two_h.real, two_h.imag], axis=-1)
+    two_h.reshape(-1, 2)[:: d + 1] *= 0.5
     distinct, inv, band_rows = _radial(d, radii, scale, q)
-    radial = pref(distinct)[:, None, None]
-    size = p.size
-    if size == 1:
-        # numpy rounds a complex product on a one-element loop otherwise than on a longer
-        # one, and a stack of one point runs a loop over its matrices: two copies of the
-        # point keep the loops over points, so a stack and its matrices alone agree
-        p, inv = np.repeat(p, 2), np.repeat(inv, 2)
+    radial = pref(distinct)[:, None]
     lo = c * p if top > 0 else None
     lo2 = lo * lo if top > 1 else None
     lo4 = lo2 * lo2 if top > 3 else None
-    sums, folds, width, anchor = [None] * 4, None, two_h.shape[-1], top + 1
+    sums, folds, anchor = [None] * 4, None, top + 1
     for k in range(top, -1, -1):
         z = sums[k % 4]
         if z is not None:
@@ -308,27 +300,21 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
             # columns g on the anchor's rows R, with sum_n c_n R_n^(b) = sum_j g_j R_j
             anchor = k - k % ANCHOR_SPACING
             parts = [b for b in range(anchor, k + 1) if b in held] if k > anchor else [k]
-            # the (re, im) columns of band b of 2h: the anchor's alone are read in place
-            columns = two_h.diagonal(anchor).T.view(float)
-            if k > anchor:
-                folds = _folds(d, q) if folds is None else folds
-                count = d - anchor
-                columns = np.empty((count, len(parts), 2 * width))
-                for i, b in enumerate(parts):
-                    column = two_h.diagonal(b).T.view(float)
-                    if b == anchor:
-                        columns[:, i] = column
-                    else:
-                        # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
-                        fold = folds[anchor // ANCHOR_SPACING, b - anchor - 1, : d - b, :count]
-                        np.matmul(fold.T, column, out=columns[:, i])
-                columns = columns.reshape(count, -1)
-            # real rows times those columns, read back as complex: (U, part, matrix)
-            acc = (band_rows(anchor).T @ columns).view(complex).reshape(-1, len(parts), width)
-            acc = acc[..., :m]
+            count = d - anchor
+            columns = np.empty((count, len(parts), 2))
+            for i, b in enumerate(parts):
+                if b == anchor:
+                    columns[:, i] = two_h.diagonal(b).T
+                else:
+                    # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
+                    folds = _folds(d, q) if folds is None else folds
+                    fold = folds[anchor // ANCHOR_SPACING, b - anchor - 1, : d - b, :count]
+                    np.matmul(fold.T, two_h.diagonal(b).T, out=columns[:, i])
+            # real rows times those columns, read back as complex: (U, part)
+            acc = (band_rows(anchor).T @ columns.reshape(count, -1)).view(complex)
             acc *= radial
             spread = np.take(acc, inv, axis=0)
-        band = spread[:, parts.index(k)].T
+        band = spread[:, parts.index(k)]
         if z is None:
             sums[k % 4] = band
         else:
@@ -336,7 +322,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     for j, power in ((1, lo), (2, lo2), (3, None if sums[3] is None else lo2 * lo)):
         if sums[j] is not None:
             sums[j] *= power
-    return [z if z is None else z[:, :size] for z in sums]
+    return sums
 
 
 def _orbits(p: np.ndarray) -> tuple:
@@ -354,8 +340,8 @@ def _orbits(p: np.ndarray) -> tuple:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q=1.0):
-    """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of each square
-    matrix of a stack e (..., d, d); shape (..., p.size), complex for sign -1, real for +1.
+    """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of the square
+    matrix e (d, d); p.size values, complex for sign -1, real for +1.
 
     X is banded as in ``_class_sums``, with <n|X|n+k> = sign^k conj(<n+k|X|n>): D(b) has
     pref e^{-x/2}, c = 1 and sign -1, T(a, s) sign +1. So band k adds z_k + sign^k conj(z_k),
@@ -369,8 +355,6 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     through the ``np.rot90`` views of the result. Any other p gets every point. A result
     that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning.
     """
-    *lead, d = e.shape[:-1]
-    e = e.reshape(-1, d, d)
     # all of a kept mesh, in its order, reads the plan lattice() built with it
     closed, n, rows, cols, block, radii = _kept(p) or _orbits(p)
     z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
@@ -382,24 +366,23 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
         part, unit = (np.real, 1) if sign > 0 else (np.imag, 1j)
         odd = [unit * part(z) for z in (z1 + z3, 1j * (z1 - z3))]
         values = [even[0] + odd[0], even[1] + odd[1], even[0] - odd[0], even[1] - odd[1]]
-    out = np.empty((len(e), p.size), complex if sign < 0 else float)
+    out = np.empty(p.size, complex if sign < 0 else float)
     if not closed:
         out[:] = values[0]
     else:
-        grid, size = out.reshape(len(e), n, n), rows * cols
-        # the views np.rot90(grid, turn, axes=(1, 2)) returns for turn = 0 .. 3, taken as its
-        # slices: each np.rot90 call costs about 5 us, a fifth of a small diagonal-state grid
-        turns = (grid, grid[:, :, ::-1].swapaxes(1, 2), grid[:, ::-1, ::-1],
-                 grid[:, ::-1].swapaxes(1, 2))
+        grid, size = out.reshape(n, n), rows * cols
+        # the views np.rot90(grid, turn) returns for turn = 0 .. 3, taken as its slices: each
+        # np.rot90 call costs about 5 us, a fifth of a small diagonal-state grid
+        turns = (grid, grid[:, ::-1].T, grid[::-1, ::-1], grid[::-1].T)
         for turned, value in zip(turns, values):
-            turned[:, :rows, :cols] = value[:, :size].reshape(-1, rows, cols)
+            turned[:rows, :cols] = value[:size].reshape(rows, cols)
         if n % 2:
-            grid[:, rows, rows] = values[0][:, -1]
+            grid[rows, rows] = values[0][-1]
     # one contiguous scan as floats: a non-finite class sum reaches the real part it writes
     if not np.isfinite(out.view(float)).all():
         raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
                                 f"up to {np.abs(block).max():.3g}")
-    return out.reshape(*lead, p.size)
+    return out
 
 
 def _half_gaussian(x):
@@ -418,33 +401,35 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     beta_arr = _finite_points(beta, "beta")
     d = effective_dim(rho.occupations[0])
     vals = _band_trace(rho.entries[:d, :d], beta_arr.ravel(), _half_gaussian)
-    vals = vals.reshape(beta_arr.shape)
-    return complex(vals) if vals.ndim == 0 else vals
+    return complex(vals[0]) if beta_arr.ndim == 0 else vals.reshape(beta_arr.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def filtered_charfunc(rho: DensityMatrix, f: FilterSpec, beta):
-    """Phi_Omega(beta) = Tr(rho D(beta)) Omega(beta)."""
-    vals = require_finite(symmetric_charfunc(rho, beta) * np.exp(f.exponent(beta)), _PHI)
+    """Phi_Omega(beta) = Tr(rho D(beta)) Omega(beta), guarded as in ``symmetric_charfunc``
+    with the bound scaled by max |Omega| over the points."""
+    omega = np.exp(f.exponent(beta))
+    check_leakage(rho, np.max(np.abs(omega), initial=0.0))
+    vals = require_finite(symmetric_charfunc(rho, beta) * omega, _PHI)
     return complex(vals) if vals.ndim == 0 else vals
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def two_mode_charfunc(rho12: DensityMatrix, f: FilterSpec, beta3, beta4):
-    """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state; the trace is guarded
-    as in ``symmetric_charfunc``."""
+    """Tr(rho D(b3) x D(b4)) Omega(b3) Omega(b4) for a two-mode state; guarded as in
+    ``symmetric_charfunc``, with the bound scaled by max |Omega(b3) Omega(b4)|."""
     if rho12.n_modes != 2:
         raise DimensionMismatch("two_mode_charfunc expects a two-mode state")
-    check_leakage(rho12, 1.0)
+    omega = np.exp(f.exponent(beta3) + f.exponent(beta4))
+    check_leakage(rho12, np.max(np.abs(omega), initial=0.0))
     b3, b4 = np.broadcast_arrays(require_finite(beta3, "beta3"), require_finite(beta4, "beta4"))
-    d = rho12.dim
     d1, d2 = (effective_dim(row) for row in rho12.occupations)
     s3 = displacement_stack(d1, b3.ravel())
     s4 = displacement_stack(d2, b4.ravel())
-    e = rho12.entries.reshape(d, d, d, d)[:d1, :d2, :d1, :d2]
+    e = rho12.entries.reshape((rho12.dim,) * 4)[:d1, :d2, :d1, :d2]
     # optimize: contract rho with one stack as a matrix product, not a 7-index loop
     vals = np.einsum("nqmp,mnk,pqk->k", e, s3, s4, optimize=True)
-    vals = require_finite(vals.reshape(b3.shape) * np.exp(f.exponent(b3) + f.exponent(b4)), _PHI)
+    vals = require_finite(vals.reshape(b3.shape) * omega, _PHI)
     return complex(vals) if vals.ndim == 0 else vals
 
 

@@ -191,6 +191,7 @@ def q_function(rho: DensityMatrix, alpha):
     return float(vals) if vals.ndim == 0 else vals
 
 
+@np.errstate(over="ignore")
 def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     """P_s(alpha) = (1/pi) Tr(rho T(alpha, s)) for s <= 0, exact for the stored matrix.
 
@@ -216,19 +217,11 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     check_leakage(rho, 2 / (pi * (1 - s)))
     alpha_arr = _finite_points(alpha, "alpha")
     d = effective_dim(rho.occupations[0])
-    vals = _pointwise(rho.entries[:d, :d], alpha_arr.ravel(), s).reshape(alpha_arr.shape)
-    return float(vals) if vals.ndim == 0 else vals
-
-
-@np.errstate(over="ignore")
-def _pointwise(e: np.ndarray, a: np.ndarray, s: float) -> np.ndarray:
-    """(1/pi) Tr(e T(a, s)) for each matrix of a stack e (..., d, d) at the flat points a;
-    for s << 0, (1-s)^2 overflows to inf and the scale to -0.0: P_s -> 2 Tr(e) / (pi (1-s))."""
-    def pref(x):
-        return (2 / (1 - s)) * np.exp(-2 * x / (1 - s))
-
-    scale = -4 / np.float64(1 - s) ** 2
-    return _band_trace(e, a, pref, 2 / (1 - s), 1, scale, (s + 1) / (s - 1)) / pi
+    # for s << 0, (1-s)^2 overflows and the scale -4/(1-s)^2 is -0.0: P_s -> 2 Tr(rho)/(pi(1-s))
+    vals = _band_trace(rho.entries[:d, :d], alpha_arr.ravel(),
+                       lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s)), 2 / (1 - s), 1,
+                       -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)) / pi
+    return float(vals[0]) if alpha_arr.ndim == 0 else vals.reshape(alpha_arr.shape)
 
 
 def attenuated_photon_wigner(eta: float, alpha):
@@ -248,8 +241,8 @@ def quadrature_distribution(wigner: QuasiProbGrid, phase: float) -> list[tuple[f
     if wigner.filter.as_s() != 0:
         raise DimensionMismatch("quadrature marginal requires an s = 0 grid")
     rho = wigner.source
-    if rho is None:
-        raise DimensionMismatch("quadrature marginal needs the grid's source state")
+    if rho is None or rho.n_modes != 1:
+        raise DimensionMismatch("quadrature marginal needs the grid's single-mode source state")
     d = effective_dim(rho.occupations[0])
     x = wigner.axis
     v = _rows(_hermite_rows, x, d).T * np.exp(-1j * phase * np.arange(d))[:, None]

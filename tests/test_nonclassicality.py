@@ -10,7 +10,6 @@ from phaselab import fock_core as fc
 from phaselab import nonclassicality as nc
 from phaselab.errors import CutoffTooSmall, GainNotAllowed, InvalidWeights
 from phaselab.linear_optics import _loss_blocks, attenuate
-from phaselab.quasiprob_engine import _pointwise, quasiprob_pointwise
 
 from _support import random_coherent_ensemble, random_density
 
@@ -195,8 +194,8 @@ class TestCoherentMixture:
 
 
 class TestEfficiencyStack:
-    """The loss channel, the moments and the pointwise trace on a stack of efficiencies
-    against the same functions on each state alone."""
+    """The loss channel and the moments on a stack of efficiencies against the same
+    functions on each state alone."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -205,10 +204,9 @@ class TestEfficiencyStack:
         diagonal=st.booleans(),
         leakage=st.floats(0.0, 1e-10),
         etas=st.lists(st.floats(0.0, 1.0), max_size=6),
-        s=st.floats(-3.0, 0.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_slices_match_one_state(self, seed, occupied, headroom, diagonal, leakage, etas, s):
+    def test_slices_match_one_state(self, seed, occupied, headroom, diagonal, leakage, etas):
         rng = np.random.default_rng(seed)
         dim = min(occupied + headroom, 21)
         dense = random_density(dim, occupied=occupied, rng=rng).entries
@@ -221,8 +219,6 @@ class TestEfficiencyStack:
         orders = [(m, n) for m in range(3) for n in range(3) if m + n <= rho.cutoff - 2]
         stacked = [fc._moments(lossy, rho.cutoff, m, n) for m, n in orders]
         stacked = np.array(stacked).reshape(len(orders), len(etas))
-        alpha = np.concatenate([[0.0], rng.normal(size=3) + 1j * rng.normal(size=3)])
-        wigner = _pointwise(lossy, alpha, s)
         for i, eta in enumerate(etas.tolist()):
             one = attenuate(rho, eta)
             assert one.leakage == rho.leakage
@@ -232,10 +228,6 @@ class TestEfficiencyStack:
             moments = np.array([fc.normal_moment(one, m, n) for m, n in orders])
             peak = np.abs(moments).max(initial=0.0)
             assert np.abs(moments - stacked[:, i]).max(initial=0.0) <= 4 * np.spacing(peak)
-            # 2 / (pi (1 - s)) is the peak |P_s| can reach, at the vacuum's origin
-            peak = 2 / (np.pi * (1 - s))
-            p = quasiprob_pointwise(one, alpha, s)
-            assert np.abs(p - wigner[i]).max() <= 4 * np.spacing(peak)
 
     def test_stack_holds_the_occupied_block(self):
         # an attenuated photon is a 2 x 2 block per efficiency at any cutoff: the stack

@@ -1,4 +1,5 @@
 import gc
+import re
 from dataclasses import replace
 from math import comb, factorial
 
@@ -452,45 +453,41 @@ class TestPointwise:
             want = np.array([oracle[a] for a in alphas.ravel()])
             assert np.max(np.abs(got.ravel() - want)) <= 1e-12
 
-    @given(seed=SEEDS, d=st.integers(1, 31), stack=st.integers(1, 3), extent=st.floats(0.1, 4.0),
+    @given(seed=SEEDS, d=st.integers(1, 31), extent=st.floats(0.1, 4.0),
            points=st.one_of(st.integers(1, 3), st.integers(1, 40)),
            s=st.one_of(st.just(-1.0), S_LEQ_0))
     @settings(max_examples=40, deadline=None)
-    def test_paired_lattice_matches_shuffled_points(self, seed, d, stack, extent, points, s):
+    def test_paired_lattice_matches_shuffled_points(self, seed, d, extent, points, s):
         # the rotation branch (a lattice() mesh, even or odd, q = 0 at s = -1) against the
-        # plain one (its points shuffled), for a stack through _pointwise and its first state
-        # through the API
+        # plain one (its points shuffled)
         rng = np.random.default_rng(seed)
-        states = [random_density(d, rng=rng) for _ in range(stack)]
-        e = np.stack([rho.entries for rho in states])
+        rho = random_density(d, rng=rng)
         alphas = qe.lattice(extent, points)[1].ravel()
         order = rng.permutation(alphas.size)
         assume(points == 1 or not rotation_closed(alphas[order]))
-        paired = qe._pointwise(e, alphas, s)
+        paired = qe.quasiprob_pointwise(rho, alphas, s)
         unpaired = np.empty_like(paired)
-        unpaired[:, order] = qe._pointwise(e, alphas[order], s)
-        peak = np.max(np.abs(paired))
-        assert np.max(np.abs(paired - unpaired)) <= 1e-15 * peak
-        one = np.empty(alphas.size)
-        one[order] = qe.quasiprob_pointwise(states[0], alphas[order], s)
-        assert np.max(np.abs(qe.quasiprob_pointwise(states[0], alphas, s) - one)) <= 1e-15 * peak
+        unpaired[order] = qe.quasiprob_pointwise(rho, alphas[order], s)
+        assert np.max(np.abs(paired - unpaired)) <= 1e-15 * np.max(np.abs(paired))
 
-    @given(seed=SEEDS, d=st.integers(1, 31), stack=st.integers(2, 4), extent=st.floats(0.1, 4.0),
-           points=st.integers(1, 30), s=S_LEQ_0)
-    @settings(max_examples=30, deadline=None)
-    def test_stack_and_each_state_agree_bit_for_bit(self, seed, d, stack, extent, points, s):
-        # Hermitian, cat and non-Hermitian matrices in one stack, on a lattice() mesh, shuffled
-        # and at its last point alone
+    @given(seed=SEEDS, d=st.integers(1, 31), kind=st.sampled_from(["dense", "cat", "skew"]))
+    @settings(max_examples=60, deadline=None)
+    def test_origin_is_the_parity_trace(self, seed, d, kind):
+        # T(0, 0) = 2 (-1)^{a^dag a}: the Wigner origin is (2/pi) sum_n (-1)^n Re rho_nn, for
+        # a state, a cat (even levels only) and a state plus a matrix with an imaginary
+        # diagonal (not Hermitian, the same Hermitian diagonal); the kernel's rows at x = 0
+        # are (-1)^n only to about 47 ulp at level 30, which a state's weights average down
         rng = np.random.default_rng(seed)
-        shape = (stack - 2, d, d)
-        e = np.stack([fc.hermitian_mean(random_density(d, rng=rng).entries),
-                      even_cat(rng.uniform(0.5, 2.0), d, d).entries,
-                      *(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
-        mesh = qe.lattice(extent, points)[1].ravel()
-        for alphas in (mesh, rng.permutation(mesh), mesh[-1:]):
-            got = qe._pointwise(e, alphas, s)
-            for i, one in enumerate(e):
-                assert np.array_equal(got[i], qe._pointwise(one, alphas, s))
+        if kind == "cat":
+            rho = even_cat(rng.uniform(0.5, 2.0), d, d)
+        else:
+            rho = random_density(d, rng=rng)
+        if kind == "skew":
+            skew = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            skew.real[np.diag_indices(d)] = 0.0
+            rho = fc.DensityMatrix(d, rho.entries + skew)
+        parity = 2 * (rho.entries.diagonal().real @ (-1.0) ** np.arange(d)) / np.pi
+        assert abs(qe.quasiprob_pointwise(rho, 0.0, 0.0) - parity) <= 8 * np.spacing(2 / np.pi)
 
     @pytest.mark.parametrize("s", [1e-12, 0.5, 1.0, 3.0])
     def test_positive_s_rejected(self, s):
@@ -621,14 +618,21 @@ class TestExactRoute:
         obj["leakage"] = 1e-6
         rho = fc.load_state(obj)
         pair = fc.tensor(rho, rho)  # leakage 2e-6 - 1e-12
-        # every functional reads the one rule and states the bound ||X|| (2 sqrt(eps) + 2 eps)
+        # every functional reads the one rule and states the bound ||X|| (2 sqrt(eps) + 2 eps);
+        # a filtered characteristic function's ||X|| is max |Omega| over the points asked:
+        # Omega(6) = e^9 at s = 0.5, and Omega(6) Omega(2) = e^10 for the pair
+        half = FilterSpec.s_param(0.5)
         for call, norm, eps in [
                 (lambda: qe.quasiprob_pointwise(rho, 0.3, -0.5), 4 / (3 * np.pi), 1e-6),
                 (lambda: qe.quasiprob_transform(qe.charfunc_grid(rho, S0)), 2 / np.pi, 1e-6),
                 (lambda: pf.symmetric_charfunc(rho, 0.3), 1.0, 1e-6),
                 (lambda: qe.q_function(rho, 0.3), 1 / np.pi, 1e-6),
-                (lambda: pf.two_mode_charfunc(pair, S0, 0.3, 0.3), 1.0, pair.leakage)]:
-            with pytest.raises(CutoffTooSmall, match=f"{norm * (2 * np.sqrt(eps) + 2 * eps):.3e}"):
+                (lambda: pf.filtered_charfunc(rho, half, [0.3, 6.0]), np.exp(9.0), 1e-6),
+                (lambda: pf.two_mode_charfunc(pair, S0, 0.3, 0.3), 1.0, pair.leakage),
+                (lambda: pf.two_mode_charfunc(pair, half, 6.0, [0.0, 2.0]), np.exp(10.0),
+                 pair.leakage)]:
+            bound = f"{norm * (2 * np.sqrt(eps) + 2 * eps):.3e}"
+            with pytest.raises(CutoffTooSmall, match=re.escape(bound)):
                 call()
 
     def test_occupied_top_level_without_leakage_is_exact(self):
@@ -760,12 +764,11 @@ class TestGridTables:
         qe.quasiprob_transform(qe.charfunc_grid(states[0], S0))
         assert calls == [mesh.size] and np.array_equal(got[0], got[1])
         assert not plan_of(mesh)[4].flags.writeable
-        e = states[0].entries[:11, :11]
         flat = mesh.ravel()
         for points in (flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
-            want = qe._pointwise(e, points.copy(), -0.2)
+            want = qe.quasiprob_pointwise(states[0], points.copy(), -0.2)
             calls.clear()
-            assert np.array_equal(qe._pointwise(e, points, -0.2), want)
+            assert np.array_equal(qe.quasiprob_pointwise(states[0], points, -0.2), want)
             assert calls == [points.size]
 
     def test_kept_mesh_entry_goes_with_the_mesh(self):
@@ -879,5 +882,12 @@ class TestQuadratureDistribution:
 
     def test_grid_without_source_rejected(self):
         grid = replace(wigner_grid(fc.make_fock(0, 20)), source=None)
+        with pytest.raises(DimensionMismatch):
+            qe.quadrature_distribution(grid, 0.3)
+
+    def test_two_mode_source_rejected(self):
+        # a hand-made s = 0 grid whose source is a two-mode state has no single-mode marginal
+        pair = fc.tensor(fc.make_fock(1, 4), fc.make_fock(0, 4))
+        grid = qe.QuasiProbGrid(pf._axis(4.0, 129), np.zeros((129, 129)), S0, pair, 0.0, 0.0)
         with pytest.raises(DimensionMismatch):
             qe.quadrature_distribution(grid, 0.3)
