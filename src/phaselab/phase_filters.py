@@ -155,12 +155,6 @@ def _kept(p: np.ndarray) -> tuple | None:
     return plan if plan is not None and p.flags.c_contiguous and p.size == mesh.size else None
 
 
-def _finite_points(value, name: str) -> np.ndarray:
-    """``require_finite(value, name)``, with no scan of a mesh that ``_kept`` finds."""
-    arr = np.asarray(value, dtype=complex)
-    return arr if _kept(arr) else require_finite(arr, name)
-
-
 def _radii(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inv), r2 = distinct[inv]; a single point is not sorted."""
     return (r2, np.zeros(1, np.intp)) if r2.size == 1 else np.unique(r2, return_inverse=True)
@@ -228,15 +222,6 @@ def _fold_weights(dim: int) -> np.ndarray:
     return weights
 
 
-def _folds(dim: int, q: float) -> np.ndarray:
-    """T^(a)[i, a - 1, n, j] = q^(n-j) S[i, a - 1, n, j], the ``_fold_weights`` at q."""
-    weights = _fold_weights(dim)
-    if q == 1:
-        return weights
-    lag = np.arange(dim)
-    return weights * q ** np.maximum(lag[:, None] - lag, 0)
-
-
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
@@ -262,14 +247,14 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     r2 = |p|^2. The recurrence runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
     only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition formula
     L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1, a-1)
-    q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (``_folds``), so its sum over n with the band c of
-    2h is sum_j R_j^(k) g_j, g = T^(a)^T c. One matrix product of the anchor's rows at the
-    distinct radii with the columns c, g1, g2 of its group gives the group's sums there, which
-    are multiplied by pref and mapped to the points by ``radii``. A class is summed by Horner
-    in (c p)^4 from its highest band down, then multiplied by (c p)^j once. Memory stays
-    O(p.size), with one group's rows at a time; an all-zero band is skipped, a group with
-    no band held is never built, and the folds are built only for a held band off the
-    anchors, so a diagonal matrix costs one band.
+    q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_fold_weights`` times q^(n-j)), so
+    its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c. One matrix
+    product of the anchor's rows at the distinct radii with the columns c, g1, g2 of its
+    group gives the group's sums there, which are multiplied by pref and mapped to the points
+    by ``radii``. A class is summed by Horner in (c p)^4 from its highest band down, then
+    multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows at a time; an
+    all-zero band is skipped, a group with no band held is never built, and the (d, d) table
+    of q^(n-j) is built only for a held band off the anchors: a diagonal matrix costs a band.
     """
     d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -288,7 +273,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     lo = c * p if top > 0 else None
     lo2 = lo * lo if top > 1 else None
     lo4 = lo2 * lo2 if top > 3 else None
-    sums, folds, anchor = [None] * 4, None, top + 1
+    sums, powers, anchor = [None] * 4, None, top + 1
     for k in range(top, -1, -1):
         z = sums[k % 4]
         if z is not None:
@@ -307,8 +292,12 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
                     columns[:, i] = two_h.diagonal(b).T
                 else:
                     # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
-                    folds = _folds(d, q) if folds is None else folds
-                    fold = folds[anchor // ANCHOR_SPACING, b - anchor - 1, : d - b, :count]
+                    fold = _fold_weights(d)[anchor // ANCHOR_SPACING, b - anchor - 1,
+                                            : d - b, :count]
+                    if q != 1:
+                        if powers is None:
+                            powers = q ** np.maximum(np.arange(d)[:, None] - np.arange(d), 0)
+                        fold = fold * powers[: d - b, :count]
                     np.matmul(fold.T, two_h.diagonal(b).T, out=columns[:, i])
             # real rows times those columns, read back as complex: (U, part)
             acc = (band_rows(anchor).T @ columns.reshape(count, -1)).view(complex)
@@ -339,25 +328,38 @@ def _orbits(p: np.ndarray) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q=1.0):
-    """Tr(h X) at the flat points p for the Hermitian part h = (e + e^dag)/2 of the square
-    matrix e (d, d); p.size values, complex for sign -1, real for +1.
+def _band_trace(rho: DensityMatrix, points, name: str, s=None):
+    """Tr(h X) at the points, shaped like them, for the Hermitian part h = (e + e^dag)/2 of
+    the occupied block e (d, d) of the single-mode rho (``effective_dim``): X = D(b) when s
+    is None, complex, else T(a, s) for s <= 0, real. The only entry into the band kernel.
+    Points other than a mesh ``_kept`` finds are checked by ``require_finite(points, name)``.
 
     X is banded as in ``_class_sums``, with <n|X|n+k> = sign^k conj(<n+k|X|n>): D(b) has
-    pref e^{-x/2}, c = 1 and sign -1, T(a, s) sign +1. So band k adds z_k + sign^k conj(z_k),
+    pref e^{-x/2}, c = 1, sign -1, scale 1 and q 1, T(a, s) the parameters of
+    ``quasiprob_pointwise`` and sign +1. So band k adds z_k + sign^k conj(z_k),
     the real part for even k and, for odd k, the real part (sign +1) or i times the imaginary
     part (sign -1); call that Part. At i p band k is i^k times its value at p, and so is its
     conjugate term, as sign^k (-i)^k = i^k for sign -1. With Z_j the class sums at p, the
     four points of a rotation orbit get Re(Z_0 + Z_2) +- Part(Z_1 + Z_3) at +-p and
     Re(Z_0 - Z_2) +- Part(i (Z_1 - Z_3)) at +-i p.
-    When p reads as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh does,
-    the kernel sees one point of each orbit (``_orbits``), and the four values are written
-    through the ``np.rot90`` views of the result. Any other p gets every point. A result
+    When the points read as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh
+    does, the kernel sees one point of each orbit (``_orbits``), and the four values are written
+    through the ``np.rot90`` views of the result. Any other points get every point. A result
     that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning.
     """
-    # all of a kept mesh, in its order, reads the plan lattice() built with it
-    closed, n, rows, cols, block, radii = _kept(p) or _orbits(p)
-    z0, z1, z2, z3 = _class_sums(e, block, pref, c, scale, q, radii)
+    points = np.asarray(points, dtype=complex)
+    # all of a kept mesh, in its order, reads the plan lattice() built with it: it is finite
+    if (plan := _kept(points)) is None:
+        require_finite(points, name)
+    closed, n, rows, cols, block, radii = plan or _orbits(points.ravel())
+    if s is None:
+        pref, c, sign, scale, q = (lambda x: np.exp(-x / 2)), 1.0, -1, 1.0, 1.0
+    else:
+        # for s << 0, (1-s)^2 overflows and the scale is -0.0: P_s -> 2 Tr(rho)/(pi(1-s))
+        pref, c, sign = (lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s))), 2 / (1 - s), 1
+        scale, q = -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)
+    d = effective_dim(rho.occupations[0])
+    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, pref, c, scale, q, radii)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2
@@ -366,7 +368,7 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
         part, unit = (np.real, 1) if sign > 0 else (np.imag, 1j)
         odd = [unit * part(z) for z in (z1 + z3, 1j * (z1 - z3))]
         values = [even[0] + odd[0], even[1] + odd[1], even[0] - odd[0], even[1] - odd[1]]
-    out = np.empty(p.size, complex if sign < 0 else float)
+    out = np.empty(points.size, complex if sign < 0 else float)
     if not closed:
         out[:] = values[0]
     else:
@@ -382,12 +384,7 @@ def _band_trace(e: np.ndarray, p: np.ndarray, pref, c=1.0, sign=-1, scale=1.0, q
     if not np.isfinite(out.view(float)).all():
         raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
                                 f"up to {np.abs(block).max():.3g}")
-    return out
-
-
-def _half_gaussian(x):
-    """e^{-x/2}, the radial prefactor of <n+k|D(b)|n> at x = |b|^2."""
-    return np.exp(-x / 2)
+    return out.reshape(points.shape)
 
 
 def symmetric_charfunc(rho: DensityMatrix, beta):
@@ -398,10 +395,8 @@ def symmetric_charfunc(rho: DensityMatrix, beta):
     if rho.n_modes != 1:
         raise DimensionMismatch("symmetric_charfunc expects a single-mode state")
     check_leakage(rho, 1.0)
-    beta_arr = _finite_points(beta, "beta")
-    d = effective_dim(rho.occupations[0])
-    vals = _band_trace(rho.entries[:d, :d], beta_arr.ravel(), _half_gaussian)
-    return complex(vals[0]) if beta_arr.ndim == 0 else vals.reshape(beta_arr.shape)
+    vals = _band_trace(rho, beta, "beta")
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridTooCoarse, ImaginaryResidue, SingularPFunction
 from .fock_core import DensityMatrix, check_leakage, coherent_vector, effective_dim, require_finite
 from .phase_filters import FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _axis, _band_trace, _finite_points, lattice
+from .phase_filters import _axis, _band_trace, lattice
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -215,13 +215,8 @@ def quasiprob_pointwise(rho: DensityMatrix, alpha, s: float):
     if s > 0:
         raise SingularPFunction(f"s = {s} > 0: the weights q^n of T(alpha, s) grow without bound")
     check_leakage(rho, 2 / (pi * (1 - s)))
-    alpha_arr = _finite_points(alpha, "alpha")
-    d = effective_dim(rho.occupations[0])
-    # for s << 0, (1-s)^2 overflows and the scale -4/(1-s)^2 is -0.0: P_s -> 2 Tr(rho)/(pi(1-s))
-    vals = _band_trace(rho.entries[:d, :d], alpha_arr.ravel(),
-                       lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s)), 2 / (1 - s), 1,
-                       -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)) / pi
-    return float(vals[0]) if alpha_arr.ndim == 0 else vals.reshape(alpha_arr.shape)
+    vals = _band_trace(rho, alpha, "alpha", s) / pi
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def attenuated_photon_wigner(eta: float, alpha):
@@ -236,13 +231,15 @@ def quadrature_distribution(wigner: QuasiProbGrid, phase: float) -> list[tuple[f
     grid's axis, with rho the state the s = 0 grid was computed from.
 
     It is sum_mn rho_mn psi_m(x) psi_n(x) e^{i(n-m) phase}, with psi_n the Hermite
-    functions of variance-1/4 quadratures (``_hermite_rows``), kept per axis.
+    functions of variance-1/4 quadratures (``_hermite_rows``), kept per axis. A phase that
+    is not a finite real number raises TypeError (complex) or NonFiniteArgument.
     """
     if wigner.filter.as_s() != 0:
         raise DimensionMismatch("quadrature marginal requires an s = 0 grid")
     rho = wigner.source
     if rho is None or rho.n_modes != 1:
         raise DimensionMismatch("quadrature marginal needs the grid's single-mode source state")
+    require_finite(phase := float(phase), "phase")  # float() raises TypeError for a complex
     d = effective_dim(rho.occupations[0])
     x = wigner.axis
     v = _rows(_hermite_rows, x, d).T * np.exp(-1j * phase * np.arange(d))[:, None]

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 from dataclasses import replace
 from math import comb, factorial
 
@@ -136,6 +137,20 @@ class TestLattice:
                     qe.quasiprob_pointwise(rho, copy, -0.5)
                 with pytest.raises(NonFiniteArgument):
                     pf.symmetric_charfunc(rho, copy.ravel())
+
+    def test_kept_mesh_is_not_scanned(self, monkeypatch):
+        # the kernel skips the finiteness scan of a kept mesh, which is finite (``_axis``),
+        # and scans a copy of one once
+        sizes = spy(monkeypatch, pf, "require_finite", lambda value, name: np.size(value))
+        rho = random_density(8, occupied=7)
+        calls = ((pf.symmetric_charfunc, qe.lattice(6.0, 128)[1]),
+                 (lambda r, p: qe.quasiprob_pointwise(r, p, -0.5), qe.lattice(4.0, 129)[1]))
+        for call, mesh in calls:
+            call(rho, mesh)
+        assert not {128**2, 129**2} & set(sizes)
+        for call, mesh in calls:
+            call(rho, mesh.copy())
+        assert [n for n in sizes if n in (128**2, 129**2)] == [128**2, 129**2]
 
     def test_transform_axis_is_the_lattice_axis(self):
         grid = qe.quasiprob_transform(qe.charfunc_grid(fc.make_fock(1, 20), S0), 4.0, 100)
@@ -516,6 +531,21 @@ class TestPointwise:
         grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(s)))
         assert np.max(np.abs(grid.values - want)) <= 1e-14 * want
 
+    def test_per_call_memory_at_201_levels(self):
+        # each folded band scales its own slice of the q-free fold weights by q^(n-j), from
+        # one (d, d) table of powers: a q-scaled copy of the whole (67, 2, 201, 201) table
+        # alone would take 43 MB
+        rho = fc.make_coherent(3.9 * np.exp(0.7j), 200)
+        alpha = qe.lattice(4.0, 129)[1]
+        qe.quasiprob_pointwise(rho, alpha, -0.5)
+        tracemalloc.start()
+        try:
+            qe.quasiprob_pointwise(rho, alpha, -0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     def test_rows_that_overflow_raise(self):
         # 31 levels at |alpha| = 1e6: the Laguerre rows overflow where e^{-2|a|^2/(1-s)} is 0,
         # on any point set and on a kept mesh's orbits alike, with no warning
@@ -879,6 +909,14 @@ class TestQuadratureDistribution:
         dist = qe.quadrature_distribution(grid, phase)
         assert np.array_equal([u for u, _ in dist], x)
         assert np.max(np.abs(np.array([p for _, p in dist]) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("phase, error", [(np.nan, NonFiniteArgument),
+                                              (np.inf, NonFiniteArgument), (0.5j, TypeError)])
+    def test_phase_not_a_finite_real_rejected(self, phase, error):
+        # the phase is float(phase), finite: a NaN or inf would give NaN densities, and an
+        # imaginary phase a "marginal" that does not integrate to 1
+        with pytest.raises(error):
+            qe.quadrature_distribution(wigner_grid(fc.make_fock(1, 20)), phase)
 
     def test_grid_without_source_rejected(self):
         grid = replace(wigner_grid(fc.make_fock(0, 20)), source=None)
