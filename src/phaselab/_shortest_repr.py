@@ -26,7 +26,7 @@ U = np.uint64
 M32, M63 = U(2**32 - 1), U(2**63 - 1)
 K_MIN, K_MAX = -324, 292  # the decimal exponents Schubfach reaches for doubles
 POW10 = np.array([10**i for i in range(18)], dtype=U)
-# magnitudes per pass: ~270 kB of records and ~1.5 MB of scratch
+# magnitudes per pass: ~270 kB of records and ~2.7 MB of scratch
 SLICE = 1 << 13
 FILL = b"_"  # a byte no number holds
 WIDTH = 28
@@ -104,29 +104,37 @@ def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(up != wp, np.where(up, sp, sp + U(10)), s + np.where(u != w, w, above)), k
 
 
-def record_table(mags: np.ndarray) -> np.ndarray:
+def _texts(v: np.ndarray) -> np.ndarray:
+    """(v.size, 23) uint8: the text of ``repr(x)`` for each x of v, padded with FILL. A
+    slice's scratch (about 2.7 MB for ``SLICE`` values) is freed on return."""
+    words, maps = _tables()[2:]
+    f, k = _digits(v)
+    nd = np.searchsorted(POW10, f, side="right")
+    hi, lo = np.divmod(f * POW10[17 - nd], U(10**8))  # the 17 digits, 9 and 8
+    decpt = nd + k  # the value is 0.d1d2... 10^decpt
+    # d1, four groups of four digits, the point and the two words of the tail
+    g = np.empty((8, f.size), dtype=np.uint32)
+    g[0], hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
+    g[1], g[2] = np.divmod(hi, np.uint32(10**4))
+    g[3], g[4] = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
+    g[5] = 10**4
+    g[6] = 2 * (decpt + 324) + 10**4 + 1
+    g[7] = g[6] + 1
+    digits = words.take(g.T).view(np.uint8)  # "000" d1..d17 "." FILL FILL FILL, the tail
+    n = 17 - np.argmax(digits[:, 19:2:-1] != ord("0"), axis=1)  # significant digits
+    idx = maps[(np.clip(decpt, -4, 17) + 4) * 18 + n]
+    idx += np.arange(0, 32 * f.size, 32)[:, None]
+    return digits.ravel()[idx]
+
+
+def record_table(mags: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(1 + mags.size, WIDTH) uint8 records for a 1-D float64 array of positive finite
     values: row 0 is 0.0 and row i + 1 is ``repr(mags[i])``, positional for decimal
-    exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator."""
-    words, maps = _tables()[2:]
-    table = np.tile(np.frombuffer(FILL * 24 + b", " + FILL * 2, np.uint8), (mags.size + 1, 1))
+    exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator.
+    Written into ``out`` when it is given, an array of that shape and dtype."""
+    table = np.empty((mags.size + 1, WIDTH), np.uint8) if out is None else out
+    table[...] = np.frombuffer(FILL * 24 + b", " + FILL * 2, np.uint8)
     table[0, 1:4] = list(b"0.0")
     for i in range(0, mags.size, SLICE):
-        f, k = _digits(mags[i : i + SLICE])
-        nd = np.searchsorted(POW10, f, side="right")
-        hi, lo = np.divmod(f * POW10[17 - nd], U(10**8))  # the 17 digits, 9 and 8
-        decpt = nd + k  # the value is 0.d1d2... 10^decpt
-        # d1, four groups of four digits, the point and the two words of the tail
-        g = np.empty((8, f.size), dtype=np.uint32)
-        g[0], hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
-        g[1], g[2] = np.divmod(hi, np.uint32(10**4))
-        g[3], g[4] = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
-        g[5] = 10**4
-        g[6] = 2 * (decpt + 324) + 10**4 + 1
-        g[7] = g[6] + 1
-        digits = words.take(g.T).view(np.uint8)  # "000" d1..d17 "." FILL FILL FILL, the tail
-        n = 17 - np.argmax(digits[:, 19:2:-1] != ord("0"), axis=1)  # significant digits
-        idx = maps[(np.clip(decpt, -4, 17) + 4) * 18 + n]
-        idx += np.arange(0, 32 * f.size, 32)[:, None]
-        table[1 + i : 1 + i + f.size, 1:24] = digits.ravel()[idx]
+        table[1 + i : 1 + i + SLICE, 1:24] = _texts(mags[i : i + SLICE])
     return table

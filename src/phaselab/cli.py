@@ -3,7 +3,8 @@
 Every subcommand writes a single file (JSON or CSV) to --out, defaulting to
 stdout; its ``cmd_*`` function returns the file's text as an iterable of str.
 Domain errors and a MemoryError are reported as a JSON envelope {"error", "detail"}
-on stderr with exit code 1; usage errors exit with 2.
+on stderr with exit code 1, and a regular --out file that the failed write cut off is
+removed; usage errors exit with 2.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import contextlib
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 from collections.abc import Iterable
 
@@ -298,6 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to the file out, or to stdout, each as it comes (a state file's are
+    made while earlier ones are written).
+
+    When the write fails once out is open, a regular file out is removed, so that no cut-off
+    file is left behind the error; a device such as /dev/full or a FIFO is left as it is."""
+    try:
+        if not out:
+            sys.stdout.writelines(chunks)
+            return
+        fh = open(out, "w")
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.remove(out)
+            raise
+    except OSError as exc:
+        raise UnwritableOutput(f"{out or 'stdout'} cannot be written: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -307,13 +334,7 @@ def main(argv=None) -> int:
     if unread:
         parser.error(f"{mode} does not read {', '.join(unread)}")
     try:
-        chunks = args.func(args)
-        # a state file comes in chunks, written as they are made
-        try:
-            with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            raise UnwritableOutput(f"{args.out or 'stdout'} cannot be written: {exc}") from None
+        _write(args.func(args), args.out)
     except (DomainError, MemoryError) as exc:
         json.dump({"error": getattr(exc, "name", "MemoryError"), "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,84 @@ class TestStateCommand:
         payload = json.loads(err)
         assert payload["error"] == "UnwritableOutput"
         assert str(tmp_path) in payload["detail"]
+
+
+class TestCutOffOutput:
+    """A write that fails once --out is open leaves no partial file behind its envelope;
+    a FIFO or a device is left as it is."""
+
+    def test_failed_second_part_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        calls, table = [], fc.record_table
+
+        def second_fails(mags, *out):
+            calls.append(mags.size)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate the table")
+            return table(mags, *out)
+
+        monkeypatch.setattr(fc, "record_table", second_fails)
+        path = tmp_path / "a.json"
+        code, out, err = run(capsys, "state", "--coherent", "0.8", "--out", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "detail": "Unable to allocate the table"}
+        assert not path.exists()
+
+    def test_worker_error_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the im part of this output is dense, and its table is filled on the worker thread
+        state = write_state(tmp_path, "a.json", "state", "--coherent", "0.8")
+        caller, table = threading.get_ident(), fc.record_table
+
+        def worker_fails(mags, *out):
+            if threading.get_ident() != caller:
+                raise MemoryError("Unable to allocate the table")
+            return table(mags, *out)
+
+        monkeypatch.setattr(fc, "record_table", worker_fails)
+        path = tmp_path / "q.json"
+        code, out, err = run(capsys, "beamsplit", "--state1", state, "--state2", state,
+                             "--t", "0.6", "--r", "0.8j", "--out", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "detail": "Unable to allocate the table"}
+        assert not path.exists()
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_FSIZE")
+    def test_full_disk_leaves_no_file(self, tmp_path):
+        # a file size limit of 16 KiB makes a 75 kB state file's write fail with EFBIG
+        script = """
+import resource, signal, sys
+from phaselab import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 14, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+        src = str(Path(phaselab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["state", "--coherent", "0.8+0.3j", "--cutoff", "40", "--out", "a.json"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "UnwritableOutput" and "File too large" in payload["detail"]
+        assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_is_left_in_place(self, tmp_path, capsys):
+        # the reader takes 100 bytes of a 160 kB state file and closes its end
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def read_a_little():
+            with open(fifo, "rb", buffering=0) as fh:
+                fh.read(100)
+
+        reader = threading.Thread(target=read_a_little, daemon=True)
+        reader.start()
+        code, out, err = run(capsys, "state", "--coherent", "0.8+0.3j", "--cutoff", "60",
+                             "--out", str(fifo))
+        reader.join(timeout=60)
+        assert not reader.is_alive() and code == 1 and out == ""
+        assert json.loads(err)["error"] == "UnwritableOutput"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestInputBoundary:

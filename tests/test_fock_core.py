@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.linalg import expm
 from scipy.special import gammainc
 
 from phaselab import fock_core as fc
+from phaselab._shortest_repr import SLICE
 from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -15,6 +19,7 @@ from phaselab.errors import (
     MalformedFile,
     NonFiniteArgument,
 )
+from phaselab.linear_optics import attenuate
 
 from _support import annihilation, assert_same_text, displacement_element, random_density
 from _support import shortest_reprs, splitter_output
@@ -632,3 +637,101 @@ class TestStateJsonChunks:
         mags = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                                *(np.ldexp(m.astype(float), -j) for j in range(1, 8))])
         assert shortest_reprs(mags) == list(map(float.__repr__, mags.tolist()))
+
+
+class TestStateJsonWorker:
+    """The im part's record table is filled on one worker thread when its magnitudes fill
+    more than one SLICE, and inline otherwise."""
+
+    def spy(self, monkeypatch, worker_delay=0.0, worker_error=None):
+        """Record (on the calling thread, magnitudes) for each record_table call; a call on
+        another thread first sleeps worker_delay seconds, then raises worker_error if given."""
+        calls, caller, table = [], threading.get_ident(), fc.record_table
+
+        def spy(mags, *out):
+            inline = threading.get_ident() == caller
+            calls.append((inline, mags.size))
+            if not inline:
+                time.sleep(worker_delay)
+                if worker_error is not None:
+                    raise worker_error
+            return table(mags, *out)
+
+        monkeypatch.setattr(fc, "record_table", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind, worker", [("coherent", True), ("cat_vacuum", True),
+                                              ("thermal", False), ("fock", False)])
+    def test_splitter_outputs(self, monkeypatch, kind, worker):
+        rho = splitter_output(kind)
+        re_mags, im_mags = (fc._record_codes(a)[0].size for a in (rho.entries.real, rho.entries.imag))
+        calls = self.spy(monkeypatch)
+        "".join(fc.state_json_chunks(rho))
+        assert (im_mags > SLICE) == worker
+        assert sorted(calls) == sorted([(True, re_mags), (not worker, im_mags)])
+
+    @pytest.mark.parametrize(
+        "rho",
+        [fc.make_fock(3, 20), fc.make_coherent(0.8 + 0.5j, 20), fc.make_thermal(0.4, 20),
+         attenuate(fc.make_coherent(0.8 + 0.5j, 20), 0.37),
+         # the largest Hermitian single-mode im part that fits one SLICE: 128 * 127 / 2 records
+         fc.make_coherent(2 + 1j, 127)],
+        ids=["fock", "coherent", "thermal", "attenuated", "coherent-cutoff-127"],
+    )
+    def test_single_mode_files_are_built_inline(self, monkeypatch, rho):
+        calls = self.spy(monkeypatch)
+        text = "".join(fc.state_json_chunks(rho))
+        assert text == json.dumps(fc.save_state(rho))
+        assert len(calls) == 2 and all(inline for inline, _ in calls)
+        assert calls[1][1] <= SLICE and (rho.dim < 128 or calls[1][1] == 128 * 127 // 2)
+
+    def test_worker_error_is_raised_at_the_second_part(self, monkeypatch):
+        rho = splitter_output("cat_vacuum")
+        self.spy(monkeypatch, worker_error=MemoryError("Unable to allocate the table"))
+        before, written = threading.active_count(), []
+        with pytest.raises(MemoryError, match="the table"):
+            for chunk in fc.state_json_chunks(rho):
+                written.append(chunk)
+        # the whole re part came first; the worker is joined
+        want = json.dumps(fc.save_state(rho))
+        assert want[len("".join(written)) :].startswith(', "im": [[')
+        assert threading.active_count() == before
+
+    def test_closing_early_joins_the_worker(self, monkeypatch):
+        rho = splitter_output("coherent")
+        calls = self.spy(monkeypatch, worker_delay=0.3)
+        before = threading.active_count()
+        chunks = fc.state_json_chunks(rho)
+        assert next(chunks).startswith('{"dim": 21')
+        assert threading.active_count() == before + 1
+        chunks.close()
+        assert threading.active_count() == before and calls == [(False, 97020)]
+
+    def test_concurrent_writers(self):
+        # three writers on their own threads, each with its worker (six threads at once), and
+        # the interpreter switching threads every 10 us: every text is still json.dumps's
+        rho = splitter_output("cat_vacuum")
+        want, texts = json.dumps(fc.save_state(rho)), [None] * 3
+
+        def write(k):
+            texts[k] = "".join(fc.state_json_chunks(rho))
+
+        writers = [threading.Thread(target=write, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in writers:
+                w.start()
+            for w in writers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in writers)
+        assert texts == [want] * 3
+
+    def test_codes_are_int32(self):
+        rho = splitter_output("coherent")
+        for a in (rho.entries.real, rho.entries.imag):
+            mags, code = fc._record_codes(a)
+            assert code.dtype == np.int32 and code.max() == mags.size
+            assert np.array_equal(np.concatenate([[0.0], mags])[code], np.abs(a))
