@@ -127,12 +127,11 @@ def _texts(v: np.ndarray) -> np.ndarray:
     return digits.ravel()[idx]
 
 
-def record_table(mags: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def record_table(mags: np.ndarray) -> np.ndarray:
     """(1 + mags.size, WIDTH) uint8 records for a 1-D float64 array of positive finite
     values: row 0 is 0.0 and row i + 1 is ``repr(mags[i])``, positional for decimal
-    exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator.
-    Written into ``out`` when it is given, an array of that shape and dtype."""
-    table = np.empty((mags.size + 1, WIDTH), np.uint8) if out is None else out
+    exponents -4..15, else d.ddde+XX; each with a FILL sign byte and the separator."""
+    table = np.empty((mags.size + 1, WIDTH), np.uint8)
     table[...] = np.frombuffer(FILL * 24 + b", " + FILL * 2, np.uint8)
     table[0, 1:4] = list(b"0.0")
     for i in range(0, mags.size, SLICE):

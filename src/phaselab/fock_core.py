@@ -355,12 +355,6 @@ def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mag.take(own), code.reshape(n, n)
 
 
-def _records(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(code, record_table(mags)) for ``_record_codes(a)``, the magnitudes freed."""
-    mags, code = _record_codes(a)
-    return code, record_table(mags)
-
-
 def _part_chunks(name: str, a: np.ndarray, code: np.ndarray, table: np.ndarray) -> Iterator[str]:
     """The text ``, "name": [[...]]`` of a, from its codes and record table: a slab of rows
     puts "-" in the sign byte of the negative entries, -0.0 included, and closes each row
@@ -377,13 +371,13 @@ def _part_chunks(name: str, a: np.ndarray, code: np.ndarray, table: np.ndarray) 
         yield slab.tobytes().translate(None, FILL).decode("ascii")
 
 
-def _fill_table(mags: np.ndarray, table: np.ndarray, failure: list) -> None:
-    """``record_table(mags, table)``, run on a worker thread: an exception is kept in
-    failure for the thread that reads the table."""
+def _fill_table(mags: np.ndarray, result: list) -> None:
+    """Append ``record_table(mags)`` to result, as a worker thread's target; an exception
+    is appended in its place, for the thread that reads the table."""
     try:
-        record_table(mags, table)
+        result.append(record_table(mags))
     except Exception as exc:
-        failure.append(exc)
+        result.append(exc)
 
 
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
@@ -393,32 +387,35 @@ def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
     exactly Hermitian matrix.
 
     The ``im`` part's codes come first. When its magnitudes fill more than one ``SLICE``,
-    one worker thread fills its table, into an array allocated here, while the ``re`` part
-    is built and yielded; the worker holds no codes and no text. A worker's exception is
-    raised here when the ``im`` part is reached, and closing the generator early joins the
-    worker first. So a caller that writes the chunks holds one part's records and slab,
-    and the other part's codes and table."""
-    im = rho.entries.imag
+    one worker thread builds its table while the ``re`` part is built and yielded; the
+    worker holds no codes and no text. A smaller table is built here first, which is
+    quicker than handing it to a thread. A worker's exception is raised here when the
+    ``im`` part is reached, and closing the generator early joins the worker first. So a
+    caller that writes the chunks holds one part's records and slab, and the other part's
+    codes and table."""
+    re, im = rho.entries.real, rho.entries.imag
     im_mags, im_code = _record_codes(im)
-    worker, failure = None, []
+    result = []
+    worker = threading.Thread(target=_fill_table, args=(im_mags, result))
     if im_mags.size > SLICE:
-        im_table = np.empty((im_mags.size + 1, WIDTH), np.uint8)
-        worker = threading.Thread(target=_fill_table, args=(im_mags, im_table, failure))
         worker.start()
-        im_mags = None  # the worker's alone, freed when it ends
+    else:
+        worker.run()
+    del im_mags  # held by the worker alone, and freed once its table is built
     try:
         yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}'
-        yield from _part_chunks("re", rho.entries.real, *_records(rho.entries.real))
-        if worker is None:
-            im_table = record_table(im_mags)
-        else:
-            worker.join()
-            if failure:
-                raise failure[0]
-        yield from _part_chunks("im", im, im_code, im_table)
+        re_mags, re_code = _record_codes(re)
+        re_table = record_table(re_mags)
+        del re_mags
+        yield from _part_chunks("re", re, re_code, re_table)
+        del re_code, re_table  # freed before the im part's slabs are made
     finally:
-        if worker is not None:
+        if worker.is_alive():
             worker.join()
+    im_table = result.pop()
+    if isinstance(im_table, Exception):
+        raise im_table
+    yield from _part_chunks("im", im, im_code, im_table)
     yield f', "leakage": {json.dumps(rho.leakage)}}}'
 
 

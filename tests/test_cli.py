@@ -75,15 +75,17 @@ class TestCutOffOutput:
     a FIFO or a device is left as it is."""
 
     def test_failed_second_part_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the im part's table is built inline before the re part's, and its error is raised
+        # after the re part was written
         calls, table = [], fc.record_table
 
-        def second_fails(mags, *out):
+        def im_fails(mags):
             calls.append(mags.size)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 raise MemoryError("Unable to allocate the table")
-            return table(mags, *out)
+            return table(mags)
 
-        monkeypatch.setattr(fc, "record_table", second_fails)
+        monkeypatch.setattr(fc, "record_table", im_fails)
         path = tmp_path / "a.json"
         code, out, err = run(capsys, "state", "--coherent", "0.8", "--out", str(path))
         assert code == 1 and out == ""
@@ -95,10 +97,10 @@ class TestCutOffOutput:
         state = write_state(tmp_path, "a.json", "state", "--coherent", "0.8")
         caller, table = threading.get_ident(), fc.record_table
 
-        def worker_fails(mags, *out):
+        def worker_fails(mags):
             if threading.get_ident() != caller:
                 raise MemoryError("Unable to allocate the table")
-            return table(mags, *out)
+            return table(mags)
 
         monkeypatch.setattr(fc, "record_table", worker_fails)
         path = tmp_path / "q.json"

@@ -648,14 +648,14 @@ class TestStateJsonWorker:
         another thread first sleeps worker_delay seconds, then raises worker_error if given."""
         calls, caller, table = [], threading.get_ident(), fc.record_table
 
-        def spy(mags, *out):
+        def spy(mags):
             inline = threading.get_ident() == caller
             calls.append((inline, mags.size))
             if not inline:
                 time.sleep(worker_delay)
                 if worker_error is not None:
                     raise worker_error
-            return table(mags, *out)
+            return table(mags)
 
         monkeypatch.setattr(fc, "record_table", spy)
         return calls
@@ -682,8 +682,9 @@ class TestStateJsonWorker:
         calls = self.spy(monkeypatch)
         text = "".join(fc.state_json_chunks(rho))
         assert text == json.dumps(fc.save_state(rho))
+        # the im part's table comes first, then the re part's
         assert len(calls) == 2 and all(inline for inline, _ in calls)
-        assert calls[1][1] <= SLICE and (rho.dim < 128 or calls[1][1] == 128 * 127 // 2)
+        assert calls[0][1] <= SLICE and (rho.dim < 128 or calls[0][1] == 128 * 127 // 2)
 
     def test_worker_error_is_raised_at_the_second_part(self, monkeypatch):
         rho = splitter_output("cat_vacuum")
