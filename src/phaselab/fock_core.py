@@ -25,6 +25,8 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
+# up to this share of nonzero magnitudes a state-file part is quicker written as runs of 0.0
+SPARSE_SHARE = 0.13
 
 
 def check_leakage(rho: DensityMatrix, norm: float) -> None:
@@ -338,16 +340,19 @@ def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The nonzero entries on and above the diagonal take a record each, in position order,
     and so does a lower entry whose magnitude differs from its mirror's; every other lower
     entry takes its mirror's code. So an exactly Hermitian matrix formats each magnitude of
-    one triangle once, and the work follows the nonzero entries, with no sort. Positions,
-    mirrors and codes are int32 when a.size < 2^31, half the bytes of intp, and gathered
-    with ``take``, which reads int32 indices faster than fancy indexing does."""
+    one triangle once, and the work follows the nonzero entries, with no sort; only the
+    lower entries' magnitudes are gathered to compare. Positions, mirrors and codes are
+    int32 when a.size < 2^31, half the bytes of intp, and gathered with ``take``."""
     n = len(a)
     index = np.int32 if a.size < 2**31 else np.intp
     mag = np.abs(a).ravel()
     at = np.flatnonzero(mag != 0).astype(index, copy=False)
     row = at // n
     mirror = (at - row * n) * n + row
-    shared = (at > mirror) & (mag.take(at) == mag.take(mirror))
+    del row
+    lower = at > mirror
+    shared = np.zeros_like(lower)
+    shared[lower] = mag.take(at[lower]) == mag.take(mirror[lower])
     code = np.zeros(mag.size, dtype=index)
     own = at[~shared]
     code[own] = np.arange(1, own.size + 1, dtype=index)
@@ -356,19 +361,39 @@ def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _part_chunks(name: str, a: np.ndarray, code: np.ndarray, table: np.ndarray) -> Iterator[str]:
-    """The text ``, "name": [[...]]`` of a, from its codes and record table: a slab of rows
-    puts "-" in the sign byte of the negative entries, -0.0 included, and closes each row
-    with "], [" and the last with "]]"."""
+    """The text ``, "name": [[...]]`` of a, from its codes and record table, in slabs of
+    whole rows, each closed by "], [" and the last by "]]". A slab of records puts "-" in
+    the sign byte of the negative entries, -0.0 included. When at most ``SPARSE_SHARE`` of
+    the magnitudes are nonzero, a slab is instead rows of "0.0" (as much text as a slab of
+    records), where one ``%`` format puts the records of the entries with any bit set."""
     records = table.view(f"V{WIDTH}")[:, 0]
-    step = max(1, SLICE // len(a))
+    n = len(a)
     yield f', "{name}": [['
-    for i in range(0, len(a), step):
-        slab = records.take(code[i : i + step]).view(np.uint8).reshape(-1, len(a), WIDTH)
-        slab[..., 0][np.signbit(a[i : i + step])] = ord("-")
-        slab[:, -1, -4:] = list(b"], [")
-        if i + step >= len(a):
-            slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
-        yield slab.tobytes().translate(None, FILL).decode("ascii")
+    if np.count_nonzero(code) > SPARSE_SHARE * code.size:
+        step = max(1, SLICE // n)
+        for i in range(0, n, step):
+            slab = records.take(code[i : i + step]).view(np.uint8).reshape(-1, n, WIDTH)
+            slab[..., 0][np.signbit(a[i : i + step])] = ord("-")
+            slab[:, -1, -4:] = list(b"], [")
+            if i + step >= n:
+                slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
+            yield slab.tobytes().translate(None, FILL).decode("ascii")
+        return
+    zeros = bytearray(b"0.0, " * (n - 1) + b"0.0], [")
+    step = max(1, SLICE * WIDTH // len(zeros))
+    at = np.flatnonzero(a.view(np.uint64) != 0)
+    codes, negative = code.ravel().take(at), np.signbit(a[at // n, at % n])
+    bounds = np.searchsorted(at, np.arange(0, n + step, step) * n)
+    for i, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
+        text = zeros * min(step, n - i)
+        if i + step >= n:
+            text[-4:] = b"]]"
+        f = at[lo:hi] - i * n  # entry f starts at byte 5 f + 2 (f // n): "0.0" becomes "%-s"
+        np.frombuffer(text, np.uint8)[(5 * f + 2 * (f // n))[:, None] + np.arange(3)] = list(b"%-s")
+        recs = records.take(codes[lo:hi]).view(np.uint8).reshape(-1, WIDTH)
+        recs[:, 0][negative[lo:hi]] = ord("-")
+        recs[:, -4:] = list(b"\0" + FILL * 3)  # each record's text, then one NUL
+        yield (text % tuple(recs.tobytes().translate(None, FILL).split(b"\0")[:-1])).decode("ascii")
 
 
 def _fill_table(mags: np.ndarray, result: list) -> None:
@@ -381,18 +406,16 @@ def _fill_table(mags: np.ndarray, result: list) -> None:
 
 
 def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
-    """The text of ``json.dumps(save_state(rho))``, exactly, in slabs of whole matrix rows
-    of about ``SLICE`` entries. Each part, ``re`` then ``im``, takes its slabs from one
-    ``record_table`` of the magnitudes ``_record_codes`` picks, one triangle's for an
-    exactly Hermitian matrix.
+    """The text of ``json.dumps(save_state(rho))``, exactly, in the slabs of whole matrix
+    rows that ``_part_chunks`` lays out, ``re`` then ``im``, each from one ``record_table``
+    of the magnitudes ``_record_codes`` picks (one triangle's if exactly Hermitian).
 
     The ``im`` part's codes come first. When its magnitudes fill more than one ``SLICE``,
-    one worker thread builds its table while the ``re`` part is built and yielded; the
-    worker holds no codes and no text. A smaller table is built here first, which is
-    quicker than handing it to a thread. A worker's exception is raised here when the
-    ``im`` part is reached, and closing the generator early joins the worker first. So a
-    caller that writes the chunks holds one part's records and slab, and the other part's
-    codes and table."""
+    one worker thread, which holds no codes and no text, builds its table while the ``re``
+    part is built and yielded; a smaller table is built here first, which is quicker. A
+    worker's exception is raised here when the ``im`` part is reached, and closing the
+    generator early joins the worker first. So a caller holds one part's records and slab,
+    and the other part's codes and table."""
     re, im = rho.entries.real, rho.entries.imag
     im_mags, im_code = _record_codes(im)
     result = []

@@ -3,7 +3,9 @@ in both the Fock domain and the characteristic-function domain.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 from math import comb, sqrt
 from typing import Callable
 
@@ -17,10 +19,10 @@ from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
 
-def _blocks(dim: int, bs: BeamSplitterParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The splitter on each total photon number N = 0 .. 2(dim-1).
+def _blocks(dim: int, bs: BeamSplitterParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The splitter on each total photon number N = 0 .. 2(dim-1), in that order.
 
-    Returns one (indices, block) pair per N: ``indices`` are the positions
+    Yields one (indices, block) pair per N: ``indices`` are the positions
     k*dim + N-k of the two-mode states |k, N-k> inside the cutoff, ``block``
     the elements <j, N-j|U|k, N-k> between them. U maps a_k^dag to
     sum_j M[j, k] a_j^dag (M = bs.matrix()), so the full (N+1)-square block
@@ -36,7 +38,7 @@ def _blocks(dim: int, bs: BeamSplitterParams) -> list[tuple[np.ndarray, np.ndarr
     """
     m = bs.matrix()
     full = np.ones((1, 1), dtype=complex)
-    blocks = [(np.zeros(1, dtype=int), full)]
+    yield np.zeros(1, dtype=int), full
     # sqrt(j) and M00, M10, M01, M11 times it, for j < 2 dim - 1: block N reads its
     # sqrt(j) and sqrt(N-j) columns as slices, forward and reversed
     root = np.sqrt(np.arange(2 * dim - 1))
@@ -53,8 +55,7 @@ def _blocks(dim: int, bs: BeamSplitterParams) -> list[tuple[np.ndarray, np.ndarr
                 + sn * (m01 * q[lo, hi] + m11 * q[hi, hi])) / n
         k0, k1 = max(0, n - dim + 1), min(n, dim - 1) + 1
         k = np.arange(k0, k1)
-        blocks.append((k * dim + n - k, full[k0:k1, k0:k1]))
-    return blocks
+        yield k * dim + n - k, full[k0:k1, k0:k1]
 
 
 def beamsplitter_unitary(dim: int, bs: BeamSplitterParams) -> np.ndarray:
@@ -74,28 +75,44 @@ def beamsplitter_unitary(dim: int, bs: BeamSplitterParams) -> np.ndarray:
 def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityMatrix:
     """Schroedinger picture U rho U^dag on a two-mode state, truncated to the cutoff.
 
-    Applied block by block: a pass over the rows of each photon-number
-    block, then one over its columns, and the mean of the result and its
-    adjoint, so that it is exactly Hermitian; its exact zeros are 0.0, never
-    -0.0. The probability the splitter moves past the cutoff, which only the
-    blocks with N >= dim can lose, is added to ``leakage``; above
-    ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
+    The output's block pair (N, M) is U_N rho_NM U_M^dag, so the pairs where rho is all
+    zero are skipped. With no more occupied pairs than blocks (a Fock or thermal pair
+    holds only diagonal ones) each pair is taken alone, else a pass over the rows of the
+    occupied blocks and one over their columns. The result is the mean of the product and
+    its adjoint, so that it is exactly Hermitian; its exact zeros are 0.0, never -0.0. The
+    probability the splitter moves past the cutoff, which only the blocks with N >= dim
+    can lose, is added to ``leakage``; above ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
     """
     if rho12.n_modes != 2:
         raise DimensionMismatch("apply_beamsplitter expects a two-mode state")
     d = rho12.dim
     rho = rho12.entries
-    blocks = _blocks(d, bs)
-    half = np.empty_like(rho)
-    for idx, block in blocks:
-        half[idx] = block @ rho[idx]
-    out = np.empty_like(rho)
-    for idx, block in blocks:
-        out[:, idx] = half[:, idx] @ block.conj().T
-    # exactly Hermitian, so that its state file formats one triangle; adding 0.0 turns the
-    # -0.0 that the block products leave into 0.0 and changes no other entry
-    out = hermitian_mean(out)
-    out += 0.0
+    # block N's positions k*d + N-k = N + k(d-1) are one strided slice: no index arrays
+    step = max(1, d - 1)
+    spans = [slice(n + max(0, n - d + 1) * step, n + min(n, d - 1) * step + 1, step)
+             for n in range(2 * d - 1)]
+    rows = np.array([(rho[s] != 0).any(axis=0) for s in spans])
+    occupied = np.array([rows[:, s].any(axis=1) for s in spans]).T
+    occupied |= occupied.T  # each pair's mean reads its mirror
+    live = np.flatnonzero(occupied.any(axis=1))
+    blocks = [block for _, block in islice(_blocks(d, bs), live[-1] + 1 if live.size else 1)]
+    out = np.zeros_like(rho)
+    if np.count_nonzero(occupied) <= len(spans):
+        prod = {(n, m): blocks[n] @ rho[spans[n], spans[m]] @ blocks[m].conj().T
+                for n, m in np.argwhere(occupied)}
+        for (n, m), block in prod.items():
+            out[spans[n], spans[m]] = (block + prod[m, n].conj().T) * 0.5 + 0.0
+    else:
+        half = np.zeros_like(rho)
+        for n in live:
+            half[spans[n]] = blocks[n] @ rho[spans[n]]
+        # the column pass as a row pass of the adjoint: U (U rho)^dag is the adjoint of
+        # U rho U^dag, whose mean with its own adjoint is the same
+        half = np.conjugate(half.T, order="C")
+        for n in live:
+            out[spans[n]] = blocks[n] @ half[spans[n]]
+        out = hermitian_mean(out)
+        out += 0.0  # the -0.0 the block products leave becomes 0.0; no other entry changes
     incomplete = np.add.outer(np.arange(d), np.arange(d)).ravel() >= d
     lost = max(0.0, float((rho.diagonal() - out.diagonal())[incomplete].real.sum()))
     if lost > LEAKAGE_TOL:

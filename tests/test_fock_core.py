@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,6 +392,27 @@ class TestDensityMatrix:
             fc.DensityMatrix(4, e, n_modes, leakage)
 
 
+# guards that no other test reaches: without each, the call returns a value or raises a
+# bare Python error (or, for a negative nbar, the thermal tail's CutoffTooSmall)
+GUARDS = [
+    (fc.make_fock, (-1, 5), CutoffTooSmall, "photon number must be nonnegative"),
+    (fc.normal_moment, (fc.make_fock(1, 5), -1, 0), InvalidWeights, "orders must be nonnegative"),
+    (fc.DensityMatrix, (1, [[1]], 3), DimensionMismatch, "1 or 2 modes, got 1 and 3"),
+    (fc.DensityMatrix, (3, np.eye(4) / 4), DimensionMismatch, "expected a 3x3 matrix"),
+    (fc.mix, ([fc.make_fock(0, 3), fc.make_fock(1, 3)], [1.0]), InvalidWeights,
+     "one weight per state"),
+    (fc.embed, (fc.make_fock(1, 5), 4), CutoffTooSmall, "smaller than the state"),
+    (fc.make_thermal, (-0.3, 5), InvalidWeights, "nbar must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("func, args, error, message", GUARDS,
+                         ids=[f"{f.__name__}{args[:2]}" for f, args, _, _ in GUARDS])
+def test_guard(func, args, error, message):
+    with pytest.raises(error, match=message):
+        func(*args)
+
+
 class TestValidate:
     def test_all_clear(self):
         assert fc.validate(fc.make_coherent(1.0, 20)).flags == ()
@@ -608,6 +630,55 @@ class TestStateJsonChunks:
             rho = fc.DensityMatrix(dim, e, n_modes)
             assert n or np.array_equal(rho.entries, rho.entries.conj().T)
             assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+
+    @given(
+        dim=st.integers(1, 5),
+        n_modes=st.sampled_from([1, 2]),
+        share=st.sampled_from([0.0, 0.02, 0.1, fc.SPARSE_SHARE, 0.2, 0.6]),
+        ends=st.sampled_from(["none", "row ends", "last entry"]),
+        slice_=st.sampled_from([1, 8, 64, SLICE]),
+        pool=st.lists(FINITE, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mostly_zero(self, dim, n_modes, share, ends, slice_, pool, seed):
+        # mostly-zero parts on both sides of the share at which a part is written as runs of
+        # 0.0, with -0.0 among the nonzero bit patterns, at row ends and at the last entry; a
+        # small SLICE splits either layout into many slabs. The text is json.dumps's by the
+        # rule and with either layout forced.
+        side = dim**n_modes
+        rng = np.random.default_rng(seed)
+        e = np.zeros((side, side), dtype=complex)
+        for part in ("real", "imag"):
+            spots = rng.random((side, side)) < share
+            if ends == "row ends":
+                spots[:, -1] = True
+            elif ends == "last entry":
+                spots[-1, -1] = True
+            x = np.zeros((side, side))
+            x[spots] = rng.choice(pool + [-0.0], spots.sum()) * rng.choice([-1.0, 1.0], spots.sum())
+            setattr(e, part, x)
+        rho = fc.DensityMatrix(dim, e, n_modes)
+        want = json.dumps(fc.save_state(rho))
+        with mock.patch.object(fc, "SLICE", slice_):
+            for rule in (fc.SPARSE_SHARE, -1.0, 1.0):
+                with mock.patch.object(fc, "SPARSE_SHARE", rule):
+                    assert "".join(fc.state_json_chunks(rho)) == want
+
+    @pytest.mark.parametrize("kind, sparse", [("coherent", False), ("cat_vacuum", False),
+                                              ("thermal", True), ("fock", True)])
+    def test_splitter_outputs_on_both_layouts(self, kind, sparse):
+        # the four kinds of 441x441 splitter output: the Fock and thermal pairs' parts are
+        # written as runs of 0.0, the others as slabs of records; each gives the same text
+        # with the other layout forced
+        rho = splitter_output(kind)
+        for part in (rho.entries.real, rho.entries.imag):
+            code = fc._record_codes(part)[1]
+            assert (np.count_nonzero(code) <= fc.SPARSE_SHARE * code.size) == sparse
+        want = json.dumps(fc.save_state(rho))
+        for rule in (fc.SPARSE_SHARE, -1.0, 1.0):
+            with mock.patch.object(fc, "SPARSE_SHARE", rule):
+                assert_same_text("".join(fc.state_json_chunks(rho)), want)
 
     def test_coherent_pair_output(self):
         # the 441x441 splitter output of the largest state file: 25 slabs of up to 18 rows

@@ -193,6 +193,96 @@ class TestHermitianOutput:
             assert not np.signbit(part[part == 0]).any()
 
 
+def patterned_state(kind, dim, rng):
+    """A two-mode state on the levels below about dim/2 per mode, so the splitter moves
+    nothing past the cutoff, with one pattern of occupied photon-number block pairs."""
+    half = max(1, (dim + 1) // 2)
+    if kind == "diagonal":  # a product of diagonal states: only the diagonal pairs
+        p1, p2 = (np.pad(rng.random(half), (0, dim - half)) for _ in range(2))
+        return fc.tensor(*(fc.DensityMatrix(dim, np.diag(p / p.sum())) for p in (p1, p2)))
+    if kind == "fock":  # one block pair
+        n1, n2 = (int(n) for n in rng.integers(0, half, size=2))
+        return fc.tensor(fc.make_fock(n1, dim - 1), fc.make_fock(n2, dim - 1))
+    if kind == "cat_vacuum":  # every pair (N, M) with N, M < half
+        a = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        v = fc.coherent_vector(a, half - 1) + np.exp(1j * rng.uniform(0, 2 * np.pi)) * (
+            fc.coherent_vector(-a, half - 1))
+        v = np.pad(v / np.linalg.norm(v), (0, dim - half))
+        return fc.tensor(fc.DensityMatrix(dim, np.outer(v, v.conj())), fc.make_fock(0, dim - 1))
+    if kind == "dense":
+        return fc.tensor(*(random_density(dim, occupied=half, rng=rng) for _ in range(2)))
+    # not a product: a random pure state of the two modes, spread over every pair, or a
+    # superposition of two Fock pairs, which holds two diagonal and two off-diagonal pairs
+    psi = np.zeros((dim, dim), dtype=complex)
+    if kind == "entangled":
+        psi[:half, :half] = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+    else:
+        psi[tuple(rng.integers(0, half, size=(2, 2)))] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi = psi.ravel() / np.linalg.norm(psi)
+    return fc.DensityMatrix(dim, np.outer(psi, psi.conj()), n_modes=2)
+
+
+class TestBlockPairs:
+    """``apply_beamsplitter`` on its occupied block pairs against U rho U^dag from the dense
+    ``beamsplitter_unitary``."""
+
+    @given(
+        kind=st.sampled_from(["diagonal", "fock", "cat_vacuum", "dense", "entangled", "two_fock"]),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.0, np.pi / 2),
+        phases=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3),
+        leakage=st.sampled_from([0.0, 3e-13, 1e-11]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_unitary(self, kind, dim, seed, theta, phases, leakage):
+        rng = np.random.default_rng(seed)
+        rho = patterned_state(kind, dim, rng)
+        rho = fc.DensityMatrix(dim, rho.entries, 2, leakage)
+        bs = BeamSplitterParams(np.cos(theta) * np.exp(1j * phases[0]),
+                                np.sin(theta) * np.exp(1j * phases[1]), phases[2])
+        u = lo.beamsplitter_unitary(dim, bs)
+        want = u @ rho.entries @ u.conj().T
+        out = lo.apply_beamsplitter(rho, bs)
+        e = out.entries
+        assert np.max(np.abs(e - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(e, e.conj().T)
+        for part in (e.real, e.imag):
+            assert not np.signbit(part[part == 0]).any()
+        assert 0 <= out.leakage - leakage <= 1e-15
+
+    @pytest.mark.parametrize("dim, p, q", [(4, 1, 6), (4, 6, 1), (6, 0, 13), (6, 7, 7)])
+    def test_one_sided_pair(self, dim, p, q):
+        # a matrix with one entry, in block pair (N, M) but not (M, N): the output is the
+        # mean of U rho U^dag and its adjoint, which fills both
+        e = np.zeros((dim * dim,) * 2, dtype=complex)
+        e[p, q] = 0.6 + 0.8j
+        bs = BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j), 0.4)
+        u = lo.beamsplitter_unitary(dim, bs)
+        out = lo.apply_beamsplitter(fc.DensityMatrix(dim, e, 2), bs).entries
+        assert np.max(np.abs(out - fc.hermitian_mean(u @ e @ u.conj().T))) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("headroom", range(-3, 3))
+    def test_fock_pairs_below_and_above_the_block(self, n, headroom):
+        # |n, n> on a 50:50 splitter fills the block N = 2n: any cutoff below 2n loses part
+        # of it, at least C(2n, n) / 4^n, and is rejected; from 2n up the output is exact
+        cutoff = 2 * n + headroom
+        if cutoff < n:
+            return
+        one = fc.make_fock(n, cutoff)
+        rho, bs = fc.tensor(one, one), BeamSplitterParams(SQ2, SQ2)
+        if cutoff < 2 * n:
+            with pytest.raises(CutoffTooSmall):
+                lo.apply_beamsplitter(rho, bs)
+            return
+        u = lo.beamsplitter_unitary(cutoff + 1, bs)
+        want = u @ rho.entries @ u.conj().T
+        out = lo.apply_beamsplitter(rho, bs)
+        assert np.max(np.abs(out.entries - want)) <= 1e-14
+        assert out.leakage <= 1e-15
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(3)
@@ -215,6 +305,10 @@ class TestPartialTrace:
     def test_trace_preserved(self):
         rho = fc.tensor(fc.make_coherent(0.4, 12), fc.make_thermal(0.1, 12))
         assert lo.partial_trace(rho, 2).entries.trace() == pytest.approx(1.0)
+
+    def test_keep_outside_the_modes_rejected(self):
+        with pytest.raises(DimensionMismatch, match="keep must be 1 or 2"):
+            lo.partial_trace(fc.tensor(fc.make_fock(1, 3), fc.make_fock(0, 3)), keep=3)
 
     def test_single_mode_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -305,6 +399,12 @@ class TestPullbackCharfunc:
         cf = qe.two_mode_charfunc_grid(rho, S0, extent=1.5, points=5)
         back = lo.pullback_charfunc(cf, BeamSplitterParams(1.0, 0.0))
         assert np.max(np.abs(back.values - cf.values)) < 1e-12
+
+    def test_grid_without_source_rejected(self):
+        cf = qe.two_mode_charfunc_grid(TWO, S0, 1.0, 3)
+        bare = qe.CharFuncGrid(cf.axis, cf.values, cf.filter, None)
+        with pytest.raises(DimensionMismatch, match="source state"):
+            lo.pullback_charfunc(bare, BeamSplitterParams(SQ2, SQ2))
 
     def test_matches_fock_route(self):
         rng = np.random.default_rng(41)
