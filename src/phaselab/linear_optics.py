@@ -19,12 +19,12 @@ from .phase_filters import FilterSpec, two_mode_charfunc, vacuum_charfunc
 from .quasiprob_engine import CharFuncGrid
 
 
-def _blocks(dim: int, bs: BeamSplitterParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _blocks(dim: int, bs: BeamSplitterParams) -> Iterator[tuple[slice, np.ndarray]]:
     """The splitter on each total photon number N = 0 .. 2(dim-1), in that order.
 
-    Yields one (indices, block) pair per N: ``indices`` are the positions
-    k*dim + N-k of the two-mode states |k, N-k> inside the cutoff, ``block``
-    the elements <j, N-j|U|k, N-k> between them. U maps a_k^dag to
+    Yields one (positions, block) pair per N: ``positions`` is the strided slice of
+    the positions k*dim + N-k = N + k(dim-1) of the two-mode states |k, N-k> inside
+    the cutoff, ``block`` the elements <j, N-j|U|k, N-k> between them. U maps a_k^dag to
     sum_j M[j, k] a_j^dag (M = bs.matrix()), so the full (N+1)-square block
     is Sym^N of M and phi_U enters it as e^{i N phi_U}. From
     N |k, N-k> = sqrt(k) a1^dag |k-1, N-k> + sqrt(N-k) a2^dag |k, N-k-1>,
@@ -38,7 +38,7 @@ def _blocks(dim: int, bs: BeamSplitterParams) -> Iterator[tuple[np.ndarray, np.n
     """
     m = bs.matrix()
     full = np.ones((1, 1), dtype=complex)
-    yield np.zeros(1, dtype=int), full
+    yield slice(0, 1), full
     # sqrt(j) and M00, M10, M01, M11 times it, for j < 2 dim - 1: block N reads its
     # sqrt(j) and sqrt(N-j) columns as slices, forward and reversed
     root = np.sqrt(np.arange(2 * dim - 1))
@@ -54,8 +54,7 @@ def _blocks(dim: int, bs: BeamSplitterParams) -> Iterator[tuple[np.ndarray, np.n
         full = (s * (m00 * q[lo, lo] + m10 * q[hi, lo])
                 + sn * (m01 * q[lo, hi] + m11 * q[hi, hi])) / n
         k0, k1 = max(0, n - dim + 1), min(n, dim - 1) + 1
-        k = np.arange(k0, k1)
-        yield k * dim + n - k, full[k0:k1, k0:k1]
+        yield slice(n + k0 * (dim - 1), n + (k1 - 1) * (dim - 1) + 1, dim - 1), full[k0:k1, k0:k1]
 
 
 def beamsplitter_unitary(dim: int, bs: BeamSplitterParams) -> np.ndarray:
@@ -67,37 +66,38 @@ def beamsplitter_unitary(dim: int, bs: BeamSplitterParams) -> np.ndarray:
     the cutoff, so it is not unitary on the whole truncated space.
     """
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for idx, block in _blocks(dim, bs):
-        u[np.ix_(idx, idx)] = block
+    for span, block in _blocks(dim, bs):
+        u[span, span] = block
     return u
 
 
 def apply_beamsplitter(rho12: DensityMatrix, bs: BeamSplitterParams) -> DensityMatrix:
     """Schroedinger picture U rho U^dag on a two-mode state, truncated to the cutoff.
 
-    The output's block pair (N, M) is U_N rho_NM U_M^dag, so the pairs where rho is all
-    zero are skipped. With no more occupied pairs than blocks (a Fock or thermal pair
-    holds only diagonal ones) each pair is taken alone, else a pass over the rows of the
-    occupied blocks and one over their columns. The result is the mean of the product and
-    its adjoint, so that it is exactly Hermitian; its exact zeros are 0.0, never -0.0. The
-    probability the splitter moves past the cutoff, which only the blocks with N >= dim
-    can lose, is added to ``leakage``; above ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
+    The output's block pair (N, M) is U_N rho_NM U_M^dag, so the pairs where rho is all zero
+    are skipped. Up to dim^3 / 30 occupied pairs (Fock and thermal pairs hold only diagonal
+    ones) each is taken alone, else the occupied blocks' rows and then columns in two passes;
+    the two routes cost the same near that count. The mean with the adjoint makes the result
+    exactly Hermitian; its exact zeros are 0.0, never -0.0. The probability the splitter
+    moves past the cutoff, which only the blocks with N >= dim can lose, is added to
+    ``leakage``; above ``LEAKAGE_TOL`` it raises ``CutoffTooSmall``.
     """
     if rho12.n_modes != 2:
         raise DimensionMismatch("apply_beamsplitter expects a two-mode state")
     d = rho12.dim
     rho = rho12.entries
-    # block N's positions k*d + N-k = N + k(d-1) are one strided slice: no index arrays
-    step = max(1, d - 1)
-    spans = [slice(n + max(0, n - d + 1) * step, n + min(n, d - 1) * step + 1, step)
-             for n in range(2 * d - 1)]
-    rows = np.array([(rho[s] != 0).any(axis=0) for s in spans])
-    occupied = np.array([rows[:, s].any(axis=1) for s in spans]).T
+    # the state |i, j> at position i*d + j is in block N = i + j
+    rows = np.zeros((2 * d - 1, d * d), dtype=bool)  # the columns block N's rows reach
+    for i, nonzero in enumerate((rho != 0).reshape(d, d, d * d)):
+        rows[i : i + d] |= nonzero
+    occupied = np.zeros((2 * d - 1, 2 * d - 1), dtype=bool)
+    for i, reach in enumerate(rows.reshape(-1, d, d).transpose(1, 0, 2)):
+        occupied[:, i : i + d] |= reach
     occupied |= occupied.T  # each pair's mean reads its mirror
     live = np.flatnonzero(occupied.any(axis=1))
-    blocks = [block for _, block in islice(_blocks(d, bs), live[-1] + 1 if live.size else 1)]
+    spans, blocks = zip(*islice(_blocks(d, bs), live[-1] + 1 if live.size else 1))
     out = np.zeros_like(rho)
-    if np.count_nonzero(occupied) <= len(spans):
+    if np.count_nonzero(occupied) <= d**3 // 30:
         prod = {(n, m): blocks[n] @ rho[spans[n], spans[m]] @ blocks[m].conj().T
                 for n, m in np.argwhere(occupied)}
         for (n, m), block in prod.items():
