@@ -1,4 +1,4 @@
-"""``float.__repr__`` for many positive doubles at once, in numpy, as fixed-width records.
+"""The text of a state file: ``float.__repr__`` of many doubles at once, in numpy.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render doubles",
 2020): the shortest decimal in the double's rounding interval, the nearer of two
@@ -13,14 +13,18 @@ A record is WIDTH = 28 bytes: a sign byte, 23 of text, then ", " and two spare b
 that a row's last record can take "], [" in its last four. The text is at most 23
 characters, the exponent tail packed against the digits (the longest, such as
 "2.2250738585072014e-308", fill it). Bytes a value does not use hold FILL, which the reader
-deletes.
+deletes; ``state_json_chunks`` lays the records out as the rows of the file.
 """
 from __future__ import annotations
 
 import itertools
+import json
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
+
+from .fock_core import DensityMatrix
 
 U = np.uint64
 M32, M63 = U(2**32 - 1), U(2**63 - 1)
@@ -30,6 +34,8 @@ POW10 = np.array([10**i for i in range(18)], dtype=U)
 SLICE = 1 << 13
 FILL = b"_"  # a byte no number holds
 WIDTH = 28
+# up to this share of nonzero magnitudes a state-file part is quicker written as runs of 0.0
+SPARSE_SHARE = 0.13
 
 
 def _flog2pow10(e):
@@ -137,3 +143,92 @@ def record_table(mags: np.ndarray) -> np.ndarray:
     for i in range(0, mags.size, SLICE):
         table[1 + i : 1 + i + SLICE, 1:24] = _texts(mags[i : i + SLICE])
     return table
+
+
+def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mags, code) for a square real matrix a: |a| is ``[0, *mags][code]``, mags positive.
+
+    The nonzero entries on and above the diagonal take a record each, in position order,
+    and so does a lower entry whose magnitude differs from its mirror's; every other lower
+    entry takes its mirror's code. So an exactly Hermitian matrix formats each magnitude of
+    one triangle once, and the work follows the nonzero entries, with no sort; only the
+    lower entries' magnitudes are gathered to compare. Positions, mirrors and codes are
+    int32 when a.size < 2^31, half the bytes of intp, and gathered with ``take``."""
+    n = len(a)
+    index = np.int32 if a.size < 2**31 else np.intp
+    mag = np.abs(a).ravel()
+    at = np.flatnonzero(mag != 0).astype(index, copy=False)
+    row = at // n
+    mirror = (at - row * n) * n + row
+    del row
+    lower = at > mirror
+    shared = np.zeros_like(lower)
+    shared[lower] = mag.take(at[lower]) == mag.take(mirror[lower])
+    code = np.zeros(mag.size, dtype=index)
+    own = at[~shared]
+    code[own] = np.arange(1, own.size + 1, dtype=index)
+    code[at[shared]] = code.take(mirror[shared])
+    return mag.take(own), code.reshape(n, n)
+
+
+def _part_chunks(name: str, a: np.ndarray, code: np.ndarray, table: np.ndarray) -> Iterator[str]:
+    """The text ``, "name": [[...]]`` of a, from its codes and record table, in slabs of
+    whole rows, each closed by "], [" and the last by "]]". A slab of records puts "-" in
+    the sign byte of the negative entries, -0.0 included. When at most ``SPARSE_SHARE`` of
+    the magnitudes are nonzero, a slab is instead rows of "0.0" (as much text as a slab of
+    records), where one ``%`` format puts the records of the entries with any bit set."""
+    records = table.view(f"V{WIDTH}")[:, 0]
+    n = len(a)
+    yield f', "{name}": [['
+    if np.count_nonzero(code) > SPARSE_SHARE * code.size:
+        step = max(1, SLICE // n)
+        for i in range(0, n, step):
+            slab = records.take(code[i : i + step]).view(np.uint8).reshape(-1, n, WIDTH)
+            slab[..., 0][np.signbit(a[i : i + step])] = ord("-")
+            slab[:, -1, -4:] = list(b"], [")
+            if i + step >= n:
+                slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
+            yield slab.tobytes().translate(None, FILL).decode("ascii")
+        return
+    zeros = bytearray(b"0.0, " * (n - 1) + b"0.0], [")
+    step = max(1, SLICE * WIDTH // len(zeros))
+    at = np.flatnonzero(a.view(np.uint64) != 0)
+    codes, negative = code.ravel().take(at), np.signbit(a[at // n, at % n])
+    bounds = np.searchsorted(at, np.arange(0, n + step, step) * n)
+    for i, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
+        text = zeros * min(step, n - i)
+        if i + step >= n:
+            text[-4:] = b"]]"
+        f = at[lo:hi] - i * n  # entry f starts at byte 5 f + 2 (f // n): "0.0" becomes "%-s"
+        np.frombuffer(text, np.uint8)[(5 * f + 2 * (f // n))[:, None] + np.arange(3)] = list(b"%-s")
+        recs = records.take(codes[lo:hi]).view(np.uint8).reshape(-1, WIDTH)
+        recs[:, 0][negative[lo:hi]] = ord("-")
+        recs[:, -4:] = list(b"\0" + FILL * 3)  # each record's text, then one NUL
+        yield (text % tuple(recs.tobytes().translate(None, FILL).split(b"\0")[:-1])).decode("ascii")
+
+
+def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
+    """The text of ``json.dumps(save_state(rho))``, exactly, in the slabs of whole matrix
+    rows that ``_part_chunks`` lays out, ``re`` then ``im``, each from one ``record_table``
+    of the magnitudes ``_record_codes`` picks (one triangle's if exactly Hermitian).
+
+    The ``im`` part's codes come first. A table of more than one ``SLICE`` of magnitudes is
+    built by one worker thread, which holds no codes and no text, while the ``re`` part is
+    yielded; a smaller one is built here first, which is quicker. A worker's exception is
+    raised when the ``im`` part is reached, and closing the generator early joins it.
+    So a caller holds one part's records and slab, and the other part's codes and table."""
+    from concurrent.futures import ThreadPoolExecutor  # not at the top: it imports logging
+    re, im = rho.entries.real, rho.entries.imag
+    im_mags, im_code = _record_codes(im)
+    with ThreadPoolExecutor(1) as worker:  # its thread starts with its first task
+        future = worker.submit(record_table, im_mags) if im_mags.size > SLICE else None
+        im_table = None if future else record_table(im_mags)
+        del im_mags  # held by the worker alone, and freed once its table is built
+        yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}'
+        re_mags, re_code = _record_codes(re)
+        re_table = record_table(re_mags)
+        del re_mags
+        yield from _part_chunks("re", re, re_code, re_table)
+        del re_code, re_table  # freed before the im part's slabs are made
+        yield from _part_chunks("im", im, im_code, future.result() if future else im_table)
+    yield f', "leakage": {json.dumps(rho.leakage)}}}'

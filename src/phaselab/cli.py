@@ -26,6 +26,7 @@ from . import linear_optics as lo
 from . import nonclassicality as nc
 from . import quasiprob_engine as qe
 from . import theorem_lab as tl
+from ._state_text import state_json_chunks
 from .errors import DomainError, MalformedFile, UnwritableOutput
 from .phase_filters import FilterSpec, filter_from_json
 
@@ -117,7 +118,7 @@ def _json(payload, indent=None) -> tuple[str]:
 
 
 def _state_json(rho: fc.DensityMatrix) -> Iterable[str]:
-    return itertools.chain(fc.state_json_chunks(rho), ("\n",))
+    return itertools.chain(state_json_chunks(rho), ("\n",))
 
 
 def cmd_state(args) -> Iterable[str]:

@@ -8,8 +8,6 @@ order with mode 1 as the slow index.
 from __future__ import annotations
 
 import json
-import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite, lgamma
@@ -17,7 +15,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from ._shortest_repr import FILL, SLICE, WIDTH, record_table
 from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights, MalformedFile
 from .errors import NonFiniteArgument
 
@@ -25,8 +22,6 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
-# up to this share of nonzero magnitudes a state-file part is quicker written as runs of 0.0
-SPARSE_SHARE = 0.13
 
 
 def check_leakage(rho: DensityMatrix, norm: float) -> None:
@@ -332,114 +327,6 @@ def save_state(rho: DensityMatrix) -> dict:
         "im": rho.entries.imag.tolist(),
         "leakage": rho.leakage,
     }
-
-
-def _record_codes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mags, code) for a square real matrix a: |a| is ``[0, *mags][code]``, mags positive.
-
-    The nonzero entries on and above the diagonal take a record each, in position order,
-    and so does a lower entry whose magnitude differs from its mirror's; every other lower
-    entry takes its mirror's code. So an exactly Hermitian matrix formats each magnitude of
-    one triangle once, and the work follows the nonzero entries, with no sort; only the
-    lower entries' magnitudes are gathered to compare. Positions, mirrors and codes are
-    int32 when a.size < 2^31, half the bytes of intp, and gathered with ``take``."""
-    n = len(a)
-    index = np.int32 if a.size < 2**31 else np.intp
-    mag = np.abs(a).ravel()
-    at = np.flatnonzero(mag != 0).astype(index, copy=False)
-    row = at // n
-    mirror = (at - row * n) * n + row
-    del row
-    lower = at > mirror
-    shared = np.zeros_like(lower)
-    shared[lower] = mag.take(at[lower]) == mag.take(mirror[lower])
-    code = np.zeros(mag.size, dtype=index)
-    own = at[~shared]
-    code[own] = np.arange(1, own.size + 1, dtype=index)
-    code[at[shared]] = code.take(mirror[shared])
-    return mag.take(own), code.reshape(n, n)
-
-
-def _part_chunks(name: str, a: np.ndarray, code: np.ndarray, table: np.ndarray) -> Iterator[str]:
-    """The text ``, "name": [[...]]`` of a, from its codes and record table, in slabs of
-    whole rows, each closed by "], [" and the last by "]]". A slab of records puts "-" in
-    the sign byte of the negative entries, -0.0 included. When at most ``SPARSE_SHARE`` of
-    the magnitudes are nonzero, a slab is instead rows of "0.0" (as much text as a slab of
-    records), where one ``%`` format puts the records of the entries with any bit set."""
-    records = table.view(f"V{WIDTH}")[:, 0]
-    n = len(a)
-    yield f', "{name}": [['
-    if np.count_nonzero(code) > SPARSE_SHARE * code.size:
-        step = max(1, SLICE // n)
-        for i in range(0, n, step):
-            slab = records.take(code[i : i + step]).view(np.uint8).reshape(-1, n, WIDTH)
-            slab[..., 0][np.signbit(a[i : i + step])] = ord("-")
-            slab[:, -1, -4:] = list(b"], [")
-            if i + step >= n:
-                slab[-1, -1, -4:] = list(b"]]" + FILL * 2)
-            yield slab.tobytes().translate(None, FILL).decode("ascii")
-        return
-    zeros = bytearray(b"0.0, " * (n - 1) + b"0.0], [")
-    step = max(1, SLICE * WIDTH // len(zeros))
-    at = np.flatnonzero(a.view(np.uint64) != 0)
-    codes, negative = code.ravel().take(at), np.signbit(a[at // n, at % n])
-    bounds = np.searchsorted(at, np.arange(0, n + step, step) * n)
-    for i, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
-        text = zeros * min(step, n - i)
-        if i + step >= n:
-            text[-4:] = b"]]"
-        f = at[lo:hi] - i * n  # entry f starts at byte 5 f + 2 (f // n): "0.0" becomes "%-s"
-        np.frombuffer(text, np.uint8)[(5 * f + 2 * (f // n))[:, None] + np.arange(3)] = list(b"%-s")
-        recs = records.take(codes[lo:hi]).view(np.uint8).reshape(-1, WIDTH)
-        recs[:, 0][negative[lo:hi]] = ord("-")
-        recs[:, -4:] = list(b"\0" + FILL * 3)  # each record's text, then one NUL
-        yield (text % tuple(recs.tobytes().translate(None, FILL).split(b"\0")[:-1])).decode("ascii")
-
-
-def _fill_table(mags: np.ndarray, result: list) -> None:
-    """Append ``record_table(mags)`` to result, as a worker thread's target; an exception
-    is appended in its place, for the thread that reads the table."""
-    try:
-        result.append(record_table(mags))
-    except Exception as exc:
-        result.append(exc)
-
-
-def state_json_chunks(rho: DensityMatrix) -> Iterator[str]:
-    """The text of ``json.dumps(save_state(rho))``, exactly, in the slabs of whole matrix
-    rows that ``_part_chunks`` lays out, ``re`` then ``im``, each from one ``record_table``
-    of the magnitudes ``_record_codes`` picks (one triangle's if exactly Hermitian).
-
-    The ``im`` part's codes come first. When its magnitudes fill more than one ``SLICE``,
-    one worker thread, which holds no codes and no text, builds its table while the ``re``
-    part is built and yielded; a smaller table is built here first, which is quicker. A
-    worker's exception is raised here when the ``im`` part is reached, and closing the
-    generator early joins the worker first. So a caller holds one part's records and slab,
-    and the other part's codes and table."""
-    re, im = rho.entries.real, rho.entries.imag
-    im_mags, im_code = _record_codes(im)
-    result = []
-    worker = threading.Thread(target=_fill_table, args=(im_mags, result))
-    if im_mags.size > SLICE:
-        worker.start()
-    else:
-        worker.run()
-    del im_mags  # held by the worker alone, and freed once its table is built
-    try:
-        yield f'{{"dim": {json.dumps(rho.dim)}, "n_modes": {json.dumps(rho.n_modes)}'
-        re_mags, re_code = _record_codes(re)
-        re_table = record_table(re_mags)
-        del re_mags
-        yield from _part_chunks("re", re, re_code, re_table)
-        del re_code, re_table  # freed before the im part's slabs are made
-    finally:
-        if worker.is_alive():
-            worker.join()
-    im_table = result.pop()
-    if isinstance(im_table, Exception):
-        raise im_table
-    yield from _part_chunks("im", im, im_code, im_table)
-    yield f', "leakage": {json.dumps(rho.leakage)}}}'
 
 
 def load_state(obj: dict | str) -> DensityMatrix:

@@ -97,6 +97,8 @@ def classify_filter_bs(f: FilterSpec, trials: int = 100, seed: int = 42) -> BSVe
     random ones drawn from ``seed``."""
     if trials < 1:
         raise InvalidWeights("need at least one trial")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidWeights(f"the seed must be a nonnegative integer, got {seed!r}")
     m, b3, b4 = random_probes(np.random.default_rng(seed), trials)
     res = filter_bs_residual(f, np.concatenate([_FIXED_M, m]), np.concatenate([_FIXED_B3, b3]),
                              np.concatenate([_FIXED_B4, b4]))

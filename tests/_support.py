@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from phaselab import fock_core as fc
-from phaselab._shortest_repr import FILL, record_table
+from phaselab._state_text import FILL, record_table
 from phaselab.errors import InvalidWeights
 from phaselab import phase_filters as pf
 from phaselab.quasiprob_engine import lattice

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab
+from phaselab import _state_text as stx
 from phaselab import classical_fields as cf
 from phaselab import cli
 from phaselab import fock_core as fc
@@ -75,9 +76,9 @@ class TestCutOffOutput:
     a FIFO or a device is left as it is."""
 
     def test_failed_second_part_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # the im part's table is built inline before the re part's, and its error is raised
-        # after the re part was written
-        calls, table = [], fc.record_table
+        # the im part's table is built inline before the re part's, so its error is raised
+        # before any text is made; the file that was opened for it is removed
+        calls, table = [], stx.record_table
 
         def im_fails(mags):
             calls.append(mags.size)
@@ -85,7 +86,7 @@ class TestCutOffOutput:
                 raise MemoryError("Unable to allocate the table")
             return table(mags)
 
-        monkeypatch.setattr(fc, "record_table", im_fails)
+        monkeypatch.setattr(stx, "record_table", im_fails)
         path = tmp_path / "a.json"
         code, out, err = run(capsys, "state", "--coherent", "0.8", "--out", str(path))
         assert code == 1 and out == ""
@@ -95,14 +96,14 @@ class TestCutOffOutput:
     def test_worker_error_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         # the im part of this output is dense, and its table is filled on the worker thread
         state = write_state(tmp_path, "a.json", "state", "--coherent", "0.8")
-        caller, table = threading.get_ident(), fc.record_table
+        caller, table = threading.get_ident(), stx.record_table
 
         def worker_fails(mags):
             if threading.get_ident() != caller:
                 raise MemoryError("Unable to allocate the table")
             return table(mags)
 
-        monkeypatch.setattr(fc, "record_table", worker_fails)
+        monkeypatch.setattr(stx, "record_table", worker_fails)
         path = tmp_path / "q.json"
         code, out, err = run(capsys, "beamsplit", "--state1", state, "--state2", state,
                              "--t", "0.6", "--r", "0.8j", "--out", str(path))
@@ -385,6 +386,13 @@ class TestNumpyOnly:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_concurrent_futures(self, tmp_path):
+        # it imports logging; the state writer imports it when it makes its worker
+        code = "import sys, phaselab.cli; print('concurrent.futures' in sys.modules)"
+        proc = self.python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         ensemble = {"samples": [{"re": 1.0, "im": 0.5, "w": 1.0}]}
         (tmp_path / "ens.json").write_text(json.dumps(ensemble))
@@ -639,6 +647,11 @@ class TestVerify:
         assert code == 0
         assert payload["verdict"] == "NOT_COVARIANT" and payload["witness"] is None
         assert "c_11 = (0.5+1e-16j)" in payload["reason"] and "not real" in payload["reason"]
+
+    def test_theorem1_negative_seed_is_an_envelope(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "1", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidWeights"
 
     def test_theorem2_overflow_is_null(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "2", "--s", "400")

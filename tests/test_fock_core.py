@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammainc
 
+from phaselab import _state_text as stx
 from phaselab import fock_core as fc
-from phaselab._shortest_repr import SLICE
+from phaselab._state_text import SLICE
 from phaselab.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -351,7 +352,7 @@ class TestDensityMatrix:
         # a numpy cutoff gives a numpy dim, which json.dumps cannot write
         rho = fc.make_fock(1, np.int64(3))
         assert type(rho.dim) is int and rho.dim == 4
-        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+        assert "".join(stx.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
         two = fc.DensityMatrix(np.int32(2), np.eye(4) / 4, np.uint8(2))
         assert (type(two.dim), type(two.n_modes)) == (int, int)
 
@@ -536,7 +537,7 @@ class TestStateJsonChunks:
         parts = [data.draw(st.lists(value, min_size=side**2, max_size=side**2)) for _ in "ri"]
         re, im = (np.reshape(p, (side, side)) for p in parts)
         rho = fc.DensityMatrix(dim, re + 1j * im, n_modes, leakage)
-        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+        assert "".join(stx.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
 
     @pytest.mark.parametrize(
         "rho",
@@ -548,7 +549,7 @@ class TestStateJsonChunks:
         ],
     )
     def test_built_states(self, rho):
-        assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+        assert "".join(stx.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
 
     @pytest.mark.parametrize("seed", [1207, 1208])
     def test_random_bits_across_slabs(self, seed):
@@ -565,14 +566,14 @@ class TestStateJsonChunks:
             setattr(e, part, x)
         rho = fc.DensityMatrix(12, e, 2)
         assert np.signbit(rho.entries.real[rho.entries.real == 0]).any()
-        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        assert_same_text("".join(stx.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
         # its upper triangle mirrored: exactly Hermitian but for one lower entry an ulp away
         h = np.triu(e) + np.triu(e, 1).conj().T
         h.imag[np.diag_indices(144)] = 0.0
         h.real[100, 7] = np.nextafter(h.real[100, 7], np.inf)
         assert np.count_nonzero(h != h.conj().T) == 2
         rho = fc.DensityMatrix(12, h, 2)
-        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        assert_same_text("".join(stx.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     @pytest.mark.parametrize(
         "dim, n_modes, entries",
@@ -590,7 +591,7 @@ class TestStateJsonChunks:
     )
     def test_edge_matrices(self, dim, n_modes, entries):
         rho = fc.DensityMatrix(dim, entries, n_modes)
-        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        assert_same_text("".join(stx.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     @given(
         dim=st.integers(2, 4),
@@ -629,12 +630,12 @@ class TestStateJsonChunks:
             e.real, e.imag = x, y
             rho = fc.DensityMatrix(dim, e, n_modes)
             assert n or np.array_equal(rho.entries, rho.entries.conj().T)
-            assert "".join(fc.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
+            assert "".join(stx.state_json_chunks(rho)) == json.dumps(fc.save_state(rho))
 
     @given(
         dim=st.integers(1, 5),
         n_modes=st.sampled_from([1, 2]),
-        share=st.sampled_from([0.0, 0.02, 0.1, fc.SPARSE_SHARE, 0.2, 0.6]),
+        share=st.sampled_from([0.0, 0.02, 0.1, stx.SPARSE_SHARE, 0.2, 0.6]),
         ends=st.sampled_from(["none", "row ends", "last entry"]),
         slice_=st.sampled_from([1, 8, 64, SLICE]),
         pool=st.lists(FINITE, min_size=1, max_size=6),
@@ -660,10 +661,10 @@ class TestStateJsonChunks:
             setattr(e, part, x)
         rho = fc.DensityMatrix(dim, e, n_modes)
         want = json.dumps(fc.save_state(rho))
-        with mock.patch.object(fc, "SLICE", slice_):
-            for rule in (fc.SPARSE_SHARE, -1.0, 1.0):
-                with mock.patch.object(fc, "SPARSE_SHARE", rule):
-                    assert "".join(fc.state_json_chunks(rho)) == want
+        with mock.patch.object(stx, "SLICE", slice_):
+            for rule in (stx.SPARSE_SHARE, -1.0, 1.0):
+                with mock.patch.object(stx, "SPARSE_SHARE", rule):
+                    assert "".join(stx.state_json_chunks(rho)) == want
 
     @pytest.mark.parametrize("kind, sparse", [("coherent", False), ("cat_vacuum", False),
                                               ("thermal", True), ("fock", True)])
@@ -673,24 +674,24 @@ class TestStateJsonChunks:
         # with the other layout forced
         rho = splitter_output(kind)
         for part in (rho.entries.real, rho.entries.imag):
-            code = fc._record_codes(part)[1]
-            assert (np.count_nonzero(code) <= fc.SPARSE_SHARE * code.size) == sparse
+            code = stx._record_codes(part)[1]
+            assert (np.count_nonzero(code) <= stx.SPARSE_SHARE * code.size) == sparse
         want = json.dumps(fc.save_state(rho))
-        for rule in (fc.SPARSE_SHARE, -1.0, 1.0):
-            with mock.patch.object(fc, "SPARSE_SHARE", rule):
-                assert_same_text("".join(fc.state_json_chunks(rho)), want)
+        for rule in (stx.SPARSE_SHARE, -1.0, 1.0):
+            with mock.patch.object(stx, "SPARSE_SHARE", rule):
+                assert_same_text("".join(stx.state_json_chunks(rho)), want)
 
     def test_coherent_pair_output(self):
         # the 441x441 splitter output of the largest state file: 25 slabs of up to 18 rows
         rho = splitter_output("coherent")
         assert rho.entries.shape == (441, 441)
-        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        assert_same_text("".join(stx.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     @pytest.mark.parametrize("kind", ["cat_vacuum", "thermal", "fock"])
     def test_sparse_splitter_outputs(self, kind):
         # the same size, with 27% to 0.04% of the entries nonzero
         rho = splitter_output(kind)
-        assert_same_text("".join(fc.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
+        assert_same_text("".join(stx.state_json_chunks(rho)), json.dumps(fc.save_state(rho)))
 
     def test_kernel_is_repr_on_random_bit_patterns(self):
         # every finite positive double is equally likely as a bit pattern, and a second
@@ -717,7 +718,7 @@ class TestStateJsonWorker:
     def spy(self, monkeypatch, worker_delay=0.0, worker_error=None):
         """Record (on the calling thread, magnitudes) for each record_table call; a call on
         another thread first sleeps worker_delay seconds, then raises worker_error if given."""
-        calls, caller, table = [], threading.get_ident(), fc.record_table
+        calls, caller, table = [], threading.get_ident(), stx.record_table
 
         def spy(mags):
             inline = threading.get_ident() == caller
@@ -728,16 +729,16 @@ class TestStateJsonWorker:
                     raise worker_error
             return table(mags)
 
-        monkeypatch.setattr(fc, "record_table", spy)
+        monkeypatch.setattr(stx, "record_table", spy)
         return calls
 
     @pytest.mark.parametrize("kind, worker", [("coherent", True), ("cat_vacuum", True),
                                               ("thermal", False), ("fock", False)])
     def test_splitter_outputs(self, monkeypatch, kind, worker):
         rho = splitter_output(kind)
-        re_mags, im_mags = (fc._record_codes(a)[0].size for a in (rho.entries.real, rho.entries.imag))
+        re_mags, im_mags = (stx._record_codes(a)[0].size for a in (rho.entries.real, rho.entries.imag))
         calls = self.spy(monkeypatch)
-        "".join(fc.state_json_chunks(rho))
+        "".join(stx.state_json_chunks(rho))
         assert (im_mags > SLICE) == worker
         assert sorted(calls) == sorted([(True, re_mags), (not worker, im_mags)])
 
@@ -751,7 +752,7 @@ class TestStateJsonWorker:
     )
     def test_single_mode_files_are_built_inline(self, monkeypatch, rho):
         calls = self.spy(monkeypatch)
-        text = "".join(fc.state_json_chunks(rho))
+        text = "".join(stx.state_json_chunks(rho))
         assert text == json.dumps(fc.save_state(rho))
         # the im part's table comes first, then the re part's
         assert len(calls) == 2 and all(inline for inline, _ in calls)
@@ -762,7 +763,7 @@ class TestStateJsonWorker:
         self.spy(monkeypatch, worker_error=MemoryError("Unable to allocate the table"))
         before, written = threading.active_count(), []
         with pytest.raises(MemoryError, match="the table"):
-            for chunk in fc.state_json_chunks(rho):
+            for chunk in stx.state_json_chunks(rho):
                 written.append(chunk)
         # the whole re part came first; the worker is joined
         want = json.dumps(fc.save_state(rho))
@@ -773,7 +774,7 @@ class TestStateJsonWorker:
         rho = splitter_output("coherent")
         calls = self.spy(monkeypatch, worker_delay=0.3)
         before = threading.active_count()
-        chunks = fc.state_json_chunks(rho)
+        chunks = stx.state_json_chunks(rho)
         assert next(chunks).startswith('{"dim": 21')
         assert threading.active_count() == before + 1
         chunks.close()
@@ -786,7 +787,7 @@ class TestStateJsonWorker:
         want, texts = json.dumps(fc.save_state(rho)), [None] * 3
 
         def write(k):
-            texts[k] = "".join(fc.state_json_chunks(rho))
+            texts[k] = "".join(stx.state_json_chunks(rho))
 
         writers = [threading.Thread(target=write, args=(k,)) for k in range(3)]
         interval = sys.getswitchinterval()
@@ -804,6 +805,6 @@ class TestStateJsonWorker:
     def test_codes_are_int32(self):
         rho = splitter_output("coherent")
         for a in (rho.entries.real, rho.entries.imag):
-            mags, code = fc._record_codes(a)
+            mags, code = stx._record_codes(a)
             assert code.dtype == np.int32 and code.max() == mags.size
             assert np.array_equal(np.concatenate([[0.0], mags])[code], np.abs(a))

@@ -131,6 +131,10 @@ class TestWignerOriginCurve:
             # the intensity-correlation gap stays negative for every eta > 0
             assert gap == pytest.approx(-(eta**2), abs=1e-12)
 
+    def test_figure3_needs_two_steps(self):
+        with pytest.raises(InvalidWeights, match="need at least two efficiency steps"):
+            nc.figure3_data(1)
+
     def test_zero_crossing(self):
         assert nc.locate_wigner_zero(tol=1e-3) == pytest.approx(0.5, abs=1e-3)
 

@@ -163,6 +163,13 @@ class TestTransform:
         grid = wigner_grid(fc.make_fock(0, 20))
         assert grid.at_origin() == pytest.approx(2 / np.pi, abs=1e-6)
 
+    def test_origin_off_an_even_axis_rejected(self):
+        # 128 points symmetric about 0 straddle the origin
+        grid = wigner_grid(fc.make_fock(0, 20), alpha_points=128)
+        assert np.min(np.abs(grid.axis)) > 1e-3
+        with pytest.raises(GridTooCoarse, match="does not contain the origin"):
+            grid.at_origin()
+
     def test_vacuum_wigner_closed_form_everywhere(self):
         # Gaussian transform oracle: (2/pi) e^{-2|a|^2}
         grid = wigner_grid(fc.make_fock(0, 20))
@@ -922,6 +929,16 @@ class TestQuadratureDistribution:
         grid = replace(wigner_grid(fc.make_fock(0, 20)), source=None)
         with pytest.raises(DimensionMismatch):
             qe.quadrature_distribution(grid, 0.3)
+
+    def test_grid_other_than_s0_rejected(self):
+        # an s = -0.5 grid, and a hand-made grid with a series filter (no s at all)
+        rho = fc.make_fock(1, 20)
+        series = qe.QuasiProbGrid(pf._axis(4.0, 129), np.zeros((129, 129)),
+                                  FilterSpec.general({(2, 0): 0.3}), rho, 0.0, 0.0)
+        for grid in (qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(-0.5))),
+                     series):
+            with pytest.raises(DimensionMismatch, match="requires an s = 0 grid"):
+                qe.quadrature_distribution(grid, 0.3)
 
     def test_two_mode_source_rejected(self):
         # a hand-made s = 0 grid whose source is a two-mode state has no single-mode marginal

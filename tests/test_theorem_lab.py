@@ -179,6 +179,11 @@ class TestClassifyBS:
         with pytest.raises(InvalidWeights):
             tl.classify_filter_bs(FilterSpec.s_param(0.0), trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_guard(self, seed):
+        with pytest.raises(InvalidWeights, match="nonnegative integer"):
+            tl.classify_filter_bs(FilterSpec.s_param(0.0), seed=seed)
+
 
 class TestClassifyAttenuator:
     def test_flat_vacuum_filter(self):
