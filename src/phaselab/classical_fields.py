@@ -21,7 +21,7 @@ from .errors import (
     MalformedFile,
     NonUnitaryBeamSplitter,
 )
-from .fock_core import json_number, require_finite
+from .fock_core import json_number, require_count, require_finite
 
 UNITARITY_TOL = 1e-12
 
@@ -132,8 +132,7 @@ def classical_moments(ens: ClassicalEnsemble, m: int, n: int) -> complex:
     """Weighted moment sum_i w_i (a_i^*)^m a_i^n."""
     if ens.n_modes != 1:
         raise DimensionMismatch("classical_moments expects a single-mode ensemble")
-    if m < 0 or n < 0:
-        raise InvalidWeights("moment orders must be nonnegative")
+    m, n = (require_count(v, 0, "moment orders must be nonnegative integers") for v in (m, n))
     a = ens.amplitudes[:, 0]
     return complex(ens.weights @ (a.conj() ** m * a**n))
 

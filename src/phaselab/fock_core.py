@@ -111,6 +111,16 @@ def json_number(value, kind=Real):
     return value
 
 
+def require_count(value, least: int, message: str) -> int:
+    """``value`` as an int if it is an integer of at least ``least``, by the ``json_number``
+    rule (a bool is not an integer), else InvalidWeights(message)."""
+    # type() first: a check against the Integral ABC takes about 0.5 us, and moments call this
+    integer = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    if integer and value >= least:
+        return int(value)
+    raise InvalidWeights(f"{message}, got {value!r}")
+
+
 def hermitian_mean(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2 as a new array, m unchanged: its [j, i] is the exact conjugate of its
     [i, j]. The sum is formed in the result, with no temporary conjugate (a + b is b + a)."""
@@ -293,8 +303,8 @@ def normal_moment(rho: DensityMatrix, m: int, n: int) -> complex:
 def _moments(e: np.ndarray, cutoff: int, m: int, n: int) -> np.ndarray:
     """``normal_moment`` of each b x b matrix of a stack e (..., b, b) of states whose levels
     b .. cutoff are empty; orders past cutoff - 2 are CutoffTooSmall."""
-    if m < 0 or n < 0:
-        raise InvalidWeights("moment orders must be nonnegative")
+    m = require_count(m, 0, "moment orders must be nonnegative integers")
+    n = require_count(n, 0, "moment orders must be nonnegative integers")
     if m + n > cutoff - 2:
         raise CutoffTooSmall(f"moment order {m}+{n} needs cutoff >= {m + n + 2}, have {cutoff}")
     i, k, coef = _moment_weights(e.shape[-1], m, n)

@@ -10,6 +10,7 @@ import numpy as np
 from .classical_fields import ClassicalEnsemble
 from .errors import CutoffTooSmall, InvalidWeights
 from .fock_core import DensityMatrix, _moments, make_coherent, make_fock, mix, normal_moment
+from .fock_core import require_count
 from .linear_optics import _loss_blocks, attenuate
 from .quasiprob_engine import attenuated_photon_wigner, quasiprob_pointwise
 
@@ -50,8 +51,7 @@ class ScalingReport:
 
 def correlation_report(rho: DensityMatrix, M: int = 2) -> CorrelationReport:
     """Normally ordered moments up to order M plus the G2 >= G1^2 verdict."""
-    if M < 0:
-        raise InvalidWeights("moment order must be nonnegative")
+    M = require_count(M, 0, "moment order must be a nonnegative integer")
     if 2 * M > rho.cutoff - 2:
         raise CutoffTooSmall(
             f"moment table of order {M} needs cutoff >= {2 * M + 2}, have {rho.cutoff}"
@@ -112,8 +112,7 @@ def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, f
     """Rows (eta, wigner_origin_numeric, wigner_origin_analytic, g2 - g1^2)
     for eta on a uniform grid of [0, 1], the lossy photons made as one stack. Each Wigner
     origin is (2/pi) Tr(rho Pi), Pi = (-1)^{a^dag a} the parity, as T(0, 0) = 2 Pi."""
-    if eta_steps < 2:
-        raise InvalidWeights("need at least two efficiency steps")
+    eta_steps = require_count(eta_steps, 2, "need at least two efficiency steps")
     etas = np.linspace(0.0, 1.0, eta_steps)
     lossy = _loss_blocks(make_fock(1, cutoff), etas)
     g1, g2 = (_moments(lossy, cutoff, j, j).real for j in (1, 2))
@@ -129,8 +128,6 @@ def locate_wigner_zero(cutoff: int = 20, tol: float = 1e-4) -> float:
     if not 0 < tol < float("inf"):
         raise InvalidWeights(f"tol {tol} must be finite and > 0")
     lo, hi = 0.0, 1.0
-    if wigner_origin_numeric(lo, cutoff) <= 0 or wigner_origin_numeric(hi, cutoff) >= 0:
-        raise ValueError("curve does not bracket a sign change on [0, 1]")
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if wigner_origin_numeric(mid, cutoff) > 0:
             lo = mid

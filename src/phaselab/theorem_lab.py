@@ -15,6 +15,7 @@ import numpy as np
 
 from .classical_fields import BeamSplitterParams
 from .errors import InvalidWeights
+from .fock_core import require_count
 from .phase_filters import FilterSpec
 
 SQ2 = 1.0 / sqrt(2.0)
@@ -95,10 +96,8 @@ def classify_filter_bs(f: FilterSpec, trials: int = 100, seed: int = 42) -> BSVe
     term other than c_11 has its bracket farthest from 1; a lone complex c_11 has none.
     ``max_residual`` only confirms: the worst of the fixed probes and ``trials``
     random ones drawn from ``seed``."""
-    if trials < 1:
-        raise InvalidWeights("need at least one trial")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidWeights(f"the seed must be a nonnegative integer, got {seed!r}")
+    trials = require_count(trials, 1, "need at least one trial, an integer")
+    seed = require_count(seed, 0, "the seed must be a nonnegative integer")
     m, b3, b4 = random_probes(np.random.default_rng(seed), trials)
     res = filter_bs_residual(f, np.concatenate([_FIXED_M, m]), np.concatenate([_FIXED_B3, b3]),
                              np.concatenate([_FIXED_B4, b4]))

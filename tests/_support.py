@@ -91,12 +91,10 @@ def ancilla_attenuate(rho, eta):
     return partial_trace(apply_beamsplitter(joint, bs), keep=1)
 
 
-@cache
-def splitter_output(kind):
-    """The 441x441 ``apply_beamsplitter`` output at cutoff 20 of one of the four pairs that
-    the benchmark splits: "coherent", "cat_vacuum", "thermal" or "fock"; built once."""
+def splitter_input(kind):
+    """One of the four two-mode states at cutoff 20 that the benchmark splits: "coherent",
+    "cat_vacuum", "thermal" or "fock"; with the splitter it is split on."""
     from phaselab.classical_fields import BeamSplitterParams
-    from phaselab.linear_optics import apply_beamsplitter
 
     if kind == "coherent":
         pair = fc.make_coherent(0.79 * np.exp(0.4j), 20), fc.make_coherent(0.785j, 20)
@@ -109,8 +107,15 @@ def splitter_output(kind):
         pair = fc.make_thermal(0.12, 20), fc.make_thermal(0.18, 20)
     else:
         pair = fc.make_fock(3, 20), fc.make_fock(5, 20)
-    bs = BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j))
-    return apply_beamsplitter(fc.tensor(*pair), bs)
+    return fc.tensor(*pair), BeamSplitterParams(0.6 * np.exp(0.3j), 0.8 * np.exp(1.1j))
+
+
+@cache
+def splitter_output(kind):
+    """The 441x441 ``apply_beamsplitter`` output of ``splitter_input(kind)``; built once."""
+    from phaselab.linear_optics import apply_beamsplitter
+
+    return apply_beamsplitter(*splitter_input(kind))
 
 
 def rotation_closed(points):

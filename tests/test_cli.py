@@ -131,6 +131,17 @@ sys.exit(cli.main(sys.argv[1:]))
         assert payload["error"] == "UnwritableOutput" and "File too large" in payload["detail"]
         assert not (tmp_path / "a.json").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_left_in_place(self, tmp_path, capsys):
+        # a dense two-mode write fails at its first slab of rows, mostly while the worker
+        # thread still fills the im part's table
+        state = write_state(tmp_path, "a.json", "state", "--coherent", "0.8")
+        code, out, err = run(capsys, "beamsplit", "--state1", state, "--state2", state,
+                             "--t", "0.6", "--r", "0.8j", "--out", "/dev/full")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "UnwritableOutput"
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_fifo_is_left_in_place(self, tmp_path, capsys):
         # the reader takes 100 bytes of a 160 kB state file and closes its end
@@ -180,6 +191,16 @@ class TestInputBoundary:
         code, out, err = run(capsys, "report", "--state", state)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DimensionMismatch"
+
+    def test_state_file_must_be_positive(self, tmp_path, capsys):
+        # unit trace and Hermitian, with an eigenvalue of -0.5: only the positivity flag
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]],
+                                    "im": [[0.0, 0.0], [0.0, 0.0]]}))
+        code, out, err = run(capsys, "report", "--state", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "DimensionMismatch",
+                                   "detail": "state fails validation: ('positivity',)"}
 
     def test_non_finite_state_file(self, tmp_path, capsys):
         state = write_state(tmp_path, "vac.json", "state", "--fock", "0", "--cutoff", "6")
@@ -499,6 +520,25 @@ class TestPipelines:
         assert lines[0] == "re_beta,im_beta,re_value,im_value"
         assert len(lines) == 1 + 81
 
+    @pytest.mark.parametrize("argv, phi, tol", [
+        (["--fock", "1"], lambda b: np.exp(-abs(b) ** 2 / 2) * (1 - abs(b) ** 2), 1e-12),
+        # within the leakage bound 2 sqrt(eps) + 2 eps of the untruncated state
+        (["--coherent", "1"], lambda b: np.exp(-abs(b) ** 2 / 2 + b - b.conj()), None),
+        (["--coherent", "1.2", "--cutoff", "30"],
+         lambda b: np.exp(-abs(b) ** 2 / 2 + 1.2 * (b - b.conj())), 1e-10),
+    ], ids=["fock1", "coherent1", "coherent1.2-cutoff30"])
+    def test_charfunc_of_closed_form_states(self, tmp_path, capsys, argv, phi, tol):
+        # on the default 128^2 beta lattice, out to its corners
+        state = write_state(tmp_path, "s.json", "state", *argv)
+        code, out, err = run(capsys, "charfunc", "--state", state)
+        assert code == 0 and err == ""
+        d = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+        assert len(d) == 128**2
+        if tol is None:
+            eps = fc.load_state(Path(state).read_text()).leakage
+            tol = 2 * np.sqrt(eps) + 2 * eps
+        assert np.max(np.abs(d[:, 2] + 1j * d[:, 3] - phi(d[:, 0] + 1j * d[:, 1]))) <= tol
+
 
     @pytest.mark.parametrize("argv, grid", [
         (["quasiprob", "--grid", "4:100"], lambda rho: qe.quasiprob_transform(
@@ -599,6 +639,17 @@ class TestFigure3:
             assert ana == pytest.approx(target, abs=1e-12)
             assert num == pytest.approx(target, abs=1e-14)
             assert gap == pytest.approx(-(eta**2), abs=1e-12)
+
+    def test_columns_match_closed_forms(self, capsys):
+        # the paper's figure 3 at its 101 efficiencies: the Wigner origin against
+        # (2/pi)(1 - 2 eta), positive below eta = 1/2 and negative above, and
+        # g2 - g1^2 = -eta^2
+        code, out, _ = run(capsys, "figure3", "--eta-steps", "101")
+        assert code == 0
+        eta, num, ana, gap = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
+        assert np.max(np.abs(eta - np.linspace(0.0, 1.0, 101))) <= 1e-15
+        assert np.max(np.abs(num - ana)) < 1e-14 and np.max(np.abs(gap + eta**2)) < 1e-12
+        assert (num[eta < 0.5] > 0).all() and (num[eta > 0.5] < 0).all()
 
     @pytest.mark.parametrize("eta_steps", [3, 101, 1001])
     def test_csv_matches_per_eta_loop(self, capsys, eta_steps):

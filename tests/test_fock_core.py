@@ -404,6 +404,9 @@ GUARDS = [
      "one weight per state"),
     (fc.embed, (fc.make_fock(1, 5), 4), CutoffTooSmall, "smaller than the state"),
     (fc.make_thermal, (-0.3, 5), InvalidWeights, "nbar must be nonnegative"),
+    # without it, the 20 x 20 product of a 4- and a 5-level state fails DensityMatrix's shape
+    (fc.tensor, (fc.make_fock(0, 3), fc.make_fock(0, 4)), DimensionMismatch,
+     "tensor factors must share the cutoff"),
 ]
 
 

@@ -20,7 +20,7 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec, filtered_charfunc
 
-from _support import ancilla_attenuate, random_density, splitter_output
+from _support import ancilla_attenuate, random_density, splitter_input, splitter_output
 
 SQ2 = 1 / np.sqrt(2)
 S0 = FilterSpec.s_param(0.0)
@@ -252,6 +252,14 @@ class TestBlockPairs:
         for part in (e.real, e.imag):
             assert not np.signbit(part[part == 0]).any()
         assert 0 <= out.leakage - leakage <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["coherent", "cat_vacuum", "thermal", "fock"])
+    def test_benchmark_pairs_match_dense_unitary(self, kind):
+        # the four pairs at cutoff 20, whichever route each takes
+        rho, bs = splitter_input(kind)
+        u = lo.beamsplitter_unitary(21, bs)
+        want = u @ rho.entries @ u.conj().T
+        assert np.max(np.abs(splitter_output(kind).entries - want)) <= 1e-14
 
     @pytest.mark.parametrize("dim, p, q", [(4, 1, 6), (4, 6, 1), (6, 0, 13), (6, 7, 7)])
     def test_one_sided_pair(self, dim, p, q):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import classical_fields as cf
 from phaselab import fock_core as fc
 from phaselab import nonclassicality as nc
+from phaselab import theorem_lab as tl
 from phaselab.errors import CutoffTooSmall, GainNotAllowed, InvalidWeights
 from phaselab.linear_optics import _loss_blocks, attenuate
+from phaselab.phase_filters import FilterSpec
 
 from _support import random_coherent_ensemble, random_density
 
@@ -246,3 +249,30 @@ class TestEfficiencyStack:
     def test_gain_checked_on_every_eta(self, bad):
         with pytest.raises(GainNotAllowed):
             _loss_blocks(fc.make_fock(1, 8), np.array([0.2, bad, 0.7]))
+
+
+# a count is an integer, never a bool, as in the state and filter files: a fractional order
+# was an IndexError, a TypeError or a fractional power, and seed=True ran with seed 1
+PHOTON, POINT = fc.make_fock(1, 8), cf.ClassicalEnsemble.single([(0.5 + 0.5j, 1.0)])
+NOT_COUNTS = [
+    (fc.normal_moment, (PHOTON, 1.5, 1.5), {}),
+    (fc.normal_moment, (PHOTON, True, 0), {}),
+    (nc.hierarchy_check, (PHOTON, 1.5, 0), {}),
+    (nc.correlation_report, (PHOTON, 1.5), {}),
+    (nc.figure3_data, (3.0,), {}),
+    (cf.classical_moments, (POINT, 1.5, 1), {}),
+    (cf.classical_moments, (POINT, 1, True), {}),
+    (tl.classify_filter_bs, (FilterSpec.s_param(0.0),), {"trials": 2.5}),
+    (tl.classify_filter_bs, (FilterSpec.s_param(0.0),), {"seed": True}),
+]
+
+
+def not_a_count(args, kwargs):
+    return next(v for v in (*args, *kwargs.values()) if isinstance(v, (bool, float)))
+
+
+@pytest.mark.parametrize("func, args, kwargs", NOT_COUNTS,
+                         ids=[f"{f.__name__}-{not_a_count(a, kw)}" for f, a, kw in NOT_COUNTS])
+def test_count_that_is_not_an_integer_rejected(func, args, kwargs):
+    with pytest.raises(InvalidWeights, match=f", got {not_a_count(args, kwargs)!r}$"):
+        func(*args, **kwargs)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -320,6 +320,11 @@ class TestAnchoredKernel:
            s=st.sampled_from([None, 0.0, -0.5, -1.0, -2.5]), extent=st.floats(0.1, 4.0),
            points=st.integers(2, 9))
     @settings(max_examples=40, deadline=None)
+    # 31 dense levels on the default beta and alpha lattices; at s = -0.5, q = -1/3, so the
+    # fold's q^(n-j) factors are not all +-1
+    @example(seed=22, d=31, s=None, extent=6.0, points=128)
+    @example(seed=22, d=31, s=0.0, extent=4.0, points=129)
+    @example(seed=22, d=31, s=-0.5, extent=4.0, points=129)
     def test_anchored_bands_match_per_band_recurrence(self, seed, d, s, extent, points):
         # D (s None) and T(alpha, s) of a dense state, with one empty level above it, on a
         # lattice (one point per rotation orbit reaches the class sums) and on its points
