@@ -156,8 +156,8 @@ def _checked(rho: DensityMatrix) -> DensityMatrix:
 
 def make_fock(n: int, cutoff: int) -> DensityMatrix:
     """Pure number state |n><n| on levels 0..cutoff."""
-    if n < 0:
-        raise CutoffTooSmall("photon number must be nonnegative")
+    n = require_count(n, 0, "photon number must be a nonnegative integer")
+    cutoff = require_count(cutoff, 0, "cutoff must be a nonnegative integer")
     if n > cutoff:
         raise CutoffTooSmall(f"|{n}> does not fit below cutoff {cutoff}")
     m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
@@ -206,6 +206,7 @@ def coherent_leakage(alpha, cutoff: int):
 def make_coherent(alpha: complex, cutoff: int) -> DensityMatrix:
     """Coherent-state projector, renormalized after truncation."""
     require_finite(alpha, "alpha")
+    cutoff = require_count(cutoff, 0, "cutoff must be a nonnegative integer")
     leak = coherent_leakage(alpha, cutoff)
     if leak > LEAKAGE_TOL:
         raise CutoffTooSmall(
@@ -220,6 +221,7 @@ def make_thermal(nbar: float, cutoff: int) -> DensityMatrix:
     """Thermal state with mean occupation nbar, p_n proportional to (nbar/(1+nbar))^n."""
     if nbar < 0:
         raise InvalidWeights("nbar must be nonnegative")
+    cutoff = require_count(cutoff, 0, "cutoff must be a nonnegative integer")
     if nbar == 0:
         return make_fock(0, cutoff)
     q = nbar / (1.0 + nbar)
@@ -267,6 +269,7 @@ def embed(rho: DensityMatrix, dim: int) -> DensityMatrix:
     """Pad a single-mode state with empty levels up to dim."""
     if rho.n_modes != 1:
         raise DimensionMismatch("embed supports single-mode states only")
+    dim = require_count(dim, 0, "dimension must be a nonnegative integer")
     if dim < rho.dim:
         raise CutoffTooSmall("embedding dimension smaller than the state")
     m = np.zeros((dim, dim), dtype=complex)

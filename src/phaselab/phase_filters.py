@@ -123,6 +123,16 @@ def _axis(extent: float, points: int) -> np.ndarray:
 
 # the orbit plan (``_orbits``) of each mesh lattice() keeps, by its id, dropped when it is freed
 _kept_meshes: dict[int, tuple] = {}
+# the kernel keys (id of the mesh's radii, scale, q) of the last two calls on kept meshes,
+# newest last, and the one row table, (key, levels, rows built so far by anchor, the rows(k)
+# that builds them) or None; both lose a mesh's keys with it (``_forget``). No lock: threads
+# that race here change what is kept, never a value, as a table is only read under its key
+_recent: list[tuple] = []
+_row_table: tuple | None = None
+# the one key repeated on a kept mesh is the Wigner function next to a fresh s, one pair per
+# phase_portrait operation. Keeping every s, one-offs too, cost more time and memory than it
+# saved; 8 MiB is about 57 levels on 4:129
+_ROW_TABLE_BYTES = 8 * 2**20
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -132,7 +142,8 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     band kernel evaluates each four-point rotation orbit once. Both depend only on the values
     (extent, points), so they are built once per pair (6 and 6.0 share theirs) and shared as
     read-only arrays, the mesh with its read-only orbit plan, which the kernel finds by the
-    mesh's identity (``_kept``). Every mesh kept is finite (``_axis``): not scanned again."""
+    mesh's identity (``_kept``), and the kernel's row table (``_anchor_rows``). Every mesh
+    kept is finite (``_axis``): not scanned again."""
     axis = _axis(extent, points)
     if type(extent) is not float or type(points) is not int:
         return lattice(float(extent), int(points))
@@ -143,8 +154,17 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in (plan[4], *plan[5]):
         arr.setflags(write=False)
     _kept_meshes[id(mesh)] = plan
-    weakref.finalize(mesh, _kept_meshes.pop, id(mesh))
+    weakref.finalize(mesh, _forget, id(mesh), id(plan[5]))
     return axis, mesh
+
+
+def _forget(mesh: int, radii: int) -> None:
+    """Drop the plan of a kept mesh that is freed, and its keys and row table."""
+    global _row_table
+    del _kept_meshes[mesh]
+    _recent[:] = [key for key in _recent if key[0] != radii]
+    if _row_table is not None and _row_table[0][0] == radii:
+        _row_table = None
 
 
 def _kept(p: np.ndarray) -> tuple | None:
@@ -170,6 +190,40 @@ def _radial(dim: int, radii: tuple[np.ndarray, np.ndarray], scale=1.0, q=1.0):
     for k in range(1, dim):
         first.append(first[-1] / sqrt(k))
     return distinct, inv, lambda k: _laguerre_band(k, dim - k, y, first[k], q)
+
+
+def _anchor_rows(dim: int, radii: tuple[np.ndarray, np.ndarray], scale, q, kept: bool):
+    """``_radial`` for ``_class_sums``, which asks rows(k) of its anchor bands only. On a
+    kept mesh, a key (radii, scale, q) asked again within the last two kernel calls on kept
+    meshes takes the one row table while the rows of every anchor fit ``_ROW_TABLE_BYTES``,
+    unless the table's own key is among those two calls: a table in use stays. Any other
+    call builds its rows per anchor and frees them, and leaves the table as it is. A table
+    holds the most levels asked of it so far, and fewer levels read the first rows: row n
+    does not depend on the levels built, so the bits are those of a fresh build."""
+    global _row_table
+    distinct, inv, rows = _radial(dim, radii, scale, q)
+    if not kept:
+        return distinct, inv, rows
+    key = id(radii), scale, q
+    fits = 8 * distinct.size * sum(range(dim, 0, -ANCHOR_SPACING)) <= _ROW_TABLE_BYTES
+    table, recent = _row_table, _recent[:]
+    _recent[:] = [*recent[-1:], key]
+    own = table is not None and table[0] == key
+    free = table is None or table[0] not in recent
+    if not (own and table[1] >= dim):
+        if not (fits and (own or free and key in recent)):
+            return distinct, inv, rows
+        table = _row_table = key, dim, {}, rows
+    _, _, built, build = table
+
+    def read(k: int) -> np.ndarray:
+        if k not in built:
+            fresh = build(k)
+            fresh.setflags(write=False)
+            built[k] = fresh
+        return built[k][: dim - k]
+
+    return distinct, inv, read
 
 
 def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np.ndarray:
@@ -238,10 +292,11 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
+def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii, kept) -> list:
     """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
     the flat points p for the Hermitian part h of the square matrix e (d, d); each Z_j has
-    p.size values, and is None for j > 0 when no band of its class is held.
+    p.size values, and is None for j > 0 when no band of its class is held. ``kept`` says
+    that p is the orbit block of a kept mesh, whose rows may be kept (``_anchor_rows``).
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
     r2 = |p|^2. The recurrence runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
@@ -252,9 +307,10 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     product of the anchor's rows at the distinct radii with the columns c, g1, g2 of its
     group gives the group's sums there, which are multiplied by pref and mapped to the points
     by ``radii``. A class is summed by Horner in (c p)^4 from its highest band down, then
-    multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows at a time; an
-    all-zero band is skipped, a group with no band held is never built, and the (d, d) table
-    of q^(n-j) is built only for a held band off the anchors: a diagonal matrix costs a band.
+    multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows at a time, on
+    any points but a kept mesh, which may keep one key's rows; an all-zero band is skipped, a
+    group with no band held is never built, and the (d, d) table of q^(n-j) is built only
+    for a held band off the anchors: a diagonal matrix costs a band.
     """
     d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -268,7 +324,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii) -> list:
     two_h = e + e.conj().T
     two_h = np.stack([two_h.real, two_h.imag], axis=-1)
     two_h.reshape(-1, 2)[:: d + 1] *= 0.5
-    distinct, inv, band_rows = _radial(d, radii, scale, q)
+    distinct, inv, band_rows = _anchor_rows(d, radii, scale, q, kept)
     radial = pref(distinct)[:, None]
     lo = c * p if top > 0 else None
     lo2 = lo * lo if top > 1 else None
@@ -359,7 +415,8 @@ def _band_trace(rho: DensityMatrix, points, name: str, s=None):
         pref, c, sign = (lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s))), 2 / (1 - s), 1
         scale, q = -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)
     d = effective_dim(rho.occupations[0])
-    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, pref, c, scale, q, radii)
+    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, pref, c, scale, q, radii,
+                                 plan is not None)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2

@@ -139,6 +139,7 @@ def classify_filter_attenuator(f: FilterSpec, grid) -> AttenuatorVerdict:
 def disk_grid(radius: float = 3.0, points: int = 41) -> np.ndarray:
     """The points x points square lattice on [-radius, radius]^2 clipped to
     |beta| <= radius; an odd ``points`` puts the origin on it."""
+    points = require_count(points, 1, "disk grid points must be a positive integer")
     ax = np.linspace(-radius, radius, points)
     x, y = np.meshgrid(ax, ax)
     b = (x + 1j * y).ravel()

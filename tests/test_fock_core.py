@@ -396,7 +396,7 @@ class TestDensityMatrix:
 # guards that no other test reaches: without each, the call returns a value or raises a
 # bare Python error (or, for a negative nbar, the thermal tail's CutoffTooSmall)
 GUARDS = [
-    (fc.make_fock, (-1, 5), CutoffTooSmall, "photon number must be nonnegative"),
+    (fc.make_fock, (-1, 5), InvalidWeights, "photon number must be a nonnegative integer"),
     (fc.normal_moment, (fc.make_fock(1, 5), -1, 0), InvalidWeights, "orders must be nonnegative"),
     (fc.DensityMatrix, (1, [[1]], 3), DimensionMismatch, "1 or 2 modes, got 1 and 3"),
     (fc.DensityMatrix, (3, np.eye(4) / 4), DimensionMismatch, "expected a 3x3 matrix"),
@@ -414,6 +414,26 @@ GUARDS = [
                          ids=[f"{f.__name__}{args[:2]}" for f, args, _, _ in GUARDS])
 def test_guard(func, args, error, message):
     with pytest.raises(error, match=message):
+        func(*args)
+
+
+# a photon number, cutoff or dimension that is not an integer (a bool is not one) raised an
+# IndexError, a TypeError, a failed trace check (make_fock(True, 5)) or the thermal tail's
+# CutoffTooSmall (make_thermal(0.3, 6.5))
+NOT_COUNTS = [
+    (fc.make_fock, (1.5, 5), 1.5),
+    (fc.make_fock, (True, 5), True),
+    (fc.make_fock, (1, 5.0), 5.0),
+    (fc.make_coherent, (0.5, 6.5), 6.5),
+    (fc.make_thermal, (0.3, 6.5), 6.5),
+    (fc.embed, (fc.make_fock(1, 5), 7.5), 7.5),
+]
+
+
+@pytest.mark.parametrize("func, args, bad", NOT_COUNTS,
+                         ids=[f"{f.__name__}-{bad!r}" for f, _, bad in NOT_COUNTS])
+def test_count_that_is_not_an_integer_rejected(func, args, bad):
+    with pytest.raises(InvalidWeights, match=f"must be a nonnegative integer, got {bad!r}$"):
         func(*args)
 
 

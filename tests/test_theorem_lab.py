@@ -186,6 +186,12 @@ class TestClassifyBS:
 
 
 class TestClassifyAttenuator:
+    @pytest.mark.parametrize("points", [2.5, True, 0])
+    def test_disk_grid_points_guard(self, points):
+        # 2.5 was a TypeError from linspace, and True and 0 an empty grid
+        with pytest.raises(InvalidWeights, match=f"positive integer, got {points!r}$"):
+            tl.disk_grid(3.0, points)
+
     def test_flat_vacuum_filter(self):
         v = tl.classify_filter_attenuator(FilterSpec.s_param(1.0), tl.disk_grid())
         assert v.verdict == tl.CLASSICAL_ATTENUATION
