@@ -165,12 +165,9 @@ def make_fock(n: int, cutoff: int) -> DensityMatrix:
     return _checked(DensityMatrix(cutoff + 1, m))
 
 
-@lru_cache(maxsize=16)
 def log_factorials(count: int) -> np.ndarray:
-    """log n! for n < count from ``math.lgamma``, read-only, built once per length."""
-    table = np.array([lgamma(n + 1) for n in range(count)])
-    table.setflags(write=False)
-    return table
+    """log n! for n < count from ``math.lgamma``."""
+    return np.array([lgamma(n + 1) for n in range(count)])
 
 
 def _coherent_log_magnitudes(mag: np.ndarray, cutoff: int) -> np.ndarray:

@@ -168,16 +168,14 @@ def _forget(mesh: int, radii: int) -> None:
 
 
 def _kept(p: np.ndarray) -> tuple | None:
-    """The orbit plan of a mesh that ``lattice()`` keeps when p is it, or all of it in its
-    order (a C-contiguous view of the same size), else None: found by identity, not hashed."""
-    mesh = p if id(p) in _kept_meshes else p.base
-    plan = _kept_meshes.get(id(mesh))
-    return plan if plan is not None and p.flags.c_contiguous and p.size == mesh.size else None
+    """The orbit plan of p when p is a mesh that ``lattice()`` keeps, else None: found by
+    identity, not hashed, so a view of a kept mesh is another point set."""
+    return _kept_meshes.get(id(p))
 
 
 def _radii(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, inv), r2 = distinct[inv]; a single point is not sorted."""
-    return (r2, np.zeros(1, np.intp)) if r2.size == 1 else np.unique(r2, return_inverse=True)
+    """(distinct, inv), r2 = distinct[inv]."""
+    return np.unique(r2, return_inverse=True)
 
 
 def _radial(dim: int, radii: tuple[np.ndarray, np.ndarray], scale=1.0, q=1.0):
@@ -404,7 +402,7 @@ def _band_trace(rho: DensityMatrix, points, name: str, s=None):
     that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning.
     """
     points = np.asarray(points, dtype=complex)
-    # all of a kept mesh, in its order, reads the plan lattice() built with it: it is finite
+    # a kept mesh reads the plan lattice() built with it: it is finite
     if (plan := _kept(points)) is None:
         require_finite(points, name)
     closed, n, rows, cols, block, radii = plan or _orbits(points.ravel())

@@ -16,7 +16,7 @@ import numpy as np
 from .classical_fields import BeamSplitterParams
 from .errors import InvalidWeights
 from .fock_core import require_count
-from .phase_filters import FilterSpec
+from .phase_filters import FilterSpec, lattice
 
 SQ2 = 1.0 / sqrt(2.0)
 
@@ -137,10 +137,9 @@ def classify_filter_attenuator(f: FilterSpec, grid) -> AttenuatorVerdict:
 
 
 def disk_grid(radius: float = 3.0, points: int = 41) -> np.ndarray:
-    """The points x points square lattice on [-radius, radius]^2 clipped to
-    |beta| <= radius; an odd ``points`` puts the origin on it."""
+    """The points x points ``lattice`` on [-radius, radius]^2 clipped to |beta| <= radius,
+    closed under beta -> -beta and beta -> i beta; an odd ``points`` puts the origin on it.
+    A radius whose double is not finite raises NonFiniteArgument."""
     points = require_count(points, 1, "disk grid points must be a positive integer")
-    ax = np.linspace(-radius, radius, points)
-    x, y = np.meshgrid(ax, ax)
-    b = (x + 1j * y).ravel()
+    b = lattice(radius, points)[1].ravel()
     return b[np.abs(b) <= radius]

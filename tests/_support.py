@@ -183,13 +183,12 @@ def spy(monkeypatch, module, name, record):
     return seen
 
 
-def band_trace_per_band(e, points, s=None):
-    """``symmetric_charfunc`` (s None) or ``quasiprob_pointwise`` at s of the Hermitian part h
-    of the square matrix e at the flat points, one ``_laguerre_band`` recurrence per band and
-    every point on its own: the oracle for the band kernel's folds, orbits and class sums.
-
-    Band k adds w + sign^k conj(w), w = sum_n h[n, n+k] pref (c p)^k R_n^(k), with R_n^(k) =
-    q^n sqrt(n! / (n+k)!) L_n^(k)(x) at y = q x = scale |p|^2."""
+def band_terms(e, points, s=None):
+    """(sign, terms) of ``symmetric_charfunc`` (s None, sign -1) or ``quasiprob_pointwise`` at
+    s (sign +1, before the 1/pi) of the Hermitian part h of the square matrix e at the flat
+    points, one ``_laguerre_band`` recurrence per band and every point on its own: terms[k]
+    is w = sum_n h[n, n+k] pref (c p)^k R_n^(k), with R_n^(k) = q^n sqrt(n! / (n+k)!)
+    L_n^(k)(x) at y = q x = scale |p|^2, and band k adds w + sign^k conj(w)."""
     x = np.abs(points) ** 2
     if s is None:
         pref, c, sign, scale, q = np.exp(-x / 2), 1.0, -1, 1.0, 1.0
@@ -197,13 +196,44 @@ def band_trace_per_band(e, points, s=None):
         pref, c, sign = (2 / (1 - s)) * np.exp(-2 * x / (1 - s)), 2 / (1 - s), 1
         scale, q = -4 / (1 - s) ** 2, (s + 1) / (s - 1)
     h = (e + e.conj().T) / 2
-    total, first = np.zeros(points.size, dtype=complex), 1.0
+    terms, first = [], 1.0
     for k in range(len(e)):
         first = first / sqrt(k) if k else first
         rows = pf._laguerre_band(k, len(e) - k, scale * x, first, q)
-        w = pref * (c * points) ** k * (h.diagonal(k) @ rows)
+        terms.append(pref * (c * points) ** k * (h.diagonal(k) @ rows))
+    return sign, terms
+
+
+def band_trace_per_band(e, points, s=None):
+    """The sum of ``band_terms``: the oracle for the band kernel's folds, orbits and class
+    sums."""
+    sign, terms = band_terms(e, points, s)
+    total = np.zeros(points.size, dtype=complex)
+    for k, w in enumerate(terms):
         total += w if k == 0 else w + sign**k * w.conj()
     return total if s is None else total.real / np.pi
+
+
+def evaluation_order_bound(e, points, s=None):
+    """At each flat point, the most that two evaluations of the band kernel on the same band
+    sums can differ by, to first order in the unit roundoff u: 2 gamma_N sum_k |z_k|.
+
+    The kernel sums z_k = 2 w_k (w_0 for k = 0; the terms of ``band_terms``, over pi for
+    T) by Horner in (c p)^4 per class k mod 4. A rotation orbit read from one point and the
+    same points read one at a time share the band sums at each radius, bit for bit, and
+    differ only in the powers and the Horner steps, computed at p or at i^t p. Each is
+    within gamma_N sum_k |z_k| of the exact sum of those z_k, with gamma_N = N e / (1 - N e),
+    e = sqrt(5) u the bound of one complex product (one sum or real scaling is within u),
+    and N the roundings that z_k, k = 4m + j, passes through: 9m for m products by (c p)^4
+    (7 in forming it from c p, one in the product) and m sums, 2j for (c p)^j and its
+    product, 2 for the sums that join the classes and 1 for the 1/pi; at most
+    N = 9 (d - 1) / 4 + 3 on d levels. As no bound on sum_k |z_k| relative to the value
+    holds where the bands cancel, none relative to the peak does either."""
+    sign, terms = band_terms(e, points, s)
+    size = sum(np.abs(w) * (1 if k == 0 else 2) for k, w in enumerate(terms))
+    n = 9 * (len(e) - 1) / 4 + 3
+    eps = np.sqrt(5) * np.finfo(float).eps / 2
+    return 2 * n * eps / (1 - n * eps) * (size if s is None else size / np.pi)
 
 
 def quasiprob_mpmath(e, alpha, s, dps=30):

@@ -283,6 +283,17 @@ class TestInputBoundary:
         payload = json.loads(err)
         assert payload["error"] == "MalformedFile" and "cannot be read" in payload["detail"]
 
+    def test_state_file_that_is_not_json(self, tmp_path, capsys):
+        # without its own message, a file that json cannot parse reads as a state record of
+        # None: "not a state record: TypeError: 'NoneType' object is not subscriptable"
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 5,')
+        code, out, err = run(capsys, "report", "--state", str(path))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedFile"
+        assert payload["detail"].startswith(f"{path} is not JSON: ")
+
     @pytest.mark.parametrize(
         "field, error", [("re", "NonFiniteArgument"), ("w", "InvalidWeights")]
     )

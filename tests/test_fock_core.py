@@ -402,6 +402,9 @@ GUARDS = [
     (fc.DensityMatrix, (3, np.eye(4) / 4), DimensionMismatch, "expected a 3x3 matrix"),
     (fc.mix, ([fc.make_fock(0, 3), fc.make_fock(1, 3)], [1.0]), InvalidWeights,
      "one weight per state"),
+    # without it, numpy's broadcast of a 3x3 and a 4x4 matrix raises a bare ValueError
+    (fc.mix, ([fc.make_fock(1, 2), fc.make_fock(1, 3)], [0.5, 0.5]), DimensionMismatch,
+     "mixture components live on different spaces"),
     (fc.embed, (fc.make_fock(1, 5), 4), CutoffTooSmall, "smaller than the state"),
     (fc.make_thermal, (-0.3, 5), InvalidWeights, "nbar must be nonnegative"),
     # without it, the 20 x 20 product of a 4- and a 5-level state fails DensityMatrix's shape

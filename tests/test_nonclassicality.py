@@ -70,6 +70,11 @@ class TestCorrelationReport:
         with pytest.raises(CutoffTooSmall):
             nc.correlation_report(fc.make_fock(0, 4), M=2)
 
+    def test_headroom_guard_names_the_table(self):
+        # without it, the first moment past the cutoff says "moment order 1+2 needs cutoff >= 5"
+        with pytest.raises(CutoffTooSmall, match="^moment table of order 2 needs cutoff >= 6, have 4$"):
+            nc.correlation_report(fc.make_fock(1, 4), 2)
+
 
 class TestHierarchy:
     def test_thermal_oracle(self):
@@ -92,6 +97,11 @@ class TestHierarchy:
     def test_bad_split(self):
         with pytest.raises(InvalidWeights):
             nc.hierarchy_check(fc.make_fock(0, 8), 1, 2)
+
+    def test_bad_split_is_named_below_the_cutoff(self):
+        # without the split check, G(2, 2) at cutoff 4 raises CutoffTooSmall first
+        with pytest.raises(InvalidWeights, match="^need 0 <= m <= n$"):
+            nc.hierarchy_check(fc.make_fock(1, 4), 1, 2)
 
 
 class TestScalingInvariance:

@@ -26,7 +26,8 @@ from phaselab.errors import (
 )
 from phaselab.phase_filters import FilterSpec
 
-from _support import displacement_element, even_cat, random_density, repeated_radii
+from _support import displacement_element, evaluation_order_bound, even_cat, random_density
+from _support import repeated_radii
 from _support import rotation_closed, spy
 
 S0 = FilterSpec.s_param(0.0)
@@ -117,7 +118,7 @@ class TestLattice:
         # the kernel gives the same bits on the mesh and on the copy
         mesh = qe.lattice(extent, points)[1]
         copy = mesh.copy()
-        plan = pf._kept(mesh.ravel())
+        plan = pf._kept(mesh)
         assert plan is pf._kept_meshes[id(mesh)]
         closed, n, rows, cols, block, (distinct, inv) = pf._orbits(copy.ravel())
         assert plan[:4] == (closed, n, rows, cols) and closed
@@ -480,10 +481,13 @@ class TestPointwise:
     @given(seed=SEEDS, d=st.integers(1, 31), extent=st.floats(0.1, 4.0),
            points=st.one_of(st.integers(1, 3), st.integers(1, 40)),
            s=st.one_of(st.just(-1.0), S_LEQ_0))
+    @example(seed=453385, d=31, extent=2.46875, points=26, s=0.0)
     @settings(max_examples=40, deadline=None)
     def test_paired_lattice_matches_shuffled_points(self, seed, d, extent, points, s):
         # the rotation branch (a lattice() mesh, even or odd, q = 0 at s = -1) against the
-        # plain one (its points shuffled)
+        # plain one (its points shuffled), within what two evaluation orders of the same band
+        # sums can guarantee at each point; the example is 10 ulp of the peak apart, where
+        # the bands cancel
         rng = np.random.default_rng(seed)
         rho = random_density(d, rng=rng)
         alphas = qe.lattice(extent, points)[1].ravel()
@@ -492,7 +496,7 @@ class TestPointwise:
         paired = qe.quasiprob_pointwise(rho, alphas, s)
         unpaired = np.empty_like(paired)
         unpaired[order] = qe.quasiprob_pointwise(rho, alphas[order], s)
-        assert np.max(np.abs(paired - unpaired)) <= 1e-15 * np.max(np.abs(paired))
+        assert np.all(np.abs(paired - unpaired) <= evaluation_order_bound(rho.entries, alphas, s))
 
     @given(seed=SEEDS, d=st.integers(1, 31), kind=st.sampled_from(["dense", "cat", "skew"]))
     @settings(max_examples=60, deadline=None)
@@ -799,8 +803,9 @@ class TestGridTables:
 
     def test_kept_mesh_geometry_is_built_once(self, cold, monkeypatch):
         # the orbit plan of a lattice() mesh is built with the mesh, once for every s and
-        # state, and found by the mesh's identity; a copy, or a view of the mesh that
-        # reverses or drops points, is another point set, decomposed on every call
+        # state, and found by the mesh's identity; a copy, or a view of the mesh (its flat
+        # view too, with all its points in order), is another point set, decomposed on every
+        # call with the mesh's bits
         calls = spy(monkeypatch, pf, "_orbits", lambda p: p.size)
         states = [random_density(12, occupied=11), fc.make_thermal(0.7, 30)]
         mesh = qe.lattice(4.0, 129)[1]
@@ -810,16 +815,17 @@ class TestGridTables:
         assert calls == [mesh.size] and np.array_equal(got[0], got[1])
         assert not plan_of(mesh)[4].flags.writeable
         flat = mesh.ravel()
-        for points in (flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
+        for points in (flat, flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
             want = qe.quasiprob_pointwise(states[0], points.copy(), -0.2)
             calls.clear()
             assert np.array_equal(qe.quasiprob_pointwise(states[0], points, -0.2), want)
             assert calls == [points.size]
+        assert np.array_equal(qe.quasiprob_pointwise(states[0], flat, -0.2), got[0].ravel())
 
     def test_kept_mesh_entry_goes_with_the_mesh(self):
         mesh = qe.lattice(2.5, 11)[1]
         key, plan = id(mesh), plan_of(mesh)
-        assert pf._kept(mesh) is plan and pf._kept(mesh.ravel()) is plan
+        assert pf._kept(mesh) is plan and pf._kept(mesh.ravel()) is None
         assert plan[:4] == (True, 11, 5, 6) and plan[4].size == 5 * 6 + 1
         pf.lattice.cache_clear()
         del mesh

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phaselab import theorem_lab as tl
 from phaselab.classical_fields import BeamSplitterParams
-from phaselab.errors import InvalidWeights
+from phaselab.errors import InvalidWeights, NonFiniteArgument
 from phaselab.phase_filters import FilterSpec
 
 SQ2 = 1 / np.sqrt(2)
@@ -238,6 +238,21 @@ class TestClassifyAttenuator:
 
 
 class TestDiskGrid:
+    @pytest.mark.parametrize("radius, points, size", [(3.0, 41, 1257), (2.0, 21, 317), (1.5, 8, 32)])
+    def test_disk_grid_is_closed_under_rotation_and_negation(self, radius, points, size):
+        # the disk is cut from a lattice() mesh, whose axis is exactly antisymmetric, so
+        # beta -> -beta and beta -> i beta map its points onto themselves bit for bit
+        g = tl.disk_grid(radius, points)
+        assert g.size == size
+        for image in (-g, 1j * g):
+            assert np.array_equal(np.sort_complex(image), np.sort_complex(g))
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_radius_rejected(self, radius):
+        # linspace spanned the NaN or infinite radius and returned NaN-tainted points
+        with pytest.raises(NonFiniteArgument, match="must be finite"):
+            tl.disk_grid(radius)
+
     def test_radius_clip(self):
         g = tl.disk_grid(radius=2.0, points=21)
         assert np.max(np.abs(g)) <= 2.0
