@@ -129,9 +129,9 @@ _kept_meshes: dict[int, tuple] = {}
 # that race here change what is kept, never a value, as a table is only read under its key
 _recent: list[tuple] = []
 _row_table: tuple | None = None
-# the one key repeated on a kept mesh is the Wigner function next to a fresh s, one pair per
-# phase_portrait operation. Keeping every s, one-offs too, cost more time and memory than it
-# saved; 8 MiB is about 57 levels on 4:129
+# the key repeated on a kept mesh is T(a, s), whose rows are those of s = 0 at every s <= 0:
+# the Wigner grid and the fresh s of each phase_portrait operation share one table. 8 MiB is
+# about 57 levels on 4:129
 _ROW_TABLE_BYTES = 8 * 2**20
 
 
@@ -290,25 +290,70 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii, kept) -> list:
+def _multiplication(k: int, count: int, s: float, gaps) -> np.ndarray:
+    """M_k(s), (count, count): the rows of band k of T(a, s) at s < 0 from its rows at s = 0,
+    R(s) = M R(0) (``_class_sums``). It is the multiplication theorem
+    L_n^(k)(lam x) = sum_{j<=n} C(n+k, n-j) lam^j (1-lam)^(n-j) L_j^(k)(x) at
+    lam = 1/(1-s^2), with the rows' q^n and factorial weights folded in:
+    M[n, j] = C(n+k, n-j) sqrt(n! (j+k)! / ((n+k)! j!)) (1-s)^(-2j) (s/(1-s))^(2(n-j)) for
+    j <= n, else 0. Every entry is finite and >= 0 for every s < 0, s = -1 (lam infinite) and
+    s < -1 (lam < 0) too, so nothing cancels. One running product per column: M[j, j] =
+    (1-s)^(-2j) and M[n+1, j] = M[n, j] b sqrt((n+1)(n+k+1)) / (n+1-j), with b = (s/(1-s))^2
+    written so that it stays finite as s -> -inf, where s^2 / (1-s)^2 is inf / inf. The
+    products run down whole columns, through ones above the diagonal that are then taken
+    away; ``gaps`` is ``_gaps`` of at least count + k levels."""
+    inverse, above, roots = gaps
+    inverse, above = inverse[:count, :count], above[:count, :count]
+    steps = inverse * ((s / (1 - s)) ** 2 * roots[k, :count])[:, None]
+    steps += above
+    steps.flat[:: count + 1] = ((1 / (1 - s)) ** 2) ** roots[0, :count]
+    np.cumprod(steps, axis=0, out=steps)
+    steps -= above
+    return steps
+
+
+@lru_cache(maxsize=4)
+def _gaps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of ``_multiplication``'s running products that depends on neither s nor the
+    count, as three (dim, dim) read-only tables: 1 / (n - j) where n > j, else 0; 1 where
+    n < j, else 0; and sqrt(n (n+k)) at [k, n], so n itself at [0, n]. Building them takes
+    17 us at 31 levels, yet keeping them cut the benchmark's ``op_p50_ms`` on phase_portrait
+    in 16 of 20 pairs (README, "Cached tables")."""
+    rows, cols = np.arange(dim)[:, None], np.arange(dim)
+    gap = rows - cols
+    tables = (np.where(gap > 0, 1 / np.maximum(gap, 1), 0.0), (gap < 0) * 1.0,
+              np.sqrt(cols * (cols + rows)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _class_sums(e: np.ndarray, p: np.ndarray, radii, kept, s=None, at_s=False) -> list:
     """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
     the flat points p for the Hermitian part h of the square matrix e (d, d); each Z_j has
-    p.size values, and is None for j > 0 when no band of its class is held. ``kept`` says
-    that p is the orbit block of a kept mesh, whose rows may be kept (``_anchor_rows``).
+    p.size values, and is None for j > 0 when no band of its class is held. X = D(b) when s
+    is None, else T(a, s) for s <= 0 (``quasiprob_pointwise``). ``kept`` says that p is the
+    orbit block of a kept mesh, whose rows may be kept (``_anchor_rows``).
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
-    r2 = |p|^2. The recurrence runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
+    r2 = |p|^2: D(b) has pref e^{-r2/2}, c = 1, scale 1 and q 1, and T(a, s) pref
+    (2/(1-s)) e^{-2 r2/(1-s)}, c = 2/(1-s), scale -4/(1-s)^2 and q = (s+1)/(s-1). The
+    recurrence runs for D(b) and at s = 0 only: at s < 0 an anchor's rows are M_k(s) times its
+    s = 0 rows (``_multiplication``), so sum_n w_n R_n(s) = sum_j (M^T w)_j R_j(0) for the
+    columns w of its group, and every s on a kept mesh shares the s = 0 key. With ``at_s``
+    it runs at s itself, y = -4 r2/(1-s)^2, the route ``_band_trace`` takes where the s = 0
+    rows at y = -4 r2 overflow. It runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
     only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition formula
     L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1, a-1)
     q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_fold_weights`` times q^(n-j)), so
     its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c. One matrix
     product of the anchor's rows at the distinct radii with the columns c, g1, g2 of its
-    group gives the group's sums there, which are multiplied by pref and mapped to the points
-    by ``radii``. A class is summed by Horner in (c p)^4 from its highest band down, then
-    multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows at a time, on
-    any points but a kept mesh, which may keep one key's rows; an all-zero band is skipped, a
-    group with no band held is never built, and the (d, d) table of q^(n-j) is built only
-    for a held band off the anchors: a diagonal matrix costs a band.
+    group (times M^T at s < 0) gives the group's sums there, which are multiplied by pref and
+    mapped to the points by ``radii``. A class is summed by Horner in (c p)^4 from its highest
+    band down, then multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows
+    at a time, on any points but a kept mesh, which may keep one key's rows; an all-zero band
+    is skipped, a group with no band held is never built, and the (d, d) table of q^(n-j) is
+    built only for a held band off the anchors: a diagonal matrix costs a band.
     """
     d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -322,11 +367,25 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii, kept) ->
     two_h = e + e.conj().T
     two_h = np.stack([two_h.real, two_h.imag], axis=-1)
     two_h.reshape(-1, 2)[:: d + 1] *= 0.5
-    distinct, inv, band_rows = _anchor_rows(d, radii, scale, q, kept)
-    radial = pref(distinct)[:, None]
-    lo = c * p if top > 0 else None
-    lo2 = lo * lo if top > 1 else None
-    lo4 = lo2 * lo2 if top > 3 else None
+    if s is None:
+        pref, c, q, anchor_key = (lambda x: np.exp(-x / 2)), 1.0, 1.0, (1.0, 1.0)
+    else:
+        # for s << 0, 1 - s is large and c tiny: P_s -> 2 Tr(rho)/(pi(1-s)); at s itself,
+        # (1-s)^2 overflows and the scale is -0.0
+        pref, c = (lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s))), 2 / (1 - s)
+        q = (s + 1) / (s - 1)
+        anchor_key = (-4 / np.float64(1 - s) ** 2, q) if at_s else (-4.0, -1.0)
+    gaps = _gaps(d) if s is not None and s < 0 and not at_s else None
+    distinct, inv, band_rows = _anchor_rows(d, radii, *anchor_key, kept)
+    # complex, as the product with acc would cast it in a buffer on every group
+    radial = pref(distinct)[:, None].astype(complex)
+    # the loop holds (c p)^4 and one buffer for a band at the points, both only where a class
+    # has two bands: c p and (c p)^2 are formed after it, to keep the peak of each call low
+    lo4 = spread = None
+    if top > 3:
+        lo4, spread = c * p, np.empty(p.size, complex)
+        for _ in range(2):
+            lo4 *= lo4
     sums, powers, anchor = [None] * 4, None, top + 1
     for k in range(top, -1, -1):
         z = sums[k % 4]
@@ -353,15 +412,21 @@ def _class_sums(e: np.ndarray, p: np.ndarray, pref, c, scale, q, radii, kept) ->
                             powers = q ** np.maximum(np.arange(d)[:, None] - np.arange(d), 0)
                         fold = fold * powers[: d - b, :count]
                     np.matmul(fold.T, two_h.diagonal(b).T, out=columns[:, i])
+            columns = columns.reshape(count, -1)
+            if gaps is not None:
+                columns = _multiplication(anchor, count, s, gaps).T @ columns
             # real rows times those columns, read back as complex: (U, part)
-            acc = (band_rows(anchor).T @ columns.reshape(count, -1)).view(complex)
+            acc = (band_rows(anchor).T @ columns).view(complex)
             acc *= radial
-            spread = np.take(acc, inv, axis=0)
-        band = spread[:, parts.index(k)]
+        band = acc[:, parts.index(k)]
         if z is None:
-            sums[k % 4] = band
+            sums[k % 4] = np.take(band, inv)
         else:
-            z += band
+            # mode "clip", as "raise" would copy into ``out`` (inv indexes distinct)
+            z += np.take(band, inv, out=spread, mode="clip")
+    del lo4, spread
+    lo = c * p if top > 0 else None
+    lo2 = lo * lo if top > 1 else None
     for j, power in ((1, lo), (2, lo2), (3, None if sums[3] is None else lo2 * lo)):
         if sums[j] is not None:
             sums[j] *= power
@@ -382,15 +447,14 @@ def _orbits(p: np.ndarray) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _band_trace(rho: DensityMatrix, points, name: str, s=None):
+def _band_trace(rho: DensityMatrix, points, name: str, s=None, at_s=False):
     """Tr(h X) at the points, shaped like them, for the Hermitian part h = (e + e^dag)/2 of
     the occupied block e (d, d) of the single-mode rho (``effective_dim``): X = D(b) when s
     is None, complex, else T(a, s) for s <= 0, real. The only entry into the band kernel.
     Points other than a mesh ``_kept`` finds are checked by ``require_finite(points, name)``.
 
-    X is banded as in ``_class_sums``, with <n|X|n+k> = sign^k conj(<n+k|X|n>): D(b) has
-    pref e^{-x/2}, c = 1, sign -1, scale 1 and q 1, T(a, s) the parameters of
-    ``quasiprob_pointwise`` and sign +1. So band k adds z_k + sign^k conj(z_k),
+    X is banded as in ``_class_sums``, with <n|X|n+k> = sign^k conj(<n+k|X|n>): sign -1 for
+    D(b) and +1 for T(a, s). So band k adds z_k + sign^k conj(z_k),
     the real part for even k and, for odd k, the real part (sign +1) or i times the imaginary
     part (sign -1); call that Part. At i p band k is i^k times its value at p, and so is its
     conjugate term, as sign^k (-i)^k = i^k for sign -1. With Z_j the class sums at p, the
@@ -399,22 +463,19 @@ def _band_trace(rho: DensityMatrix, points, name: str, s=None):
     When the points read as a square mesh m with rot90(m) = i m, as every ``lattice()`` mesh
     does, the kernel sees one point of each orbit (``_orbits``), and the four values are written
     through the ``np.rot90`` views of the result. Any other points get every point. A result
-    that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning.
+    that is not finite (the rows overflow far out) raises NonFiniteArgument, with no warning;
+    at s < 0 it is first computed again from the rows at s itself (``at_s``, per call), whose
+    y = -4|a|^2/(1-s)^2 is smaller in size than the s = 0 rows' -4|a|^2.
     """
     points = np.asarray(points, dtype=complex)
     # a kept mesh reads the plan lattice() built with it: it is finite
     if (plan := _kept(points)) is None:
         require_finite(points, name)
     closed, n, rows, cols, block, radii = plan or _orbits(points.ravel())
-    if s is None:
-        pref, c, sign, scale, q = (lambda x: np.exp(-x / 2)), 1.0, -1, 1.0, 1.0
-    else:
-        # for s << 0, (1-s)^2 overflows and the scale is -0.0: P_s -> 2 Tr(rho)/(pi(1-s))
-        pref, c, sign = (lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s))), 2 / (1 - s), 1
-        scale, q = -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)
+    sign = -1 if s is None else 1
     d = effective_dim(rho.occupations[0])
-    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, pref, c, scale, q, radii,
-                                 plan is not None)
+    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, radii,
+                                 plan is not None and not at_s, s, at_s)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2
@@ -437,6 +498,8 @@ def _band_trace(rho: DensityMatrix, points, name: str, s=None):
             grid[rows, rows] = values[0][-1]
     # one contiguous scan as floats: a non-finite class sum reaches the real part it writes
     if not np.isfinite(out.view(float)).all():
+        if s is not None and s < 0 and not at_s:
+            return _band_trace(rho, points, name, s, at_s=True)
         raise NonFiniteArgument("not finite in double precision: the band rows overflow at |p| "
                                 f"up to {np.abs(block).max():.3g}")
     return out.reshape(points.shape)

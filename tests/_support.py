@@ -237,10 +237,11 @@ def evaluation_order_bound(e, points, s=None):
 
 
 def quasiprob_mpmath(e, alpha, s, dps=30):
-    """(1/pi) Tr(h T(alpha, s)) for the Hermitian part h of the square matrix e and -1 < s <= 0,
+    """(1/pi) Tr(h T(alpha, s)) for the Hermitian part h of the square matrix e and -1 <= s <= 0,
     from mpmath's own Laguerre polynomials at ``dps`` digits: the oracle for the kernel's
     rounding. <n+k|T|n> = (2/(1-s)) e^{-2|a|^2/(1-s)} (2a/(1-s))^k q^n sqrt(n!/(n+k)!)
-    L_n^(k)(4|a|^2/(1-s^2)), q = (s+1)/(s-1)."""
+    L_n^(k)(4|a|^2/(1-s^2)), q = (s+1)/(s-1); at s = -1 (q = 0), q^n L_n^(k)(4|a|^2/(1-s^2))
+    is its limit |a|^(2n) / n!, the term of L_n^(k) of highest degree."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -249,9 +250,11 @@ def quasiprob_mpmath(e, alpha, s, dps=30):
         pref, c, q = 2 / (1 - s) * mp.exp(-2 * x / (1 - s)), 2 * a / (1 - s), (s + 1) / (s - 1)
         total = mp.mpf(0)
         for k in range(len(e)):
+            band = pref * c**k
             for n in range(len(e) - k):
-                element = (pref * c**k * q**n * mp.sqrt(mp.factorial(n) / mp.factorial(n + k))
-                           * mp.laguerre(n, k, 4 * x / (1 - s * s)))
+                rows = (x**n / mp.factorial(n) if s == -1
+                        else q**n * mp.laguerre(n, k, 4 * x / (1 - s * s)))
+                element = band * mp.sqrt(mp.factorial(n) / mp.factorial(n + k)) * rows
                 h = (mp.mpc(complex(e[n, n + k])) + mp.conj(mp.mpc(complex(e[n + k, n])))) / 2
                 total += (h * element).real * (1 if k == 0 else 2)
         return float(total / mp.pi)

@@ -432,6 +432,7 @@ class TestNumpyOnly:
             "state --coherent 1 --out c.json", "state --fock 1 --out f.json",
             "figure3 --eta-steps 5", "report --state c.json", "attenuate --state c.json --eta 0.5",
             "charfunc --state f.json", "quasiprob --state f.json",
+            "quasiprob --state c.json --s -0.5",
             "beamsplit --state1 f.json --state2 c.json --t 0.6 --r 0.8",
             "verify --theorem 1", "verify --theorem 2",
             "classical --op moments --ensemble ens.json",

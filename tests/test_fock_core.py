@@ -394,27 +394,34 @@ class TestDensityMatrix:
 
 
 # guards that no other test reaches: without each, the call returns a value or raises a
-# bare Python error (or, for a negative nbar, the thermal tail's CutoffTooSmall)
+# bare Python error (or, for a negative nbar, the thermal tail's CutoffTooSmall). Each case
+# is named, so that its id does not depend on numpy's repr of the arguments
 GUARDS = [
-    (fc.make_fock, (-1, 5), InvalidWeights, "photon number must be a nonnegative integer"),
-    (fc.normal_moment, (fc.make_fock(1, 5), -1, 0), InvalidWeights, "orders must be nonnegative"),
-    (fc.DensityMatrix, (1, [[1]], 3), DimensionMismatch, "1 or 2 modes, got 1 and 3"),
-    (fc.DensityMatrix, (3, np.eye(4) / 4), DimensionMismatch, "expected a 3x3 matrix"),
-    (fc.mix, ([fc.make_fock(0, 3), fc.make_fock(1, 3)], [1.0]), InvalidWeights,
-     "one weight per state"),
+    pytest.param(fc.make_fock, (-1, 5), InvalidWeights,
+                 "photon number must be a nonnegative integer", id="make_fock(-1, 5)"),
+    pytest.param(fc.normal_moment, (fc.make_fock(1, 5), -1, 0), InvalidWeights,
+                 "orders must be nonnegative", id="normal_moment(fock 1, -1, 0)"),
+    pytest.param(fc.DensityMatrix, (1, [[1]], 3), DimensionMismatch, "1 or 2 modes, got 1 and 3",
+                 id="DensityMatrix(1, [[1]])"),
+    pytest.param(fc.DensityMatrix, (3, np.eye(4) / 4), DimensionMismatch,
+                 "expected a 3x3 matrix", id="DensityMatrix(3, 4x4 matrix)"),
+    pytest.param(fc.mix, ([fc.make_fock(0, 3), fc.make_fock(1, 3)], [1.0]), InvalidWeights,
+                 "one weight per state", id="mix(two states, one weight)"),
     # without it, numpy's broadcast of a 3x3 and a 4x4 matrix raises a bare ValueError
-    (fc.mix, ([fc.make_fock(1, 2), fc.make_fock(1, 3)], [0.5, 0.5]), DimensionMismatch,
-     "mixture components live on different spaces"),
-    (fc.embed, (fc.make_fock(1, 5), 4), CutoffTooSmall, "smaller than the state"),
-    (fc.make_thermal, (-0.3, 5), InvalidWeights, "nbar must be nonnegative"),
+    pytest.param(fc.mix, ([fc.make_fock(1, 2), fc.make_fock(1, 3)], [0.5, 0.5]),
+                 DimensionMismatch, "mixture components live on different spaces",
+                 id="mix(cutoffs 2 and 3)"),
+    pytest.param(fc.embed, (fc.make_fock(1, 5), 4), CutoffTooSmall, "smaller than the state",
+                 id="embed(cutoff 5 into 4)"),
+    pytest.param(fc.make_thermal, (-0.3, 5), InvalidWeights, "nbar must be nonnegative",
+                 id="make_thermal(-0.3, 5)"),
     # without it, the 20 x 20 product of a 4- and a 5-level state fails DensityMatrix's shape
-    (fc.tensor, (fc.make_fock(0, 3), fc.make_fock(0, 4)), DimensionMismatch,
-     "tensor factors must share the cutoff"),
+    pytest.param(fc.tensor, (fc.make_fock(0, 3), fc.make_fock(0, 4)), DimensionMismatch,
+                 "tensor factors must share the cutoff", id="tensor(cutoffs 3 and 4)"),
 ]
 
 
-@pytest.mark.parametrize("func, args, error, message", GUARDS,
-                         ids=[f"{f.__name__}{args[:2]}" for f, args, _, _ in GUARDS])
+@pytest.mark.parametrize("func, args, error, message", GUARDS)
 def test_guard(func, args, error, message):
     with pytest.raises(error, match=message):
         func(*args)

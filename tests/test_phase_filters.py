@@ -316,8 +316,9 @@ def fold_state(kind, d, rng):
 
 
 class TestAnchoredKernel:
-    """The recurrence runs on the bands k = 0 mod 3 only; bands k + 1 and k + 2 are folded
-    onto the anchor's rows by L_n^(k+1) = sum_{j<=n} L_j^(k)."""
+    """The recurrence runs on the bands k = 0 mod 3 only, and at s = 0 only; bands k + 1 and
+    k + 2 are folded onto the anchor's rows by L_n^(k+1) = sum_{j<=n} L_j^(k), and the rows
+    at s < 0 are M_k(s) times the rows at s = 0 (the multiplication theorem)."""
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 100),
            s=st.sampled_from([None, 0.0, -0.5, -1.0, -2.5]), extent=st.floats(0.1, 4.0),
@@ -347,14 +348,42 @@ class TestAnchoredKernel:
         assert sizes == [(points // 2) * (points - points // 2) + points % 2, points**2]
 
     def test_mpmath_spot_check(self):
-        # s = 0, 60 dense levels, 12 points of the 4:129 lattice, against mpmath's Laguerre
-        # polynomials at 30 digits
+        # 60 dense levels, 12 points of the 4:129 lattice, against mpmath's Laguerre
+        # polynomials at 30 digits: at s = 0 and, from the s = 0 rows that the points (not a
+        # kept mesh) build per call and M_k(s), at s < 0
         rng = np.random.default_rng(60)
         rho = random_density(61, occupied=60, rng=rng)
         alpha = qe.lattice(4.0, 129)[1].ravel()[rng.choice(129**2, 12, replace=False)]
-        want = np.array([quasiprob_mpmath(rho.entries[:60, :60], a, 0.0) for a in alpha])
-        got = qe.quasiprob_pointwise(rho, alpha, 0.0)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for s in (0.0, -0.3, -0.7, -1.0):
+            want = np.array([quasiprob_mpmath(rho.entries[:60, :60], a, s) for a in alpha])
+            got = qe.quasiprob_pointwise(rho, alpha, s)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), s
+
+    @pytest.mark.parametrize("d", [31, 60])
+    def test_multiplication_weights(self, d):
+        # M_k(0) is the identity and every entry of M_k(s) is finite and >= 0 for s < 0; on
+        # the s = 0 rows at the radii of 4:129, the columns M_k(s)^T w give the band sums
+        # w . R(s) of the recurrence at s itself, within 1e-14 of the largest of them
+        rng = np.random.default_rng(d)
+        distinct, gaps = pf._kept(qe.lattice(4.0, 129)[1])[5][0], pf._gaps(d)
+        for k in (0, 1, d // 2, d - 1):
+            assert np.array_equal(pf._multiplication(k, d - k, 0.0, gaps), np.eye(d - k))
+            for s in (-1e300, -2.5, -1.0, -0.5, -1e-3):
+                weights = pf._multiplication(k, d - k, s, gaps)
+                assert np.isfinite(weights).all() and (weights >= 0).all()
+        for s in (-0.05, -0.3, -0.7, -0.99, -1.0, -2.5):
+            first, errors, sums = 1.0, [], []
+            for k in range(d):
+                first = first / np.sqrt(k) if k else first
+                w = rng.standard_normal(d - k)
+                at_zero = pf._laguerre_band(k, d - k, -4.0 * distinct, first, -1.0)
+                at_s = pf._laguerre_band(k, d - k, -4 / (1 - s) ** 2 * distinct, first,
+                                         (s + 1) / (s - 1))
+                want = w @ at_s
+                columns = pf._multiplication(k, d - k, s, gaps).T @ w
+                errors.append(np.max(np.abs(columns @ at_zero - want)))
+                sums.append(np.max(np.abs(want)))
+            assert max(errors) <= 1e-14 * max(sums), s
 
     def test_recurrence_runs_on_every_third_band(self, monkeypatch):
         # a dense state on 31 levels runs 11 recurrences, 176 rows, in place of 31 and 496;

@@ -535,7 +535,8 @@ class TestPointwise:
 
     @pytest.mark.parametrize("s", [-1e160, -1e300])
     def test_far_below_zero_tends_to_the_trace(self, s):
-        # T(alpha, s) -> (2/(1-s)) I as s -> -inf: (1-s)^2 overflows and its scale is -0.0
+        # T(alpha, s) -> (2/(1-s)) I as s -> -inf: (1-s)^(-2j) underflows, so M_k(s) keeps
+        # its first column, sqrt(C(n+k, n)) (s/(1-s))^(2n) with (s/(1-s))^2 = 1
         rho = random_density(12, occupied=9, rng=np.random.default_rng(160))
         want = 2 / (np.pi * (1 - s)) * rho.entries.trace().real
         for alpha in (0.3, qe.lattice(4.0, 129)[1], np.array([2.0 - 3.0j, 0.0])):
@@ -543,6 +544,21 @@ class TestPointwise:
             assert np.max(np.abs(got - want)) <= 1e-14 * want
         grid = qe.quasiprob_transform(qe.charfunc_grid(rho, FilterSpec.s_param(s)))
         assert np.max(np.abs(grid.values - want)) <= 1e-14 * want
+
+    @pytest.mark.parametrize("beta, cutoff, alpha, s", [
+        pytest.param(1.0, 30, 1e6, -1e13, id="s=-1e13 at 1e6"),
+        pytest.param(3.9 * np.exp(0.7j), 300, 25 * np.exp(0.3j), -1.0, id="Q at 25"),
+        pytest.param(3.9 * np.exp(0.7j), 300, 22 * np.exp(0.3j), -0.5, id="s=-0.5 at 22"),
+        pytest.param(3.9 * np.exp(0.7j), 300, qe.lattice(17.0, 35)[1], -1.0,
+                     id="Q on lattice(17, 35)")])
+    def test_rows_at_s_where_the_s0_rows_overflow(self, beta, cutoff, alpha, s):
+        # the s = 0 rows at 4|alpha|^2 overflow here, and the rows at s itself, at
+        # 4|alpha|^2/(1-s)^2, do not: the kernel runs those per call, and keeps no key of them
+        got = qe.quasiprob_pointwise(fc.make_coherent(beta, cutoff), alpha, s)
+        want = coherent_ps(beta, alpha, s)
+        assert np.max(np.abs(got - want)) <= 1e-14 * coherent_ps(beta, beta, s)
+        at_s = -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)
+        assert at_s not in [key[1:] for key in pf._recent]
 
     def test_per_call_memory_at_201_levels(self):
         # each folded band scales its own slice of the q-free fold weights by q^(n-j), from
@@ -858,17 +874,20 @@ class TestGridTables:
             assert len(pf._kept_meshes) == base + min(i + 1, 16)
 
     def test_repeated_s_keeps_one_table(self, cold):
-        # calls at s1, 0, s2, 0, ...: a fresh s builds its rows per anchor and frees them, and
-        # s = 0 keeps its rows from its second call on; a copy of the mesh keeps nothing
+        # calls at s1, 0, s2, 0, ...: every s <= 0 reads the s = 0 rows, so their one key is
+        # asked twice running from the second call on, and the table taken then stays; a copy
+        # of the mesh keeps nothing
         rho = random_density(32, occupied=31)
         mesh = qe.lattice(4.0, 129)[1]
         for _ in range(2):
             qe.quasiprob_pointwise(rho, mesh.copy(), 0.0)
         assert pf._row_table is None
-        wigner = (id(plan_of(mesh)[5]), -4.0, -1.0)
+        wigner, table = (id(plan_of(mesh)[5]), -4.0, -1.0), None
         for i, s in enumerate((-0.3, 0.0, -0.6, 0.0, -0.8, 0.0, -0.9, 0.0)):
             qe.quasiprob_pointwise(rho, mesh, s)
-            assert (pf._row_table and pf._row_table[0]) == (None if i < 3 else wigner)
+            assert (pf._row_table and pf._row_table[0]) == (None if i < 1 else wigner)
+            table = table or pf._row_table
+            assert pf._row_table is table
         _, levels, built, _ = pf._row_table
         assert levels == 31 and sorted(built) == list(range(0, 31, pf.ANCHOR_SPACING))
         # the table holds the most levels asked of it so far: more levels rebuild it
@@ -877,14 +896,18 @@ class TestGridTables:
             assert pf._row_table[1] == held
 
     def test_keys_in_turn_leave_the_table(self, monkeypatch, cold):
-        # keys asked in turn are not asked again within two calls: W, P_-0.5 and Q on 4:129
-        # and D(b) on 6:128 keep nothing. Once W is asked twice running, its table stays
-        # through the rotation and every W call reads it, while the other keys build their
-        # rows per call; two keys alternating keep the first one's table too
+        # keys asked in turn are not asked again within two calls: T and D(b) on 4:129 and on
+        # 6:128 keep nothing. Once T on 4:129 is asked twice running, its table stays through
+        # the rotation and every call of T there reads it, at s = 0, -0.5 and -1 alike, while
+        # the other keys build their rows per call; two keys alternating keep the first one's
+        # table too
         rho = random_density(32, occupied=31)
         wide, fine = qe.lattice(4.0, 129)[1], qe.lattice(6.0, 128)[1]
-        keys = [lambda s=s: qe.quasiprob_pointwise(rho, wide, s) for s in (0.0, -0.5, -1.0)]
-        keys.append(lambda: pf.symmetric_charfunc(rho, fine))
+        keys = [lambda: qe.quasiprob_pointwise(rho, wide, 0.0),
+                lambda: pf.symmetric_charfunc(rho, wide),
+                lambda: qe.quasiprob_pointwise(rho, fine, -0.5),
+                lambda: pf.symmetric_charfunc(rho, fine)]
+        wigner = [lambda s=s: qe.quasiprob_pointwise(rho, wide, s) for s in (-0.5, -1.0)]
         rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
         for _ in range(3):
             for key in keys:
@@ -893,15 +916,15 @@ class TestGridTables:
         keys[0]()
         keys[0]()
         table = pf._row_table
-        assert table[0][1:] == (-4.0, -1.0)
+        assert table[0] == (id(plan_of(wide)[5]), -4.0, -1.0)
         anchors = list(range(0, 31, pf.ANCHOR_SPACING))
         for _ in range(3):
-            for key in keys:
+            for key in keys + wigner:
                 rows.clear()
                 key()
                 assert pf._row_table is table
-                assert sorted(rows) == ([] if key is keys[0] else anchors)
-        for key in (keys[1], keys[0]) * 3:
+                assert sorted(rows) == ([] if key in [keys[0], *wigner] else anchors)
+        for key in (keys[1], wigner[0]) * 3:
             rows.clear()
             key()
             assert pf._row_table is table and (key is keys[1]) == bool(rows)
@@ -916,7 +939,7 @@ class TestGridTables:
             for _ in range(2):
                 qe.quasiprob_pointwise(rho, mesh, -0.5)
                 pf.symmetric_charfunc(rho, mesh)
-            assert pf._row_table[0] == (id(plan_of(mesh)[5]), -4 / 1.5**2, -1 / 3)
+            assert pf._row_table[0] == (id(plan_of(mesh)[5]), -4.0, -1.0)
         for rows in pf._row_table[2].values():
             assert not rows.flags.writeable
             with pytest.raises(ValueError):
@@ -925,6 +948,22 @@ class TestGridTables:
         pf.lattice.cache_clear()
         gc.collect()
         assert pf._row_table is None and pf._recent == []
+
+    def test_fresh_s_reads_the_wigner_table(self, monkeypatch, cold):
+        # after two s = 0 calls on 4:129, each s < 0 there runs no recurrence: the columns of
+        # each group take M_k(s)^T on the kept s = 0 rows, with the bits of the same call on
+        # a copy of the mesh, which runs them per call
+        rho = random_density(32, occupied=31, rng=np.random.default_rng(36))
+        mesh = qe.lattice(4.0, 129)[1]
+        for _ in range(2):
+            qe.quasiprob_pointwise(rho, mesh, 0.0)
+        rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
+        for s in (-0.37, -1.0, -2.5):
+            got = qe.quasiprob_pointwise(rho, mesh, s)
+            assert rows == []
+            assert np.array_equal(got, qe.quasiprob_pointwise(rho, mesh.copy(), s))
+            assert sorted(rows) == list(range(0, 31, pf.ANCHOR_SPACING))
+            rows.clear()
 
     def test_rows_past_the_budget_are_not_kept(self, cold):
         # 201 levels on 4:129 would keep about 100 MB of rows: they are built per anchor on
