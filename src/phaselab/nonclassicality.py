@@ -12,7 +12,7 @@ from .errors import CutoffTooSmall, InvalidWeights
 from .fock_core import DensityMatrix, _moments, make_coherent, make_fock, mix, normal_moment
 from .fock_core import require_count
 from .linear_optics import _loss_blocks, attenuate
-from .quasiprob_engine import attenuated_photon_wigner, quasiprob_pointwise
+from .quasiprob_engine import attenuated_photon_wigner
 
 # equality cases (coherent states) must not flip to VIOLATED by rounding
 VERDICT_TOL = 1e-12
@@ -98,10 +98,18 @@ def scaling_invariance_check(
     return ScalingReport(tuple(verdicts), invariant)
 
 
+def _origins(etas: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lossy photons at ``etas`` as one stack of blocks, and their Wigner origins: (2/pi)
+    Tr(rho Pi), Pi = (-1)^{a^dag a} the parity, as T(0, 0) = 2 Pi, the kernel's bits at 0."""
+    lossy = _loss_blocks(make_fock(1, cutoff), etas)
+    parity = (-1.0) ** np.arange(lossy.shape[-1])
+    return lossy, 2 * (lossy.diagonal(axis1=1, axis2=2).real @ parity) / np.pi
+
+
 def wigner_origin_numeric(eta: float, cutoff: int = 20) -> float:
     """Wigner value at the origin of an attenuated single photon: the loss
-    channel, then the pointwise Wigner function, (2/pi) sum_n (-1)^n rho_nn."""
-    return quasiprob_pointwise(attenuate(make_fock(1, cutoff), eta), 0.0, 0.0)
+    channel, then the parity trace (2/pi) sum_n (-1)^n rho_nn (``_origins``)."""
+    return float(_origins(np.array([float(eta)]), cutoff)[1][0])
 
 
 def wigner_origin_analytic(eta: float) -> float:
@@ -110,14 +118,11 @@ def wigner_origin_analytic(eta: float) -> float:
 
 def figure3_data(eta_steps: int, cutoff: int = 20) -> list[tuple[float, float, float, float]]:
     """Rows (eta, wigner_origin_numeric, wigner_origin_analytic, g2 - g1^2)
-    for eta on a uniform grid of [0, 1], the lossy photons made as one stack. Each Wigner
-    origin is (2/pi) Tr(rho Pi), Pi = (-1)^{a^dag a} the parity, as T(0, 0) = 2 Pi."""
+    for eta on a uniform grid of [0, 1], the lossy photons made as one stack (``_origins``)."""
     eta_steps = require_count(eta_steps, 2, "need at least two efficiency steps")
     etas = np.linspace(0.0, 1.0, eta_steps)
-    lossy = _loss_blocks(make_fock(1, cutoff), etas)
+    lossy, origin = _origins(etas, cutoff)
     g1, g2 = (_moments(lossy, cutoff, j, j).real for j in (1, 2))
-    parity = (-1.0) ** np.arange(lossy.shape[-1])
-    origin = 2 * (lossy.diagonal(axis1=1, axis2=2).real @ parity) / np.pi
     columns = (etas, origin, attenuated_photon_wigner(etas, 0.0), g2 - g1**2)
     return list(zip(*(c.tolist() for c in columns)))
 

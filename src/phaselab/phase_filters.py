@@ -123,15 +123,11 @@ def _axis(extent: float, points: int) -> np.ndarray:
 
 # the orbit plan (``_orbits``) of each mesh lattice() keeps, by its id, dropped when it is freed
 _kept_meshes: dict[int, tuple] = {}
-# the kernel keys (id of the mesh's radii, scale, q) of the last two calls on kept meshes,
-# newest last, and the one row table, (key, levels, rows built so far by anchor, the rows(k)
-# that builds them) or None; both lose a mesh's keys with it (``_forget``). No lock: threads
-# that race here change what is kept, never a value, as a table is only read under its key
-_recent: list[tuple] = []
-_row_table: tuple | None = None
-# the key repeated on a kept mesh is T(a, s), whose rows are those of s = 0 at every s <= 0:
-# the Wigner grid and the fresh s of each phase_portrait operation share one table. 8 MiB is
-# about 57 levels on 4:129
+# per row builder, its one table (``_kept_rows``): (key, levels, the rows built so far by part,
+# the build(part) of those levels). No lock: threads that race here change what is kept, never
+# a value, as a table is only read under its key
+_row_tables: dict = {}
+# the bound of every row table: 8 MiB is about 57 levels of the kernel's rows on 4:129
 _ROW_TABLE_BYTES = 8 * 2**20
 
 
@@ -142,8 +138,7 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     band kernel evaluates each four-point rotation orbit once. Both depend only on the values
     (extent, points), so they are built once per pair (6 and 6.0 share theirs) and shared as
     read-only arrays, the mesh with its read-only orbit plan, which the kernel finds by the
-    mesh's identity (``_kept``), and the kernel's row table (``_anchor_rows``). Every mesh
-    kept is finite (``_axis``): not scanned again."""
+    mesh's identity (``_kept``). Every mesh kept is finite (``_axis``): not scanned again."""
     axis = _axis(extent, points)
     if type(extent) is not float or type(points) is not int:
         return lattice(float(extent), int(points))
@@ -154,17 +149,8 @@ def lattice(extent: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in (plan[4], *plan[5]):
         arr.setflags(write=False)
     _kept_meshes[id(mesh)] = plan
-    weakref.finalize(mesh, _forget, id(mesh), id(plan[5]))
+    weakref.finalize(mesh, _kept_meshes.pop, id(mesh))
     return axis, mesh
-
-
-def _forget(mesh: int, radii: int) -> None:
-    """Drop the plan of a kept mesh that is freed, and its keys and row table."""
-    global _row_table
-    del _kept_meshes[mesh]
-    _recent[:] = [key for key in _recent if key[0] != radii]
-    if _row_table is not None and _row_table[0][0] == radii:
-        _row_table = None
 
 
 def _kept(p: np.ndarray) -> tuple | None:
@@ -190,38 +176,38 @@ def _radial(dim: int, radii: tuple[np.ndarray, np.ndarray], scale=1.0, q=1.0):
     return distinct, inv, lambda k: _laguerre_band(k, dim - k, y, first[k], q)
 
 
-def _anchor_rows(dim: int, radii: tuple[np.ndarray, np.ndarray], scale, q, kept: bool):
-    """``_radial`` for ``_class_sums``, which asks rows(k) of its anchor bands only. On a
-    kept mesh, a key (radii, scale, q) asked again within the last two kernel calls on kept
-    meshes takes the one row table while the rows of every anchor fit ``_ROW_TABLE_BYTES``,
-    unless the table's own key is among those two calls: a table in use stays. Any other
-    call builds its rows per anchor and frees them, and leaves the table as it is. A table
-    holds the most levels asked of it so far, and fewer levels read the first rows: row n
-    does not depend on the levels built, so the bits are those of a fresh build."""
-    global _row_table
-    distinct, inv, rows = _radial(dim, radii, scale, q)
-    if not kept:
-        return distinct, inv, rows
-    key = id(radii), scale, q
-    fits = 8 * distinct.size * sum(range(dim, 0, -ANCHOR_SPACING)) <= _ROW_TABLE_BYTES
-    table, recent = _row_table, _recent[:]
-    _recent[:] = [*recent[-1:], key]
-    own = table is not None and table[0] == key
-    free = table is None or table[0] not in recent
-    if not (own and table[1] >= dim):
-        if not (fits and (own or free and key in recent)):
-            return distinct, inv, rows
-        table = _row_table = key, dim, {}, rows
-    _, _, built, build = table
+def _kept_rows(builder, key: bytes, points: int, levels: int, nbytes: int, make):
+    """read(part), the rows make(levels)(part), by the one rule of every row table: the
+    table of ``builder`` holds the rows of the last set of two or more points it was asked on
+    (``key``, the bytes they depend on) for the most levels asked, read-only, each part built
+    on first read. Row n does not depend on the levels, so fewer read its first rows with the
+    bits of a fresh build. A table past ``_ROW_TABLE_BYTES`` (its key and the ``nbytes`` that
+    make(levels) holds) is built per call, and leaves the kept table as it is."""
+    held = _row_tables.get(builder)
+    if held is None or held[0] != key or held[1] < levels:
+        if points < 2 or len(key) + nbytes > _ROW_TABLE_BYTES:
+            return make(levels)
+        held = _row_tables[builder] = key, levels, {}, make(levels)
+    _, _, built, build = held
 
-    def read(k: int) -> np.ndarray:
-        if k not in built:
-            fresh = build(k)
-            fresh.setflags(write=False)
-            built[k] = fresh
-        return built[k][: dim - k]
+    def read(part):
+        if part not in built:
+            rows = build(part)
+            rows.setflags(write=False)
+            built[part] = rows
+        return built[part]
 
-    return distinct, inv, read
+    return read
+
+
+def _anchor_rows(dim: int, radii: tuple[np.ndarray, np.ndarray], scale, q):
+    """``_radial`` for ``_class_sums``, whose anchor rows(k) may hold more than the dim - k
+    it reads: the table of the operator (scale, q), keyed on the distinct radii' bytes."""
+    distinct, inv = radii
+    nbytes = 8 * distinct.size * (1 + sum(range(dim, 0, -ANCHOR_SPACING)))  # y and the rows
+    rows = _kept_rows((scale, q), distinct.tobytes(), distinct.size, dim, nbytes,
+                      lambda levels: _radial(levels, radii, scale, q)[2])
+    return distinct, inv, rows
 
 
 def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np.ndarray:
@@ -328,32 +314,31 @@ def _gaps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _class_sums(e: np.ndarray, p: np.ndarray, radii, kept, s=None, at_s=False) -> list:
+def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list:
     """Z_j = sum over the bands k = j mod 4 of 2 z_k, z_k = sum_n h[n, n+k] <n+k|X|n>, at
     the flat points p for the Hermitian part h of the square matrix e (d, d); each Z_j has
     p.size values, and is None for j > 0 when no band of its class is held. X = D(b) when s
-    is None, else T(a, s) for s <= 0 (``quasiprob_pointwise``). ``kept`` says that p is the
-    orbit block of a kept mesh, whose rows may be kept (``_anchor_rows``).
+    is None, else T(a, s) for s <= 0 (``quasiprob_pointwise``).
 
     <n+k|X|n> = pref(r2) (c p)^k q^n sqrt(n! / (n+k)!) L_n^{(k)}(x), y = q x = scale r2 and
-    r2 = |p|^2: D(b) has pref e^{-r2/2}, c = 1, scale 1 and q 1, and T(a, s) pref
-    (2/(1-s)) e^{-2 r2/(1-s)}, c = 2/(1-s), scale -4/(1-s)^2 and q = (s+1)/(s-1). The
-    recurrence runs for D(b) and at s = 0 only: at s < 0 an anchor's rows are M_k(s) times its
-    s = 0 rows (``_multiplication``), so sum_n w_n R_n(s) = sum_j (M^T w)_j R_j(0) for the
-    columns w of its group, and every s on a kept mesh shares the s = 0 key. With ``at_s``
-    it runs at s itself, y = -4 r2/(1-s)^2, the route ``_band_trace`` takes where the s = 0
+    r2 = |p|^2: D(b) has pref e^{-r2/2}, c = 1, scale 1 and q 1, and T(a, s) pref (2/(1-s))
+    e^{-2 r2/(1-s)}, c = 2/(1-s), scale -4/(1-s)^2 and q = (s+1)/(s-1). The recurrence runs
+    for D(b) and at s = 0 only: at s < 0 an anchor's rows are M_k(s) times its s = 0 rows
+    (``_multiplication``), so sum_n w_n R_n(s) = sum_j (M^T w)_j R_j(0) for the columns w of
+    its group, and every s on one point set shares the s = 0 rows. With ``at_s`` it runs at
+    s itself, y = -4 r2/(1-s)^2, per call: the route ``_band_trace`` takes where the s = 0
     rows at y = -4 r2 overflow. It runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
-    only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition formula
-    L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1, a-1)
-    q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_fold_weights`` times q^(n-j)), so
-    its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c. One matrix
-    product of the anchor's rows at the distinct radii with the columns c, g1, g2 of its
-    group (times M^T at s < 0) gives the group's sums there, which are multiplied by pref and
-    mapped to the points by ``radii``. A class is summed by Horner in (c p)^4 from its highest
-    band down, then multiplied by (c p)^j once. Memory stays O(p.size), with one group's rows
-    at a time, on any points but a kept mesh, which may keep one key's rows; an all-zero band
-    is skipped, a group with no band held is never built, and the (d, d) table of q^(n-j) is
-    built only for a held band off the anchors: a diagonal matrix costs a band.
+    only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition
+    formula L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1,
+    a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_fold_weights`` times
+    q^(n-j)), so its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c.
+    One matrix product of the anchor's rows at the distinct radii with the columns c, g1, g2
+    of its group (times M^T at s < 0) gives the group's sums there, which are multiplied by
+    pref and mapped to the points by ``radii``. A class is summed by Horner in (c p)^4 from
+    its highest band down, then multiplied by (c p)^j once. Memory stays O(p.size), with one
+    group's rows at a time, besides its operator's row table (``_anchor_rows``); an all-zero
+    band is skipped, a group with no band held is never built, and the (d, d) table of
+    q^(n-j) is built only for a held band off the anchors: a diagonal matrix costs a band.
     """
     d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -376,7 +361,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, kept, s=None, at_s=False) -
         q = (s + 1) / (s - 1)
         anchor_key = (-4 / np.float64(1 - s) ** 2, q) if at_s else (-4.0, -1.0)
     gaps = _gaps(d) if s is not None and s < 0 and not at_s else None
-    distinct, inv, band_rows = _anchor_rows(d, radii, *anchor_key, kept)
+    distinct, inv, band_rows = (_radial if at_s else _anchor_rows)(d, radii, *anchor_key)
     # complex, as the product with acc would cast it in a buffer on every group
     radial = pref(distinct)[:, None].astype(complex)
     # the loop holds (c p)^4 and one buffer for a band at the points, both only where a class
@@ -416,7 +401,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, kept, s=None, at_s=False) -
             if gaps is not None:
                 columns = _multiplication(anchor, count, s, gaps).T @ columns
             # real rows times those columns, read back as complex: (U, part)
-            acc = (band_rows(anchor).T @ columns).view(complex)
+            acc = (band_rows(anchor)[:count].T @ columns).view(complex)
             acc *= radial
         band = acc[:, parts.index(k)]
         if z is None:
@@ -474,8 +459,7 @@ def _band_trace(rho: DensityMatrix, points, name: str, s=None, at_s=False):
     closed, n, rows, cols, block, radii = plan or _orbits(points.ravel())
     sign = -1 if s is None else 1
     d = effective_dim(rho.occupations[0])
-    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, radii,
-                                 plan is not None and not at_s, s, at_s)
+    z0, z1, z2, z3 = _class_sums(rho.entries[:d, :d], block, radii, s, at_s)
     even = [z0.real] * 2 if z2 is None else [(z0 + z2).real, (z0 - z2).real]
     if z1 is None and z3 is None:
         values = even * 2

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridTooCoarse, ImaginaryResidue, SingularPFunction
 from .fock_core import DensityMatrix, check_leakage, coherent_vector, effective_dim, require_finite
 from .phase_filters import FilterSpec, filtered_charfunc, two_mode_charfunc
-from .phase_filters import _axis, _band_trace, lattice
+from .phase_filters import _axis, _band_trace, _kept_rows, lattice
 
 BOUNDARY_DECAY_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-9
@@ -150,22 +150,13 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     return QuasiProbGrid(alpha_axis, values, cf.filter, cf.source, volume, residue)
 
 
-# per row builder, (the bytes of the last points, their read-only rows: points x levels)
-_kept_rows: dict[Callable, tuple[bytes, np.ndarray]] = {}
-
-
 def _rows(build: Callable, x: np.ndarray, levels: int) -> np.ndarray:
-    """build(x, levels - 1), rows n < levels at the flat points x, as points x levels. Row n
-    does not depend on the levels built, so the rows of one point set are built once for
-    the most levels asked of it and fewer levels are a slice. A single point is not kept."""
-    if x.size < 2:
-        return build(x, levels - 1)
-    key, held = x.tobytes(), _kept_rows.get(build)
-    if held is None or held[0] != key or held[1].shape[1] < levels:
-        rows = build(x, levels - 1)
-        rows.setflags(write=False)
-        held = _kept_rows[build] = key, rows
-    return held[1][:, :levels]
+    """build(x, levels - 1), rows n < levels at the flat points x, as points x levels, from
+    the table of ``build`` (``_kept_rows``) keyed on x's bytes: built at once, holding no x."""
+    def make(count):
+        rows = build(x, count - 1)
+        return lambda _: rows
+    return _kept_rows(build, x.tobytes(), x.size, levels, x.nbytes * levels, make)(None)[:, :levels]
 
 
 def _hermite_rows(x: np.ndarray, cutoff: int) -> np.ndarray:

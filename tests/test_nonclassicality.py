@@ -13,6 +13,7 @@ from phaselab import theorem_lab as tl
 from phaselab.errors import CutoffTooSmall, GainNotAllowed, InvalidWeights
 from phaselab.linear_optics import _loss_blocks, attenuate
 from phaselab.phase_filters import FilterSpec
+from phaselab.quasiprob_engine import quasiprob_pointwise
 
 from _support import random_coherent_ensemble, random_density
 
@@ -135,6 +136,18 @@ class TestWignerOriginCurve:
             assert nc.wigner_origin_numeric(eta) == pytest.approx(
                 nc.wigner_origin_analytic(eta), abs=1e-14
             )
+
+    def test_numeric_is_the_kernel_at_the_origin(self):
+        # the parity trace of the lossy block has the bits of the kernel at alpha = 0 on the
+        # attenuated state, at every eta and cutoff, cutoff 1 (no moment guard) included
+        rng = np.random.default_rng(37)
+        etas = [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 60)]
+        for cutoff in (1, 6, 20, 40):
+            for eta in etas:
+                kernel = quasiprob_pointwise(attenuate(fc.make_fock(1, cutoff), eta), 0.0, 0.0)
+                got = nc.wigner_origin_numeric(eta, cutoff)
+                assert isinstance(got, float)
+                assert np.float64(got).tobytes() == np.float64(kernel).tobytes()
 
     def test_figure3_rows(self):
         rows = nc.figure3_data(3)

@@ -349,8 +349,8 @@ class TestAnchoredKernel:
 
     def test_mpmath_spot_check(self):
         # 60 dense levels, 12 points of the 4:129 lattice, against mpmath's Laguerre
-        # polynomials at 30 digits: at s = 0 and, from the s = 0 rows that the points (not a
-        # kept mesh) build per call and M_k(s), at s < 0
+        # polynomials at 30 digits: at s = 0 and, from the s = 0 rows of those points (the T
+        # table the call at s = 0 takes) and M_k(s), at s < 0
         rng = np.random.default_rng(60)
         rho = random_density(61, occupied=60, rng=rng)
         alpha = qe.lattice(4.0, 129)[1].ravel()[rng.choice(129**2, 12, replace=False)]
@@ -387,7 +387,10 @@ class TestAnchoredKernel:
 
     def test_recurrence_runs_on_every_third_band(self, monkeypatch):
         # a dense state on 31 levels runs 11 recurrences, 176 rows, in place of 31 and 496;
-        # a diagonal state holds band 0 alone and runs one
+        # a diagonal state holds band 0 alone and runs one. No row table is held or kept, so
+        # each call builds its own rows
+        monkeypatch.setattr(pf, "_row_tables", {})
+        monkeypatch.setattr(pf, "_ROW_TABLE_BYTES", 0)
         calls = spy(monkeypatch, pf, "_laguerre_band", lambda k, count, *args: (k, count))
         dense = random_density(32, occupied=31, rng=np.random.default_rng(31))
         qe.quasiprob_pointwise(dense, qe.lattice(4.0, 129)[1], 0.0)

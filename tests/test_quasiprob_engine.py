@@ -2,6 +2,7 @@ import gc
 import re
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import comb, factorial
@@ -115,7 +116,7 @@ class TestLattice:
     @settings(max_examples=50, deadline=None)
     def test_kept_plan_is_the_plan_of_a_copy(self, extent, points):
         # the plan lattice() keeps equals the one _orbits builds from a copy of the mesh, and
-        # the kernel gives the same bits on the mesh and on the copy
+        # the kernel gives the same bits on the mesh and on the copy with no row table
         mesh = qe.lattice(extent, points)[1]
         copy = mesh.copy()
         plan = pf._kept(mesh)
@@ -125,9 +126,10 @@ class TestLattice:
         for kept, built in zip((plan[4], *plan[5]), (block, distinct, inv)):
             assert np.array_equal(kept, built) and not kept.flags.writeable
         rho = random_density(8, occupied=5, rng=np.random.default_rng(points))
-        assert np.array_equal(pf.symmetric_charfunc(rho, mesh), pf.symmetric_charfunc(rho, copy))
+        assert np.array_equal(pf.symmetric_charfunc(rho, mesh),
+                              fresh(pf.symmetric_charfunc, rho, copy))
         assert np.array_equal(qe.quasiprob_pointwise(rho, mesh, -0.4),
-                              qe.quasiprob_pointwise(rho, copy, -0.4))
+                              fresh(qe.quasiprob_pointwise, rho, copy, -0.4))
 
     def test_non_finite_copy_of_a_kept_mesh_rejected(self):
         # a kept mesh is finite and not scanned again; a copy of one is scanned
@@ -553,12 +555,12 @@ class TestPointwise:
                      id="Q on lattice(17, 35)")])
     def test_rows_at_s_where_the_s0_rows_overflow(self, beta, cutoff, alpha, s):
         # the s = 0 rows at 4|alpha|^2 overflow here, and the rows at s itself, at
-        # 4|alpha|^2/(1-s)^2, do not: the kernel runs those per call, and keeps no key of them
+        # 4|alpha|^2/(1-s)^2, do not: the kernel runs those per call, and no table holds them
         got = qe.quasiprob_pointwise(fc.make_coherent(beta, cutoff), alpha, s)
         want = coherent_ps(beta, alpha, s)
         assert np.max(np.abs(got - want)) <= 1e-14 * coherent_ps(beta, beta, s)
         at_s = -4 / np.float64(1 - s) ** 2, (s + 1) / (s - 1)
-        assert at_s not in [key[1:] for key in pf._recent]
+        assert at_s not in pf._row_tables
 
     def test_per_call_memory_at_201_levels(self):
         # each folded band scales its own slice of the q-free fold weights by q^(n-j), from
@@ -570,7 +572,7 @@ class TestPointwise:
         peaks = []
         tracemalloc.start()
         try:
-            # the second call of a key on a kept mesh may keep its rows, but not 201 levels'
+            # a key asked again reads its kept rows, but 201 levels' rows are past the budget
             for _ in range(2):
                 tracemalloc.reset_peak()
                 qe.quasiprob_pointwise(rho, alpha, -0.5)
@@ -724,21 +726,34 @@ class TestExactRoute:
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Empty grid tables: no Q or Hermite rows held, no kernel rows kept, and no lattice()
-    mesh kept by the cache, so the next lattice() call builds its mesh and plan afresh."""
+    """Empty grid tables: no Q, Hermite or kernel rows held, and no lattice() mesh kept by
+    the cache, so the next lattice() call builds its mesh and plan afresh."""
     def clear():
-        monkeypatch.setattr(qe, "_kept_rows", {})
+        monkeypatch.setattr(pf, "_row_tables", {})
         pf.lattice.cache_clear()
         gc.collect()
-        pf._row_table = None
-        pf._recent.clear()
 
     clear()
     return clear
 
 
+def fresh(call, *args):
+    """call(*args) with no row table held or kept: every row it reads is built for it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pf, "_row_tables", {})
+        patch.setattr(pf, "_ROW_TABLE_BYTES", 0)
+        return call(*args)
+
+
 def q_rows():
-    return qe._kept_rows[qe.coherent_vector]
+    """(key, rows) of the Q table."""
+    key, _, built, _ = pf._row_tables[qe.coherent_vector]
+    return key, built[None]
+
+
+# the kernel's two slots, one per operator: T(a, s) at every s <= 0 reads the s = 0 rows
+T_SLOT, D_SLOT = (-4.0, -1.0), (1.0, 1.0)
+ANCHORS_31 = list(range(0, 31, pf.ANCHOR_SPACING))
 
 
 def plan_of(mesh):
@@ -746,9 +761,9 @@ def plan_of(mesh):
 
 
 class TestGridTables:
-    """Tables that depend only on the grid are built once and shared read-only: the Q rows
-    of the last grid, the Hermite rows of the last axis and, with each kept lattice() mesh,
-    its orbit plan and the kernel's rows of a key asked for twice running."""
+    """Tables that depend only on the grid are built once and shared read-only: with each
+    kept lattice() mesh its orbit plan, and for each row builder (Q, the marginal, and the
+    kernel's D(b) and T) the rows of the last point set asked, within the byte budget."""
 
     Q_AXIS = np.linspace(-1.25, 1.25, 25)
     Q_GRID = Q_AXIS[None, :] + 1j * Q_AXIS[:, None]
@@ -773,9 +788,9 @@ class TestGridTables:
     def test_single_point_leaves_the_q_rows_alone(self, cold, alpha):
         rho = random_density(12, occupied=11)
         qe.q_function(rho, self.Q_GRID)
-        held = q_rows()
+        held = pf._row_tables[qe.coherent_vector]
         qe.q_function(rho, alpha)
-        assert q_rows() is held
+        assert pf._row_tables[qe.coherent_vector] is held
 
     def test_tables_are_read_only(self, cold):
         rho = random_density(12, occupied=11)
@@ -809,12 +824,12 @@ class TestGridTables:
         mesh = qe.lattice(6.0, 128)[1]
         got = [qe.quasiprob_pointwise(rho, mesh, s) for s in (-0.3, -0.7)]
         assert sorts == [64 * 64]
-        copied = [qe.quasiprob_pointwise(rho, mesh.copy(), s) for s in (-0.3, -0.7)]
+        copied = [fresh(qe.quasiprob_pointwise, rho, mesh.copy(), s) for s in (-0.3, -0.7)]
         assert sorts == [64 * 64] * 3
         cold()
-        fresh = qe.lattice(6.0, 128)[1]
-        assert fresh is not mesh and sorts == [64 * 64] * 4
-        assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, fresh, -0.7))
+        remade = qe.lattice(6.0, 128)[1]
+        assert remade is not mesh and sorts == [64 * 64] * 4
+        assert np.array_equal(got[1], qe.quasiprob_pointwise(rho, remade, -0.7))
         assert all(np.array_equal(a, b) for a, b in zip(got, copied))
 
     def test_kept_mesh_geometry_is_built_once(self, cold, monkeypatch):
@@ -832,7 +847,7 @@ class TestGridTables:
         assert not plan_of(mesh)[4].flags.writeable
         flat = mesh.ravel()
         for points in (flat, flat.copy(), flat[::-1], flat[: 129 * 64], flat[1:]):
-            want = qe.quasiprob_pointwise(states[0], points.copy(), -0.2)
+            want = fresh(qe.quasiprob_pointwise, states[0], points.copy(), -0.2)
             calls.clear()
             assert np.array_equal(qe.quasiprob_pointwise(states[0], points, -0.2), want)
             assert calls == [points.size]
@@ -854,16 +869,17 @@ class TestGridTables:
         states = [fc.make_thermal(0.7, 30), fc.make_fock(3, 20), fc.make_coherent(1.2 + 0.5j, 30)]
         grids = [wigner_grid(rho) for rho in states]
         warm = [qe.quadrature_distribution(grid, 0.7) for grid in grids]
-        key, rows = qe._kept_rows[qe._hermite_rows]
-        assert key == grids[0].axis.tobytes() and rows.shape == (129, 31)
+        key, levels, built, _ = pf._row_tables[qe._hermite_rows]
+        rows = built[None]
+        assert key == grids[0].axis.tobytes() and levels == 31 and rows.shape == (129, 31)
         assert not rows.flags.writeable
         for grid, got in zip(grids, warm):
             cold()
             assert qe.quadrature_distribution(grid, 0.7) == got
 
     def test_tables_stay_bounded(self, cold):
-        # one Q table, and a plan for each of the last 16 lattices: the plan of a mesh the
-        # cache drops goes with it
+        # one Q table and one D(b) table, each of the last mesh, and a plan for each of the
+        # last 16 lattices: the plan of a mesh the cache drops goes with it
         rho = random_density(8, occupied=7)
         base = len(pf._kept_meshes)
         for i in range(20):
@@ -871,121 +887,188 @@ class TestGridTables:
             qe.q_function(rho, mesh)
             pf.symmetric_charfunc(rho, mesh)
             assert q_rows()[0] == mesh.tobytes()
+            assert pf._row_tables[D_SLOT][0] == plan_of(mesh)[5][0].tobytes()
+            assert set(pf._row_tables) == {qe.coherent_vector, D_SLOT}
             assert len(pf._kept_meshes) == base + min(i + 1, 16)
 
     def test_repeated_s_keeps_one_table(self, cold):
-        # calls at s1, 0, s2, 0, ...: every s <= 0 reads the s = 0 rows, so their one key is
-        # asked twice running from the second call on, and the table taken then stays; a copy
-        # of the mesh keeps nothing
+        # calls at s1, 0, s2, 0, ...: every s <= 0 reads the s = 0 rows, so they share the
+        # one T table, taken on the first call and keyed on the distinct radii, which a copy
+        # of the mesh has too
         rho = random_density(32, occupied=31)
         mesh = qe.lattice(4.0, 129)[1]
-        for _ in range(2):
-            qe.quasiprob_pointwise(rho, mesh.copy(), 0.0)
-        assert pf._row_table is None
-        wigner, table = (id(plan_of(mesh)[5]), -4.0, -1.0), None
-        for i, s in enumerate((-0.3, 0.0, -0.6, 0.0, -0.8, 0.0, -0.9, 0.0)):
+        qe.quasiprob_pointwise(rho, mesh.copy(), 0.0)
+        table = pf._row_tables[T_SLOT]
+        assert table[0] == plan_of(mesh)[5][0].tobytes()
+        for s in (-0.3, 0.0, -0.6, 0.0, -0.8, 0.0, -0.9, 0.0):
             qe.quasiprob_pointwise(rho, mesh, s)
-            assert (pf._row_table and pf._row_table[0]) == (None if i < 1 else wigner)
-            table = table or pf._row_table
-            assert pf._row_table is table
-        _, levels, built, _ = pf._row_table
-        assert levels == 31 and sorted(built) == list(range(0, 31, pf.ANCHOR_SPACING))
+            assert pf._row_tables[T_SLOT] is table
+        _, levels, built, _ = table
+        assert set(pf._row_tables) == {T_SLOT}
+        assert levels == 31 and sorted(built) == ANCHORS_31
         # the table holds the most levels asked of it so far: more levels rebuild it
         for occupied, held in ((40, 40), (4, 40)):
             qe.quasiprob_pointwise(random_density(occupied), mesh, 0.0)
-            assert pf._row_table[1] == held
+            assert pf._row_tables[T_SLOT][1] == held
 
     def test_keys_in_turn_leave_the_table(self, monkeypatch, cold):
-        # keys asked in turn are not asked again within two calls: T and D(b) on 4:129 and on
-        # 6:128 keep nothing. Once T on 4:129 is asked twice running, its table stays through
-        # the rotation and every call of T there reads it, at s = 0, -0.5 and -1 alike, while
-        # the other keys build their rows per call; two keys alternating keep the first one's
-        # table too
+        # one table per operator: D(b) and T in turn on 4:129 keep both from their first
+        # calls, and every later call of either there reads them, at s = 0, -0.5 and -1
+        # alike, with no recurrence. T on 4:129 and on 6:128 in turn build their rows on every
+        # call, as the T table holds the last point set only, and leave the D(b) table as is
         rho = random_density(32, occupied=31)
         wide, fine = qe.lattice(4.0, 129)[1], qe.lattice(6.0, 128)[1]
-        keys = [lambda: qe.quasiprob_pointwise(rho, wide, 0.0),
-                lambda: pf.symmetric_charfunc(rho, wide),
-                lambda: qe.quasiprob_pointwise(rho, fine, -0.5),
-                lambda: pf.symmetric_charfunc(rho, fine)]
-        wigner = [lambda s=s: qe.quasiprob_pointwise(rho, wide, s) for s in (-0.5, -1.0)]
         rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
-        for _ in range(3):
-            for key in keys:
-                key()
-        assert pf._row_table is None
-        keys[0]()
-        keys[0]()
-        table = pf._row_table
-        assert table[0] == (id(plan_of(wide)[5]), -4.0, -1.0)
-        anchors = list(range(0, 31, pf.ANCHOR_SPACING))
-        for _ in range(3):
-            for key in keys + wigner:
-                rows.clear()
-                key()
-                assert pf._row_table is table
-                assert sorted(rows) == ([] if key in [keys[0], *wigner] else anchors)
-        for key in (keys[1], wigner[0]) * 3:
+        keys = [lambda s=s: qe.quasiprob_pointwise(rho, wide, s) for s in (0.0, -0.5, -1.0)]
+        keys.insert(1, lambda: pf.symmetric_charfunc(rho, wide))
+        for key in keys[:2]:
             rows.clear()
             key()
-            assert pf._row_table is table and (key is keys[1]) == bool(rows)
+            assert sorted(rows) == ANCHORS_31
+        tables = dict(pf._row_tables)
+        assert set(tables) == {T_SLOT, D_SLOT}
+        for _ in range(3):
+            for key in keys:
+                rows.clear()
+                key()
+                assert rows == [] and pf._row_tables == tables
+        for points in (fine, wide) * 2:
+            rows.clear()
+            qe.quasiprob_pointwise(rho, points, -0.5)
+            assert sorted(rows) == ANCHORS_31
+            assert pf._row_tables[T_SLOT][0] == plan_of(points)[5][0].tobytes()
+            assert pf._row_tables[D_SLOT] is tables[D_SLOT]
 
-    def test_one_table_goes_with_its_mesh(self, cold):
-        # each of two keys asked twice in turn on each of three meshes: the table moves to a
-        # key asked again once its own key is out of the last two calls, its rows are
-        # read-only, and it goes with its mesh
+    def test_one_table_goes_with_its_mesh(self, monkeypatch, cold):
+        # T and D(b) in turn on each of three meshes: each table goes with the mesh asked last,
+        # its rows are read-only, and it is keyed on the values of the radii, not on the mesh,
+        # so the same lattice made again after its mesh is freed reads it
         rho = random_density(12, occupied=11)
         meshes = [qe.lattice(2.0 + i, 33)[1] for i in range(3)]
         for mesh in meshes:
             for _ in range(2):
                 qe.quasiprob_pointwise(rho, mesh, -0.5)
                 pf.symmetric_charfunc(rho, mesh)
-            assert pf._row_table[0] == (id(plan_of(mesh)[5]), -4.0, -1.0)
-        for rows in pf._row_table[2].values():
-            assert not rows.flags.writeable
-            with pytest.raises(ValueError):
-                rows[0] = 0
+            radii = plan_of(mesh)[5][0].tobytes()
+            assert [pf._row_tables[slot][0] for slot in (T_SLOT, D_SLOT)] == [radii] * 2
+        for slot in (T_SLOT, D_SLOT):
+            for rows in pf._row_tables[slot][2].values():
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError):
+                    rows[0] = 0
+        tables, key = dict(pf._row_tables), id(mesh)
         del mesh, meshes
         pf.lattice.cache_clear()
         gc.collect()
-        assert pf._row_table is None and pf._recent == []
+        assert key not in pf._kept_meshes and pf._row_tables == tables
+        rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
+        again = qe.lattice(4.0, 33)[1]
+        got = [qe.quasiprob_pointwise(rho, again, -0.5), pf.symmetric_charfunc(rho, again)]
+        assert rows == [] and pf._row_tables == tables
+        assert np.array_equal(got[0], fresh(qe.quasiprob_pointwise, rho, again, -0.5))
+        assert np.array_equal(got[1], fresh(pf.symmetric_charfunc, rho, again))
 
     def test_fresh_s_reads_the_wigner_table(self, monkeypatch, cold):
-        # after two s = 0 calls on 4:129, each s < 0 there runs no recurrence: the columns of
-        # each group take M_k(s)^T on the kept s = 0 rows, with the bits of the same call on
-        # a copy of the mesh, which runs them per call
+        # after one s = 0 call on 4:129, each s < 0 there runs no recurrence: the columns of
+        # each group take M_k(s)^T on the kept s = 0 rows, with the bits of the same call
+        # with no table, which runs them per call
         rho = random_density(32, occupied=31, rng=np.random.default_rng(36))
         mesh = qe.lattice(4.0, 129)[1]
-        for _ in range(2):
-            qe.quasiprob_pointwise(rho, mesh, 0.0)
+        qe.quasiprob_pointwise(rho, mesh, 0.0)
         rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
         for s in (-0.37, -1.0, -2.5):
             got = qe.quasiprob_pointwise(rho, mesh, s)
             assert rows == []
-            assert np.array_equal(got, qe.quasiprob_pointwise(rho, mesh.copy(), s))
-            assert sorted(rows) == list(range(0, 31, pf.ANCHOR_SPACING))
+            assert np.array_equal(got, fresh(qe.quasiprob_pointwise, rho, mesh, s))
+            assert sorted(rows) == ANCHORS_31
             rows.clear()
 
-    def test_rows_past_the_budget_are_not_kept(self, cold):
+    def test_rows_past_the_budget_are_not_kept(self, monkeypatch, cold):
         # 201 levels on 4:129 would keep about 100 MB of rows: they are built per anchor on
-        # every call, and a table on fewer levels stays for the states that fit
+        # every call, and the table on fewer levels, taken on its first call, stays for the
+        # states that fit
         mesh = qe.lattice(4.0, 129)[1]
         big, small = fc.make_coherent(3.9 * np.exp(0.7j), 200), random_density(32, occupied=31)
-        for rho in (big, big):
+        rows = spy(monkeypatch, pf, "_laguerre_band", lambda k, *args: k)
+        qe.quasiprob_pointwise(big, mesh, -0.5)
+        assert pf._row_tables == {}
+        qe.quasiprob_pointwise(small, mesh, -0.5)
+        table = pf._row_tables[T_SLOT]
+        assert table[1] == 31
+        for rho in (big, big, small):
+            rows.clear()
             qe.quasiprob_pointwise(rho, mesh, -0.5)
-        assert pf._row_table is None
-        for rho in (small, small, big):
-            qe.quasiprob_pointwise(rho, mesh, -0.5)
-        assert pf._row_table[1] == 31
+            assert pf._row_tables[T_SLOT] is table
+            assert len(rows) == (0 if rho is small else len(range(0, 201, pf.ANCHOR_SPACING)))
+
+    def test_q_rows_past_the_budget_are_not_kept(self, cold):
+        # the coherent rows of a 160^2 grid on 31 levels take 12.7 MB, past the budget: they
+        # are built for the call and freed, and the Q table of the small grid stays
+        rho = fc.make_coherent(1.2, 30)
+        qe.q_function(rho, self.Q_GRID)
+        held = pf._row_tables[qe.coherent_vector]
+        axis = np.linspace(-3.0, 3.0, 160)
+        grid = axis[None, :] + 1j * axis[:, None]
+        assert 160**2 * 31 * 16 > pf._ROW_TABLE_BYTES
+        qe.q_function(rho, grid)  # the first call pays for imports and allocator growth
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = qe.q_function(rho, grid)
+            del got
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pf._row_tables[qe.coherent_vector] is held
+        assert set(pf._row_tables) == {qe.coherent_vector}
+        assert retained <= 2**16
+        c = qe.coherent_vector(grid[7], 30)
+        row = np.einsum("pm,mn,pn->p", c.conj(), rho.entries[:31, :31], c).real / np.pi
+        assert np.max(np.abs(qe.q_function(rho, grid)[7] - row)) <= 1e-15
+
+    def test_tables_hold_their_rows_and_key_only(self, cold):
+        # a two-level kernel call on 20000 points that are not a kept mesh keeps the key, y
+        # and the anchor's two rows at the distinct radii, 8 bytes each per radius, and not
+        # the points' inverse map (8 bytes per point); a Q table holds no view of the
+        # caller's points; and the budget counts the key: the Q rows of 300000 points on one
+        # level (4.8 MB) fit, but not with their key
+        rng = np.random.default_rng(5)
+        alpha = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        rho = fc.make_fock(1, 4)
+        qe.quasiprob_pointwise(rho, alpha[:100], 0.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = qe.quasiprob_pointwise(rho, alpha, 0.0)
+            del got
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        key, levels, built, _ = pf._row_tables[T_SLOT]
+        radii = np.unique(np.abs(alpha) ** 2).size
+        assert (levels, list(built), len(key)) == (2, [0], 8 * radii)
+        assert radii > 19000 and retained <= 4 * 8 * radii + 2**15
+        points = self.Q_GRID.copy()
+        ref = weakref.ref(points)
+        qe.q_function(rho, points)
+        del points
+        gc.collect()
+        assert ref() is None and q_rows()[0] == self.Q_GRID.tobytes()
+        vacuum, wide = fc.make_fock(0, 4), np.linspace(-3.0, 3.0, 300000) + 0.5j
+        assert wide.nbytes <= pf._ROW_TABLE_BYTES < 2 * wide.nbytes
+        held = pf._row_tables[qe.coherent_vector]
+        qe.q_function(vacuum, wide)
+        assert pf._row_tables[qe.coherent_vector] is held
 
     def test_threads_share_the_table(self, cold):
-        # eight threads ask five keys, each twice running, on each of three small meshes,
-        # where the bookkeeping is most of a call: the table is taken, read and passed on with
-        # no lock, and every value has the bits of the same call on a copy
+        # eight threads ask five s, each twice running, on each of three small meshes, where
+        # the bookkeeping is most of a call: the table is taken, read and passed on with no
+        # lock, and every value has the bits of the same call with no table
         rho = fc.make_fock(3, 6)
         meshes = [qe.lattice(1.0 + i, 5)[1] for i in range(3)]
         calls = [(mesh, s) for mesh in meshes for s in (0.0, -0.2, -0.5, -0.7, -1.0)
                  for _ in range(2)] * 20
-        want = [qe.quasiprob_pointwise(rho, mesh.copy(), s) for mesh, s in calls]
+        want = [fresh(qe.quasiprob_pointwise, rho, mesh, s) for mesh, s in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1004,16 +1087,18 @@ class TestGridTables:
     @settings(max_examples=30, deadline=None)
     def test_kept_rows_repeat_the_bits(self, calls, seed):
         # every call on a kept mesh, with levels going up and down, has the bits of the same
-        # call on a copy of the mesh, whose rows are built afresh
+        # call with no row table, whose rows are built afresh
         mesh = qe.lattice(3.0, 33)[1]
         rng = np.random.default_rng(seed)
         for levels, s in calls:
             rho = random_density(levels, rng=rng)
             if s is None:
-                kept, fresh = (pf.symmetric_charfunc(rho, p) for p in (mesh, mesh.copy()))
+                kept = pf.symmetric_charfunc(rho, mesh)
+                built = fresh(pf.symmetric_charfunc, rho, mesh)
             else:
-                kept, fresh = (qe.quasiprob_pointwise(rho, p, s) for p in (mesh, mesh.copy()))
-            assert np.array_equal(kept, fresh)
+                kept = qe.quasiprob_pointwise(rho, mesh, s)
+                built = fresh(qe.quasiprob_pointwise, rho, mesh, s)
+            assert np.array_equal(kept, built)
 
 
 class TestAttenuatedPhotonWigner:
