@@ -192,7 +192,7 @@ def pullback_charfunc(cf12: CharFuncGrid, bs: BeamSplitterParams) -> CharFuncGri
     ``CutoffTooSmall`` propagates); interpolating the sampled grid would mask
     the equalities this map is used to test.
     """
-    if cf12.values.ndim != 4:
+    if cf12.ndim != 4:
         raise DimensionMismatch("pullback_charfunc expects a two-mode grid")
     if cf12.source is None:
         raise DimensionMismatch("pullback needs the grid's source state")

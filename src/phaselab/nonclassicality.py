@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_fields import ClassicalEnsemble
-from .errors import CutoffTooSmall, InvalidWeights
+from .errors import CutoffTooSmall, DimensionMismatch, InvalidWeights
 from .fock_core import DensityMatrix, _moments, make_coherent, make_fock, mix, normal_moment
 from .fock_core import require_count
 from .linear_optics import _loss_blocks, attenuate
@@ -144,5 +144,7 @@ def locate_wigner_zero(cutoff: int = 20, tol: float = 1e-4) -> float:
 def coherent_mixture(ens: ClassicalEnsemble, cutoff: int) -> DensityMatrix:
     """Quantum mixture of coherent states with the ensemble's amplitudes and
     weights; the bridge between classical and quantum moments."""
+    if ens.n_modes != 1:
+        raise DimensionMismatch("coherent_mixture expects a single-mode ensemble")
     states = [make_coherent(a, cutoff) for a in ens.amplitudes[:, 0]]
     return mix(states, ens.weights)

@@ -241,25 +241,6 @@ def _laguerre_band(k: int, count: int, y: np.ndarray, first: float, q=1.0) -> np
 ANCHOR_SPACING = 3
 
 
-@lru_cache(maxsize=4)
-def _fold_weights(dim: int) -> np.ndarray:
-    """S[i, a - 1, n, j] for the anchors k = 3 i < dim and a = 1, 2 steps: the part of the
-    fold T^(a) (``_class_sums``) that does not depend on q, (dim, dim) padded, read-only.
-
-    S = (n - j + 1)^(a - 1) sqrt(prod_{t=j+1..n} t / (t+k+a) / prod_{i=1..a} (j+k+i)) for
-    j <= n, else 0: one running product per column under one square root.
-    """
-    k = np.arange(0, dim, ANCHOR_SPACING)[:, None, None, None]
-    a = np.arange(1, 3)[:, None, None]
-    n, j = np.arange(dim)[:, None], np.arange(dim)
-    rising = (j + k + 1.0) * np.where(a == 2, j + k + 2.0, 1.0)
-    steps = np.where(n > j, n / (n + k + a), np.where(n == j, 1 / rising, 1.0))
-    binomial = np.where(n >= j, (n - j + 1.0) ** (a - 1), 0.0)
-    weights = np.sqrt(np.cumprod(steps, axis=2)) * binomial
-    weights.setflags(write=False)
-    return weights
-
-
 def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     """<m|D(b)|n> for m, n < dim over a flat array of betas; shape (dim, dim, N)."""
     beta = np.asarray(beta, dtype=complex).ravel()
@@ -276,7 +257,31 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplication(k: int, count: int, s: float, gaps) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _kernel_weights(dim: int) -> tuple[np.ndarray, ...]:
+    """The kernel's per-size weights on dim levels, read-only, from one (n, j) grid: S, the
+    part of the folds T^(a) (``_class_sums``) that does not depend on q, then the three s-free
+    tables of ``_multiplication``. S[i, a - 1, n, j] for the anchors k = 3 i < dim and a = 1, 2
+    steps, (dim, dim) padded, is (n - j + 1)^(a - 1) sqrt(prod_{t=j+1..n} t / (t+k+a) /
+    prod_{i=1..a} (j+k+i)) for j <= n, else 0: one running product per column under one square
+    root. The tables are 1 / (n - j) where n > j, else 0; 1 where n < j, else 0; and
+    sqrt(j (j+n)), so sqrt(n (n+k)) at [k, n]."""
+    n, j = np.arange(dim)[:, None], np.arange(dim)
+    gap = n - j
+    k = np.arange(0, dim, ANCHOR_SPACING)[:, None, None, None]
+    a = np.arange(1, 3)[:, None, None]
+    rising = (j + k + 1.0) * np.where(a == 2, j + k + 2.0, 1.0)
+    steps = np.where(gap > 0, n / (n + k + a), np.where(gap == 0, 1 / rising, 1.0))
+    binomial = np.where(gap >= 0, (gap + 1.0) ** (a - 1), 0.0)
+    tables = (np.sqrt(np.cumprod(steps, axis=2)) * binomial,
+              np.where(gap > 0, 1 / np.maximum(gap, 1), 0.0), (gap < 0) * 1.0,
+              np.sqrt(j * (j + n)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _multiplication(k: int, count: int, s: float) -> np.ndarray:
     """M_k(s), (count, count): the rows of band k of T(a, s) at s < 0 from its rows at s = 0,
     R(s) = M R(0) (``_class_sums``). It is the multiplication theorem
     L_n^(k)(lam x) = sum_{j<=n} C(n+k, n-j) lam^j (1-lam)^(n-j) L_j^(k)(x) at
@@ -287,8 +292,8 @@ def _multiplication(k: int, count: int, s: float, gaps) -> np.ndarray:
     (1-s)^(-2j) and M[n+1, j] = M[n, j] b sqrt((n+1)(n+k+1)) / (n+1-j), with b = (s/(1-s))^2
     written so that it stays finite as s -> -inf, where s^2 / (1-s)^2 is inf / inf. The
     products run down whole columns, through ones above the diagonal that are then taken
-    away; ``gaps`` is ``_gaps`` of at least count + k levels."""
-    inverse, above, roots = gaps
+    away; the s-free tables are those of count + k levels (``_kernel_weights``)."""
+    _, inverse, above, roots = _kernel_weights(count + k)
     inverse, above = inverse[:count, :count], above[:count, :count]
     steps = inverse * ((s / (1 - s)) ** 2 * roots[k, :count])[:, None]
     steps += above
@@ -296,22 +301,6 @@ def _multiplication(k: int, count: int, s: float, gaps) -> np.ndarray:
     np.cumprod(steps, axis=0, out=steps)
     steps -= above
     return steps
-
-
-@lru_cache(maxsize=4)
-def _gaps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of ``_multiplication``'s running products that depends on neither s nor the
-    count, as three (dim, dim) read-only tables: 1 / (n - j) where n > j, else 0; 1 where
-    n < j, else 0; and sqrt(n (n+k)) at [k, n], so n itself at [0, n]. Building them takes
-    17 us at 31 levels, yet keeping them cut the benchmark's ``op_p50_ms`` on phase_portrait
-    in 16 of 20 pairs (README, "Cached tables")."""
-    rows, cols = np.arange(dim)[:, None], np.arange(dim)
-    gap = rows - cols
-    tables = (np.where(gap > 0, 1 / np.maximum(gap, 1), 0.0), (gap < 0) * 1.0,
-              np.sqrt(cols * (cols + rows)))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list:
@@ -330,7 +319,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
     rows at y = -4 r2 overflow. It runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
     only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition
     formula L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1,
-    a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_fold_weights`` times
+    a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_kernel_weights``' S times
     q^(n-j)), so its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c.
     One matrix product of the anchor's rows at the distinct radii with the columns c, g1, g2
     of its group (times M^T at s < 0) gives the group's sums there, which are multiplied by
@@ -360,7 +349,6 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
         pref, c = (lambda x: (2 / (1 - s)) * np.exp(-2 * x / (1 - s))), 2 / (1 - s)
         q = (s + 1) / (s - 1)
         anchor_key = (-4 / np.float64(1 - s) ** 2, q) if at_s else (-4.0, -1.0)
-    gaps = _gaps(d) if s is not None and s < 0 and not at_s else None
     distinct, inv, band_rows = (_radial if at_s else _anchor_rows)(d, radii, *anchor_key)
     # complex, as the product with acc would cast it in a buffer on every group
     radial = pref(distinct)[:, None].astype(complex)
@@ -390,16 +378,16 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
                     columns[:, i] = two_h.diagonal(b).T
                 else:
                     # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
-                    fold = _fold_weights(d)[anchor // ANCHOR_SPACING, b - anchor - 1,
-                                            : d - b, :count]
+                    fold = _kernel_weights(d)[0][anchor // ANCHOR_SPACING, b - anchor - 1,
+                                                 : d - b, :count]
                     if q != 1:
                         if powers is None:
                             powers = q ** np.maximum(np.arange(d)[:, None] - np.arange(d), 0)
                         fold = fold * powers[: d - b, :count]
                     np.matmul(fold.T, two_h.diagonal(b).T, out=columns[:, i])
             columns = columns.reshape(count, -1)
-            if gaps is not None:
-                columns = _multiplication(anchor, count, s, gaps).T @ columns
+            if s is not None and s < 0 and not at_s:
+                columns = _multiplication(anchor, count, s).T @ columns
             # real rows times those columns, read back as complex: (U, part)
             acc = (band_rows(anchor)[:count].T @ columns).view(complex)
             acc *= radial

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical_fields import BeamSplitterParams
 from .errors import InvalidWeights
-from .fock_core import require_count
+from .fock_core import require_count, require_finite
 from .phase_filters import FilterSpec, lattice
 
 SQ2 = 1.0 / sqrt(2.0)
@@ -124,8 +124,9 @@ def classify_filter_attenuator(f: FilterSpec, grid) -> AttenuatorVerdict:
     """CLASSICAL_ATTENUATION iff f is the P function, ``f.as_s() == 1``: only then is
     the filtered vacuum e^{-|b|^2/2} Omega(b) identically one. ``max_deviation`` is
     max |e^{E(b) - |b|^2/2} - 1| over the grid (inf where that overflows or E is not
-    finite), and the witness is where it peaks."""
-    grid = np.asarray(grid, dtype=complex).ravel()
+    finite), and the witness is where it peaks. A probe point that is not finite raises
+    NonFiniteArgument."""
+    grid = require_finite(grid, "probe grid").ravel()
     if grid.size == 0:
         raise InvalidWeights("probe grid must be nonempty")
     z = f.exponent(grid) - np.abs(grid) ** 2 / 2

@@ -9,6 +9,7 @@ from scipy.linalg import expm, logm
 from phaselab import classical_fields as cl
 from phaselab import fock_core as fc
 from phaselab import linear_optics as lo
+from phaselab import nonclassicality as nc
 from phaselab import phase_filters as pf
 from phaselab import quasiprob_engine as qe
 from phaselab.classical_fields import BeamSplitterParams
@@ -416,6 +417,13 @@ class TestPullbackCharfunc:
         with pytest.raises(DimensionMismatch, match="source state"):
             lo.pullback_charfunc(bare, BeamSplitterParams(SQ2, SQ2))
 
+    def test_single_mode_grid_rejected_unsampled(self):
+        # the guard reads the mode count from the source: the 128^2 lattice is never sampled
+        cf = qe.charfunc_grid(fc.make_coherent(0.5, 10), S0)
+        with pytest.raises(DimensionMismatch, match="two-mode grid"):
+            lo.pullback_charfunc(cf, BeamSplitterParams(SQ2, SQ2))
+        assert "values" not in vars(cf)
+
     def test_matches_fock_route(self):
         rng = np.random.default_rng(41)
         r1 = random_density(10, occupied=4, rng=rng)
@@ -535,6 +543,7 @@ MODE_GUARDS = [
     (fc.tensor, (ONE, TWO)),
     (fc.embed, (TWO, 6)),
     (fc.normal_moment, (TWO, 1, 1)),
+    (nc.coherent_mixture, (ENS2, 20)),
     (lo.apply_beamsplitter, (ONE, BeamSplitterParams(SQ2, SQ2))),
     (lo.attenuate, (TWO, 0.5)),
     (lo.pullback_charfunc, (qe.charfunc_grid(ONE, S0, 1.0, 3), BeamSplitterParams(SQ2, SQ2))),

@@ -236,6 +236,13 @@ class TestClassifyAttenuator:
         with pytest.raises(InvalidWeights):
             tl.classify_filter_attenuator(FilterSpec.s_param(1.0), [])
 
+    @pytest.mark.parametrize("grid", [[np.nan, 0.5], [np.inf], [0.5, 1j * np.inf]],
+                             ids=["nan", "inf", "imaginary inf"])
+    def test_non_finite_probe_rejected(self, grid):
+        # a NaN point read CLASSICAL_ATTENUATION with an inf deviation, and inf a witness
+        with pytest.raises(NonFiniteArgument, match="probe grid must be finite"):
+            tl.classify_filter_attenuator(FilterSpec.s_param(1.0), grid)
+
 
 class TestDiskGrid:
     @pytest.mark.parametrize("radius, points, size", [(3.0, 41, 1257), (2.0, 21, 317), (1.5, 8, 32)])
