@@ -259,26 +259,48 @@ def displacement_stack(dim: int, beta: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _kernel_weights(dim: int) -> tuple[np.ndarray, ...]:
-    """The kernel's per-size weights on dim levels, read-only, from one (n, j) grid: S, the
-    part of the folds T^(a) (``_class_sums``) that does not depend on q, then the three s-free
-    tables of ``_multiplication``. S[i, a - 1, n, j] for the anchors k = 3 i < dim and a = 1, 2
-    steps, (dim, dim) padded, is (n - j + 1)^(a - 1) sqrt(prod_{t=j+1..n} t / (t+k+a) /
-    prod_{i=1..a} (j+k+i)) for j <= n, else 0: one running product per column under one square
-    root. The tables are 1 / (n - j) where n > j, else 0; 1 where n < j, else 0; and
-    sqrt(j (j+n)), so sqrt(n (n+k)) at [k, n]."""
+    """The kernel's per-size weights on dim levels, read-only, each O(dim^2): B and U of the
+    folds (``_group_columns``), then the three s-free tables of ``_multiplication``. On the
+    basis b = k + a, a = 0, 1, of each anchor k = 3 i, B[a, n, i] = prod_{t=1..n} sqrt(t /
+    (t+b+1)), stopped past the dim - b levels b holds, so B > 2^(-dim/2) is normal below about
+    2000 levels, and U = 1 / (B sqrt(n+b+1)): B_n U_j = sqrt(n! (j+b)! / (j! (n+b+1)!)). The
+    tables are 1 / (n - j) where n > j, else 0; 1 where n < j, else 0; and sqrt(j (j+n))."""
     n, j = np.arange(dim)[:, None], np.arange(dim)
-    gap = n - j
-    k = np.arange(0, dim, ANCHOR_SPACING)[:, None, None, None]
-    a = np.arange(1, 3)[:, None, None]
-    rising = (j + k + 1.0) * np.where(a == 2, j + k + 2.0, 1.0)
-    steps = np.where(gap > 0, n / (n + k + a), np.where(gap == 0, 1 / rising, 1.0))
-    binomial = np.where(gap >= 0, (gap + 1.0) ** (a - 1), 0.0)
-    tables = (np.sqrt(np.cumprod(steps, axis=2)) * binomial,
-              np.where(gap > 0, 1 / np.maximum(gap, 1), 0.0), (gap < 0) * 1.0,
+    base = np.arange(0, dim, ANCHOR_SPACING) + np.arange(2)[:, None, None]
+    steps = np.where((n > 0) & (n < dim - base), n / (n + base + 1.0), 1.0)
+    b = np.cumprod(np.sqrt(steps), axis=1)
+    tables = (b, 1 / (b * np.sqrt(n + base + 1.0)),
+              np.where(n > j, 1 / np.maximum(n - j, 1), 0.0), (n < j) * 1.0,
               np.sqrt(j * (j + n)))
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _group_columns(e: np.ndarray, q, top: int) -> np.ndarray:
+    """(d, anchors, 3, 2), the (re, im) columns of every band group up to band top of the
+    matrix e (d, d) on its anchor k's rows (``_class_sums``) for k = 3 i <= top: c_k and the
+    folds T^(a)^T c_(k+a), a = 1, 2, of the bands c_b[n] = 2 h[n, n+b] of e's Hermitian part
+    h, 2 h[n, n] halved. T^(1)[n, j] = q^(n-j) B_n U_j (``_kernel_weights``), so T^(1)^T c =
+    U (P^T (B c)), P = [q^(n-j)] lower triangular, a Toeplitz view; T^(2) is T^(1) on basis
+    k + 1, then on k. Two matrix products fold every group; a diagonal e folds nothing."""
+    d, anchors = len(e), top // ANCHOR_SPACING + 1
+    # 2h in a zero-padded copy, read skewed: bands[n, b] = 2 h[n, n+b], 0 where n + b >= d
+    padded = np.zeros((d + 1, d + 3 * anchors), complex)
+    np.add(e, e.conj().T, out=padded[:d, :d])
+    bands = padded.ravel()[: d * (d + 3 * anchors + 1)].reshape(d, -1)[:, : 3 * anchors]
+    bands[:, 0] *= 0.5
+    groups = np.ascontiguousarray(bands.view(float).reshape(d, anchors, 3, 2))
+    if top:
+        b, u = (w[:, :, :anchors, None] for w in _kernel_weights(d)[:2])
+        # P^T[j, n] = powers[d - 1 - j + n]: q^(n-j) for n >= j, else one of the d - 1 zeros
+        powers = np.concatenate([np.zeros(d - 1), q ** np.arange(d)])
+        pt = np.ndarray((d, d), float, powers, 8 * (d - 1), (-8, 8))
+        # band k + 2 onto basis k + 1 in place, then it and band k + 1 onto basis k
+        for a in (1, 0):
+            c = groups.reshape(d, anchors, 6)[:, :, 2 + 2 * a:]
+            c[:] = u[a] * (pt @ (b[a] * c).reshape(d, -1)).reshape(c.shape)
+    return groups
 
 
 def _multiplication(k: int, count: int, s: float) -> np.ndarray:
@@ -293,7 +315,7 @@ def _multiplication(k: int, count: int, s: float) -> np.ndarray:
     written so that it stays finite as s -> -inf, where s^2 / (1-s)^2 is inf / inf. The
     products run down whole columns, through ones above the diagonal that are then taken
     away; the s-free tables are those of count + k levels (``_kernel_weights``)."""
-    _, inverse, above, roots = _kernel_weights(count + k)
+    inverse, above, roots = _kernel_weights(count + k)[2:]
     inverse, above = inverse[:count, :count], above[:count, :count]
     steps = inverse * ((s / (1 - s)) ** 2 * roots[k, :count])[:, None]
     steps += above
@@ -319,15 +341,13 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
     rows at y = -4 r2 overflow. It runs on the anchor bands k = 0 mod 3 (``ANCHOR_SPACING``)
     only. Band k + a, a = 1, 2, has the rows R^(k+a) = T^(a) R^(k), from the addition
     formula L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k), with T^(a)[n, j] = C(n-j+a-1,
-    a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)) (a slice of ``_kernel_weights``' S times
-    q^(n-j)), so its sum over n with the band c of 2h is sum_j R_j^(k) g_j, g = T^(a)^T c.
-    One matrix product of the anchor's rows at the distinct radii with the columns c, g1, g2
-    of its group (times M^T at s < 0) gives the group's sums there, which are multiplied by
-    pref and mapped to the points by ``radii``. A class is summed by Horner in (c p)^4 from
-    its highest band down, then multiplied by (c p)^j once. Memory stays O(p.size), with one
-    group's rows at a time, besides its operator's row table (``_anchor_rows``); an all-zero
-    band is skipped, a group with no band held is never built, and the (d, d) table of
-    q^(n-j) is built only for a held band off the anchors: a diagonal matrix costs a band.
+    a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)), so its sum over n with the band c of 2h
+    is sum_j R_j^(k) g_j, g = T^(a)^T c (``_group_columns``). One matrix product of the
+    anchor's rows at the distinct radii with the columns c, g1, g2 of its group (times M^T
+    at s < 0) gives the group's sums there, times pref, mapped to the points by ``radii``.
+    A class is summed by Horner in (c p)^4 from its highest band down, then multiplied by
+    (c p)^j once. Memory is O(p.size + d^2) besides the row table (``_anchor_rows``), with
+    one group's rows at a time; an all-zero band is skipped, a group with none held unbuilt.
     """
     d = len(e)
     # band k holds e[n, n+k] and e[n+k, n]: one pass over the nonzero entries; band 0, the
@@ -335,12 +355,6 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
     rows, cols = np.nonzero(e)
     held = set(np.abs(cols - rows).tolist()) | {0}
     top = max(held)
-    # Tr(h X) = sum_{m,n} h[n, m] <m|X|n>: 2 h[n, n+k] = e[n, n+k] + conj(e[n+k, n]) pairs
-    # with <n+k|X|n>, and 2 h[n, n] is halved; as (re, im) pairs of floats, so that the
-    # columns of band b are the (d - b, 2) view two_h.diagonal(b).T
-    two_h = e + e.conj().T
-    two_h = np.stack([two_h.real, two_h.imag], axis=-1)
-    two_h.reshape(-1, 2)[:: d + 1] *= 0.5
     if s is None:
         pref, c, q, anchor_key = (lambda x: np.exp(-x / 2)), 1.0, 1.0, (1.0, 1.0)
     else:
@@ -359,7 +373,7 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
         lo4, spread = c * p, np.empty(p.size, complex)
         for _ in range(2):
             lo4 *= lo4
-    sums, powers, anchor = [None] * 4, None, top + 1
+    groups, sums, anchor = _group_columns(e, q, top), [None] * 4, top + 1
     for k in range(top, -1, -1):
         z = sums[k % 4]
         if z is not None:
@@ -367,31 +381,17 @@ def _class_sums(e: np.ndarray, p: np.ndarray, radii, s=None, at_s=False) -> list
         if k not in held:
             continue
         if k < anchor:
-            # the first band reached of its group: the group's held bands up to k, each as
-            # columns g on the anchor's rows R, with sum_n c_n R_n^(b) = sum_j g_j R_j
+            # the first band reached of its group: the columns of its held bands up to k, as
+            # an all-zero column costs as much in the product with the anchor's rows
             anchor = k - k % ANCHOR_SPACING
-            parts = [b for b in range(anchor, k + 1) if b in held] if k > anchor else [k]
-            count = d - anchor
-            columns = np.empty((count, len(parts), 2))
-            for i, b in enumerate(parts):
-                if b == anchor:
-                    columns[:, i] = two_h.diagonal(b).T
-                else:
-                    # L_n^(k+a) = sum_{j<=n} C(n-j+a-1, a-1) L_j^(k): R^(b) = T R, g = T^T c
-                    fold = _kernel_weights(d)[0][anchor // ANCHOR_SPACING, b - anchor - 1,
-                                                 : d - b, :count]
-                    if q != 1:
-                        if powers is None:
-                            powers = q ** np.maximum(np.arange(d)[:, None] - np.arange(d), 0)
-                        fold = fold * powers[: d - b, :count]
-                    np.matmul(fold.T, two_h.diagonal(b).T, out=columns[:, i])
-            columns = columns.reshape(count, -1)
+            count, kept = d - anchor, [b - anchor for b in range(anchor, k + 1) if b in held]
+            columns = groups[:count, k // ANCHOR_SPACING, kept].reshape(count, -1)
             if s is not None and s < 0 and not at_s:
                 columns = _multiplication(anchor, count, s).T @ columns
             # real rows times those columns, read back as complex: (U, part)
             acc = (band_rows(anchor)[:count].T @ columns).view(complex)
             acc *= radial
-        band = acc[:, parts.index(k)]
+        band = acc[:, kept.index(k - anchor)]
         if z is None:
             sums[k % 4] = np.take(band, inv)
         else:

@@ -109,7 +109,7 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
     A grid with a ``source`` and an s-family filter with s <= 0 is answered exactly from
     the source, ``quasiprob_pointwise`` on the alpha lattice, and its values and beta axis
     are never read. Any other grid (s > 0, a series filter, no source) is Fourier-summed,
-    on a beta axis of 2 points or more within the Nyquist bound pi / (2 alpha_extent).
+    on a beta axis of 2 points or more with |step| in (0, pi / (2 alpha_extent)] (Nyquist).
     """
     # the alpha grid first (``_axis`` checks the count): ndim samples a sourceless grid
     if not 0 < alpha_extent < np.inf or len(_axis(alpha_extent, alpha_points)) < 2:
@@ -123,9 +123,9 @@ def quasiprob_transform(cf: CharFuncGrid, alpha_extent: float = 4.0,
         values, residue = quasiprob_pointwise(cf.source, alphas, s), 0.0
     else:
         step = float(cf.axis[1] - cf.axis[0]) if len(cf.axis) > 1 else np.inf
-        if step > pi / (2 * alpha_extent):
+        if not 0 < abs(step) <= pi / (2 * alpha_extent):  # NaN fails it
             raise GridTooCoarse(f"beta axis of {len(cf.axis)} points, step {step:.4f}: the "
-                                "Fourier sum needs 2 or more and a step within the Nyquist "
+                                "Fourier sum needs 2 or more and |step| in (0, b], b the Nyquist "
                                 f"bound {pi / (2 * alpha_extent):.4f} for extent {alpha_extent}")
         if s is None or s > 0:
             edge = np.concatenate(

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -384,6 +385,41 @@ class TestAnchoredKernel:
                 errors.append(np.max(np.abs(columns @ at_zero - want)))
                 sums.append(np.max(np.abs(want)))
             assert max(errors) <= 1e-14 * max(sums), s
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 31, 200])
+    def test_group_columns_match_the_closed_form(self, d):
+        # every group's columns against T^(a)^T c from the closed form T^(a)[n, j] =
+        # C(n-j+a-1, a-1) q^(n-j) sqrt(n! (j+k)! / (j! (n+k+a)!)), each root from the ratio of
+        # exact factorials (int division rounds once: math.lgamma is off by 1e-13 at 200
+        # levels) and each product summed in long double, within 1e-15 of sum |T| |c|; at
+        # q = 0 (s = -1) T^(a) is diagonal, and at s < -1, 0 < q < 1
+        rng = np.random.default_rng(d)
+        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        two_h = e + e.conj().T
+        two_h[np.diag_indices(d)] /= 2
+        fact = [factorial(m) for m in range(2 * d + 2)]
+        gap = np.subtract.outer(np.arange(d), np.arange(d))
+        anchors = range(0, d, 3) if d < 100 else (0, 3, 63, 99, 138, 198)
+        q_free = {}
+        for k in anchors:
+            for a in (1, 2):
+                t = q_free[k, a] = np.zeros((d, d))
+                for n in range(d - k - a):
+                    for j in range(n + 1):
+                        t[n, j] = comb(n - j + a - 1, a - 1) * np.sqrt(
+                            fact[n] * fact[j + k] / (fact[j] * fact[n + k + a]))
+        for q in (1.0, -1.0, 0.0, -1 / 3, 1 / 3):
+            groups = pf._group_columns(e, q, d - 1)
+            assert groups.shape == (d, len(range(0, d, 3)), 3, 2)
+            got = groups[..., 0] + 1j * groups[..., 1]
+            for k in anchors:
+                c = [np.append(two_h.diagonal(k + a), np.zeros(min(k + a, d))) for a in range(3)]
+                assert np.array_equal(got[:, k // 3, 0], c[0])
+                for a in (1, 2):
+                    fold = q_free[k, a] * q ** np.maximum(gap, 0)
+                    want = fold.astype(np.longdouble).T @ c[a].astype(np.clongdouble)
+                    bound = 1e-15 * np.sum(np.abs(fold).T @ np.abs(c[a]))
+                    assert np.max(np.abs(got[:, k // 3, a] - want)) <= bound, (q, k, a)
 
     def test_recurrence_runs_on_every_third_band(self, monkeypatch):
         # a dense state on 31 levels runs 11 recurrences, 176 rows, in place of 31 and 496;

@@ -231,6 +231,27 @@ class TestTransform:
         with pytest.raises(GridTooCoarse):
             qe.quasiprob_transform(replace(cf, source=None))
 
+    @pytest.mark.parametrize("axis", [np.zeros(128), np.full(128, np.nan)], ids=["0", "nan"])
+    def test_fourier_route_needs_a_nonzero_step(self, axis):
+        # a beta step of 0 would give an all-zero grid of volume 0, and a NaN one a NaN sum
+        cf = qe.CharFuncGrid(axis, np.ones((128, 128), complex), S0, None)
+        with pytest.raises(GridTooCoarse):
+            qe.quasiprob_transform(cf)
+
+    def test_descending_beta_axis(self):
+        # a negative step within the bound is the same Fourier sum in the reverse order
+        rho = fc.make_fock(1, 20)
+        axis = qe._axis(-6.0, 128)
+        down = qe.CharFuncGrid(axis, pf.symmetric_charfunc(rho, axis + 1j * axis[:, None]),
+                               S0, None)
+        got = qe.quasiprob_transform(down)
+        want = qe.quasiprob_transform(replace(qe.charfunc_grid(rho, S0), source=None))
+        assert np.array_equal(got.axis, want.axis)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        # and the photon's Wigner function within the 6:128 lattice's own error, 7.1e-8
+        alpha = got.axis + 1j * got.axis[:, None]
+        assert np.max(np.abs(got.values - qe.attenuated_photon_wigner(1.0, alpha))) <= 1e-7
+
     @pytest.mark.parametrize("extent, points", [(6.0, 1), (6.0, 16), (60.0, 128)])
     def test_exact_route_reads_no_beta_axis(self, extent, points):
         # a sourced s <= 0 grid is answered on the alpha lattice: a one-point or sub-Nyquist
@@ -563,9 +584,9 @@ class TestPointwise:
         assert at_s not in pf._row_tables
 
     def test_per_call_memory_at_201_levels(self):
-        # each folded band scales its own slice of the q-free fold weights by q^(n-j), from
-        # one (d, d) table of powers: a q-scaled copy of the whole (67, 2, 201, 201) table
-        # alone would take 43 MB
+        # the folds read the factors B and U of each anchor, (2, 201, 67) each, and the powers
+        # of q as a Toeplitz view: a d^3 table of fold weights, as (67, 2, 201, 201), would
+        # take 43 MB, and a q-scaled copy of it as much again
         rho = fc.make_coherent(3.9 * np.exp(0.7j), 200)
         alpha = qe.lattice(4.0, 129)[1]
         qe.quasiprob_pointwise(rho, alpha, -0.5)
@@ -580,6 +601,26 @@ class TestPointwise:
         finally:
             tracemalloc.stop()
         assert max(peaks) <= 12 * 2**20
+
+    @pytest.mark.parametrize("rho", [fc.make_thermal(8, 200),
+                                     fc.make_coherent(3.9 * np.exp(0.7j), 200)],
+                             ids=["thermal", "coherent"])
+    def test_cold_call_memory_at_201_levels(self, cold, rho):
+        # a first call on 201 levels builds the per-size weights, all O(d^2), and keeps no
+        # row table past the budget: a diagonal state folds nothing, and a dense one folds
+        # every group at once with no table of fold weights
+        alpha = qe.lattice(4.0, 129)[1]
+        pf._kernel_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = qe.quasiprob_pointwise(rho, alpha, -0.5)
+            del got
+            retained = tracemalloc.get_traced_memory()[0] - before
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20 and retained <= 4 * 2**20
 
     def test_rows_that_overflow_raise(self):
         # 31 levels at |alpha| = 1e6: the Laguerre rows overflow where e^{-2|a|^2/(1-s)} is 0,
